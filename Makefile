@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-paper-scale perf-smoke parallel-smoke robustness chaos shard-smoke rebalance-smoke measures-smoke incremental-smoke async-smoke study serve examples clean
+.PHONY: install test bench bench-paper-scale perf-smoke parallel-smoke robustness chaos shard-smoke rebalance-smoke measures-smoke incremental-smoke serve-smoke study serve examples clean
 
 install:
 	$(PYTHON) -m pip install -e ".[test]"
@@ -107,13 +107,13 @@ incremental-smoke:
 		$(PYTHON) -m pytest -q -o addopts= -s \
 		benchmarks/bench_incremental.py
 
-# the asyncio front-end: route-for-route digest parity vs the threaded
-# server, admission/coalescing/group-commit suites, the async kill -9
-# chaos gate (including the @slow mid-flight kill that tier-1 skips),
-# and the E22 latency-under-concurrency bench at reduced scale (the
-# >= 3x p99 floor only asserts at the full 256-in-flight level)
-async-smoke:
+# the HTTP server: the wire contract, admission/coalescing/group-commit
+# suites, the kill -9 chaos gate under concurrent mutations (including
+# the @slow mid-flight kill that tier-1 skips), and the E22
+# latency-under-concurrency bench at reduced scale
+serve-smoke:
 	$(PYTHON) -m pytest -q -o addopts= \
+		tests/service/test_http.py \
 		tests/service/test_async_http.py \
 		"tests/service/test_scheduler.py::TestCoalescing" \
 		"tests/service/test_wal.py::TestGroupCommit" \

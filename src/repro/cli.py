@@ -260,15 +260,11 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--async",
-        dest="use_async",
-        action=argparse.BooleanOptionalAction,
-        default=False,
+        dest="async_compat",
+        action="store_true",
         help=(
-            "serve on the asyncio front-end: bounded admission (queue "
-            "full -> 429 + Retry-After), request coalescing for "
-            "concurrent same-owner /score hits, and group-committed WAL "
-            "appends; --no-async (the default) runs the legacy threaded "
-            "server, byte-for-byte unchanged"
+            "accepted for compatibility and ignored: serving always runs "
+            "on the asyncio front-end"
         ),
     )
     parser.add_argument(
@@ -277,8 +273,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         default=256,
         metavar="N",
         help=(
-            "async only: bound on concurrently admitted work-bearing "
-            "requests before shedding with 429 + Retry-After"
+            "bound on concurrently admitted work-bearing requests before "
+            "shedding with 429 + Retry-After"
         ),
     )
     parser.add_argument(
@@ -386,22 +382,14 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     durability.add_argument(
         "--wal-fsync",
-        choices=("always", "group", "batch", "never"),
-        default=None,
+        choices=("always", "group"),
+        default="group",
         help=(
-            "fsync policy: 'always' = one fsync per mutation before the "
-            "ack; 'group' = concurrent mutations share one fsync via a "
-            "commit barrier, each acked only after its batch is durable; "
-            "'batch'/'never' are CRASH-UNSAFE (acks before fsync). "
-            "Default: 'group' with --async, 'always' otherwise"
+            "fsync policy: 'group' (default) = concurrent mutations share "
+            "one fsync via a commit barrier, each acked only after its "
+            "batch is durable; 'always' = one fsync per mutation before "
+            "the ack"
         ),
-    )
-    durability.add_argument(
-        "--wal-batch",
-        type=int,
-        default=16,
-        metavar="N",
-        help="appends per deferred fsync under --wal-fsync batch",
     )
     durability.add_argument(
         "--compact-every",
@@ -509,7 +497,6 @@ def _build_serve_store(args: argparse.Namespace):
         return DurableOwnerStore.open(
             args.wal_dir,
             fsync=args.wal_fsync,
-            batch_size=args.wal_batch,
             compact_every=args.compact_every,
             injector=_service_fault_injector(args),
         )
@@ -536,7 +523,6 @@ def _build_serve_store(args: argparse.Namespace):
             args.wal_dir,
             population,
             fsync=args.wal_fsync,
-            batch_size=args.wal_batch,
             compact_every=args.compact_every,
             injector=_service_fault_injector(args),
             shard_map=shard_map,
@@ -565,13 +551,15 @@ def serve_main(argv: Sequence[str] | None = None) -> int:
 
     parser = build_serve_parser()
     args = parser.parse_args(argv)
-    if args.wal_fsync is None:
-        # group commit is the async serving default (one fsync per batch
-        # of concurrent mutations, acked only after the batch is
-        # durable); the threaded server keeps its historical per-append
-        # fsync so `serve` without --async stays bit-for-bit the legacy
-        # server
-        args.wal_fsync = "group" if args.use_async else "always"
+    # reject unusable bounds before any cohort generation or shard spawn
+    # (a shard worker would otherwise die on them after booting, and the
+    # supervisor would restart it into the same error forever)
+    for flag in ("admission", "workers", "max_pending"):
+        if getattr(args, flag) < 1:
+            parser.error(
+                f"--{flag.replace('_', '-')} must be >= 1, got "
+                f"{getattr(args, flag)}"
+            )
     if args.shards and args.shard_index is not None:
         parser.error("--shards and --shard-index are mutually exclusive")
     if (args.shard_index is None) != (args.shard_count is None):
@@ -585,12 +573,7 @@ def serve_main(argv: Sequence[str] | None = None) -> int:
         )
     if args.shards:
         return serve_sharded(args)
-    from .service import (
-        DurableOwnerStore,
-        RiskEngine,
-        build_async_server,
-        build_server,
-    )
+    from .service import DurableOwnerStore, RiskEngine, build_server
 
     store = _build_serve_store(args)
     if isinstance(store, DurableOwnerStore):
@@ -634,32 +617,16 @@ def serve_main(argv: Sequence[str] | None = None) -> int:
                 f"({record.new_queries} labels, {record.elapsed_seconds:.2f}s)",
                 file=sys.stderr,
             )
-    if args.use_async:
-        server = build_async_server(
-            engine,
-            host=args.host,
-            port=args.port,
-            max_workers=args.workers,
-            max_pending=args.max_pending,
-            request_timeout=args.timeout,
-            background_refresh=args.background_refresh,
-            admission_capacity=args.admission,
-        )
-        print(
-            f"async serving: admission capacity {args.admission}, "
-            f"wal fsync {args.wal_fsync!r}",
-            file=sys.stderr,
-        )
-    else:
-        server = build_server(
-            engine,
-            host=args.host,
-            port=args.port,
-            max_workers=args.workers,
-            max_pending=args.max_pending,
-            request_timeout=args.timeout,
-            background_refresh=args.background_refresh,
-        )
+    server = build_server(
+        engine,
+        host=args.host,
+        port=args.port,
+        max_workers=args.workers,
+        max_pending=args.max_pending,
+        request_timeout=args.timeout,
+        background_refresh=args.background_refresh,
+        admission_capacity=args.admission,
+    )
     if server.refresher is not None:
         print("background refresh enabled", file=sys.stderr)
     server.state.ready = True
@@ -701,7 +668,7 @@ def serve_main(argv: Sequence[str] | None = None) -> int:
         summary["workers"] = backend.stats()
         backend.shutdown()
     if isinstance(store, DurableOwnerStore):
-        store.close()  # flush any batched WAL appends
+        store.close()  # sync any appends not yet group-committed
         summary["wal"] = store.wal.stats()
     server.shutdown()
     server.server_close()
@@ -753,17 +720,11 @@ def serve_sharded(args: argparse.Namespace) -> int:
         "--max-pending", str(args.max_pending),
         "--timeout", str(args.timeout),
         "--wal-fsync", args.wal_fsync,
-        "--wal-batch", str(args.wal_batch),
         "--compact-every", str(args.compact_every),
         "--drain-timeout", str(args.drain_timeout),
         "--fault-seed", str(args.fault_seed),
         "--admission", str(args.admission),
     ]
-    if args.use_async:
-        # shard workers serve on the asyncio front-end; the router stays
-        # threaded (it proxies, never scores) and forwards each worker's
-        # Retry-After header and coalescing counters
-        base_args.append("--async")
     if args.load_dataset:
         base_args += ["--load-dataset", args.load_dataset]
     if args.warm_all:

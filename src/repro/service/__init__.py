@@ -22,17 +22,14 @@ instead of re-running the batch study per request:
   :class:`ScoreJob`\\ s run in worker processes, results are rehydrated
   and digest-checked, crashed workers are retried on a fresh pool
   (``repro-study serve --score-workers N`` / ``run-study --workers N``);
-* :class:`RiskServiceServer` — stdlib ``ThreadingHTTPServer`` JSON API
-  (``/score``, ``/mutate``, ``/owners``, ``/healthz``, ``/readyz``,
-  ``/metrics``) wired through the resilience layer; started from the CLI
-  via ``repro-study serve``;
-* :class:`AsyncRiskServer` — the asyncio twin of the threaded server
-  (``repro-study serve --async``), byte-identical on every route, with
-  bounded admission (queue full → 429 + ``Retry-After``), request
-  coalescing (concurrent same-``(owner, measure, version)`` ``/score``
-  hits share one engine call), and group-committed WAL appends (one
-  fsync per batch of concurrent mutations, acked only after the batch
-  is durable);
+* :class:`AsyncRiskServer` — the asyncio JSON API (``/score``,
+  ``/score-batch``, ``/mutate``, ``/owners``, ``/healthz``, ``/readyz``,
+  ``/metrics``) wired through the resilience layer and started from the
+  CLI via ``repro-study serve``: bounded admission (queue full → 429 +
+  ``Retry-After``), request coalescing (concurrent same-``(owner,
+  measure, version)`` ``/score`` hits share one engine call), and
+  group-committed WAL appends (one fsync per batch of concurrent
+  mutations, acked only after the batch is durable);
 * :class:`DurableOwnerStore` / :class:`WriteAheadLog` — crash safety:
   every mutation is logged write-ahead (checksummed, fsync'd) and
   periodically compacted into an atomic snapshot, so a ``kill -9`` loses
@@ -51,15 +48,10 @@ instead of re-running the batch study per request:
   roll-forward/rollback after a crash at any phase.
 """
 
-from .async_http import AdmissionQueue, AsyncRiskServer, build_async_server
+from .async_http import AdmissionQueue, AsyncRiskServer, build_server
 from .dirty import DirtyDelta, DirtyLog
 from .engine import EngineMetrics, RiskEngine, ScoreRecord
-from .http import (
-    RiskServiceHandler,
-    RiskServiceServer,
-    ServiceState,
-    build_server,
-)
+from .http import ServiceState
 from .rebalance import (
     PHASES,
     RebalanceCoordinator,
@@ -115,8 +107,6 @@ __all__ = [
     "RecoveryReport",
     "RefreshScheduler",
     "RiskEngine",
-    "RiskServiceHandler",
-    "RiskServiceServer",
     "ScoreJob",
     "ScoreOutcome",
     "ScoreRecord",
@@ -131,7 +121,6 @@ __all__ = [
     "StudyOutcome",
     "WORKER_CRASH_EXIT_CODE",
     "WriteAheadLog",
-    "build_async_server",
     "build_router",
     "build_server",
     "build_worker_argv",

@@ -1,9 +1,9 @@
-"""Asyncio JSON HTTP front-end over the risk engine.
+"""The asyncio JSON HTTP server over the risk engine.
 
-:class:`AsyncRiskServer` speaks the exact same routes and status-code
-contract as the threaded :class:`~repro.service.http.RiskServiceServer`
-(see that module's docstring for the endpoint catalogue) while replacing
-thread-per-request with a single event loop:
+:class:`AsyncRiskServer` is the single-node front-end ``repro-study
+serve`` runs (the endpoint catalogue is in :mod:`repro.service.http`,
+which also holds the request parsing it shares with the shard router).
+One event loop serves every connection, with HTTP/1.1 keep-alive:
 
 * **bounded admission** — every work-bearing request (``/score``,
   ``/score-batch``, ``/mutate``) first claims a slot in a fixed-size
@@ -17,15 +17,18 @@ thread-per-request with a single event loop:
   futures are awaited behind :func:`asyncio.shield` so one waiter's
   deadline cannot cancel work its neighbors still need.
 * **group-committed WAL** — mutations run on a small thread pool (the
-  event loop must never block on an fsync) and, under
+  event loop must never block on an fsync) and, under the default
   ``--wal-fsync group``, concurrent mutations pile into one
   :meth:`~repro.service.wal.WriteAheadLog.wait_durable` barrier: one
   fsync per batch, each request acked only after its batch is durable.
 
-Byte-for-byte route parity with the threaded server is pinned by
-``tests/service/test_async_http.py`` (same digests for every measure,
-same status codes for every error shape); ``serve`` without ``--async``
-still runs the legacy threaded server untouched.
+Requests flow through the resilience layer: each ``/score`` carries a
+:class:`~repro.resilience.Deadline` (504 when the budget runs out) and a
+shared :class:`~repro.resilience.CircuitBreaker` (503 fast-fail while
+scoring is known to be broken).  While the server drains
+(SIGTERM/SIGINT), ``/score`` and ``/mutate`` answer 503 so load
+balancers fail over, while the health/metrics endpoints keep reporting
+drain progress.
 """
 
 from __future__ import annotations
@@ -40,21 +43,25 @@ from urllib.parse import parse_qs, urlparse
 
 from ..errors import (
     BackpressureError,
-    GraphError,
     RebalanceError,
     SerializationError,
     UnknownMeasureError,
     UnknownOwnerError,
-    UnknownUserError,
     WalError,
 )
 from ..measures import measure_catalog
 from ..resilience import CircuitBreaker, Deadline
 from .engine import RiskEngine
-from .http import _INVALID_MEASURE, MeasureParsingMixin, ServiceState
+from .http import (
+    _INVALID_MEASURE,
+    MUTATION_ERRORS,
+    RequestParsingMixin,
+    ServiceState,
+    mutation_failure,
+    parse_content_length,
+)
 from .scheduler import ScoreScheduler
 from .wal import (
-    MUTATION_OPS,
     DurableOwnerStore,
     detach_slice,
     export_slice,
@@ -114,7 +121,11 @@ class AdmissionQueue:
 
 
 class _Request:
-    """One parsed HTTP/1.1 request off an asyncio stream."""
+    """One parsed HTTP/1.1 request off an asyncio stream.
+
+    ``body`` is ``None`` when the ``Content-Length`` header was
+    malformed: the body was left unread and the request is answered 400.
+    """
 
     __slots__ = ("method", "target", "version", "headers", "body")
 
@@ -124,7 +135,7 @@ class _Request:
         target: str,
         version: str,
         headers: dict[str, str],
-        body: bytes,
+        body: bytes | None,
     ) -> None:
         self.method = method
         self.target = target
@@ -140,13 +151,13 @@ class _Request:
         return connection == "close"
 
 
-class _RequestHandler(MeasureParsingMixin):
-    """Serves one request; mirrors ``RiskServiceHandler`` route by route.
+class _RequestHandler(RequestParsingMixin):
+    """Serves one request on behalf of an :class:`AsyncRiskServer`.
 
     The response is buffered into the stream writer synchronously
-    (``_respond``), so the :class:`MeasureParsingMixin` validation
-    helpers work unchanged; the connection loop drains the writer after
-    :meth:`handle` returns.
+    (``_respond``), so the :class:`RequestParsingMixin` validation
+    helpers can answer 400s inline; the connection loop drains the
+    writer after :meth:`handle` returns.
     """
 
     def __init__(
@@ -165,7 +176,11 @@ class _RequestHandler(MeasureParsingMixin):
     # ------------------------------------------------------------------
     async def handle(self) -> None:
         """Dispatch one request to its endpoint."""
-        if self.request.method == "GET":
+        if self.request.body is None:
+            self._reject_content_length(
+                self.request.headers.get("content-length")
+            )
+        elif self.request.method == "GET":
             await self._do_get()
         elif self.request.method == "POST":
             await self._do_post()
@@ -190,74 +205,42 @@ class _RequestHandler(MeasureParsingMixin):
         elif parsed.path == "/measures":
             self._respond(200, {"measures": measure_catalog()})
         elif parsed.path == "/score":
-            if self._reject_while_draining():
-                return
-            if not self._admit():
-                return
-            try:
-                query = parse_qs(parsed.query)
-                owner_id = self._owner_from_query(query)
-                if owner_id is None:
-                    return
-                measure = self._measure_from_values(query.get("measure"))
-                if measure is not _INVALID_MEASURE:
-                    await self._score(owner_id, measure)
-            finally:
-                self.server.admission.leave()
+            await self._gated(lambda: self._score_query(parsed.query))
         else:
             self._respond(404, {"error": f"unknown path {parsed.path!r}"})
 
     async def _do_post(self) -> None:
-        parsed = urlparse(self.request.target)
-        if parsed.path == "/score":
-            if self._reject_while_draining():
-                return
-            if not self._admit():
-                return
-            try:
-                body = self._json_body()
-                if body is None:
-                    return
-                owner_id = self._owner_from_body(body)
-                if owner_id is None:
-                    return
-                measure = self._measure_from_body(body)
-                if measure is not _INVALID_MEASURE:
-                    await self._score(owner_id, measure)
-            finally:
-                self.server.admission.leave()
-        elif parsed.path == "/score-batch":
-            if self._reject_while_draining():
-                return
-            if not self._admit():
-                return
-            try:
-                await self._score_batch()
-            finally:
-                self.server.admission.leave()
-        elif parsed.path == "/mutate":
-            if self._reject_while_draining():
-                return
-            if not self._admit():
-                return
-            try:
-                await self._mutate()
-            finally:
-                self.server.admission.leave()
-        elif parsed.path == "/slice/export":
+        path = urlparse(self.request.target).path
+        if path == "/score":
+            await self._gated(self._score_body)
+        elif path == "/score-batch":
+            await self._gated(self._score_batch)
+        elif path == "/mutate":
+            await self._gated(self._mutate)
+        elif path == "/slice/export":
             await self._slice_export()
-        elif parsed.path == "/slice/import":
+        elif path == "/slice/import":
             await self._slice_import()
-        elif parsed.path == "/slice/detach":
+        elif path == "/slice/detach":
             await self._slice_detach()
-        elif parsed.path == "/slice/digest":
+        elif path == "/slice/digest":
             await self._slice_digest()
         else:
-            self._respond(404, {"error": f"unknown path {parsed.path!r}"})
+            self._respond(404, {"error": f"unknown path {path!r}"})
 
     # ------------------------------------------------------------------
     # admission / lifecycle gates
     # ------------------------------------------------------------------
+    async def _gated(self, work) -> None:
+        """Run work-bearing ``work()`` behind the drain and admission
+        gates, releasing its admission slot however it ends."""
+        if self._reject_while_draining() or not self._admit():
+            return
+        try:
+            await work()
+        finally:
+            self.server.admission.leave()
+
     def _admit(self) -> bool:
         """Claim an admission slot, shedding with 429 when full."""
         admission = self.server.admission
@@ -277,6 +260,7 @@ class _RequestHandler(MeasureParsingMixin):
         return False
 
     def _reject_while_draining(self) -> bool:
+        """503 work-bearing requests during drain; health stays live."""
         if self.server.state.draining:
             self._respond(
                 503,
@@ -290,7 +274,7 @@ class _RequestHandler(MeasureParsingMixin):
         return False
 
     # ------------------------------------------------------------------
-    # read endpoints (identical documents to the threaded server)
+    # read endpoints
     # ------------------------------------------------------------------
     def _health_document(self) -> dict[str, Any]:
         store = self.server.engine.store
@@ -331,14 +315,35 @@ class _RequestHandler(MeasureParsingMixin):
         backend = getattr(self.server.engine, "backend", None)
         if backend is not None and hasattr(backend, "stats"):
             document["workers"] = backend.stats()
-        refresher = getattr(self.server, "refresher", None)
-        if refresher is not None:
-            document["refresh"] = refresher.snapshot()
+        if self.server.refresher is not None:
+            document["refresh"] = self.server.refresher.snapshot()
         return document
 
     # ------------------------------------------------------------------
     # scoring
     # ------------------------------------------------------------------
+    async def _score_query(self, query: str) -> None:
+        """``GET /score?owner=<id>[&measure=<name>]``."""
+        values = parse_qs(query)
+        owner_id = self._owner_from_query(values)
+        if owner_id is None:
+            return
+        measure = self._measure_from_values(values.get("measure"))
+        if measure is not _INVALID_MEASURE:
+            await self._score(owner_id, measure)
+
+    async def _score_body(self) -> None:
+        """``POST /score`` with ``{"owner": <id>, "measure": <name>}``."""
+        body = self._json_body()
+        if body is None:
+            return
+        owner_id = self._owner_from_body(body)
+        if owner_id is None:
+            return
+        measure = self._measure_from_body(body)
+        if measure is not _INVALID_MEASURE:
+            await self._score(owner_id, measure)
+
     async def _score(self, owner_id: int, measure: str | None = None) -> None:
         breaker = self.server.breaker
         try:
@@ -361,30 +366,11 @@ class _RequestHandler(MeasureParsingMixin):
                 retry_after=1,
             )
             return
-        wrapped = asyncio.wrap_future(future)
-        # a coalesced future is shared with other waiters: retrieve its
-        # exception on completion so an abandoned (timed-out) wait never
-        # logs "exception was never retrieved"
-        wrapped.add_done_callback(
-            lambda done: done.cancelled() or done.exception()
-        )
         try:
-            record = await asyncio.wait_for(
-                asyncio.shield(wrapped), deadline.remaining()
-            )
+            record = await self._await_score(future, coalesced, deadline)
         except (asyncio.TimeoutError, TimeoutError):
-            if not coalesced:
-                future.cancel()
             breaker.record_failure()
-            self._respond(
-                504,
-                {
-                    "error": (
-                        f"scoring owner {owner_id} exceeded the "
-                        f"{self.server.request_timeout:.1f}s budget"
-                    )
-                },
-            )
+            self._respond(504, {"error": self._budget_error(owner_id)})
             return
         except UnknownOwnerError as error:
             breaker.record_success()  # the service itself is healthy
@@ -404,23 +390,49 @@ class _RequestHandler(MeasureParsingMixin):
         breaker.record_success()
         self._respond(200, record.to_dict())
 
+    @staticmethod
+    async def _await_score(future, coalesced: bool, deadline: Deadline):
+        """Await a scheduler future within ``deadline``.
+
+        A coalesced future is shared with other waiters, so it is awaited
+        behind :func:`asyncio.shield` and never cancelled on timeout; its
+        exception is retrieved on completion so an abandoned wait never
+        logs "exception was never retrieved".
+        """
+        wrapped = asyncio.wrap_future(future)
+        wrapped.add_done_callback(
+            lambda done: done.cancelled() or done.exception()
+        )
+        try:
+            return await asyncio.wait_for(
+                asyncio.shield(wrapped), deadline.remaining()
+            )
+        except (asyncio.TimeoutError, TimeoutError):
+            if not coalesced:
+                future.cancel()
+            raise
+
+    def _budget_error(self, owner_id: int) -> str:
+        return (
+            f"scoring owner {owner_id} exceeded the "
+            f"{self.server.request_timeout:.1f}s budget"
+        )
+
     async def _score_batch(self) -> None:
-        """Score many owners, streaming one NDJSON line per owner."""
+        """Score many owners, streaming one NDJSON line per owner.
+
+        Every owner is submitted to the scheduler up front (so distinct
+        owners score concurrently — across worker processes when the
+        engine has a backend) and results are streamed back in request
+        order as each future resolves.  A per-owner failure (unknown
+        owner, backpressure, scoring error) becomes an ``error`` line;
+        the stream itself only fails on circuit-open or a bad body.
+        """
         body = self._json_body()
         if body is None:
             return
-        owners = body.get("owners")
-        if (
-            not isinstance(owners, list)
-            or not owners
-            or not all(
-                isinstance(o, int) and not isinstance(o, bool) for o in owners
-            )
-        ):
-            self._respond(
-                400,
-                {"error": 'body must be JSON like {"owners": [<id>, ...]}'},
-            )
+        owners = self._owners_from_body(body)
+        if owners is None:
             return
         measure = self._measure_from_body(body)
         if measure is _INVALID_MEASURE:
@@ -452,31 +464,23 @@ class _RequestHandler(MeasureParsingMixin):
         self.close_connection = True
         failed = False
         for owner_id, pending, coalesced in submissions:
+            line: dict[str, Any]
             if isinstance(pending, BackpressureError):
-                line: dict[str, Any] = {
+                line = {
                     "owner": owner_id,
                     "error": str(pending),
                     "status": 429 if pending.saturated else 503,
                 }
                 failed = True
             else:
-                wrapped = asyncio.wrap_future(pending)
-                wrapped.add_done_callback(
-                    lambda done: done.cancelled() or done.exception()
-                )
                 try:
-                    record = await asyncio.wait_for(
-                        asyncio.shield(wrapped), deadline.remaining()
+                    record = await self._await_score(
+                        pending, coalesced, deadline
                     )
                 except (asyncio.TimeoutError, TimeoutError):
-                    if not coalesced:
-                        pending.cancel()
                     line = {
                         "owner": owner_id,
-                        "error": (
-                            f"scoring owner {owner_id} exceeded the "
-                            f"{self.server.request_timeout:.1f}s budget"
-                        ),
+                        "error": self._budget_error(owner_id),
                         "status": 504,
                     }
                     failed = True
@@ -509,31 +513,14 @@ class _RequestHandler(MeasureParsingMixin):
         body = self._json_body()
         if body is None:
             return
-        op = body.get("op")
-        if op not in MUTATION_OPS:
-            self._respond(
-                400,
-                {"error": f"unknown op {op!r}", "ops": list(MUTATION_OPS)},
-            )
+        op = self._mutation_op(body)
+        if op is None:
             return
         store = self.server.engine.store
         try:
             result = await self._run_blocking(mutate_store, store, op, body)
-        except (UnknownUserError, UnknownOwnerError) as error:
-            self._respond(404, {"error": str(error)})
-        except (GraphError, SerializationError) as error:
-            self._respond(400, {"error": str(error)})
-        except (KeyError, TypeError, ValueError) as error:
-            self._respond(
-                400, {"error": f"malformed arguments for {op!r}: {error}"}
-            )
-        except WalError as error:
-            # not acknowledged: under "always" the append failed before
-            # the mutation applied; under "group" the fsync barrier
-            # failed after it applied in memory, poisoning the log —
-            # either way the client must not treat the mutation as
-            # durable, and a poisoned server needs a restart + recovery
-            self._respond(500, {"error": str(error)})
+        except MUTATION_ERRORS as error:
+            self._respond(*mutation_failure(op, error))
         else:
             self._respond(200, result)
 
@@ -551,27 +538,17 @@ class _RequestHandler(MeasureParsingMixin):
         )
 
     # ------------------------------------------------------------------
-    # migration handoff (parity with the threaded server)
+    # migration handoff (driven by the router's rebalance coordinator)
     # ------------------------------------------------------------------
-    def _owners_list_from_body(
-        self, body: dict[str, Any]
-    ) -> list[int] | None:
-        owners = body.get("owners")
-        if not isinstance(owners, list) or not all(
-            isinstance(o, int) and not isinstance(o, bool) for o in owners
-        ):
-            self._respond(
-                400,
-                {"error": 'body must be JSON like {"owners": [<id>, ...]}'},
-            )
-            return None
-        return owners
-
-    async def _slice_export(self) -> None:
+    def _slice_owners(self) -> list[int] | None:
+        """The ``{"owners": [...]}`` body of a slice request."""
         body = self._json_body()
         if body is None:
-            return
-        owners = self._owners_list_from_body(body)
+            return None
+        return self._owners_from_body(body, allow_empty=True)
+
+    async def _slice_export(self) -> None:
+        owners = self._slice_owners()
         if owners is None:
             return
         try:
@@ -602,6 +579,8 @@ class _RequestHandler(MeasureParsingMixin):
                 )
             )
         except RebalanceError as error:
+            # digest mismatch or unsupported slice: the migration must
+            # abort, not silently import divergent state
             self._respond(409, {"error": str(error), "phase": error.phase})
             return
         except WalError as error:
@@ -613,10 +592,7 @@ class _RequestHandler(MeasureParsingMixin):
         self._respond(200, result)
 
     async def _slice_detach(self) -> None:
-        body = self._json_body()
-        if body is None:
-            return
-        owners = self._owners_list_from_body(body)
+        owners = self._slice_owners()
         if owners is None:
             return
         try:
@@ -626,14 +602,13 @@ class _RequestHandler(MeasureParsingMixin):
         except WalError as error:
             self._respond(500, {"error": str(error)})
             return
+        # drop stale memoized scores so detached owners stop pinning
+        # their graphs in this shard's cache
         self.server.engine.invalidate_many(owners)
         self._respond(200, result)
 
     async def _slice_digest(self) -> None:
-        body = self._json_body()
-        if body is None:
-            return
-        owners = self._owners_list_from_body(body)
+        owners = self._slice_owners()
         if owners is None:
             return
         self._respond(
@@ -644,46 +619,11 @@ class _RequestHandler(MeasureParsingMixin):
         )
 
     # ------------------------------------------------------------------
-    # request parsing
-    # ------------------------------------------------------------------
-    def _owner_from_query(self, query: dict[str, list[str]]) -> int | None:
-        values = query.get("owner")
-        if not values:
-            self._respond(400, {"error": "missing ?owner=<id>"})
-            return None
-        try:
-            return int(values[0])
-        except ValueError:
-            self._respond(400, {"error": f"invalid owner id {values[0]!r}"})
-            return None
-
-    def _json_body(self) -> dict[str, Any] | None:
-        try:
-            body = json.loads(self.request.body.decode("utf-8") or "{}")
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            self._respond(400, {"error": "body must be a JSON object"})
-            return None
-        if not isinstance(body, dict):
-            self._respond(400, {"error": "body must be a JSON object"})
-            return None
-        return body
-
-    def _owner_from_body(self, body: dict[str, Any]) -> int | None:
-        if "owner" not in body:
-            self._respond(
-                400, {"error": 'body must be JSON like {"owner": <id>}'}
-            )
-            return None
-        owner_id = body["owner"]
-        try:
-            return int(owner_id)
-        except (ValueError, TypeError):
-            self._respond(400, {"error": f"invalid owner id {owner_id!r}"})
-            return None
-
-    # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
+    def _request_body(self) -> bytes | None:
+        return self.request.body
+
     def _respond(
         self,
         status: int,
@@ -709,9 +649,7 @@ class _RequestHandler(MeasureParsingMixin):
 class AsyncRiskServer:
     """Asyncio HTTP server bound to one engine and scheduler.
 
-    Lifecycle-compatible with the threaded
-    :class:`~repro.service.http.RiskServiceServer` so ``serve_main`` and
-    the tests drive either interchangeably: :meth:`serve_forever` blocks
+    Driven like a ``socketserver`` server: :meth:`serve_forever` blocks
     (run it on a thread), :attr:`url` waits for the listener to bind,
     :meth:`shutdown` stops the loop from any thread, and
     :meth:`server_close` releases the mutate pool.
@@ -724,7 +662,6 @@ class AsyncRiskServer:
         scheduler: ScoreScheduler,
         request_timeout: float = 60.0,
         breaker: CircuitBreaker | None = None,
-        quiet: bool = True,
         state: ServiceState | None = None,
         refresher=None,
         admission_capacity: int = 256,
@@ -736,7 +673,6 @@ class AsyncRiskServer:
         self.breaker = breaker or CircuitBreaker(
             failure_threshold=5, recovery_time=5.0
         )
-        self.quiet = quiet
         self.state = state or ServiceState()
         self.refresher = refresher
         self.admission = AdmissionQueue(admission_capacity)
@@ -854,12 +790,15 @@ class AsyncRiskServer:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length") or 0)
-        body = await reader.readexactly(length) if length else b""
+        length = parse_content_length(headers.get("content-length"))
+        if length is None:  # body extent unknown: answered 400 + close
+            body = None
+        else:
+            body = await reader.readexactly(length) if length else b""
         return _Request(method, target, version, headers, body)
 
 
-def build_async_server(
+def build_server(
     engine: RiskEngine,
     host: str = "127.0.0.1",
     port: int = 0,
@@ -871,11 +810,14 @@ def build_async_server(
     background_refresh: bool = False,
     admission_capacity: int = 256,
 ) -> AsyncRiskServer:
-    """Wire engine → scheduler → asyncio server (port 0 = ephemeral).
+    """Wire engine → scheduler → HTTP server (port 0 = ephemeral).
 
-    The async twin of :func:`~repro.service.http.build_server`, with one
-    extra knob: ``admission_capacity`` bounds concurrently admitted
-    work-bearing requests (beyond it, 429 + ``Retry-After``).
+    ``admission_capacity`` bounds concurrently admitted work-bearing
+    requests (beyond it, 429 + ``Retry-After``).
+    ``background_refresh=True`` additionally attaches a
+    :class:`~repro.service.refresh.RefreshScheduler` to the engine's
+    store, so mutations enqueue their invalidated owners for ahead-of-
+    demand rescoring in idle scheduler slots.
     """
     scheduler = ScoreScheduler(
         engine, max_workers=max_workers, max_pending=max_pending
@@ -900,5 +842,5 @@ def build_async_server(
 __all__ = [
     "AdmissionQueue",
     "AsyncRiskServer",
-    "build_async_server",
+    "build_server",
 ]

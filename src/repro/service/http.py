@@ -1,13 +1,14 @@
-"""Stdlib-only JSON HTTP front-end over the risk engine.
+"""The wire conventions shared by the HTTP server and the shard router.
 
-A :class:`RiskServiceServer` (``http.server.ThreadingHTTPServer``) exposes
+The single-node server (:mod:`repro.service.async_http`) exposes
 
 * ``GET /healthz`` — liveness plus owner count (and, when the store is
   WAL-backed, the recovery report and last durable sequence number);
 * ``GET /readyz`` — readiness: snapshot loaded, WAL replayed, scheduler
   accepting work; 503 while starting or draining;
 * ``GET /metrics`` — engine cache/latency counters, scheduler state,
-  circuit-breaker state, and WAL append/fsync counters;
+  circuit-breaker state, admission counters, and WAL append/fsync
+  counters;
 * ``GET /owners`` — registered owners with versions and cache freshness;
 * ``GET /measures`` — the registered risk measures (name, description,
   default flag) served straight from :mod:`repro.measures`;
@@ -25,60 +26,53 @@ A :class:`RiskServiceServer` (``http.server.ThreadingHTTPServer``) exposes
   *and*, on a WAL-backed store, durable — acknowledged-then-lost cannot
   happen;
 * ``POST /slice/export|import|detach|digest`` — the shard-side handoff
-  surface for live rebalancing: export the moved owners' full state
-  (with digests), replay an exported slice into this shard's durable
-  store, drop migrated owners post-cutover, and report a state digest
-  for verification.  Driven by the router's rebalance coordinator, not
-  by clients.
+  surface for live rebalancing, driven by the router's rebalance
+  coordinator, not by clients.
 
-Requests flow through the resilience layer: each ``/score`` carries a
-:class:`~repro.resilience.Deadline` (504 when the budget runs out) and a
-shared :class:`~repro.resilience.CircuitBreaker` (503 fast-fail while
-scoring is known to be broken).  Backpressure and outage speak different
-status codes: scheduler *saturation* is 429 + ``Retry-After`` (the
-client should slow down), while drain/shutdown is 503 (the client
-should fail over).  While the server drains (SIGTERM/SIGINT), ``/score``
-and ``/mutate`` answer 503 so load balancers fail over, while the
-health/metrics endpoints keep reporting drain progress.
+The router (:mod:`repro.service.router`) speaks the same conventions in
+front of the shard workers.  This module holds what both share, once:
+the lifecycle flags (:class:`ServiceState`), request parsing
+(:class:`RequestParsingMixin`: ``Content-Length``, ``?owner=``, the JSON
+body, ``{"owner": …}``, ``{"owners": […]}``, ``measure``, ``op``), and
+the ``/mutate`` exception-to-status table (:func:`mutation_failure`).
+
+Backpressure and outage speak different status codes: saturation is
+429 + ``Retry-After`` (the client should slow down), while drain or
+shutdown is 503 (the client should fail over).
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
-from urllib.parse import parse_qs, urlparse
 
 from ..errors import (
-    BackpressureError,
     GraphError,
-    RebalanceError,
     SerializationError,
-    UnknownMeasureError,
     UnknownOwnerError,
     UnknownUserError,
     WalError,
 )
-from ..measures import available_measures, measure_catalog
-from ..resilience import CircuitBreaker, Deadline
-from .engine import RiskEngine
-from .scheduler import ScoreScheduler
-from .wal import (
-    MUTATION_OPS,
-    DurableOwnerStore,
-    detach_slice,
-    export_slice,
-    import_slice,
-    mutate_store,
-    state_digest,
-)
-
+from ..measures import available_measures
+from .wal import MUTATION_OPS
 
 # Sentinel distinguishing "measure was invalid (response already sent)"
 # from "no measure requested" (None → the engine default).
 _INVALID_MEASURE = object()
+
+#: Everything a store mutation may raise that maps to a status code
+#: (see :func:`mutation_failure`); anything else is a server fault.
+MUTATION_ERRORS = (
+    UnknownUserError,
+    UnknownOwnerError,
+    GraphError,
+    SerializationError,
+    KeyError,
+    TypeError,
+    ValueError,
+    WalError,
+)
 
 
 @dataclass
@@ -97,49 +91,126 @@ class ServiceState:
     detail: str = "ok"
 
 
-class RiskServiceServer(ThreadingHTTPServer):
-    """Threaded HTTP server bound to one engine and scheduler."""
+def parse_content_length(value: str | None) -> int | None:
+    """The body size a ``Content-Length`` header announces.
 
-    daemon_threads = True
-
-    def __init__(
-        self,
-        address: tuple[str, int],
-        engine: RiskEngine,
-        scheduler: ScoreScheduler,
-        request_timeout: float = 60.0,
-        breaker: CircuitBreaker | None = None,
-        quiet: bool = True,
-        state: ServiceState | None = None,
-        refresher=None,
-    ) -> None:
-        super().__init__(address, RiskServiceHandler)
-        self.engine = engine
-        self.scheduler = scheduler
-        self.request_timeout = request_timeout
-        self.breaker = breaker or CircuitBreaker(
-            failure_threshold=5, recovery_time=5.0
-        )
-        self.quiet = quiet
-        self.state = state or ServiceState()
-        # optional RefreshScheduler: surfaces under /metrics as "refresh"
-        self.refresher = refresher
-
-    @property
-    def url(self) -> str:
-        """The server's base URL (useful with an ephemeral port)."""
-        host, port = self.server_address[:2]
-        return f"http://{host}:{port}"
-
-
-class MeasureParsingMixin:
-    """Shared ``measure`` parsing for the worker and router handlers.
-
-    Both speak the same wire convention — ``?measure=<name>`` on GET,
-    an optional ``"measure"`` body field on POST — and both must answer
-    an unknown name with a 400 that lists the registry.  Requires the
-    host class to provide ``_respond``.
+    An absent or empty header means no body (0).  Anything but a plain
+    non-negative decimal integer returns ``None``: the body's extent is
+    then unknown, so the caller must answer 400 and close the connection
+    rather than guess where the next request starts.
     """
+    if value is None:
+        return 0
+    value = value.strip()
+    if not value:
+        return 0
+    if not (value.isascii() and value.isdigit()):
+        return None
+    return int(value)
+
+
+def mutation_failure(op: str, error: Exception) -> tuple[int, dict[str, Any]]:
+    """The ``(status, document)`` answering a failed ``/mutate``.
+
+    ``error`` must be one of :data:`MUTATION_ERRORS`.  A
+    :class:`~repro.errors.WalError` is a 500 and the mutation is *not*
+    acknowledged: under ``"always"`` the append failed before the
+    mutation applied; under ``"group"`` the fsync barrier failed after
+    it applied in memory, poisoning the log until a restart recovers
+    from disk — either way the client must not treat it as durable.
+    """
+    if isinstance(error, (UnknownUserError, UnknownOwnerError)):
+        return 404, {"error": str(error)}
+    if isinstance(error, (GraphError, SerializationError)):
+        return 400, {"error": str(error)}
+    if isinstance(error, WalError):
+        return 500, {"error": str(error)}
+    return 400, {"error": f"malformed arguments for {op!r}: {error}"}
+
+
+class RequestParsingMixin:
+    """Request parsing shared by the server and router handlers.
+
+    Both speak the same wire conventions and answer malformed input with
+    the same 400 documents.  Each helper returns the parsed value, or
+    ``None`` (:data:`_INVALID_MEASURE` for measures) after it has already
+    sent the 400.  The host class provides ``_respond(status, document,
+    retry_after=None)``, ``_request_body()`` (the raw body bytes, or
+    ``None`` after rejecting a malformed ``Content-Length``), and a
+    ``close_connection`` flag.
+    """
+
+    def _reject_content_length(self, value: str | None) -> None:
+        """400 + ``Connection: close`` for a malformed ``Content-Length``."""
+        self.close_connection = True
+        self._respond(400, {"error": f"invalid Content-Length {value!r}"})
+
+    def _json_body(self) -> dict[str, Any] | None:
+        raw = self._request_body()
+        if raw is None:
+            return None
+        try:
+            body = json.loads(raw.decode("utf-8") or "{}")
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            body = None
+        if not isinstance(body, dict):
+            self._respond(400, {"error": "body must be a JSON object"})
+            return None
+        return body
+
+    def _owner_from_query(self, query: dict[str, list[str]]) -> int | None:
+        values = query.get("owner")
+        if not values:
+            self._respond(400, {"error": "missing ?owner=<id>"})
+            return None
+        try:
+            return int(values[0])
+        except ValueError:
+            self._respond(400, {"error": f"invalid owner id {values[0]!r}"})
+            return None
+
+    def _owner_from_body(self, body: dict[str, Any]) -> int | None:
+        if "owner" not in body:
+            self._respond(
+                400, {"error": 'body must be JSON like {"owner": <id>}'}
+            )
+            return None
+        owner_id = body["owner"]
+        try:
+            return int(owner_id)
+        except (ValueError, TypeError):
+            self._respond(400, {"error": f"invalid owner id {owner_id!r}"})
+            return None
+
+    def _owners_from_body(
+        self, body: dict[str, Any], allow_empty: bool = False
+    ) -> list[int] | None:
+        """The ``"owners"`` list of integer ids (non-empty by default)."""
+        owners = body.get("owners")
+        if (
+            not isinstance(owners, list)
+            or not (owners or allow_empty)
+            or not all(
+                isinstance(o, int) and not isinstance(o, bool) for o in owners
+            )
+        ):
+            self._respond(
+                400,
+                {"error": 'body must be JSON like {"owners": [<id>, ...]}'},
+            )
+            return None
+        return owners
+
+    def _mutation_op(self, body: dict[str, Any]) -> str | None:
+        """The body's ``"op"``, which must name a store mutation."""
+        op = body.get("op")
+        if op not in MUTATION_OPS:
+            self._respond(
+                400,
+                {"error": f"unknown op {op!r}", "ops": list(MUTATION_OPS)},
+            )
+            return None
+        return op
 
     def _measure_from_values(self, values: list[str] | None):
         """Validate an optional requested measure name.
@@ -182,513 +253,10 @@ class MeasureParsingMixin:
         return self._measure_from_values([measure])
 
 
-class RiskServiceHandler(MeasureParsingMixin, BaseHTTPRequestHandler):
-    """Routes the four service endpoints to the engine/scheduler."""
-
-    # HTTP/1.1 so clients reuse connections: every response carries a
-    # Content-Length (or explicitly closes, as /score-batch does), which
-    # keep-alive requires
-    protocol_version = "HTTP/1.1"
-
-    server: RiskServiceServer
-
-    # ------------------------------------------------------------------
-    # routing
-    # ------------------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        """Route GET requests to the read endpoints."""
-        parsed = urlparse(self.path)
-        if parsed.path == "/healthz":
-            self._respond(200, self._health_document())
-        elif parsed.path == "/readyz":
-            self._readyz()
-        elif parsed.path == "/metrics":
-            self._respond(200, self._metrics_document())
-        elif parsed.path == "/owners":
-            self._respond(200, {"owners": self.server.engine.owners_overview()})
-        elif parsed.path == "/measures":
-            self._respond(200, {"measures": measure_catalog()})
-        elif parsed.path == "/score":
-            if self._reject_while_draining():
-                return
-            query = parse_qs(parsed.query)
-            owner_id = self._owner_from_query(query)
-            if owner_id is None:
-                return
-            measure = self._measure_from_values(query.get("measure"))
-            if measure is not _INVALID_MEASURE:
-                self._score(owner_id, measure)
-        else:
-            self._respond(404, {"error": f"unknown path {parsed.path!r}"})
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        """Route POST /score and POST /mutate (JSON bodies)."""
-        parsed = urlparse(self.path)
-        if parsed.path == "/score":
-            if self._reject_while_draining():
-                return
-            body = self._json_body()
-            if body is None:
-                return
-            owner_id = self._owner_from_body(body)
-            if owner_id is None:
-                return
-            measure = self._measure_from_body(body)
-            if measure is not _INVALID_MEASURE:
-                self._score(owner_id, measure)
-        elif parsed.path == "/score-batch":
-            if self._reject_while_draining():
-                return
-            self._score_batch()
-        elif parsed.path == "/mutate":
-            if self._reject_while_draining():
-                return
-            self._mutate()
-        elif parsed.path == "/slice/export":
-            self._slice_export()
-        elif parsed.path == "/slice/import":
-            self._slice_import()
-        elif parsed.path == "/slice/detach":
-            self._slice_detach()
-        elif parsed.path == "/slice/digest":
-            self._slice_digest()
-        else:
-            self._respond(404, {"error": f"unknown path {parsed.path!r}"})
-
-    # ------------------------------------------------------------------
-    # endpoints
-    # ------------------------------------------------------------------
-    def _health_document(self) -> dict[str, Any]:
-        store = self.server.engine.store
-        document: dict[str, Any] = {
-            "status": "ok",
-            "owners": len(store.owner_ids()),
-            "breaker": self.server.breaker.state,
-            "draining": self.server.state.draining,
-        }
-        if isinstance(store, DurableOwnerStore):
-            document["recovery"] = store.recovery.to_dict()
-            document["last_seq"] = store.last_seq
-        return document
-
-    def _readyz(self) -> None:
-        state = self.server.state
-        accepting = self.server.scheduler.accepting
-        ready = state.ready and not state.draining and accepting
-        document = {
-            "ready": ready,
-            "detail": state.detail,
-            "draining": state.draining,
-            "scheduler_accepting": accepting,
-            "pending": self.server.scheduler.pending_count(),
-        }
-        self._respond(200 if ready else 503, document)
-
-    def _reject_while_draining(self) -> bool:
-        """503 work-bearing requests during drain; health stays live."""
-        if self.server.state.draining:
-            self._respond(
-                503,
-                {
-                    "error": "service is draining",
-                    "pending": self.server.scheduler.pending_count(),
-                },
-                retry_after=1,
-            )
-            return True
-        return False
-
-    def _metrics_document(self) -> dict[str, Any]:
-        document = {
-            "engine": self.server.engine.metrics.snapshot(),
-            "scheduler": self.server.scheduler.snapshot(),
-            "breaker": self.server.breaker.snapshot(),
-        }
-        store = self.server.engine.store
-        if isinstance(store, DurableOwnerStore):
-            document["wal"] = store.wal.stats()
-        backend = getattr(self.server.engine, "backend", None)
-        if backend is not None and hasattr(backend, "stats"):
-            document["workers"] = backend.stats()
-        refresher = getattr(self.server, "refresher", None)
-        if refresher is not None:
-            document["refresh"] = refresher.snapshot()
-        return document
-
-    def _mutate(self) -> None:
-        body = self._json_body()
-        if body is None:
-            return
-        op = body.get("op")
-        if op not in MUTATION_OPS:
-            self._respond(
-                400,
-                {
-                    "error": f"unknown op {op!r}",
-                    "ops": list(MUTATION_OPS),
-                },
-            )
-            return
-        store = self.server.engine.store
-        try:
-            result = mutate_store(store, op, body)
-        except (UnknownUserError, UnknownOwnerError) as error:
-            self._respond(404, {"error": str(error)})
-        except (GraphError, SerializationError) as error:
-            self._respond(400, {"error": str(error)})
-        except (KeyError, TypeError, ValueError) as error:
-            self._respond(
-                400, {"error": f"malformed arguments for {op!r}: {error}"}
-            )
-        except WalError as error:
-            # not acknowledged: under "always" the append failed before
-            # the mutation applied; under "group" the fsync barrier
-            # failed after it applied in memory, poisoning the log —
-            # either way the client must not treat the mutation as
-            # durable
-            self._respond(500, {"error": str(error)})
-        else:
-            self._respond(200, result)
-
-    def _score(self, owner_id: int, measure: str | None = None) -> None:
-        breaker = self.server.breaker
-        try:
-            breaker.before_call()
-        except Exception as error:
-            self._respond(
-                503, {"error": str(error)}, retry_after=1
-            )
-            return
-        deadline = Deadline(self.server.request_timeout)
-        try:
-            future = self.server.scheduler.submit(owner_id, measure=measure)
-        except BackpressureError as error:
-            breaker.record_failure()
-            # saturation asks the client to slow down (429); a draining or
-            # shut-down scheduler is an outage to fail over from (503)
-            self._respond(
-                429 if error.saturated else 503,
-                {"error": str(error), "pending": error.pending},
-                retry_after=1,
-            )
-            return
-        try:
-            record = future.result(timeout=deadline.remaining())
-        except FutureTimeoutError:
-            future.cancel()
-            breaker.record_failure()
-            self._respond(
-                504,
-                {
-                    "error": (
-                        f"scoring owner {owner_id} exceeded the "
-                        f"{self.server.request_timeout:.1f}s budget"
-                    )
-                },
-            )
-            return
-        except UnknownOwnerError as error:
-            breaker.record_success()  # the service itself is healthy
-            self._respond(404, {"error": str(error)})
-            return
-        except UnknownMeasureError as error:
-            breaker.record_success()  # client error, not a service fault
-            self._respond(
-                400,
-                {"error": str(error), "measures": list(error.available)},
-            )
-            return
-        except Exception as error:
-            breaker.record_failure()
-            self._respond(500, {"error": str(error)})
-            return
-        breaker.record_success()
-        self._respond(200, record.to_dict())
-
-    def _score_batch(self) -> None:
-        """Score many owners, streaming one NDJSON line per owner.
-
-        Every owner is submitted to the scheduler up front (so distinct
-        owners score concurrently — across worker processes when the
-        engine has a backend) and results are streamed back in request
-        order as each future resolves.  A per-owner failure (unknown
-        owner, backpressure, scoring error) becomes an ``error`` line;
-        the stream itself only fails on circuit-open or a bad body.
-        """
-        body = self._json_body()
-        if body is None:
-            return
-        owners = body.get("owners")
-        if (
-            not isinstance(owners, list)
-            or not owners
-            or not all(isinstance(o, int) and not isinstance(o, bool)
-                       for o in owners)
-        ):
-            self._respond(
-                400,
-                {"error": 'body must be JSON like {"owners": [<id>, ...]}'},
-            )
-            return
-        measure = self._measure_from_body(body)
-        if measure is _INVALID_MEASURE:
-            return
-        breaker = self.server.breaker
-        try:
-            breaker.before_call()
-        except Exception as error:
-            self._respond(503, {"error": str(error)}, retry_after=1)
-            return
-        deadline = Deadline(self.server.request_timeout)
-        submissions: list[tuple[int, Any]] = []
-        for owner_id in owners:
-            try:
-                submissions.append(
-                    (
-                        owner_id,
-                        self.server.scheduler.submit(owner_id, measure=measure),
-                    )
-                )
-            except BackpressureError as error:
-                submissions.append((owner_id, error))
-        # NDJSON stream: no Content-Length is possible, so the connection
-        # closes when the batch ends.
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Connection", "close")
-        self.end_headers()
-        self.close_connection = True
-        failed = False
-        for owner_id, pending in submissions:
-            if isinstance(pending, BackpressureError):
-                line: dict[str, Any] = {
-                    "owner": owner_id,
-                    "error": str(pending),
-                    "status": 429 if pending.saturated else 503,
-                }
-                failed = True
-            else:
-                try:
-                    record = pending.result(timeout=deadline.remaining())
-                except FutureTimeoutError:
-                    pending.cancel()
-                    line = {
-                        "owner": owner_id,
-                        "error": (
-                            f"scoring owner {owner_id} exceeded the "
-                            f"{self.server.request_timeout:.1f}s budget"
-                        ),
-                        "status": 504,
-                    }
-                    failed = True
-                except UnknownOwnerError as error:
-                    line = {"owner": owner_id, "error": str(error),
-                            "status": 404}
-                except Exception as error:
-                    line = {"owner": owner_id, "error": str(error),
-                            "status": 500}
-                    failed = True
-                else:
-                    line = record.to_dict()
-            self.wfile.write(json.dumps(line).encode("utf-8") + b"\n")
-            self.wfile.flush()
-        if failed:
-            breaker.record_failure()
-        else:
-            breaker.record_success()
-
-    # ------------------------------------------------------------------
-    # migration handoff (driven by the router's rebalance coordinator)
-    # ------------------------------------------------------------------
-    def _owners_list_from_body(self, body: dict[str, Any]) -> list[int] | None:
-        owners = body.get("owners")
-        if (
-            not isinstance(owners, list)
-            or not all(isinstance(o, int) and not isinstance(o, bool)
-                       for o in owners)
-        ):
-            self._respond(
-                400,
-                {"error": 'body must be JSON like {"owners": [<id>, ...]}'},
-            )
-            return None
-        return owners
-
-    def _slice_export(self) -> None:
-        body = self._json_body()
-        if body is None:
-            return
-        owners = self._owners_list_from_body(body)
-        if owners is None:
-            return
-        try:
-            document = export_slice(self.server.engine.store, owners)
-        except UnknownOwnerError as error:
-            self._respond(404, {"error": str(error)})
-            return
-        self._respond(200, document)
-
-    def _slice_import(self) -> None:
-        body = self._json_body()
-        if body is None:
-            return
-        document = body.get("slice")
-        if not isinstance(document, dict):
-            self._respond(
-                400,
-                {"error": 'body must be JSON like {"slice": {...}}'},
-            )
-            return
-        try:
-            result = import_slice(
-                self.server.engine.store,
-                document,
-                adopt_graph=bool(body.get("adopt_graph")),
-            )
-        except RebalanceError as error:
-            # digest mismatch or unsupported slice: the migration must
-            # abort, not silently import divergent state
-            self._respond(409, {"error": str(error), "phase": error.phase})
-            return
-        except WalError as error:
-            self._respond(500, {"error": str(error)})
-            return
-        except (KeyError, TypeError, ValueError, SerializationError) as error:
-            self._respond(400, {"error": f"malformed slice: {error}"})
-            return
-        self._respond(200, result)
-
-    def _slice_detach(self) -> None:
-        body = self._json_body()
-        if body is None:
-            return
-        owners = self._owners_list_from_body(body)
-        if owners is None:
-            return
-        try:
-            result = detach_slice(self.server.engine.store, owners)
-        except WalError as error:
-            self._respond(500, {"error": str(error)})
-            return
-        # drop stale memoized scores so detached owners stop pinning
-        # their graphs in this shard's cache
-        self.server.engine.invalidate_many(owners)
-        self._respond(200, result)
-
-    def _slice_digest(self) -> None:
-        body = self._json_body()
-        if body is None:
-            return
-        owners = self._owners_list_from_body(body)
-        if owners is None:
-            return
-        self._respond(200, state_digest(self.server.engine.store, owners))
-
-    # ------------------------------------------------------------------
-    # request parsing
-    # ------------------------------------------------------------------
-    def _owner_from_query(self, query: dict[str, list[str]]) -> int | None:
-        values = query.get("owner")
-        if not values:
-            self._respond(400, {"error": "missing ?owner=<id>"})
-            return None
-        try:
-            return int(values[0])
-        except ValueError:
-            self._respond(400, {"error": f"invalid owner id {values[0]!r}"})
-            return None
-
-    def _json_body(self) -> dict[str, Any] | None:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
-        try:
-            body = json.loads(raw.decode("utf-8") or "{}")
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            self._respond(400, {"error": "body must be a JSON object"})
-            return None
-        if not isinstance(body, dict):
-            self._respond(400, {"error": "body must be a JSON object"})
-            return None
-        return body
-
-    def _owner_from_body(self, body: dict[str, Any]) -> int | None:
-        if "owner" not in body:
-            self._respond(
-                400, {"error": 'body must be JSON like {"owner": <id>}'}
-            )
-            return None
-        owner_id = body["owner"]
-        try:
-            return int(owner_id)
-        except (ValueError, TypeError):
-            self._respond(400, {"error": f"invalid owner id {owner_id!r}"})
-            return None
-
-    # ------------------------------------------------------------------
-    # plumbing
-    # ------------------------------------------------------------------
-    def _respond(
-        self,
-        status: int,
-        document: dict[str, Any],
-        retry_after: int | None = None,
-    ) -> None:
-        payload = json.dumps(document).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        if retry_after is not None:
-            self.send_header("Retry-After", str(retry_after))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        """Suppress per-request access logs unless the server is verbose."""
-        if not self.server.quiet:  # pragma: no cover - debug aid
-            super().log_message(format, *args)
-
-
-def build_server(
-    engine: RiskEngine,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    max_workers: int = 4,
-    max_pending: int = 64,
-    request_timeout: float = 60.0,
-    breaker: CircuitBreaker | None = None,
-    state: ServiceState | None = None,
-    background_refresh: bool = False,
-) -> RiskServiceServer:
-    """Wire engine → scheduler → HTTP server (port 0 = ephemeral).
-
-    ``background_refresh=True`` additionally attaches a
-    :class:`~repro.service.refresh.RefreshScheduler` to the engine's
-    store, so mutations enqueue their invalidated owners for ahead-of-
-    demand rescoring in idle scheduler slots.
-    """
-    scheduler = ScoreScheduler(
-        engine, max_workers=max_workers, max_pending=max_pending
-    )
-    refresher = None
-    if background_refresh:
-        from .refresh import RefreshScheduler
-
-        refresher = RefreshScheduler(scheduler).attach(engine.store)
-    return RiskServiceServer(
-        (host, port),
-        engine,
-        scheduler,
-        request_timeout=request_timeout,
-        breaker=breaker,
-        state=state,
-        refresher=refresher,
-    )
-
-
 __all__ = [
-    "MeasureParsingMixin",
-    "RiskServiceHandler",
-    "RiskServiceServer",
+    "MUTATION_ERRORS",
+    "RequestParsingMixin",
     "ServiceState",
-    "build_server",
+    "mutation_failure",
+    "parse_content_length",
 ]

@@ -55,10 +55,15 @@ from ..errors import (
 )
 from ..measures import measure_catalog
 from ..resilience import CircuitBreaker, Deadline, RetryPolicy, retry_call
-from .http import _INVALID_MEASURE, MeasureParsingMixin, ServiceState
+from .http import (
+    _INVALID_MEASURE,
+    RequestParsingMixin,
+    ServiceState,
+    mutation_failure,
+    parse_content_length,
+)
 from .sharding import ShardMap
 from .supervisor import ShardSupervisor
-from .wal import MUTATION_OPS
 
 #: Ops addressed to a single owner (routed to that owner's shard).
 OWNER_OPS = frozenset({"touch", "grant_labels", "add_user"})
@@ -345,7 +350,7 @@ class ShardRouterServer(ThreadingHTTPServer):
             return dict(self.counters)
 
 
-class ShardRouterHandler(MeasureParsingMixin, BaseHTTPRequestHandler):
+class ShardRouterHandler(RequestParsingMixin, BaseHTTPRequestHandler):
     """Routes requests to shard workers; never computes a score."""
 
     # HTTP/1.1 so clients reuse connections (responses always carry a
@@ -663,17 +668,8 @@ class ShardRouterHandler(MeasureParsingMixin, BaseHTTPRequestHandler):
         body = self._json_body()
         if body is None:
             return
-        owners = body.get("owners")
-        if (
-            not isinstance(owners, list)
-            or not owners
-            or not all(isinstance(o, int) and not isinstance(o, bool)
-                       for o in owners)
-        ):
-            self._respond(
-                400,
-                {"error": 'body must be JSON like {"owners": [<id>, ...]}'},
-            )
+        owners = self._owners_from_body(body)
+        if owners is None:
             return
         measure = self._measure_from_body(body)
         if measure is _INVALID_MEASURE:
@@ -819,12 +815,8 @@ class ShardRouterHandler(MeasureParsingMixin, BaseHTTPRequestHandler):
         body = self._json_body()
         if body is None:
             return
-        op = body.get("op")
-        if op not in MUTATION_OPS:
-            self._respond(
-                400,
-                {"error": f"unknown op {op!r}", "ops": list(MUTATION_OPS)},
-            )
+        op = self._mutation_op(body)
+        if op is None:
             return
         self.server.count("mutate")
         try:
@@ -833,9 +825,7 @@ class ShardRouterHandler(MeasureParsingMixin, BaseHTTPRequestHandler):
             else:
                 self._mutate_broadcast(op, body)
         except (KeyError, TypeError, ValueError) as error:
-            self._respond(
-                400, {"error": f"malformed arguments for {op!r}: {error}"}
-            )
+            self._respond(*mutation_failure(op, error))
 
     def _mutate_owner_addressed(self, op: str, body: dict[str, Any]) -> None:
         """Route a single-owner mutation to its owning shard (one try)."""
@@ -1005,45 +995,15 @@ class ShardRouterHandler(MeasureParsingMixin, BaseHTTPRequestHandler):
         )
 
     # ------------------------------------------------------------------
-    # request parsing + plumbing (same wire conventions as the worker)
+    # plumbing (the parsing itself is shared with the worker)
     # ------------------------------------------------------------------
-    def _owner_from_query(self, query: dict[str, list[str]]) -> int | None:
-        values = query.get("owner")
-        if not values:
-            self._respond(400, {"error": "missing ?owner=<id>"})
+    def _request_body(self) -> bytes | None:
+        header = self.headers.get("Content-Length")
+        length = parse_content_length(header)
+        if length is None:
+            self._reject_content_length(header)
             return None
-        try:
-            return int(values[0])
-        except ValueError:
-            self._respond(400, {"error": f"invalid owner id {values[0]!r}"})
-            return None
-
-    def _json_body(self) -> dict[str, Any] | None:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
-        try:
-            body = json.loads(raw.decode("utf-8") or "{}")
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            self._respond(400, {"error": "body must be a JSON object"})
-            return None
-        if not isinstance(body, dict):
-            self._respond(400, {"error": "body must be a JSON object"})
-            return None
-        return body
-
-    def _owner_from_body(self, body: dict[str, Any]) -> int | None:
-        if "owner" not in body:
-            self._respond(
-                400, {"error": 'body must be JSON like {"owner": <id>}'}
-            )
-            return None
-        try:
-            return int(body["owner"])
-        except (ValueError, TypeError):
-            self._respond(
-                400, {"error": f"invalid owner id {body['owner']!r}"}
-            )
-            return None
+        return self.rfile.read(length) if length else b""
 
     def _respond(
         self,
@@ -1057,6 +1017,8 @@ class ShardRouterHandler(MeasureParsingMixin, BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(payload)))
         if retry_after is not None:
             self.send_header("Retry-After", str(retry_after))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(payload)
 

@@ -38,14 +38,6 @@ When exactly is an acknowledged mutation on disk?  Per fsync policy:
   :class:`DurableOwnerStore` only returns to its caller — and hence the
   HTTP layer only acks — after ``wait_durable``.  The durability
   contract holds, at a fraction of the fsync cost.
-* ``"batch"`` — **crash-unsafe**: ``append`` returns (and the mutation
-  is acked) after a buffered write; fsync happens only every
-  ``batch_size``-th append or on :meth:`WriteAheadLog.flush`.  Up to
-  ``batch_size - 1`` *acknowledged* mutations can be lost to a crash or
-  power failure.  Kept only as a benchmark reference point — use
-  ``"group"`` for batched fsyncs without the durability hole.
-* ``"never"`` — **crash-unsafe**: no fsync at all; the OS flushes
-  whenever it pleases.  For measuring the raw fsync tax.
 """
 
 from __future__ import annotations
@@ -86,10 +78,9 @@ _FORMAT_VERSION = 1
 WAL_FILENAME = "mutations.wal"
 SNAPSHOT_KEY = "store-snapshot"
 
-#: How the WAL reaches the platter.  ``"always"`` and ``"group"`` are
-#: crash-safe (acks only after fsync); ``"batch"`` and ``"never"`` are
-#: not (see the module docstring for the exact contract of each).
-FSYNC_POLICIES = ("always", "group", "batch", "never")
+#: How the WAL reaches the platter; both acknowledge a mutation only
+#: after its fsync (see the module docstring for the exact contract).
+FSYNC_POLICIES = ("always", "group")
 
 
 # ---------------------------------------------------------------------------
@@ -339,14 +330,8 @@ class WriteAheadLog:
         only writes, and :meth:`wait_durable` runs a commit barrier that
         batches every record appended since the last sync into one
         fsync, acking each only once its batch is durable (full
-        durability at a fraction of the fsync cost — the async serving
-        default); ``"batch"`` — **crash-unsafe**: ``append`` returns
-        before any fsync, syncing only once per ``batch_size`` appends,
-        so up to ``batch_size - 1`` acknowledged mutations can be lost;
-        ``"never"`` — **crash-unsafe**: leave flushing to the OS (for
-        benchmarking the fsync cost).
-    batch_size:
-        Appends per deferred sync under the ``"batch"`` policy.
+        durability at a fraction of the fsync cost — the serving
+        default).
     start_seq:
         Sequence number to continue from (recovery sets this).
     injector:
@@ -359,7 +344,6 @@ class WriteAheadLog:
         path: str | Path,
         *,
         fsync: str = "always",
-        batch_size: int = 16,
         start_seq: int = 0,
         injector=None,
     ) -> None:
@@ -368,16 +352,17 @@ class WriteAheadLog:
                 f"unknown fsync policy {fsync!r}; expected one of "
                 f"{FSYNC_POLICIES}"
             )
-        if batch_size < 1:
-            raise WalError(f"batch_size must be >= 1, got {batch_size}")
         self._path = Path(path)
         self._policy = fsync
-        self._batch_size = batch_size
         self._injector = injector
         self._lock = threading.Lock()
+        # serializes fsyncs with each other and with file swaps (reset,
+        # close); taken before _lock, never while holding it, so a
+        # group-commit leader can fsync while appends keep landing
+        self._sync_lock = threading.Lock()
         self._file = open(self._path, "ab")
         self._seq = start_seq
-        self._unsynced = 0
+        self._synced_seq = start_seq
         self._appends = 0
         self._syncs = 0
         self._closed = False
@@ -439,9 +424,7 @@ class WriteAheadLog:
         the caller may apply and acknowledge immediately.  Under
         ``"group"`` the record is written but **not yet durable**: the
         caller must apply, then call :meth:`wait_durable` with the
-        returned sequence number before acknowledging.  Under
-        ``"batch"``/``"never"`` the record may sit in OS buffers —
-        those policies trade the durability contract away.
+        returned sequence number before acknowledging.
 
         Raises
         ------
@@ -471,21 +454,17 @@ class WriteAheadLog:
                 self._injector.after_write(seq)
             self._seq = seq
             self._appends += 1
-            self._unsynced += 1
-            if self._policy == "always" or (
-                self._policy == "batch" and self._unsynced >= self._batch_size
-            ):
-                self._sync_locked()
-            if self._injector is not None and self._policy != "group":
-                self._injector.after_commit(seq)
+            if self._policy == "always":
+                self._fsync(seq)
+                if self._injector is not None:
+                    self._injector.after_commit(seq)
             return seq
 
     def wait_durable(self, seq: int) -> None:
         """Block until record ``seq`` is fsync'd; the group-commit barrier.
 
-        A no-op for every policy but ``"group"`` (``"always"`` already
-        synced inside :meth:`append`; ``"batch"``/``"never"`` never
-        promised durability).  Under ``"group"``, the first waiter to
+        A no-op under ``"always"`` (which already synced inside
+        :meth:`append`).  Under ``"group"``, the first waiter to
         find no sync in flight becomes the *leader*: it fsyncs once,
         covering every record appended so far, then wakes all followers
         — which is how concurrent mutations share one fsync.  Followers
@@ -516,13 +495,17 @@ class WriteAheadLog:
                     self._commit_cond.wait()
                     continue
                 self._sync_leader = True
-            # leader: sync outside _commit_cond so followers can queue up
+            # leader: sync outside _commit_cond so followers can queue
+            # up, and outside _lock so later appends land during the
+            # fsync and form the next batch
             error: WalError | None = None
-            with self._lock:
-                high = self._seq
+            with self._sync_lock:
+                with self._lock:
+                    high = self._seq
+                    closed = self._closed
                 try:
-                    if not self._closed:
-                        self._sync_locked()
+                    if not closed:
+                        self._fsync(high)
                 except WalError as sync_error:
                     error = sync_error
             with self._commit_cond:
@@ -554,11 +537,13 @@ class WriteAheadLog:
             self._commit_cond.notify_all()
 
     def flush(self) -> None:
-        """Force any batched appends to disk."""
-        with self._lock:
-            if not self._closed and self._unsynced:
-                self._sync_locked()
-            seq = self._seq
+        """Force any appends not yet group-committed to disk."""
+        with self._sync_lock:
+            with self._lock:
+                seq = self._seq
+                closed = self._closed
+            if not closed and seq > self._synced_seq:
+                self._fsync(seq)
         self._mark_durable(seq)
 
     def reset(self, seq: int | None = None) -> None:
@@ -568,40 +553,44 @@ class WriteAheadLog:
         snapshot is durable by construction, so truncation marks the
         whole log durable and wakes any group-commit waiters.
         """
-        with self._lock:
+        with self._sync_lock, self._lock:
             self._file.close()
             self._file = open(self._path, "wb")
-            self._unsynced = 0
             if seq is not None:
                 self._seq = seq
-            durable = self._seq
+            durable = self._synced_seq = self._seq
         self._mark_durable(durable)
 
     def close(self) -> None:
         """Flush and close; further appends raise."""
-        with self._lock:
+        with self._sync_lock, self._lock:
             if self._closed:
                 return
-            if self._unsynced:
+            seq = self._seq
+            if seq > self._synced_seq:
                 try:
-                    self._sync_locked()
+                    self._fsync(seq)
                 except WalError:  # pragma: no cover - best-effort close
                     pass
             self._file.close()
             self._closed = True
-            seq = self._seq
         self._mark_durable(seq)
 
-    def _sync_locked(self) -> None:
+    def _fsync(self, seq: int) -> None:
+        """fsync the log, covering every record up to ``seq``.
+
+        The caller holds ``_sync_lock`` (group commit, flush, close) or
+        ``_lock`` (an ``"always"`` append), so the file is not swapped
+        underneath the sync.
+        """
         try:
             if self._injector is not None:
                 self._injector.before_fsync()
-            if self._policy != "never":
-                os.fsync(self._file.fileno())
-                self._syncs += 1
-            self._unsynced = 0
+            os.fsync(self._file.fileno())
         except OSError as error:
             raise WalError(f"WAL fsync failed: {error}") from error
+        self._syncs += 1
+        self._synced_seq = max(self._synced_seq, seq)
 
 
 # ---------------------------------------------------------------------------
@@ -643,8 +632,8 @@ class DurableOwnerStore(OwnerStore):
     cleanly; because logging precedes applying (and the apply happens
     under the same lock), replay order equals memory order; because
     nothing returns before ``wait_durable``, an *acknowledged* mutation
-    is always on disk under the crash-safe policies (``"always"`` syncs
-    inside the append, ``"group"`` at the barrier).  Waiting outside
+    is always on disk (``"always"`` syncs inside the append, ``"group"``
+    at the barrier).  Waiting outside
     the store lock is what lets concurrent mutations pile into one
     group-commit fsync instead of serializing on it.
     """
@@ -684,7 +673,6 @@ class DurableOwnerStore(OwnerStore):
         population: StudyPopulation | None = None,
         *,
         fsync: str = "always",
-        batch_size: int = 16,
         compact_every: int | None = 1024,
         injector=None,
         shard_map=None,
@@ -723,7 +711,6 @@ class DurableOwnerStore(OwnerStore):
             wal = WriteAheadLog(
                 wal_path,
                 fsync=fsync,
-                batch_size=batch_size,
                 injector=injector,
             )
             store = cls(
@@ -762,7 +749,6 @@ class DurableOwnerStore(OwnerStore):
         wal = WriteAheadLog(
             wal_path,
             fsync=fsync,
-            batch_size=batch_size,
             start_seq=last_seq,
             injector=injector,
         )
@@ -966,7 +952,7 @@ class DurableOwnerStore(OwnerStore):
             return self._save_snapshot()
 
     def flush(self) -> None:
-        """Force batched WAL appends to disk."""
+        """Force WAL appends not yet group-committed to disk."""
         self._wal.flush()
 
     def close(self) -> None:

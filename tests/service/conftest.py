@@ -7,6 +7,8 @@ read-only; delta tests mutate the graph, so this module provides a small
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.service import OwnerStore, RiskEngine
@@ -22,6 +24,16 @@ def make_service_population():
         ego_config=EgoNetConfig(num_friends=15, num_strangers=50),
         seed=SERVICE_SEED,
     )
+
+
+def wait_until(predicate, timeout: float = 10.0) -> bool:
+    """Poll ``predicate`` until it holds or ``timeout`` seconds pass."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.005)
+    return bool(predicate())
 
 
 @pytest.fixture

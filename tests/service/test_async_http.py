@@ -1,11 +1,12 @@
-"""Tests for the asyncio front-end: parity, admission, coalescing.
+"""Tests for the HTTP server's parity and concurrency machinery.
 
-Three contracts pinned here:
+Three contracts pinned here (the route-by-route wire contract lives in
+``test_http.py``):
 
-* **parity** — the async server answers every route with the same
-  documents, digests, and status codes as the threaded server (the
-  ``--async`` flag must never change what a client observes, only how
-  it is served);
+* **parity** — routes that ask the same question get the same answer:
+  ``POST /score`` and ``GET /score``, a ``/score-batch`` line and the
+  single ``/score`` it stands for, and every served document against
+  what a same-seed in-process engine and store hold;
 * **bounded admission** — a full admission queue sheds load explicitly
   with *429 + Retry-After* (slow down), never a bare 503 (fail over),
   and releases its slot whatever way the request ends;
@@ -17,69 +18,29 @@ Three contracts pinned here:
 
 from __future__ import annotations
 
-import http.client
-import json
 import threading
-import types
-import time
 
 import pytest
 
+from repro.measures import available_measures
 from repro.service import (
     AdmissionQueue,
     AsyncRiskServer,
-    OwnerStore,
-    RiskEngine,
     ScoreScheduler,
-    build_async_server,
     build_server,
 )
+from repro.service.wal import MUTATION_OPS
 
-from .conftest import SERVICE_SEED, make_service_population
-from .test_http import get, post, post_ndjson, serve
-from .test_scheduler import GatedEngine
-
-
-class EmptyStore:
-    """Minimal store for fake engines: ``/healthz`` and ``/metrics``
-    dereference ``engine.store`` (as with the threaded server), and
-    ``version`` raising keeps coalescing out of the admission tests."""
-
-    def owner_ids(self):
-        return ()
-
-    def version(self, owner_id):
-        raise KeyError(owner_id)
-
-
-def gated_engine() -> GatedEngine:
-    engine = GatedEngine()
-    engine.store = EmptyStore()
-    # /metrics dereferences engine.metrics, same as the threaded server
-    engine.metrics = types.SimpleNamespace(snapshot=dict)
-    return engine
-
-
-def wait_until(predicate, timeout: float = 10.0) -> bool:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.01)
-    return bool(predicate())
-
-
-def make_engine():
-    population = make_service_population()
-    store = OwnerStore.from_population(population)
-    return RiskEngine(store, seed=SERVICE_SEED)
-
-
-def shut_down(server, thread) -> None:
-    server.shutdown()
-    server.server_close()
-    server.scheduler.shutdown(wait=False)
-    thread.join(timeout=10)
+from .conftest import wait_until
+from .test_http import (
+    gated_engine,
+    get,
+    make_engine,
+    post,
+    post_ndjson,
+    serve,
+    shut_down,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -107,158 +68,113 @@ class TestAdmissionQueue:
 
 
 # ---------------------------------------------------------------------------
-# parity with the threaded server
+# parity: one question, one answer, whichever route asks it
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
-def paired_servers():
-    """A threaded and an async server over identically-seeded cohorts.
-
-    Byte-for-byte parity needs independent engines (scoring mutates
-    owner label state), so each server gets its own population built
-    from the same seed.
-    """
-    threaded = build_server(make_engine(), max_workers=2, max_pending=8)
-    threaded_thread = serve(threaded)
-    asynced = build_async_server(make_engine(), max_workers=2, max_pending=8)
-    async_thread = serve(asynced)
-    yield threaded, asynced
-    shut_down(threaded, threaded_thread)
-    shut_down(asynced, async_thread)
+def paired():
+    """A live server and a same-seed in-process engine to check it by."""
+    server = build_server(make_engine(), max_workers=2, max_pending=8)
+    thread = serve(server)
+    yield server, make_engine()
+    shut_down(server, thread)
 
 
 class TestParity:
-    def test_every_measure_scores_byte_identical(self, paired_servers):
-        threaded, asynced = paired_servers
-        status, catalog, _ = get(f"{asynced.url}/measures")
-        assert status == 200
-        assert catalog == get(f"{threaded.url}/measures")[1]
-        owner = threaded.engine.store.owner_ids()[0]
-        for measure in [None, *(m["name"] for m in catalog["measures"])]:
-            query = f"/score?owner={owner}"
-            if measure is not None:
-                query += f"&measure={measure}"
-            status_t, record_t, _ = get(f"{threaded.url}{query}")
-            status_a, record_a, _ = get(f"{asynced.url}{query}")
-            assert (status_t, status_a) == (200, 200), (measure, record_a)
-            assert record_a["digest"] == record_t["digest"], measure
-            # identical but for wall-clock timing
-            record_a.pop("elapsed_seconds"), record_t.pop("elapsed_seconds")
-            assert record_a == record_t, measure
-
-    def test_post_score_matches_get(self, paired_servers):
-        _, asynced = paired_servers
-        owner = asynced.engine.store.owner_ids()[0]
-        status, via_get, _ = get(f"{asynced.url}/score?owner={owner}")
-        post_status, via_post = post(f"{asynced.url}/score", {"owner": owner})
+    def test_post_score_matches_get(self, paired):
+        server, _ = paired
+        owner = server.engine.store.owner_ids()[0]
+        status, via_get, _ = get(f"{server.url}/score?owner={owner}")
+        post_status, via_post = post(f"{server.url}/score", {"owner": owner})
         assert (status, post_status) == (200, 200)
         assert via_post["digest"] == via_get["digest"]
 
-    def test_error_responses_are_identical(self, paired_servers):
-        threaded, asynced = paired_servers
+    def test_error_responses_are_identical(self, paired):
+        """Each malformed request gets its exact status and document."""
+        server, _ = paired
+        owners_shape = {"error": 'body must be JSON like {"owners": [<id>, ...]}'}
         cases = [
-            ("GET", "/score", None),  # missing owner
-            ("GET", "/score?owner=banana", None),
-            ("GET", "/score?owner=987654", None),  # unknown owner
-            ("GET", "/score?owner=1&measure=bogus", None),
-            ("GET", "/nope", None),
-            ("POST", "/score", {"who": 3}),
-            ("POST", "/mutate", {"op": "drop_table"}),
-            ("POST", "/score-batch", {"owners": []}),
-            ("POST", "/score-batch", {"owners": "1"}),
+            ("GET", "/score", None, 400, {"error": "missing ?owner=<id>"}),
+            ("GET", "/score?owner=banana", None,
+             400, {"error": "invalid owner id 'banana'"}),
+            ("GET", "/score?owner=987654", None,
+             404, {"error": "unknown owner id: 987654"}),
+            ("GET", "/nope", None, 404, {"error": "unknown path '/nope'"}),
+            ("POST", "/score", {"who": 3},
+             400, {"error": 'body must be JSON like {"owner": <id>}'}),
+            ("POST", "/mutate", {"op": "drop_table"}, 400, {
+                "error": "unknown op 'drop_table'",
+                "ops": list(MUTATION_OPS),
+            }),
+            ("POST", "/score-batch", {"owners": []}, 400, owners_shape),
+            ("POST", "/score-batch", {"owners": "1"}, 400, owners_shape),
         ]
-        for method, path, body in cases:
+        for method, path, body, status, document in cases:
             if method == "GET":
-                status_t, doc_t, _ = get(f"{threaded.url}{path}")
-                status_a, doc_a, _ = get(f"{asynced.url}{path}")
+                answer = get(f"{server.url}{path}")[:2]
             else:
-                status_t, doc_t = post(f"{threaded.url}{path}", body)
-                status_a, doc_a = post(f"{asynced.url}{path}", body)
-            assert status_a == status_t, (method, path, doc_a)
-            assert doc_a == doc_t, (method, path)
+                answer = post(f"{server.url}{path}", body)
+            assert answer == (status, document), (method, path)
 
-    def test_unknown_measure_answers_the_registry_menu(self, paired_servers):
-        _, asynced = paired_servers
-        owner = asynced.engine.store.owner_ids()[0]
-        status, document, _ = get(
-            f"{asynced.url}/score?owner={owner}&measure=bogus"
+    def test_unknown_measure_answers_the_registry_menu(self, paired):
+        server, _ = paired
+        owner = server.engine.store.owner_ids()[0]
+        menu = {
+            "error": "unknown risk measure 'bogus'; see GET /measures",
+            "measures": list(available_measures()),
+        }
+        assert "stranger" in menu["measures"]
+        via_get = get(f"{server.url}/score?owner={owner}&measure=bogus")[:2]
+        via_post = post(
+            f"{server.url}/score", {"owner": owner, "measure": "bogus"}
         )
-        assert status == 400
-        assert "stranger" in document["measures"]
+        assert via_get == via_post == (400, menu)
 
-    def test_health_owners_and_readyz_match(self, paired_servers):
-        threaded, asynced = paired_servers
-        for path in ("/healthz", "/owners", "/readyz"):
-            status_t, doc_t, _ = get(f"{threaded.url}{path}")
-            status_a, doc_a, _ = get(f"{asynced.url}{path}")
-            assert status_a == status_t, path
-            # /readyz reports live queue depth; compare the stable part
-            doc_a.pop("pending", None), doc_t.pop("pending", None)
-            assert doc_a == doc_t, path
-
-    def test_metrics_adds_only_the_admission_block(self, paired_servers):
-        threaded, asynced = paired_servers
-        _, doc_t, _ = get(f"{threaded.url}/metrics")
-        status, doc_a, _ = get(f"{asynced.url}/metrics")
+    def test_health_owners_and_readyz_match(self, paired):
+        server, reference = paired
+        owners = list(reference.store.owner_ids())
+        _, health, _ = get(f"{server.url}/healthz")
+        assert (health["status"], health["owners"]) == ("ok", len(owners))
+        status, listed, _ = get(f"{server.url}/owners")
         assert status == 200
-        assert set(doc_a) == set(doc_t) | {"admission"}
-        assert doc_a["admission"]["capacity"] == 256
-        assert doc_a["admission"]["depth"] == 0
-        assert doc_a["scheduler"]["coalesced_hits"] >= 0
+        assert [row["owner"] for row in listed["owners"]] == owners
+        assert {
+            row["owner"]: row["version"] for row in listed["owners"]
+        } == {owner: reference.store.version(owner) for owner in owners}
+        status, ready, _ = get(f"{server.url}/readyz")
+        assert (status, ready["ready"]) == (200, True)
 
-    def test_score_batch_streams_ndjson_in_request_order(
-        self, paired_servers
-    ):
-        threaded, asynced = paired_servers
-        owners = list(asynced.engine.store.owner_ids())
+    def test_metrics_adds_only_the_admission_block(self, paired):
+        server, _ = paired
+        status, document, _ = get(f"{server.url}/metrics")
+        assert status == 200
+        layers = {"engine", "scheduler", "breaker"}
+        assert set(document) - layers == {"admission"}
+        assert document["admission"]["capacity"] == 256
+        assert document["admission"]["depth"] == 0
+        assert document["scheduler"]["coalesced_hits"] >= 0
+
+    def test_score_batch_streams_ndjson_in_request_order(self, paired):
+        server, reference = paired
+        owners = list(server.engine.store.owner_ids())[::-1]
         status, lines, response = post_ndjson(
-            f"{asynced.url}/score-batch", {"owners": owners}
+            f"{server.url}/score-batch", {"owners": owners}
         )
         assert status == 200
         assert response.headers["Content-Type"] == "application/x-ndjson"
         assert [line["owner"] for line in lines] == owners
         for line in lines:
-            twin = get(f"{threaded.url}/score?owner={line['owner']}")[1]
-            assert line["digest"] == twin["digest"]
+            assert line["digest"] == reference.score(line["owner"]).digest
 
-    def test_score_batch_unknown_owner_is_an_error_line(self, paired_servers):
-        _, asynced = paired_servers
-        owners = list(asynced.engine.store.owner_ids())
+    def test_score_batch_unknown_owner_is_an_error_line(self, paired):
+        server, _ = paired
+        owners = list(server.engine.store.owner_ids())
         status, lines, _ = post_ndjson(
-            f"{asynced.url}/score-batch", {"owners": [owners[0], 999999]}
+            f"{server.url}/score-batch", {"owners": [owners[0], 999999]}
         )
         assert status == 200
         assert "digest" in lines[0]
-        assert lines[1] == {
-            "owner": 999999,
-            "error": "unknown owner id: 999999",
-            "status": 404,
-        }
-
-    def test_keep_alive_serves_many_requests_per_connection(
-        self, paired_servers
-    ):
-        for server in paired_servers:
-            host, port = server.url.removeprefix("http://").split(":")
-            connection = http.client.HTTPConnection(host, int(port), timeout=30)
-            try:
-                for _ in range(3):
-                    connection.request("GET", "/healthz")
-                    response = connection.getresponse()
-                    assert response.status == 200
-                    assert json.loads(response.read())["status"] == "ok"
-            finally:
-                connection.close()
-
-    def test_unsupported_method_is_501(self, paired_servers):
-        _, asynced = paired_servers
-        host, port = asynced.url.removeprefix("http://").split(":")
-        connection = http.client.HTTPConnection(host, int(port), timeout=30)
-        try:
-            connection.request("DELETE", "/score")
-            response = connection.getresponse()
-            assert response.status == 501
-        finally:
-            connection.close()
+        single_status, single, _ = get(f"{server.url}/score?owner=999999")
+        assert lines[1] == {"owner": 999999, **single, "status": single_status}
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +250,7 @@ class TestAdmission:
 
     def test_scheduler_saturation_still_maps_to_429(self):
         # admission has room, but the scheduler queue is full: the
-        # threaded server's 429-vs-503 split must survive the rewrite
+        # scheduler's 429-vs-503 split must reach the client unchanged
         engine = gated_engine()
         scheduler = ScoreScheduler(engine, max_workers=1, max_pending=1)
         server = AsyncRiskServer(("127.0.0.1", 0), engine, scheduler)
@@ -383,8 +299,8 @@ class TestAdmission:
 # ---------------------------------------------------------------------------
 @pytest.fixture
 def async_server():
-    """A fresh async server over a real engine the test may instrument."""
-    server = build_async_server(make_engine(), max_workers=2, max_pending=32)
+    """A fresh server over a real engine the test may instrument."""
+    server = build_server(make_engine(), max_workers=2, max_pending=32)
     thread = serve(server)
     yield server
     shut_down(server, thread)

@@ -521,7 +521,7 @@ def test_killed_and_restarted_run_matches_an_unkilled_control(tmp_path):
 # async serving: group-committed acks survive kill -9
 # ---------------------------------------------------------------------------
 def test_async_kill9_loses_no_group_committed_ack(serve):
-    """The async serving smoke: ``--async`` defaults to the group-commit
+    """The async serving smoke: ``serve`` defaults to the group-commit
     WAL, where an ack means "your batch's fsync completed" — so a
     ``kill -9`` under concurrent mutation traffic must lose nothing that
     was acked, and recovery must serve byte-identical scores."""
@@ -552,7 +552,7 @@ def test_async_kill9_loses_no_group_committed_ack(serve):
     assert all(entry["ok"] and entry["seq"] is not None for entry in acked)
 
     metrics = first.get("/metrics")
-    assert metrics["wal"]["policy"] == "group"  # the --async default
+    assert metrics["wal"]["policy"] == "group"  # the serve default
     assert metrics["wal"]["group"]["durable_seq"] >= max(
         entry["seq"] for entry in acked
     )
@@ -560,7 +560,7 @@ def test_async_kill9_loses_no_group_committed_ack(serve):
 
     first.kill9()
 
-    second = serve()  # recovery runs the same WAL, threaded or async
+    second = serve()  # --async is accepted and ignored: same server
     health = second.get("/healthz")
     assert health["recovery"]["source"] == "recovered"
     assert health["last_seq"] >= max(entry["seq"] for entry in acked)

@@ -102,3 +102,39 @@ def test_serve_announces_and_scores(serve_process):
     again = get_json(f"{url}/score?owner={owner_id}")
     assert again["source"] == "cache"
     assert again["digest"] == record["digest"]
+
+
+@pytest.mark.parametrize(
+    "bound",
+    [
+        ("--admission", "0"),
+        ("--workers", "0"),
+        ("--max-pending", "0"),
+        ("--shards", "2", "--workers", "0"),
+    ],
+)
+def test_serve_rejects_unusable_bounds_before_booting(bound):
+    """A bound below 1 is a usage error (exit 2) raised before any cohort
+    is generated or shard worker spawned — never a traceback after boot,
+    never a shard fleet crash-looping on the same error."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--owners", "1", "--strangers", "20", "--friends", "6", *bound],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,  # lets a timeout reap any shard workers
+    )
+    try:
+        _, stderr = process.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        os.killpg(process.pid, signal.SIGKILL)
+        process.communicate()
+        pytest.fail(f"serve {' '.join(bound)} booted instead of exiting")
+    assert process.returncode == 2, stderr
+    assert "must be >= 1" in stderr
+    assert "generating cohort" not in stderr
+    assert "shard worker" not in stderr

@@ -2,17 +2,27 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import threading
-import time
+import types
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro.measures import available_measures
 from repro.resilience import CircuitBreaker
-from repro.service import RiskServiceServer, ScoreScheduler, build_server
+from repro.service import (
+    AsyncRiskServer,
+    OwnerStore,
+    RiskEngine,
+    ScoreScheduler,
+    build_server,
+)
 
+from .conftest import SERVICE_SEED, make_service_population, wait_until
 from .test_scheduler import GatedEngine
 
 
@@ -40,11 +50,75 @@ def post(url: str, document: dict):
         return error.code, json.loads(error.read())
 
 
-def serve(server: RiskServiceServer):
+def raw_request(url: str, payload: bytes, timeout: float = 10.0):
+    """Send raw bytes; returns (response bytes, server closed the socket)."""
+    host, port = url.removeprefix("http://").split(":")
+    chunks: list[bytes] = []
+    with socket.create_connection((host, int(port)), timeout=timeout) as sock:
+        sock.sendall(payload)
+        try:
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        except TimeoutError:
+            return b"".join(chunks), False
+    return b"".join(chunks), True
+
+
+def assert_malformed_length_is_rejected(url: str, length: str) -> None:
+    """``POST /mutate`` with a bad Content-Length: 400, then close."""
+    response, closed = raw_request(
+        url,
+        (
+            "POST /mutate HTTP/1.1\r\nHost: test\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        ).encode("latin-1"),
+    )
+    head, _, body = response.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 "), response
+    assert b"\r\nConnection: close" in head, head
+    assert json.loads(body) == {"error": f"invalid Content-Length {length!r}"}
+    assert closed, "the connection must close: the body extent is unknown"
+
+
+def serve(server: AsyncRiskServer):
     """Run a server on a daemon thread until the calling test is done."""
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return thread
+
+
+def shut_down(server: AsyncRiskServer, thread: threading.Thread) -> None:
+    server.shutdown()
+    server.server_close()
+    server.scheduler.shutdown(wait=False)
+    thread.join(timeout=10)
+
+
+def make_engine() -> RiskEngine:
+    """A real engine over a fresh copy of the service cohort."""
+    store = OwnerStore.from_population(make_service_population())
+    return RiskEngine(store, seed=SERVICE_SEED)
+
+
+class EmptyStore:
+    """Minimal store for fake engines: ``/healthz`` and ``/metrics``
+    dereference ``engine.store``, and ``version`` raising keeps
+    coalescing out of the gated tests."""
+
+    def owner_ids(self):
+        return ()
+
+    def version(self, owner_id):
+        raise KeyError(owner_id)
+
+
+def gated_engine() -> GatedEngine:
+    """A :class:`GatedEngine` the server's read endpoints can describe."""
+    engine = GatedEngine()
+    engine.store = EmptyStore()
+    engine.metrics = types.SimpleNamespace(snapshot=dict)
+    return engine
 
 
 @pytest.fixture(scope="module")
@@ -54,20 +128,10 @@ def live_server():
     Module scope keeps the cold-scoring cost down; the endpoint tests are
     all read-only (and cache hits besides the first score).
     """
-    from repro.service import OwnerStore, RiskEngine
-
-    from .conftest import SERVICE_SEED, make_service_population
-
-    population = make_service_population()
-    store = OwnerStore.from_population(population)
-    engine = RiskEngine(store, seed=SERVICE_SEED)
-    server = build_server(engine, max_workers=2, max_pending=8)
+    server = build_server(make_engine(), max_workers=2, max_pending=8)
     thread = serve(server)
     yield server
-    server.shutdown()
-    server.server_close()
-    server.scheduler.shutdown(wait=False)
-    thread.join(timeout=10)
+    shut_down(server, thread)
 
 
 class TestEndpoints:
@@ -107,10 +171,61 @@ class TestEndpoints:
     def test_metrics_exposes_all_three_layers(self, live_server):
         status, document, _ = get(f"{live_server.url}/metrics")
         assert status == 200
-        assert set(document) == {"engine", "scheduler", "breaker"}
+        assert set(document) == {"engine", "scheduler", "breaker", "admission"}
         assert 0.0 <= document["engine"]["cache_hit_rate"] <= 1.0
         assert document["scheduler"]["max_pending"] == 8
         assert document["breaker"]["state"] == "closed"
+
+    def test_every_measure_matches_the_in_process_engine(
+        self, mutable_server
+    ):
+        """HTTP serving never changes a score: every measure's record is
+        the one a same-seed engine computes in process."""
+        reference = make_engine()
+        owner = reference.store.owner_ids()[0]
+        for measure in [None, *available_measures()]:
+            query = f"/score?owner={owner}"
+            if measure is not None:
+                query += f"&measure={measure}"
+            status, served, _ = get(f"{mutable_server.url}{query}")
+            assert status == 200, (measure, served)
+            expected = json.loads(
+                json.dumps(reference.score(owner, measure=measure).to_dict())
+            )
+            # identical but for wall-clock timing
+            served.pop("elapsed_seconds"), expected.pop("elapsed_seconds")
+            assert served == expected, measure
+
+    def test_keep_alive_serves_many_requests_per_connection(
+        self, live_server
+    ):
+        host, port = live_server.url.removeprefix("http://").split(":")
+        connection = http.client.HTTPConnection(host, int(port), timeout=30)
+        try:
+            for _ in range(3):
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["status"] == "ok"
+        finally:
+            connection.close()
+
+    def test_unsupported_method_is_501(self, live_server):
+        host, port = live_server.url.removeprefix("http://").split(":")
+        connection = http.client.HTTPConnection(host, int(port), timeout=30)
+        try:
+            connection.request("DELETE", "/score")
+            assert connection.getresponse().status == 501
+        finally:
+            connection.close()
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_malformed_content_length_is_400_and_closes(
+        self, live_server, length
+    ):
+        assert_malformed_length_is_rejected(live_server.url, length)
+        # the server itself is unharmed
+        assert get(f"{live_server.url}/healthz")[0] == 200
 
     def test_bad_requests(self, live_server):
         status, document, _ = get(f"{live_server.url}/score")
@@ -135,9 +250,9 @@ class TestResilienceMapping:
     def test_saturation_maps_to_429_with_retry_after(self):
         # saturation is the client's cue to slow down (429), distinct
         # from the service being unable to serve at all (503)
-        engine = GatedEngine()
+        engine = gated_engine()
         scheduler = ScoreScheduler(engine, max_workers=1, max_pending=1)
-        server = RiskServiceServer(("127.0.0.1", 0), engine, scheduler)
+        server = AsyncRiskServer(("127.0.0.1", 0), engine, scheduler)
         thread = serve(server)
         try:
             blocked = threading.Thread(
@@ -145,10 +260,7 @@ class TestResilienceMapping:
             )
             blocked.start()
             # wait until the first request is actually scoring
-            deadline = time.monotonic() + 10
-            while not engine.running_now() and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert engine.running_now()
+            assert wait_until(engine.running_now)
             status, document, response = get(f"{server.url}/score?owner=2")
             assert status == 429
             assert response.headers["Retry-After"] == "1"
@@ -156,16 +268,13 @@ class TestResilienceMapping:
         finally:
             engine.gate.set()
             blocked.join(timeout=10)
-            server.shutdown()
-            server.server_close()
-            scheduler.shutdown(wait=False)
-            thread.join(timeout=10)
+            shut_down(server, thread)
 
     def test_deadline_maps_to_504_and_breaker_opens(self):
-        engine = GatedEngine()
+        engine = gated_engine()
         scheduler = ScoreScheduler(engine, max_workers=1, max_pending=4)
         breaker = CircuitBreaker(failure_threshold=1, recovery_time=300.0)
-        server = RiskServiceServer(
+        server = AsyncRiskServer(
             ("127.0.0.1", 0),
             engine,
             scheduler,
@@ -183,29 +292,16 @@ class TestResilienceMapping:
             assert breaker.state == "open"
         finally:
             engine.gate.set()
-            server.shutdown()
-            server.server_close()
-            scheduler.shutdown(wait=False)
-            thread.join(timeout=10)
+            shut_down(server, thread)
 
 
 @pytest.fixture
 def mutable_server():
     """A fresh (function-scoped) server whose store the test may mutate."""
-    from repro.service import OwnerStore, RiskEngine
-
-    from .conftest import SERVICE_SEED, make_service_population
-
-    population = make_service_population()
-    store = OwnerStore.from_population(population)
-    engine = RiskEngine(store, seed=SERVICE_SEED)
-    server = build_server(engine, max_workers=2, max_pending=8)
+    server = build_server(make_engine(), max_workers=2, max_pending=8)
     thread = serve(server)
     yield server
-    server.shutdown()
-    server.server_close()
-    server.scheduler.shutdown(wait=False)
-    thread.join(timeout=10)
+    shut_down(server, thread)
 
 
 class TestReadiness:
@@ -385,9 +481,9 @@ class TestScoreBatch:
         """SIGTERM while an NDJSON stream is in flight (the drain
         contract of docs/service.md): the accepted batch runs to
         completion — every line arrives — while new requests get 503."""
-        engine = GatedEngine()
+        engine = gated_engine()
         scheduler = ScoreScheduler(engine, max_workers=2, max_pending=8)
-        server = RiskServiceServer(("127.0.0.1", 0), engine, scheduler)
+        server = AsyncRiskServer(("127.0.0.1", 0), engine, scheduler)
         thread = serve(server)
         try:
             owners = [1, 2, 3]
@@ -400,10 +496,7 @@ class TestScoreBatch:
 
             batch_thread = threading.Thread(target=run_batch)
             batch_thread.start()
-            deadline = time.monotonic() + 10
-            while not engine.running_now() and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert engine.running_now()
+            assert wait_until(engine.running_now)
 
             # the SIGTERM handler's sequence: flip draining first...
             server.state.draining = True
@@ -426,7 +519,4 @@ class TestScoreBatch:
             assert all("error" not in line for line in lines)
         finally:
             engine.gate.set()
-            server.shutdown()
-            server.server_close()
-            scheduler.shutdown(wait=False)
-            thread.join(timeout=10)
+            shut_down(server, thread)

@@ -15,7 +15,7 @@ from repro.errors import BackpressureError
 from repro.service import OwnerStore, RiskEngine, ScoreScheduler
 from repro.service.refresh import RefreshScheduler
 
-from .conftest import SERVICE_SEED, make_service_population
+from .conftest import SERVICE_SEED, make_service_population, wait_until
 
 
 class _StubScheduler:
@@ -41,15 +41,6 @@ class _StubFuture:
 
     def exception(self):
         return None
-
-
-def wait_until(predicate, timeout=5.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.005)
-    return False
 
 
 class TestDrainBehavior:

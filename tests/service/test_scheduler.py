@@ -7,13 +7,14 @@ backpressure are exercised deterministically, without real scoring cost.
 from __future__ import annotations
 
 import threading
-import time
 from typing import NamedTuple
 
 import pytest
 
 from repro.errors import BackpressureError, ServiceError, UnknownOwnerError
 from repro.service import ScoreScheduler
+
+from .conftest import wait_until
 
 
 class FakeRecord(NamedTuple):
@@ -104,9 +105,7 @@ class TestBackpressure:
             engine.gate.set()
             first.result(timeout=10)
             # the slot frees up once the in-flight request finishes
-            deadline = time.monotonic() + 10
-            while scheduler.pending and time.monotonic() < deadline:
-                time.sleep(0.01)
+            wait_until(lambda: not scheduler.pending)
             assert scheduler.score(1, timeout=10)[0] == 1
         finally:
             engine.gate.set()
@@ -146,12 +145,7 @@ class TestOrdering:
         try:
             futures = [scheduler.submit(1), scheduler.submit(2)]
             # both must be *inside* score() before the gate opens
-            deadline = time.monotonic() + 10
-            while (
-                len(engine.running_now()) < 2
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.01)
+            wait_until(lambda: len(engine.running_now()) >= 2)
             assert engine.running_now() == {1, 2}
             assert scheduler.snapshot()["owners_in_flight"] == 2
             engine.gate.set()
@@ -196,9 +190,7 @@ class TestErrorsAndLifecycle:
         for orphan in queued:
             with pytest.raises(BackpressureError):
                 orphan.result(timeout=10)
-        deadline = time.monotonic() + 10
-        while scheduler.pending and time.monotonic() < deadline:
-            time.sleep(0.01)
+        wait_until(lambda: not scheduler.pending)
         assert scheduler.pending == 0
 
     def test_context_manager_shuts_down(self):
@@ -258,9 +250,7 @@ class TestDrain:
 
         draining = threading.Thread(target=drain_then_flag)
         draining.start()
-        deadline = time.monotonic() + 10
-        while scheduler.accepting and time.monotonic() < deadline:
-            time.sleep(0.005)
+        wait_until(lambda: not scheduler.accepting)
         assert not scheduler.accepting
         with pytest.raises(BackpressureError):
             scheduler.submit(2)
@@ -276,9 +266,7 @@ class TestDrain:
         scheduler.submit(1)
         assert scheduler.pending_count() == 2
         engine.gate.set()
-        deadline = time.monotonic() + 10
-        while scheduler.pending_count() and time.monotonic() < deadline:
-            time.sleep(0.01)
+        wait_until(lambda: not scheduler.pending_count())
         assert scheduler.pending_count() == 0
         scheduler.shutdown()
 
@@ -324,9 +312,7 @@ class TestExecutorDeath:
         for orphan in queued:
             with pytest.raises(BackpressureError):
                 orphan.result(timeout=10)
-        deadline = time.monotonic() + 10
-        while scheduler.pending and time.monotonic() < deadline:
-            time.sleep(0.01)
+        wait_until(lambda: not scheduler.pending)
         assert scheduler.pending == 0
 
     def test_drain_completes_after_executor_death(self):
@@ -479,12 +465,7 @@ class TestCoalescing:
         try:
             future, _ = scheduler.submit_coalesced(1)
             future.result(timeout=10)
-            deadline = time.monotonic() + 10
-            while (
-                scheduler.snapshot()["coalesce_inflight"]
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.01)
+            wait_until(lambda: not scheduler.snapshot()["coalesce_inflight"])
             assert scheduler.snapshot()["coalesce_inflight"] == 0
         finally:
             scheduler.shutdown()

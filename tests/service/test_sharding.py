@@ -1,7 +1,7 @@
 """Tests for the shard layer: map, sharded stores, and the router.
 
 The router tests run against *in-process* shard workers: each shard is a
-real :class:`~repro.service.RiskServiceServer` over a store restricted
+real :class:`~repro.service.AsyncRiskServer` over a store restricted
 to that shard's consistent-hash slice, behind a fake supervisor whose
 workers the test can take "down" instantly.  Process-level failure
 (``kill -9``, restart, WAL replay) is covered in ``test_chaos.py``.
@@ -27,7 +27,13 @@ from repro.service import (
 )
 from repro.synth import EgoNetConfig, generate_study_population
 
-from .test_http import get, post, post_ndjson
+from .test_http import (
+    assert_malformed_length_is_rejected,
+    gated_engine,
+    get,
+    post,
+    post_ndjson,
+)
 
 SHARD_SEED = 11
 NUM_SHARDS = 2
@@ -541,6 +547,14 @@ class TestRouterMutations:
         assert status == 400
         assert "malformed arguments" in document["error"]
 
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_malformed_content_length_is_400_and_closes(
+        self, shard_rig, length
+    ):
+        router, *_ = shard_rig
+        assert_malformed_length_is_rejected(router.url, length)
+        assert get(f"{router.url}/healthz")[0] == 200
+
 
 class TestRouterBackpressureRelay:
     """The 429-vs-503 split survives the router hop: saturation (slow
@@ -549,15 +563,11 @@ class TestRouterBackpressureRelay:
 
     @pytest.fixture
     def gated_rig(self):
-        from repro.service import RiskServiceServer, ScoreScheduler
+        from repro.service import AsyncRiskServer, ScoreScheduler
 
-        from .test_scheduler import GatedEngine
-
-        engine = GatedEngine()
+        engine = gated_engine()
         scheduler = ScoreScheduler(engine, max_workers=1, max_pending=1)
-        shard_server = RiskServiceServer(
-            ("127.0.0.1", 0), engine, scheduler
-        )
+        shard_server = AsyncRiskServer(("127.0.0.1", 0), engine, scheduler)
         shard_thread = threading.Thread(
             target=shard_server.serve_forever, daemon=True
         )

@@ -128,24 +128,6 @@ class TestWriteAheadLog:
         assert wal.stats()["fsyncs"] == 2
         wal.close()
 
-    def test_batch_policy_group_commits(self, tmp_path):
-        wal = WriteAheadLog(
-            tmp_path / WAL_FILENAME, fsync="batch", batch_size=3
-        )
-        for _ in range(5):
-            wal.append("touch", {})
-        assert wal.stats()["fsyncs"] == 1  # after the 3rd append
-        wal.flush()
-        assert wal.stats()["fsyncs"] == 2  # the remaining 2
-        wal.close()
-
-    def test_never_policy_counts_no_fsyncs(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / WAL_FILENAME, fsync="never")
-        wal.append("touch", {})
-        wal.flush()
-        assert wal.stats()["fsyncs"] == 0
-        wal.close()
-
     def test_reset_truncates_but_keeps_the_seq(self, tmp_path):
         path = tmp_path / WAL_FILENAME
         wal = WriteAheadLog(path)
@@ -467,14 +449,6 @@ class TestGroupCommit:
         always.wait_durable(seq)
         assert always.stats()["fsyncs"] == 1  # append already synced
         always.close()
-        # "batch" is the documented durability hole: the ack point
-        # (append + wait_durable) passes with zero fsyncs on disk
-        batch = WriteAheadLog(
-            tmp_path / "batch.wal", fsync="batch", batch_size=16
-        )
-        batch.wait_durable(batch.append("touch", {}))
-        assert batch.stats()["fsyncs"] == 0
-        batch.close()
 
     def test_concurrent_waiters_share_fsyncs(self, tmp_path):
         wal = WriteAheadLog(tmp_path / WAL_FILENAME, fsync="group")
@@ -496,6 +470,42 @@ class TestGroupCommit:
         assert stats["group"]["durable_seq"] == appends  # all acked durable
         records, torn = read_wal(tmp_path / WAL_FILENAME)
         assert len(records) == appends and torn == 0
+        wal.close()
+
+    def test_appends_land_while_the_leader_fsyncs(self, tmp_path):
+        """The barrier leader fsyncs outside the append lock, so a
+        mutation arriving mid-fsync appends at once and joins the next
+        batch instead of queueing behind the disk."""
+        syncing, gate = threading.Event(), threading.Event()
+
+        def slow_disk(_seconds: float) -> None:
+            syncing.set()
+            assert gate.wait(timeout=30)
+
+        injector = ServiceFaultInjector(
+            ServiceFaultPlan(slow_disk_seconds=1.0), sleeper=slow_disk
+        )
+        wal = WriteAheadLog(
+            tmp_path / WAL_FILENAME, fsync="group", injector=injector
+        )
+        leader = threading.Thread(
+            target=lambda: wal.wait_durable(wal.append("touch", {}))
+        )
+        leader.start()
+        assert syncing.wait(timeout=30)
+        late: list[int] = []
+        follower = threading.Thread(
+            target=lambda: late.append(wal.append("touch", {}))
+        )
+        follower.start()
+        follower.join(timeout=5)
+        during_fsync = list(late)
+        gate.set()
+        leader.join(timeout=30)
+        follower.join(timeout=30)
+        assert during_fsync == [2], "the append queued behind the fsync"
+        wal.wait_durable(2)
+        assert wal.stats()["group"]["durable_seq"] == 2
         wal.close()
 
     def test_flush_reset_and_close_mark_the_log_durable(self, tmp_path):
