@@ -11,13 +11,15 @@ performance regression cannot silently change results.
 The scoring-core sections time with ``time.perf_counter`` instead of the
 ``benchmark`` fixture so they run in plain CI smoke jobs, and they emit
 machine-readable records to ``benchmarks/out/BENCH_perf.json``
-(op, n, seconds, speedup vs the scalar path).  A committed snapshot
-lives in ``benchmarks/baselines/BENCH_perf_baseline.json``.  Speedup
+(op, n, seconds, speedup vs the reference arm), stamped with
+``cpu_cores``.  A committed snapshot lives in
+``benchmarks/baselines/BENCH_perf_baseline.json``.  Speedup
 floors are only asserted at full scale — reduced-scale smoke runs
 (small ``REPRO_BENCH_STRANGERS``) still verify every equality contract.
 """
 
 import json
+import os
 import time
 
 import numpy as np
@@ -25,7 +27,7 @@ import pytest
 
 from repro.classifier.graphs import SimilarityGraph
 from repro.classifier.harmonic import HarmonicClassifier
-from repro.config import ClassifierConfig, NetworkSimilarityConfig
+from repro.config import ClassifierConfig
 from repro.learning.session import RiskLearningSession
 from repro.similarity.network import NetworkSimilarity
 from repro.similarity.profile import ProfileSimilarity
@@ -38,8 +40,8 @@ from .conftest import OUT_DIR, SEED, STRANGERS
 #: path's advantage is honest to measure (per-call overhead amortized).
 NS_STRANGERS = 4 * STRANGERS
 #: Unlabeled-system size for the factorization-reuse section.  Always
-#: above the sparse threshold (600): below it both configs run the same
-#: dense solve and the bench records a meaningless ~1.0x "speedup".
+#: above the sparse threshold (600): below it every predict runs the
+#: same dense solve and the bench records a meaningless ~1.0x "speedup".
 HARMONIC_SIZE = max(900, 3 * STRANGERS)
 
 _PERF_RECORDS: list[dict] = []
@@ -51,7 +53,11 @@ def _emit_perf_json():
     yield
     if _PERF_RECORDS:
         OUT_DIR.mkdir(exist_ok=True)
-        payload = {"seed": SEED, "records": _PERF_RECORDS}
+        payload = {
+            "seed": SEED,
+            "cpu_cores": os.cpu_count() or 1,
+            "records": _PERF_RECORDS,
+        }
         (OUT_DIR / "BENCH_perf.json").write_text(
             json.dumps(payload, indent=2) + "\n", encoding="utf-8"
         )
@@ -135,35 +141,28 @@ def ns_population():
 
 
 def test_perf_batch_network_similarity(ns_population):
-    """Batch ``NS.for_strangers`` vs the scalar oracle on the cohort's
-    largest stranger set: exact (digest-level) equality always, >= 5x at
-    full scale."""
+    """Batch ``NS.for_strangers`` vs the scalar oracle (``NS.__call__``
+    per stranger) on the cohort's largest stranger set: exact
+    (digest-level) equality always, >= 5x at full scale."""
     graph = ns_population.graph
     owner = max(
         (o.user_id for o in ns_population.owners),
         key=lambda user_id: len(graph.two_hop_neighbors(user_id)),
     )
     strangers = graph.two_hop_neighbors(owner)
-    batch_measure = NetworkSimilarity(
-        NetworkSimilarityConfig(batch_min_strangers=0)
-    )
-    scalar_measure = NetworkSimilarity(
-        NetworkSimilarityConfig(batch_enabled=False)
-    )
+    measure = NetworkSimilarity()
 
-    batch = batch_measure.for_strangers(graph, owner, strangers)
+    def per_stranger():
+        return {stranger: measure(graph, owner, stranger) for stranger in strangers}
+
+    batch = measure.for_strangers(graph, owner, strangers)
     # contract: bitwise equality with the scalar measure, stranger by
     # stranger — not approx
-    for stranger in strangers:
-        assert batch[stranger] == scalar_measure(graph, owner, stranger)
+    assert batch == per_stranger()
 
     graph.adjacency_index()  # take the one-time CSR build off the clock
-    t_batch = _best_of(
-        lambda: batch_measure.for_strangers(graph, owner, strangers), 10
-    )
-    t_scalar = _best_of(
-        lambda: scalar_measure.for_strangers(graph, owner, strangers), 3
-    )
+    t_batch = _best_of(lambda: measure.for_strangers(graph, owner, strangers), 10)
+    t_scalar = _best_of(per_stranger, 3)
     speedup = t_scalar / t_batch
     _PERF_RECORDS.append(
         {
@@ -184,54 +183,55 @@ def test_perf_batch_network_similarity(ns_population):
 
 def test_perf_harmonic_factorization_reuse():
     """Repeated predicts with an unchanged labeled set (stabilization
-    re-predicts within a round): warm splu-reuse vs the per-predict
-    legacy path.  Warm equals cold bitwise; >= 2x once the system is big
-    enough for the sparse route."""
+    re-predicts within a round): a warm predict through the cached
+    ``splu`` factor vs a fresh classifier's cold predict on the same
+    graph, which slices, assembles and factorizes the system first.
+    Warm equals cold bitwise, the sparse route matches the dense solve
+    to 1e-6; >= 2x once the system is big enough for the sparse route."""
     graph = _sparse_system(HARMONIC_SIZE, seed=SEED)
     labeled = {
         node: (RiskLabel.NOT_RISKY if node % 2 else RiskLabel.VERY_RISKY)
         for node in range(0, 20)
     }
-    reuse = HarmonicClassifier(
-        graph, ClassifierConfig(reuse_factorization=True)
-    )
-    legacy = HarmonicClassifier(
-        graph, ClassifierConfig(reuse_factorization=False)
+    reuse = HarmonicClassifier(graph)
+    dense = HarmonicClassifier(
+        graph, ClassifierConfig(sparse_size_threshold=0)
     )
 
     cold = reuse.predict(labeled)
     warm = reuse.predict(labeled)
-    reference = legacy.predict(labeled)
+    reference = dense.predict(labeled)
     sparse_route = HARMONIC_SIZE >= reuse._config.sparse_size_threshold
     for node in cold:
         # contract: factorization reuse is bitwise-invisible
         assert cold[node].masses == warm[node].masses
         for value, mass in cold[node].masses.items():
             if sparse_route:
-                # splu vs spsolve differ in the last ulps only
+                # sparse LU vs dense LU differ in the last ulps only
                 assert mass == pytest.approx(
                     reference[node].masses[value], abs=1e-6
                 )
             else:
-                # below the sparse threshold both configs run the same
-                # dense solve — exact equality
+                # below the sparse threshold both run the same dense
+                # solve — exact equality
                 assert mass == reference[node].masses[value]
 
+    graph.weights_csr()  # take the one-time CSR build off the clock
     t_warm = _best_of(lambda: reuse.predict(labeled), 5)
-    t_legacy = _best_of(lambda: legacy.predict(labeled), 3)
-    speedup = t_legacy / t_warm
+    t_cold = _best_of(lambda: HarmonicClassifier(graph).predict(labeled), 3)
+    speedup = t_cold / t_warm
     _PERF_RECORDS.append(
         {
             "op": "harmonic.predict_factorization_reuse",
             "n": HARMONIC_SIZE,
             "seconds": t_warm,
-            "scalar_seconds": t_legacy,
+            "cold_seconds": t_cold,
             "speedup": speedup,
         }
     )
     print(
         f"\nharmonic reuse: n={HARMONIC_SIZE} warm {t_warm * 1e3:.1f}ms "
-        f"legacy {t_legacy * 1e3:.1f}ms speedup {speedup:.1f}x"
+        f"cold {t_cold * 1e3:.1f}ms speedup {speedup:.1f}x"
     )
     if sparse_route:
         assert speedup >= 2.0

@@ -110,7 +110,7 @@ class SimilarityGraph:
         never goes stale; the solver-reuse path of
         :class:`~repro.classifier.harmonic.HarmonicClassifier` slices its
         blocks from here instead of re-slicing the dense matrix on every
-        predict.  Raises ``ImportError`` when scipy is unavailable.
+        predict.
         """
         if self._weights_csr is None:
             import scipy.sparse as sparse

@@ -108,16 +108,14 @@ class HarmonicClassifier:
             value = int(labeled[nodes[position]])
             anchor[row, label_values.index(value)] = 1.0
 
-        solution = None
-        if self._config.reuse_factorization:
-            solution = self._solve_reuse(labeled_idx, unlabeled_idx, anchor)
+        solution = self._solve_sparse(labeled_idx, unlabeled_idx, anchor)
         if solution is None:
             weights = np.asarray(self._graph.weights)
             w_uu = weights[np.ix_(unlabeled_idx, unlabeled_idx)]
             w_ul = weights[np.ix_(unlabeled_idx, labeled_idx)]
             degrees = w_uu.sum(axis=1) + w_ul.sum(axis=1)
             rhs = w_ul @ anchor
-            solution = self._solve(w_uu, degrees, rhs)
+            solution = self._solve_dense(w_uu, degrees, rhs)
 
         solution = np.clip(solution, 0.0, None)
         row_sums = solution.sum(axis=1)
@@ -129,26 +127,30 @@ class HarmonicClassifier:
                 solution[row] /= row_sums[row]
         return solution
 
-    def _solve_reuse(
+    def _solve_sparse(
         self,
         labeled_idx: list[int],
         unlabeled_idx: list[int],
         anchor: np.ndarray,
     ) -> np.ndarray | None:
-        """Sparse solve through the cached ``splu`` factorization.
+        """Sparse solve through a cached ``splu`` factorization.
 
-        All blocks come from the graph's cached CSR matrix
-        (:meth:`SimilarityGraph.weights_csr`), and the factorization of
-        ``D - W_uu`` is cached keyed by the unlabeled partition: the
-        multi-RHS class-mass solve and every re-predict with an unchanged
-        labeled set reuse one factor, so a warm predict only slices
-        ``W_ul`` and runs triangular solves.  Warm and cold results are
-        bitwise identical because both run exactly this code — only the
-        factorization step is skipped on a hit.
+        Pools can hold thousands of strangers; once ``min_edge_weight``
+        sparsifies the similarity graph, a sparse factorization beats the
+        dense LU by a wide margin.  All blocks come from the graph's
+        cached CSR matrix (:meth:`SimilarityGraph.weights_csr`), and the
+        factorization of ``D - W_uu`` is cached keyed by the unlabeled
+        partition: the multi-RHS class-mass solve and every re-predict
+        with an unchanged labeled set reuse one factor, so a warm predict
+        only slices ``W_ul`` and runs triangular solves.  Warm and cold
+        results are bitwise identical because both run exactly this code —
+        only the factorization step is skipped on a hit.
 
-        Returns ``None`` to hand control to the reference path whenever
-        the sparse route does not apply (small or dense system, scipy
-        missing, singular factorization, non-finite solution).
+        Returns ``None`` to hand control to :meth:`_solve_dense` whenever
+        the sparse route does not apply: a system smaller than
+        ``sparse_size_threshold`` or denser than
+        ``sparse_density_threshold``, a singular factorization, or a
+        non-finite solution.
         """
         size = len(unlabeled_idx)
         if not (
@@ -156,13 +158,10 @@ class HarmonicClassifier:
             and size >= self._config.sparse_size_threshold
         ):
             return None
-        try:
-            import scipy.sparse as sparse
-            from scipy.sparse.linalg import splu
+        import scipy.sparse as sparse
+        from scipy.sparse.linalg import splu
 
-            rows = self._graph.weights_csr()[unlabeled_idx]
-        except ImportError:
-            return None
+        rows = self._graph.weights_csr()[unlabeled_idx]
         key = tuple(unlabeled_idx)
         cached = self._factor_cache
         if cached is not None and cached[0] == key:
@@ -181,8 +180,10 @@ class HarmonicClassifier:
             try:
                 factor = splu(system)
             except (RuntimeError, ValueError):
-                # Singular systems go to the dense fallback, same as the
-                # reference sparse path.
+                # SuperLU signals a singular factorization as RuntimeError
+                # but some scipy versions' input validation raise
+                # ValueError for the same condition; either way the dense
+                # solve is the correct fallback.
                 return None
             self._factor_cache = (key, factor)
         rhs = np.asarray(rows[:, labeled_idx] @ anchor)
@@ -192,47 +193,10 @@ class HarmonicClassifier:
             return None
         return solution
 
-    def _solve(
+    def _solve_dense(
         self, w_uu: np.ndarray, degrees: np.ndarray, rhs: np.ndarray
     ) -> np.ndarray:
-        """Solve ``(D - W_uu) f = rhs``, sparse when it pays off.
-
-        Pools can hold thousands of strangers; once ``min_edge_weight``
-        sparsifies the similarity graph, a sparse factorization beats the
-        dense LU by a wide margin.  Density and size thresholds come from
-        the classifier config; the dense path is the fallback for
-        singular systems.  With ``reuse_factorization`` on, the sparse
-        route runs through :meth:`_solve_reuse` instead and this method
-        only sees systems that route declined — the per-call ``spsolve``
-        here is the reference behavior kept for debugging.
-        """
-        size = w_uu.shape[0]
-        use_sparse = (
-            self._config.sparse_size_threshold > 0
-            and size >= self._config.sparse_size_threshold
-            and np.count_nonzero(w_uu) / max(size * size, 1)
-            < self._config.sparse_density_threshold
-        )
-        if use_sparse:
-            import scipy.sparse as sparse
-            from scipy.sparse.linalg import spsolve
-
-            system = sparse.csr_matrix(
-                sparse.diags(degrees + self._config.epsilon)
-                - sparse.csr_matrix(w_uu)
-            )
-            try:
-                solution = spsolve(system, rhs)
-                if solution.ndim == 1:
-                    solution = solution.reshape(size, -1)
-                if np.all(np.isfinite(solution)):
-                    return np.asarray(solution)
-            except (RuntimeError, ValueError):
-                # SuperLU signals a singular factorization as RuntimeError
-                # but umfpack (and some scipy versions' input validation)
-                # raise ValueError for the same condition; either way the
-                # dense path below is the correct fallback.
-                pass
+        """Solve ``(D - W_uu) f = rhs`` densely; least squares if singular."""
         system = np.diag(degrees + self._config.epsilon) - w_uu
         try:
             return np.linalg.solve(system, rhs)

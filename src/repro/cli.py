@@ -316,14 +316,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
             "slots, ahead of demand (surfaced under /metrics refresh)"
         ),
     )
-    parser.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help=(
-            "disable dirty-set delta replay on warm re-scores and use "
-            "the legacy label-reuse path instead"
-        ),
-    )
     sharding = parser.add_argument_group(
         "sharding",
         "fault isolation: consistent-hash owner shards behind a router",
@@ -607,7 +599,6 @@ def serve_main(argv: Sequence[str] | None = None) -> int:
         classifier=args.classifier,
         seed=args.seed,
         backend=backend,
-        incremental_enabled=not args.no_incremental,
     )
     if args.warm_all:
         for owner_id in store.owner_ids():
@@ -729,6 +720,8 @@ def serve_sharded(args: argparse.Namespace) -> int:
         base_args += ["--load-dataset", args.load_dataset]
     if args.warm_all:
         base_args.append("--warm-all")
+    if args.background_refresh:
+        base_args.append("--background-refresh")
     if args.fault_fsync_fail:
         base_args += ["--fault-fsync-fail", str(args.fault_fsync_fail)]
     if args.fault_slow_disk:

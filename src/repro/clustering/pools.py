@@ -192,7 +192,6 @@ def _pools_for_group(
         threshold=cfg.beta,
         attributes=cfg.attributes,
         weights=dict(weights),
-        fast=cfg.squeezer_fast,
     )
     memberships: list[list[UserId]] = [list(cluster.members) for cluster in clusters]
     memberships = _merge_small(memberships, cfg.min_pool_size)

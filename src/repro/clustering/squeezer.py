@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from ..errors import ClusteringError
 from ..graph.profile import Profile
 from ..types import ProfileAttribute, UserId
@@ -84,8 +86,8 @@ def cluster_similarity(
     # Definition 2's denominator sums the supports of every value present
     # in the cluster — but every member carries exactly one value per
     # attribute (missing is its own category), so the sum is the cluster
-    # size.  Using the size directly makes the reference path O(|PA|)
-    # instead of O(distinct values) per comparison.
+    # size.  Using the size directly makes a comparison O(|PA|) instead
+    # of O(distinct values).
     denominator = len(cluster)
     total = 0.0
     for attribute in cluster.attributes:
@@ -94,13 +96,18 @@ def cluster_similarity(
     return total
 
 
+#: Cluster count below which a pass scans clusters with the scalar
+#: :func:`cluster_similarity` loop — with only a few clusters, numpy's
+#: per-call overhead costs more than the comparisons it replaces.
+_VECTOR_CUTOFF = 32
+
+
 def squeezer(
     profiles: Sequence[Profile],
     threshold: float,
     attributes: tuple[ProfileAttribute, ...] | None = None,
     weights: Mapping[ProfileAttribute, float] | None = None,
     order: Iterable[UserId] | None = None,
-    fast: bool = True,
 ) -> list[SqueezerCluster]:
     """Cluster ``profiles`` with one Squeezer pass.
 
@@ -121,19 +128,24 @@ def squeezer(
         Optional explicit processing order (user ids).  Squeezer is
         order-sensitive by design; experiments that need determinism pass a
         fixed order, and the default is the given sequence order.
-    fast:
-        Use the vectorized pass: attribute values are integer-coded once
-        per pool and every candidate-vs-cluster similarity becomes array
-        indexing into per-cluster support arrays.  The arithmetic is the
-        same IEEE operations in the same order as the reference loop, so
-        the clusters (members, order, supports) are identical for
-        identical input order.  Falls back to the reference pass when
-        numpy is unavailable.
 
     Returns
     -------
     list[SqueezerCluster]
         Disjoint clusters covering every input profile.
+
+    Notes
+    -----
+    Below ``_VECTOR_CUTOFF`` clusters each candidate is compared with a
+    scalar :func:`cluster_similarity` scan.  Once the cluster count
+    crosses it, every attribute value is integer-coded into a single
+    global column space and a ``(clusters, codes)`` support matrix makes
+    ``Sim(s, c)`` against *every* cluster one column gather plus a
+    weighted divide.  Each attribute contributes ``w_a * (Sup / size)`` in
+    declaration order — exactly the scalar scan's operations on the same
+    binary64 values — and ``argmax`` picks the first maximum just like a
+    strictly-greater scan, so the clusters (members, order, supports) are
+    those of the textbook one-pass loop for identical input order.
     """
     if not 0.0 < threshold <= 1.0:
         raise ClusteringError(f"threshold must lie in (0, 1], got {threshold}")
@@ -149,58 +161,6 @@ def squeezer(
         if unknown:
             raise ClusteringError(f"order references unknown users: {unknown[:5]}")
 
-    if fast:
-        try:
-            return _squeezer_fast(by_id, ordered_ids, attrs, normalized, threshold)
-        except ImportError:
-            pass
-
-    clusters: list[SqueezerCluster] = []
-    for user_id in ordered_ids:
-        values = _attribute_values(by_id[user_id], attrs)
-        best_cluster: SqueezerCluster | None = None
-        best_similarity = -1.0
-        for cluster in clusters:
-            similarity = cluster_similarity(cluster, values, normalized)
-            if similarity > best_similarity:
-                best_similarity = similarity
-                best_cluster = cluster
-        if best_cluster is not None and best_similarity >= threshold:
-            best_cluster.add(user_id, values)
-        else:
-            fresh = SqueezerCluster(attributes=attrs)
-            fresh.add(user_id, values)
-            clusters.append(fresh)
-    return clusters
-
-
-#: Cluster count below which the fast path scans clusters with the scalar
-#: reference loop — with only a few clusters, numpy's per-call overhead
-#: costs more than the comparisons it replaces.
-_VECTOR_CUTOFF = 32
-
-
-def _squeezer_fast(
-    by_id: Mapping[UserId, Profile],
-    ordered_ids: Sequence[UserId],
-    attrs: tuple[ProfileAttribute, ...],
-    normalized: Mapping[ProfileAttribute, float],
-    threshold: float,
-) -> list[SqueezerCluster]:
-    """Vectorized Squeezer pass.
-
-    Once the cluster count crosses ``_VECTOR_CUTOFF``, every attribute
-    value is integer-coded into a single global column space and a
-    ``(clusters, codes)`` support matrix makes ``Sim(s, c)`` against
-    *every* cluster one column gather plus a weighted divide.  Each
-    attribute contributes ``w_a * (Sup / size)`` in declaration order —
-    exactly the reference loop's operations on the same binary64 values —
-    and ``argmax`` picks the first maximum just like the reference
-    strictly-greater scan, so the resulting clusters are identical.
-    Below the cutoff the pass is the reference scan verbatim.
-    """
-    import numpy as np
-
     # Pre-scan the attribute values once; integer coding happens lazily at
     # the vectorization crossover below.
     values_list = [
@@ -213,16 +173,16 @@ def _squeezer_fast(
     # the coded candidate matrix) are built once when the cluster count
     # first reaches _VECTOR_CUTOFF, so runs that stay small pay nothing
     # beyond the pre-scan.
-    supports: "np.ndarray | None" = None
-    sizes: "np.ndarray | None" = None
-    coded: "np.ndarray | None" = None
+    supports: np.ndarray | None = None
+    sizes: np.ndarray | None = None
+    coded: np.ndarray | None = None
     capacity = 0
     for row, user_id in enumerate(ordered_ids):
         count = len(clusters)
         if count:
             if supports is None:
                 # Below the crossover a handful of scalar comparisons beat
-                # numpy call overhead; this is literally the reference scan.
+                # numpy call overhead.
                 best = 0
                 best_similarity = -1.0
                 for position, cluster in enumerate(clusters):
@@ -235,7 +195,7 @@ def _squeezer_fast(
             else:
                 # terms[c, a] = Sup(value_a) / |c| for every cluster at
                 # once; the weighted sum runs in attribute order so the
-                # floats match the reference accumulation bit for bit,
+                # floats match the scalar accumulation bit for bit,
                 # and argmax picks the same first maximum.
                 terms = supports[:count, coded[row]] / sizes[:count]
                 similarity = weight_of[0] * terms[:, 0]

@@ -47,24 +47,12 @@ class NetworkSimilarityConfig:
 
     kappa: float = 5.0
     cohesion_floor: float = 0.5
-    #: Score whole stranger sets through the graph's CSR adjacency index
-    #: (one sparse matmul for all mutual-friend and cohesion counts)
-    #: instead of per-stranger set arithmetic.  The batch path reproduces
-    #: the scalar measure exactly; disable only for debugging.
-    batch_enabled: bool = True
-    #: Stranger sets smaller than this stay on the scalar path — below a
-    #: handful of strangers the CSR row slicing costs more than it saves.
-    batch_min_strangers: int = 8
 
     def __post_init__(self) -> None:
         _require(self.kappa > 0, f"kappa must be positive, got {self.kappa}")
         _require(
             0.0 <= self.cohesion_floor <= 1.0,
             f"cohesion_floor must lie in [0, 1], got {self.cohesion_floor}",
-        )
-        _require(
-            self.batch_min_strangers >= 0,
-            f"batch_min_strangers must be >= 0, got {self.batch_min_strangers}",
         )
 
 
@@ -112,12 +100,6 @@ class PoolingConfig:
     #: pools would each spawn a learning process with nothing to learn (and
     #: force the owner to label every member).
     min_pool_size: int = 5
-    #: Run Squeezer with integer-coded attribute values and per-cluster
-    #: support arrays (candidate-vs-cluster similarity becomes array
-    #: indexing over every cluster at once).  Produces identical clusters
-    #: to the reference dict path for identical insertion order; disable
-    #: only for debugging.
-    squeezer_fast: bool = True
 
     def __post_init__(self) -> None:
         _require(self.alpha >= 1, f"alpha must be >= 1, got {self.alpha}")
@@ -176,13 +158,6 @@ class ClassifierConfig:
     sparse_size_threshold: int = 600
     #: Maximum nonzero density of the unlabeled block for the sparse path.
     sparse_density_threshold: float = 0.3
-    #: Reuse the sparse LU factorization (``splu``) across the multi-RHS
-    #: class-mass solve and across repeated predicts with an unchanged
-    #: labeled set (stabilization re-predicts within a round).  The cache
-    #: invalidates as soon as the labeled index set changes.  Off, the
-    #: sparse path falls back to per-predict ``spsolve`` (the reference
-    #: behavior for debugging).
-    reuse_factorization: bool = True
 
     def __post_init__(self) -> None:
         _require(self.epsilon >= 0, f"epsilon must be >= 0, got {self.epsilon}")

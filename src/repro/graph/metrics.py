@@ -125,8 +125,7 @@ def batched_mutual_stats(
     :meth:`SocialGraph.edges_within` would produce.
 
     Raises :class:`~repro.errors.UnknownUserError` for ids not in the
-    graph and ``ImportError`` when scipy is unavailable (callers fall
-    back to the scalar path).
+    graph.
     """
     import numpy as np
 

@@ -278,9 +278,6 @@ class SocialGraph:
         cache is dropped on every mutation (``add_user`` registering a new
         id, ``add_friendship``, ``remove_friendship``), so a fresh call
         after a mutation always reflects the current graph.
-
-        Requires scipy; callers with an optional fast path should catch
-        ``ImportError`` and fall back to the scalar route.
         """
         if self._adjacency_index is None:
             self._adjacency_index = AdjacencyIndex(self._adjacency)

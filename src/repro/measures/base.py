@@ -14,8 +14,9 @@ behind the :class:`~repro.service.RiskEngine` seam:
   the engine, the worker pool, and the CLI build it identically.
 * :class:`MeasureScore` — what a measure returns: an opaque result, its
   deterministic digest, and label accounting.
-* :class:`RiskMeasure` — the contract: ``compute`` (cold, or warm when
-  handed the previous result), ``digest`` (recompute the canonical
+* :class:`RiskMeasure` — the contract: ``compute`` (a cold score),
+  ``compute_incremental`` (optional cold-identical delta re-score),
+  ``digest`` (recompute the canonical
   digest of a result, used for worker integrity checks), ``describe``
   (the measure-specific JSON blocks of a ``/score`` response), and
   ``granted_labels`` (oracle labels to persist through the store).
@@ -132,14 +133,11 @@ class RiskMeasure(abc.ABC):
     supports_incremental: ClassVar[bool] = False
 
     @abc.abstractmethod
-    def compute(
-        self, request: MeasureRequest, previous: Any = None
-    ) -> MeasureScore:
-        """Score one owner.
+    def compute(self, request: MeasureRequest) -> MeasureScore:
+        """Score one owner from scratch.
 
-        ``previous`` is the measure's own prior result when the engine
-        holds a stale memo (warm re-score); measures without incremental
-        state simply recompute.
+        The engine also calls this to re-score a stale memo of a measure
+        without :meth:`compute_incremental`.
         """
 
     def compute_incremental(

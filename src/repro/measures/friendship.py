@@ -56,11 +56,8 @@ class FriendshipRiskMeasure(RiskMeasure):
     )
     remote_safe = True
 
-    def compute(
-        self, request: MeasureRequest, previous: Any = None
-    ) -> MeasureScore:
+    def compute(self, request: MeasureRequest) -> MeasureScore:
         """Score every 2-hop candidate's induced disclosure for the owner."""
-        del previous  # stateless: a warm re-score is a recompute
         graph = request.graph
         owner_id = request.owner.user_id
         config = request.config or PipelineConfig()

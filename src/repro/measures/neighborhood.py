@@ -69,11 +69,8 @@ class NeighborhoodUniquenessMeasure(RiskMeasure):
     #: shrink the anonymity sets.
     remote_safe = False
 
-    def compute(
-        self, request: MeasureRequest, previous: Any = None
-    ) -> MeasureScore:
+    def compute(self, request: MeasureRequest) -> MeasureScore:
         """Count the owner's radius-1/2 structural twins in the cohort."""
-        del previous  # stateless: a warm re-score is a recompute
         graph = request.graph
         owner_id = request.owner.user_id
         cohort = sorted(graph.users())

@@ -4,9 +4,9 @@ A thin adapter putting the existing cold/warm scoring paths behind the
 :class:`~repro.measures.base.RiskMeasure` contract, *byte-identically*:
 cold scores run the exact :func:`~repro.experiments.plan_owner_session`
 → ``build_session().run()`` sequence the engine always ran (same derived
-seed ``seed + index``), warm re-scores go through
-:func:`~repro.learning.incremental.continue_session` with the previous
-session result, and the digest is :func:`repro.io.result_digest` of the
+seed ``seed + index``), warm re-scores replay only what a mutation
+touched (:mod:`repro.learning.replay`) and land on the same result, and
+the digest is :func:`repro.io.result_digest` of the
 :class:`~repro.learning.results.SessionResult` — so every digest
 recorded before the measure subsystem existed still matches.
 """
@@ -17,7 +17,6 @@ from typing import Any
 
 from ..experiments.study import plan_owner_session
 from ..io.serialization import result_digest, session_result_to_dict
-from ..learning.incremental import continue_session
 from ..learning.replay import replay_session, replay_supported
 from ..learning.results import SessionResult
 from ..types import RiskLabel, UserId
@@ -40,10 +39,8 @@ class StrangerRiskMeasure(RiskMeasure):
     #: Cold-identical delta replay via :mod:`repro.learning.replay`.
     supports_incremental = True
 
-    def compute(
-        self, request: MeasureRequest, previous: Any = None
-    ) -> MeasureScore:
-        """Run (or incrementally continue) the paper's scoring session."""
+    def compute(self, request: MeasureRequest) -> MeasureScore:
+        """Run the paper's scoring session from scratch."""
         plan = plan_owner_session(
             request.owner,
             request.index,
@@ -55,21 +52,6 @@ class StrangerRiskMeasure(RiskMeasure):
             fault_plan=request.fault_plan,
             retry_policy=request.retry_policy,
         )
-        if previous is not None:
-            update = continue_session(
-                request.graph,
-                plan.owner_id,
-                plan.oracle,
-                previous,
-                seed=plan.seed,
-                **plan.session_kwargs,
-            )
-            return MeasureScore(
-                result=update.result,
-                digest=result_digest(update.result),
-                reused_labels=update.reused_labels,
-                new_queries=update.new_queries,
-            )
         result = plan.build_session(request.graph).run()
         return MeasureScore(
             result=result,
@@ -104,7 +86,7 @@ class StrangerRiskMeasure(RiskMeasure):
         if plan.injector is not None or not replay_supported(
             plan.session_kwargs
         ):
-            return IncrementalScore(score=self.compute(request, None))
+            return IncrementalScore(score=self.compute(request))
         outcome = replay_session(
             request.graph,
             plan.owner_id,

@@ -9,8 +9,8 @@ instead of re-running the batch study per request:
 * :class:`RiskEngine` — dispatches through the pluggable risk-measure
   registry (:mod:`repro.measures`; ``/score?measure=``), memoizes scores
   per ``(owner, measure, graph_version)``, re-scores stale owners *warm*
-  (the default measure reuses prior owner labels through
-  :func:`repro.learning.incremental.continue_session`), and reproduces
+  (the default measure delta-replays only what a mutation touched,
+  cold-identically), and reproduces
   :func:`repro.experiments.run_study` byte for byte on cold scores;
 * :class:`ScoreScheduler` — bounded worker pool with per-owner
   serialization and backpressure;

@@ -6,10 +6,10 @@ Scoring dispatches through the pluggable measure registry
 pipeline.  Scores are memoized per ``(owner, measure, graph_version)``:
 an unchanged owner is
 served from cache; an owner whose graph changed since the last score is
-re-scored *warm* through
-:func:`repro.learning.incremental.continue_session`, reusing every owner
-label already gathered instead of re-interrogating the oracle from
-scratch; an owner never scored before pays the full cold cost.  Cold
+re-scored *warm* — measures with ``compute_incremental`` replay only what
+the store's dirty log says the mutations touched, landing byte-identical
+to a cold score, and the rest recompute; an owner never scored before
+pays the full cold cost.  Cold
 scores are built from the same :class:`~repro.experiments.OwnerSessionPlan`
 as :func:`repro.experiments.run_study`, so an engine score of a pristine
 owner is byte-identical to the batch study (checked via
@@ -20,7 +20,7 @@ Cold scores optionally run out-of-process: pass a
 engine ships each cold score to a worker process as a picklable
 :class:`~repro.service.workers.ScoreJob`, rehydrating and digest-checking
 the result.  Warm re-scores and cache hits stay in-process (they need the
-memoized prior result).
+memoized pipeline state).
 
 The engine is thread-safe: per-owner locks serialize concurrent scores of
 the same owner while different owners score in parallel.  The memo and
@@ -354,14 +354,12 @@ class RiskEngine:
         backend=None,
         max_cached_owners: int = 4096,
         clock=time.perf_counter,
-        incremental_enabled: bool = True,
     ) -> None:
         if max_cached_owners < 1:
             raise ServiceError(
                 f"max_cached_owners must be >= 1, got {max_cached_owners}"
             )
         self._store = store
-        self._incremental_enabled = incremental_enabled
         self._pooling = pooling
         self._classifier = classifier
         self._config = config
@@ -409,11 +407,6 @@ class RiskEngine:
     def max_cached_owners(self) -> int:
         """The LRU bound on memoized records."""
         return self._max_cached_owners
-
-    @property
-    def incremental_enabled(self) -> bool:
-        """Whether warm re-scores use dirty-set delta replay."""
-        return self._incremental_enabled
 
     def cached(
         self, owner_id: UserId, measure: str = DEFAULT_MEASURE
@@ -473,9 +466,8 @@ class RiskEngine:
         """Serve one owner's score, as cheaply as freshness allows.
 
         Cache hit → the memoized record.  Stale cache → warm re-score
-        (the measure is handed its previous result; the default measure
-        reuses prior owner labels via
-        :func:`~repro.learning.incremental.continue_session`).  No cache
+        (a delta replay through the measure's pipeline state when it
+        supports incremental scoring, a recompute otherwise).  No cache
         → cold run through the measure — on the configured backend's
         worker pool when one is set and the measure is ``remote_safe``,
         inline otherwise.
@@ -590,13 +582,12 @@ class RiskEngine:
             use_owner_confidence=self._use_owner_confidence,
         )
         start = self._clock()
-        if self._incremental_enabled and risk_measure.supports_incremental:
+        if risk_measure.supports_incremental:
             score = self._compute_incremental(
                 owner_id, request, version, cached, risk_measure
             )
         else:
-            previous = cached.result if cached is not None else None
-            score = risk_measure.compute(request, previous)
+            score = risk_measure.compute(request)
         elapsed = self._clock() - start
         source: ScoreSource = "warm" if cached is not None else "cold"
         return ScoreRecord(

@@ -5,7 +5,7 @@ invariants a serving deployment needs:
 
 * **per-owner serialization** — requests for the same owner run one at a
   time, in submission order (a warm re-score must see the previous
-  score's labels, and two cold runs of one owner would duplicate oracle
+  score's pipeline state, and two cold runs of one owner would duplicate oracle
   effort);
 * **backpressure** — the number of in-flight plus queued requests is
   bounded; past the bound, :meth:`submit` fails fast with

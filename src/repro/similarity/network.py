@@ -30,11 +30,18 @@ paper's empirical ceiling without any hard cap.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..config import NetworkSimilarityConfig
 from ..errors import SimilarityError
-from ..graph.metrics import induced_density
+from ..graph.metrics import batched_mutual_stats, induced_density
 from ..graph.social_graph import SocialGraph
 from ..types import UserId
+
+#: Stranger sets smaller than this stay on the per-stranger scalar path —
+#: below a handful of strangers the CSR row slicing costs more than it
+#: saves.
+_BATCH_CUTOFF = 8
 
 
 class NetworkSimilarity:
@@ -87,29 +94,17 @@ class NetworkSimilarity:
         (:func:`~repro.graph.metrics.batched_mutual_stats`), and the final
         similarity applies exactly the scalar formula to those exact
         integer counts.  The result is identical — value for value — to
-        calling the scalar oracle per stranger; ``config.batch_enabled``
-        turns the batch path off, and sets smaller than
-        ``config.batch_min_strangers`` (or a scipy-less runtime) stay on
-        the scalar path automatically.
+        calling :meth:`__call__` per stranger, which is also what sets
+        smaller than ``_BATCH_CUTOFF`` do.
         """
         ordered = tuple(strangers)
-        if (
-            not self._config.batch_enabled
-            or len(ordered) < self._config.batch_min_strangers
-        ):
+        if len(ordered) < _BATCH_CUTOFF:
             return {stranger: self(graph, owner, stranger) for stranger in ordered}
         if owner in strangers:
             raise SimilarityError(
                 "network similarity of a user with itself is undefined"
             )
-        try:
-            import numpy as np
-
-            from ..graph.metrics import batched_mutual_stats
-
-            counts, edges = batched_mutual_stats(graph, owner, ordered)
-        except ImportError:
-            return {stranger: self(graph, owner, stranger) for stranger in ordered}
+        counts, edges = batched_mutual_stats(graph, owner, ordered)
         kappa = self._config.kappa
         floor = self._config.cohesion_floor
         # Elementwise IEEE-754 arithmetic on the exact integer counts: the

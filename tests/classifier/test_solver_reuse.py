@@ -32,8 +32,10 @@ def labels(count, size, seed=1):
     }
 
 
-REUSE = ClassifierConfig(reuse_factorization=True)
-LEGACY = ClassifierConfig(reuse_factorization=False)
+REUSE = ClassifierConfig()
+#: The dense ``np.linalg.solve`` route at every size: the oracle the
+#: sparse factorization is checked against.
+DENSE = ClassifierConfig(sparse_size_threshold=0)
 
 
 class TestWarmColdEquality:
@@ -96,13 +98,13 @@ class TestCacheInvalidation:
 
 class TestAgainstLegacyPath:
     def test_reuse_matches_legacy_approximately(self):
-        """splu and spsolve factorizations differ in the last ulps, so
+        """The sparse LU and the dense solve differ in the last ulps, so
         the contract across paths is approximate (the bitwise contract
         holds *within* each path)."""
         graph = sparse_random_graph(seed=9)
         labeled = labels(25, len(graph), seed=10)
         reuse = HarmonicClassifier(graph, REUSE).predict(labeled)
-        legacy = HarmonicClassifier(graph, LEGACY).predict(labeled)
+        legacy = HarmonicClassifier(graph, DENSE).predict(labeled)
         assert reuse.keys() == legacy.keys()
         for node in reuse:
             assert reuse[node].label is legacy[node].label
@@ -117,15 +119,9 @@ class TestAgainstLegacyPath:
         graph = sparse_random_graph(size=80, seed=11, density=0.2)
         labeled = labels(8, len(graph), seed=12)
         reuse = HarmonicClassifier(graph, REUSE).predict(labeled)
-        legacy = HarmonicClassifier(graph, LEGACY).predict(labeled)
+        legacy = HarmonicClassifier(graph, DENSE).predict(labeled)
         for node in reuse:
             assert reuse[node].masses == legacy[node].masses
-
-    def test_legacy_path_keeps_cache_empty(self):
-        graph = sparse_random_graph(seed=13)
-        classifier = HarmonicClassifier(graph, LEGACY)
-        classifier.predict(labels(20, len(graph), seed=14))
-        assert classifier._factor_cache is None
 
 
 class TestWeightsCsr:

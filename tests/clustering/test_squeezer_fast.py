@@ -1,4 +1,7 @@
-"""The vectorized Squeezer pass must replicate the reference pass exactly."""
+"""The vectorized Squeezer pass must replicate the reference pass exactly.
+
+The reference is the textbook scalar loop in :mod:`.squeezer_oracle`.
+"""
 
 import hypothesis.strategies as st
 from hypothesis import given
@@ -12,6 +15,7 @@ from repro.types import ProfileAttribute
 
 from ..conftest import make_profile
 from ..property_settings import SLOW_SETTINGS
+from .squeezer_oracle import reference_squeezer
 
 genders = st.sampled_from(["male", "female"])
 locales = st.sampled_from(["US", "TR", "IT", "PL"])
@@ -43,8 +47,8 @@ class TestFastEqualsReference:
     @given(profile_lists(), st.floats(0.05, 1.0))
     @SLOW_SETTINGS
     def test_identical_clusters(self, profiles, threshold):
-        reference = squeezer(profiles, threshold, fast=False)
-        fast = squeezer(profiles, threshold, fast=True)
+        reference = reference_squeezer(profiles, threshold)
+        fast = squeezer(profiles, threshold)
         assert_identical(reference, fast)
 
     @given(profile_lists(min_size=4, max_size=30), st.floats(0.3, 0.9))
@@ -55,29 +59,29 @@ class TestFastEqualsReference:
             ProfileAttribute.LOCALE: 0.3226,
             ProfileAttribute.LAST_NAME: 0.0542,
         }
-        reference = squeezer(profiles, threshold, weights=weights, fast=False)
-        fast = squeezer(profiles, threshold, weights=weights, fast=True)
+        reference = reference_squeezer(profiles, threshold, weights=weights)
+        fast = squeezer(profiles, threshold, weights=weights)
         assert_identical(reference, fast)
 
     @given(profile_lists(min_size=5, max_size=25))
     @SLOW_SETTINGS
     def test_identical_under_explicit_order(self, profiles):
         order = [profile.user_id for profile in profiles][::-1]
-        reference = squeezer(profiles, 0.4, order=order, fast=False)
-        fast = squeezer(profiles, 0.4, order=order, fast=True)
+        reference = reference_squeezer(profiles, 0.4, order=order)
+        fast = squeezer(profiles, 0.4, order=order)
         assert_identical(reference, fast)
 
     def test_identical_past_vector_cutoff(self):
         """Force more clusters than _VECTOR_CUTOFF so the vectorized scan
-        (not just the small-count reference scan) is exercised."""
+        (not just the small-count scalar scan) is exercised."""
         profiles = [
             make_profile(uid, last_name=f"unique{uid}")
             for uid in range(3 * _VECTOR_CUTOFF)
         ]
         # threshold 1.0 + distinct last names: few profiles can reach
         # similarity 1, so clusters proliferate past the cutoff
-        reference = squeezer(profiles, 1.0, fast=False)
-        fast = squeezer(profiles, 1.0, fast=True)
+        reference = reference_squeezer(profiles, 1.0)
+        fast = squeezer(profiles, 1.0)
         assert len(fast) > _VECTOR_CUTOFF
         assert_identical(reference, fast)
 
@@ -94,8 +98,8 @@ class TestFastEqualsReference:
             for uid in range(200)
         ]
         for threshold in (0.5, 0.7, 0.9):
-            reference = squeezer(profiles, threshold, fast=False)
-            fast = squeezer(profiles, threshold, fast=True)
+            reference = reference_squeezer(profiles, threshold)
+            fast = squeezer(profiles, threshold)
             assert_identical(reference, fast)
 
 

@@ -92,29 +92,33 @@ class TestParallelStudy:
         ]
 
     def test_vectorized_core_matches_scalar_reference_digests(
-        self, small_population, serial_study
+        self, small_population, serial_study, monkeypatch
     ):
-        """The scoring-core fast paths (batch NS, fast Squeezer, solver
-        reuse) are on by default; a parallel run with them on must
-        produce the same digests as a serial run with every fast path
-        disabled.  At this scale pools stay below the sparse threshold,
-        so the solves are identical dense solves in both configs and the
-        equality is exact."""
-        from repro.config import (
-            ClassifierConfig,
-            NetworkSimilarityConfig,
-            PipelineConfig,
-            PoolingConfig,
-        )
+        """A parallel run on the scoring core's fast paths (batch NS,
+        vectorized Squeezer, cached sparse LU) must produce the same
+        digests as a serial run on the scalar references: NS scored per
+        stranger, the textbook Squeezer loop and the dense harmonic
+        solve.  The workers are subprocesses, so the patches below only
+        reach the serial side.  At this scale pools stay below the
+        sparse threshold, so the solves are identical dense solves in
+        both runs and the equality is exact."""
+        from repro.clustering import pools
+        from repro.config import ClassifierConfig, PipelineConfig
         from repro.io import result_digest
+        from repro.similarity.network import NetworkSimilarity
 
-        scalar_config = PipelineConfig(
-            network_similarity=NetworkSimilarityConfig(batch_enabled=False),
-            pooling=PoolingConfig(squeezer_fast=False),
-            classifier=ClassifierConfig(reuse_factorization=False),
-        )
-        scalar = run_study(small_population, seed=23, config=scalar_config)
+        from ..clustering.squeezer_oracle import reference_squeezer
+
+        def per_stranger(self, graph, owner, strangers):
+            return {stranger: self(graph, owner, stranger) for stranger in strangers}
+
         vectorized = run_study(small_population, seed=23, workers=2)
+        monkeypatch.setattr(NetworkSimilarity, "for_strangers", per_stranger)
+        monkeypatch.setattr(pools, "squeezer", reference_squeezer)
+        dense_config = PipelineConfig(
+            classifier=ClassifierConfig(sparse_size_threshold=0)
+        )
+        scalar = run_study(small_population, seed=23, config=dense_config)
         assert [result_digest(run.result) for run in vectorized.runs] == [
             result_digest(run.result) for run in scalar.runs
         ]

@@ -48,7 +48,7 @@ class TestRegistry:
 
             @register_measure("stranger")
             class Impostor(RiskMeasure):  # pragma: no cover - never used
-                def compute(self, request, previous=None):
+                def compute(self, request):
                     return MeasureScore(result=None, digest="")
 
                 def digest(self, result):

@@ -138,3 +138,47 @@ def test_serve_rejects_unusable_bounds_before_booting(bound):
     assert "must be >= 1" in stderr
     assert "generating cohort" not in stderr
     assert "shard worker" not in stderr
+
+
+def test_sharded_serve_forwards_background_refresh():
+    """``serve --shards N --background-refresh`` must start a refresh
+    scheduler on every shard worker, so each shard's ``/metrics`` (as
+    forwarded by the router) carries a ``refresh`` block."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--owners", "2", "--strangers", "30", "--friends", "10",
+         "--seed", "3", "--shards", "2", "--background-refresh"],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,  # lets cleanup reap the shard workers
+    )
+    try:
+        # the router announces after its "shard i ready at" lines
+        announcement = ""
+        for _ in range(50):
+            line = read_line_with_timeout(process.stderr, timeout=120)
+            if not line:
+                break
+            if line.startswith("serving on http://"):
+                announcement = line
+                break
+        assert announcement.startswith("serving on http://"), announcement
+        url = announcement.split()[-1].strip()
+
+        shards = get_json(f"{url}/metrics")["shards"]
+        assert len(shards) == 2
+        for shard in shards:
+            assert "refresh" in shard, sorted(shard)
+    finally:
+        if process.poll() is None:
+            process.terminate()
+            try:
+                process.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                os.killpg(process.pid, signal.SIGKILL)
+                process.wait(timeout=10)
+        process.stderr.close()

@@ -1,14 +1,12 @@
 """The incremental-rescoring equivalence gate, plus engine staleness
 and metrics regression tests.
 
-The hard contract under test: with ``incremental_enabled`` (the
-default), every score the engine serves — cold, warm-after-any-mutation,
-full-fallback — has a ``result_digest`` **byte-identical** to a cold
-recompute of the same measure on the current graph.  The stateful
-Hypothesis machine interleaves random mutations and scores and asserts
-the contract at every step, for every registered measure; directed
-tests pin the individual mutation kinds and the ``incremental_enabled=
-False`` off-switch (bit-for-bit the legacy ``continue_session`` path).
+The hard contract under test: every score the engine serves — cold,
+warm-after-any-mutation, full-fallback — has a ``result_digest``
+**byte-identical** to a cold recompute of the same measure on the
+current graph.  The stateful Hypothesis machine interleaves random
+mutations and scores and asserts the contract at every step, for every
+registered measure; directed tests pin the individual mutation kinds.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from hypothesis import strategies as st
 
 from repro.errors import UnknownMeasureError, UnknownOwnerError
 from repro.graph.profile import Profile, ProfileAttribute
-from repro.io import result_digest
 from repro.measures import MeasureRequest, available_measures, get_measure
 from repro.service import OwnerStore, RiskEngine
 from repro.service.store import OwnerEntry
@@ -51,7 +48,7 @@ def cold_digest(store, owner_id, measure, seed):
         seed=seed,
         use_owner_confidence=True,
     )
-    return get_measure(measure).compute(request, None).digest
+    return get_measure(measure).compute(request).digest
 
 
 class TestDigestEquivalence:
@@ -159,64 +156,6 @@ class TestRemovedEdgeInvalidation:
         )
         # the untouched owner is still served from cache
         assert engine.score(second).source == "cache"
-
-
-class TestOffSwitch:
-    """``incremental_enabled=False`` restores the legacy warm path
-    bit-for-bit (``continue_session`` with the previous result)."""
-
-    def test_disabled_engine_matches_legacy_continue_session(self):
-        from repro.experiments.study import plan_owner_session
-        from repro.learning.incremental import continue_session
-
-        population = make_service_population()
-        store = OwnerStore.from_population(population)
-        engine = RiskEngine(
-            store, seed=SERVICE_SEED, incremental_enabled=False
-        )
-        assert engine.incremental_enabled is False
-        owner = population.owners[0].user_id
-        strangers = sorted(population.handles[owner].strangers)
-        cold = engine.score(owner)
-        store.add_friendship(strangers[0], strangers[1])
-        warm = engine.score(owner)
-        assert warm.source == "warm"
-
-        entry = store.get(owner)
-        plan = plan_owner_session(
-            entry.owner,
-            entry.index,
-            pooling="npp",
-            classifier="harmonic",
-            config=None,
-            seed=SERVICE_SEED,
-            use_owner_confidence=True,
-        )
-        update = continue_session(
-            store.graph,
-            owner,
-            plan.oracle,
-            cold.result,
-            seed=plan.seed,
-            **plan.session_kwargs,
-        )
-        assert warm.digest == result_digest(update.result)
-        assert warm.reused_labels == update.reused_labels
-        assert warm.new_queries == update.new_queries
-        assert engine.metrics.snapshot()["incremental"]["scores"] == 0
-
-    def test_cold_scores_agree_across_modes(self):
-        # cold scores are mode-independent: both run the full pipeline
-        digests = []
-        for enabled in (True, False):
-            pop = make_service_population()
-            engine = RiskEngine(
-                OwnerStore.from_population(pop),
-                seed=SERVICE_SEED,
-                incremental_enabled=enabled,
-            )
-            digests.append(engine.score(pop.owners[0].user_id).digest)
-        assert digests[0] == digests[1]
 
 
 class TestStaleEntryRace:

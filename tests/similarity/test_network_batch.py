@@ -1,10 +1,12 @@
-"""Batch ``NS.for_strangers`` must reproduce the scalar oracle exactly."""
+"""Batch ``NS.for_strangers`` must reproduce the scalar oracle exactly.
+
+The oracle is ``NetworkSimilarity.__call__``, scored per stranger.
+"""
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from repro.config import NetworkSimilarityConfig
 from repro.errors import SimilarityError
 from repro.graph.metrics import (
     _mutual_stats_bitset,
@@ -12,13 +14,20 @@ from repro.graph.metrics import (
     batched_mutual_stats,
 )
 from repro.graph.social_graph import SocialGraph
+from repro.similarity import network
 from repro.similarity.network import NetworkSimilarity
 
 from ..conftest import make_profile
 from ..property_settings import SLOW_SETTINGS
 
-#: Engage the batch path regardless of stranger-set size.
-BATCH_CONFIG = NetworkSimilarityConfig(batch_min_strangers=0)
+
+@pytest.fixture(scope="class")
+def batch_any_size():
+    """Engage the batch path regardless of stranger-set size (class-scoped
+    so the Hypothesis properties can use it)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(network, "_BATCH_CUTOFF", 0)
+        yield
 
 
 @st.composite
@@ -38,13 +47,14 @@ def graphs_with_owner(draw, max_users=30):
     return graph, owner
 
 
+@pytest.mark.usefixtures("batch_any_size")
 class TestBatchEqualsScalar:
     @given(graphs_with_owner())
     @SLOW_SETTINGS
     def test_two_hop_strangers_exact(self, graph_owner):
         graph, owner = graph_owner
         strangers = graph.two_hop_neighbors(owner)
-        measure = NetworkSimilarity(BATCH_CONFIG)
+        measure = NetworkSimilarity()
         batch = measure.for_strangers(graph, owner, strangers)
         assert set(batch) == set(strangers)
         for stranger in strangers:
@@ -59,7 +69,7 @@ class TestBatchEqualsScalar:
         two-hop strangers (friends and disconnected users included)."""
         graph, owner = graph_owner
         others = frozenset(uid for uid in range(len(graph)) if uid != owner)
-        measure = NetworkSimilarity(BATCH_CONFIG)
+        measure = NetworkSimilarity()
         batch = measure.for_strangers(graph, owner, others)
         for other in others:
             assert batch[other] == measure(graph, owner, other)
@@ -80,6 +90,7 @@ class TestBatchEqualsScalar:
         assert bitset[1].tolist() == sparse[1].tolist()
 
 
+@pytest.mark.usefixtures("batch_any_size")
 class TestStaleness:
     def ring_graph(self, size=12):
         graph = SocialGraph()
@@ -93,7 +104,7 @@ class TestStaleness:
         """Scoring, mutating, then scoring again must reflect the
         mutation — the CSR snapshot may not serve stale counts."""
         graph = self.ring_graph()
-        measure = NetworkSimilarity(BATCH_CONFIG)
+        measure = NetworkSimilarity()
         owner = 0
         strangers = graph.two_hop_neighbors(owner)
         before = measure.for_strangers(graph, owner, strangers)
@@ -107,7 +118,7 @@ class TestStaleness:
 
     def test_batch_tracks_add_friendship(self):
         graph = self.ring_graph()
-        measure = NetworkSimilarity(BATCH_CONFIG)
+        measure = NetworkSimilarity()
         owner = 0
         strangers = graph.two_hop_neighbors(owner)
         measure.for_strangers(graph, owner, strangers)
@@ -128,39 +139,39 @@ class TestBatchConfig:
                 graph.add_friendship(friend, stranger)
         return graph
 
-    def test_owner_in_strangers_raises(self):
+    def test_owner_in_strangers_raises(self, monkeypatch):
+        monkeypatch.setattr(network, "_BATCH_CUTOFF", 0)
         graph = self.make_star()
         with pytest.raises(SimilarityError):
-            NetworkSimilarity(BATCH_CONFIG).for_strangers(
-                graph, 0, {0, 4, 5}
-            )
+            NetworkSimilarity().for_strangers(graph, 0, {0, 4, 5})
 
     def test_owner_in_strangers_raises_on_scalar_path_too(self):
         graph = self.make_star()
+        assert len({0, 4, 5}) < network._BATCH_CUTOFF
         with pytest.raises(SimilarityError):
-            NetworkSimilarity(
-                NetworkSimilarityConfig(batch_enabled=False)
-            ).for_strangers(graph, 0, {0, 4, 5})
+            NetworkSimilarity().for_strangers(graph, 0, {0, 4, 5})
 
-    def test_disabled_batch_matches_enabled(self):
+    def test_disabled_batch_matches_enabled(self, monkeypatch):
+        monkeypatch.setattr(network, "_BATCH_CUTOFF", 0)
         graph = self.make_star()
         strangers = graph.two_hop_neighbors(0)
-        enabled = NetworkSimilarity(BATCH_CONFIG)
-        disabled = NetworkSimilarity(
-            NetworkSimilarityConfig(batch_enabled=False)
-        )
-        assert enabled.for_strangers(graph, 0, strangers) == (
-            disabled.for_strangers(graph, 0, strangers)
-        )
+        measure = NetworkSimilarity()
+        assert measure.for_strangers(graph, 0, strangers) == {
+            stranger: measure(graph, 0, stranger) for stranger in strangers
+        }
 
-    def test_small_sets_use_scalar_path(self):
-        """Below batch_min_strangers the scalar path runs — results are
+    def test_small_sets_use_scalar_path(self, monkeypatch):
+        """Below _BATCH_CUTOFF the scalar path runs — results are
         identical either way, which is what makes the cutover safe."""
         graph = self.make_star()
-        measure = NetworkSimilarity(
-            NetworkSimilarityConfig(batch_min_strangers=100)
-        )
+        measure = NetworkSimilarity()
         strangers = graph.two_hop_neighbors(0)
+        assert len(strangers) < network._BATCH_CUTOFF
+
+        def no_batch(*args):
+            raise AssertionError("batch kernel ran below the cutoff")
+
+        monkeypatch.setattr(network, "batched_mutual_stats", no_batch)
         values = measure.for_strangers(graph, 0, strangers)
         for stranger in strangers:
             assert values[stranger] == measure(graph, 0, stranger)
