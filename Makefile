@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-paper-scale perf-smoke parallel-smoke robustness chaos shard-smoke rebalance-smoke measures-smoke incremental-smoke serve-smoke study serve examples clean
+.PHONY: install test bench bench-paper-scale perf-smoke parallel-smoke robustness chaos shard-smoke rebalance-smoke measures-smoke incremental-smoke serve-smoke perfbench-smoke study serve examples clean
 
 install:
 	$(PYTHON) -m pip install -e ".[test]"
@@ -122,6 +122,12 @@ serve-smoke:
 	REPRO_BENCH_E22_CONCURRENCY=16,64 REPRO_BENCH_E22_REQUESTS=8 \
 		$(PYTHON) -m pytest -q -o addopts= -s \
 		benchmarks/bench_latency_concurrency.py
+
+# the repository benchmark's self-tests (perfbench/): tiny cold-score,
+# served-mix and routed-mix runs that cross the router, the WAL and
+# compaction, plus the digest checks every run makes
+perfbench-smoke:
+	$(PYTHON) -m pytest -q -o addopts= perfbench/test_perfbench.py
 
 study:
 	$(PYTHON) -m repro --owners 8 --strangers 300

@@ -372,6 +372,15 @@ def test_sharded_scaling_throughput(tmp_path):
     >= 1.3x the 1-shard cold throughput) only asserts on hardware that
     can deliver it — shard workers are processes, so a single-core host
     timeslices them and honestly reports ~1x.
+
+    Each sweep opens one connection per owner at once, so the router's
+    listen backlog matters.  With ``socketserver``'s default of 5 a
+    burst of eight connects can overflow it: the kernel drops a SYN,
+    that client waits out the 1 s retransmit, and the sweep reads ~1 s
+    however fast the shards are (a ``ListenOverflows`` increment in
+    ``/proc/net/netstat`` marks such a run).  That is where a single
+    topology reading ~8 req/s cached against ~380 at its neighbours
+    came from; the router listens with ``socket.SOMAXCONN``.
     """
     results: dict[int, dict] = {}
     digests: dict[int, dict[int, str]] = {}

@@ -17,7 +17,9 @@ from .dataset import (
     save_population,
 )
 from .serialization import (
+    graph_from_dict,
     graph_from_json,
+    graph_to_dict,
     graph_to_json,
     load_graph,
     profile_from_dict,
@@ -31,9 +33,11 @@ __all__ = [
     "CheckpointStore",
     "SessionCheckpointer",
     "anonymize_graph",
+    "graph_from_dict",
     "graph_from_json",
     "pool_result_from_dict",
     "pool_result_to_dict",
+    "graph_to_dict",
     "graph_to_json",
     "load_graph",
     "load_population",

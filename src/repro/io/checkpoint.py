@@ -9,7 +9,8 @@ learning state as a study progresses:
   (unlike the one-way logging export in
   :mod:`repro.io.serialization`, every round, score, and flag survives);
 * :class:`CheckpointStore` — atomic JSON documents in a directory, one
-  per key (``<key>.json``, written via temp-file + rename);
+  per key (``<key>.json``, compact and key-sorted, streamed to a temp
+  file + rename);
 * :class:`SessionCheckpointer` — records each completed pool together
   with the session RNG state (and any extra stateful collaborator, e.g. a
   :class:`~repro.faults.FaultInjector`), so a killed session resumes from
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Iterator
 from pathlib import Path
 from typing import Any
 
@@ -173,12 +175,53 @@ def fsync_directory(directory: str | Path) -> None:
         os.close(fd)
 
 
+#: The one checkpoint encoder: compact, key-sorted, C-accelerated.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _streams(value: Any) -> bool:
+    """Whether ``value`` is, or holds through dicts, an iterator."""
+    if isinstance(value, dict):
+        return any(_streams(item) for item in value.values())
+    return isinstance(value, Iterator)
+
+
+def iter_json_chunks(value: Any) -> Iterator[str]:
+    """Encode ``value`` as compact, key-sorted JSON, chunk by chunk.
+
+    An iterator (typically a generator) is written as a JSON array, one
+    C-encoded chunk per item; a dict holding one is walked key by key;
+    any other value is a single C-encoded chunk.  The joined chunks
+    equal ``json.dumps(value, sort_keys=True, separators=(",", ":"))``
+    with the iterators expanded to lists, but only one item is ever held
+    as a string — which keeps a snapshot write from allocating several
+    times the file's size.
+    """
+    if isinstance(value, Iterator):
+        separator = "["
+        for item in value:
+            yield separator + _ENCODER.encode(item)
+            separator = ","
+        yield "]" if separator == "," else "[]"
+    elif _streams(value):
+        separator = "{"
+        for key in sorted(value):
+            yield separator + _ENCODER.encode(key) + ":"
+            yield from iter_json_chunks(value[key])
+            separator = ","
+        yield "}"
+    else:
+        yield _ENCODER.encode(value)
+
+
 class CheckpointStore:
     """A directory of atomically-written JSON checkpoint documents.
 
     Writes go to a temp file in the same directory followed by
     ``os.replace``, so a crash mid-write leaves the previous checkpoint
-    intact rather than a torn file.
+    intact rather than a torn file.  Documents are written compact and
+    key-sorted by :func:`iter_json_chunks`; :meth:`load` reads any JSON,
+    so files written indented by older versions still load.
     """
 
     def __init__(self, directory: str | Path) -> None:
@@ -202,12 +245,16 @@ class CheckpointStore:
         (power loss), not just a process crash: without the first fsync
         the rename can land before the data blocks do, and without the
         second the directory entry itself may be lost.
+
+        Generators inside ``document`` are streamed item by item (see
+        :func:`iter_json_chunks`), so a large snapshot never exists as
+        one string in memory.
         """
         target = self.path(key)
         temp = target.with_suffix(".json.tmp")
-        payload = json.dumps(document, indent=2, sort_keys=True)
         with open(temp, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+            for chunk in iter_json_chunks(document):
+                handle.write(chunk)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temp, target)
@@ -317,6 +364,7 @@ __all__ = [
     "CheckpointStore",
     "SessionCheckpointer",
     "fsync_directory",
+    "iter_json_chunks",
     "pool_result_from_dict",
     "pool_result_to_dict",
     "rng_state_from_json",

@@ -21,7 +21,7 @@ from ..synth.graphs import EgoNetConfig, EgoNetHandle
 from ..synth.owners import RiskAttitude, SimulatedOwner
 from ..synth.population import StudyConfig, StudyPopulation
 from ..types import BenefitItem, Gender, Locale, RiskLabel
-from .serialization import graph_from_json, graph_to_json, profile_from_dict, profile_to_dict
+from .serialization import graph_from_dict, graph_to_dict, profile_from_dict, profile_to_dict
 
 _FORMAT_VERSION = 1
 
@@ -148,7 +148,7 @@ def population_to_json(population: StudyPopulation) -> str:
     """Serialize a full study population to a JSON string."""
     document = {
         "version": _FORMAT_VERSION,
-        "graph": json.loads(graph_to_json(population.graph)),
+        "graph": graph_to_dict(population.graph),
         "owners": [_owner_to_dict(owner) for owner in population.owners],
         "handles": [
             _handle_to_dict(handle)
@@ -182,7 +182,7 @@ def population_from_json(text: str) -> StudyPopulation:
         raise SerializationError(
             f"unsupported dataset format version: {document.get('version')!r}"
         )
-    graph: SocialGraph = graph_from_json(json.dumps(document["graph"]))
+    graph: SocialGraph = graph_from_dict(document["graph"])
     owners = tuple(
         _owner_from_dict(entry) for entry in document.get("owners", [])
     )

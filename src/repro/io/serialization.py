@@ -63,25 +63,27 @@ def profile_from_dict(document: dict[str, Any]) -> Profile:
         raise SerializationError(f"malformed profile document: {error}") from error
 
 
-def graph_to_json(graph: SocialGraph) -> str:
-    """Serialize a social graph (profiles + edges) to a JSON string."""
-    document = {
+def graph_to_dict(graph: SocialGraph, *, lazy: bool = False) -> dict[str, Any]:
+    """A social graph (profiles + edges) as a JSON-ready document.
+
+    With ``lazy`` the ``users`` and ``edges`` lists are generators, so a
+    streaming writer (:meth:`repro.io.checkpoint.CheckpointStore.save`)
+    encodes one row at a time instead of holding the whole document.
+    """
+    users = (
+        profile_to_dict(graph.profile(user_id))
+        for user_id in sorted(graph.users())
+    )
+    edges = ([a, b] for a, b in sorted(graph.edges()))
+    return {
         "version": _FORMAT_VERSION,
-        "users": [
-            profile_to_dict(graph.profile(user_id))
-            for user_id in sorted(graph.users())
-        ],
-        "edges": sorted(graph.edges()),
+        "users": users if lazy else list(users),
+        "edges": edges if lazy else list(edges),
     }
-    return json.dumps(document, indent=2, sort_keys=True)
 
 
-def graph_from_json(text: str) -> SocialGraph:
-    """Deserialize a social graph from a JSON string."""
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise SerializationError(f"invalid JSON: {error}") from error
+def graph_from_dict(document: dict[str, Any]) -> SocialGraph:
+    """Rebuild a social graph; inverse of :func:`graph_to_dict`."""
     if document.get("version") != _FORMAT_VERSION:
         raise SerializationError(
             f"unsupported graph format version: {document.get('version')!r}"
@@ -92,6 +94,20 @@ def graph_from_json(text: str) -> SocialGraph:
     except (TypeError, ValueError) as error:
         raise SerializationError(f"malformed edge list: {error}") from error
     return SocialGraph.from_edges(profiles, edges)
+
+
+def graph_to_json(graph: SocialGraph) -> str:
+    """Serialize a social graph (profiles + edges) to a JSON string."""
+    return json.dumps(graph_to_dict(graph), indent=2, sort_keys=True)
+
+
+def graph_from_json(text: str) -> SocialGraph:
+    """Deserialize a social graph from a JSON string."""
+    try:
+        document = json.loads(text)
+    except json.JSONDecodeError as error:
+        raise SerializationError(f"invalid JSON: {error}") from error
+    return graph_from_dict(document)
 
 
 def save_graph(graph: SocialGraph, path: str | Path) -> None:

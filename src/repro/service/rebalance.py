@@ -61,7 +61,7 @@ from typing import Any, Callable
 from ..errors import RebalanceError
 from ..io.checkpoint import CheckpointStore
 from .sharding import ShardMap
-from .supervisor import ShardSpec
+from .supervisor import SHARD_OPENER, ShardSpec
 
 #: The migration state machine, in execution order.  The manifest's
 #: ``phase`` field is always the *last completed* entry — except
@@ -739,7 +739,7 @@ class RebalanceCoordinator:
                 url + path, data=data, headers=headers, method=method
             )
             try:
-                with urllib.request.urlopen(
+                with SHARD_OPENER.open(
                     request, timeout=self._http_timeout
                 ) as response:
                     return json.loads(response.read().decode("utf-8"))

@@ -41,6 +41,7 @@ shards listed as applied.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -63,7 +64,7 @@ from .http import (
     parse_content_length,
 )
 from .sharding import ShardMap
-from .supervisor import ShardSupervisor
+from .supervisor import SHARD_OPENER, ShardSupervisor
 
 #: Ops addressed to a single owner (routed to that owner's shard).
 OWNER_OPS = frozenset({"touch", "grant_labels", "add_user"})
@@ -131,7 +132,7 @@ class ShardClient:
             url + path, data=data, headers=headers, method=method
         )
         try:
-            return urllib.request.urlopen(request, timeout=self._timeout)
+            return SHARD_OPENER.open(request, timeout=self._timeout)
         except urllib.error.HTTPError as error:
             return error  # an HTTP answer: the shard is alive
         except (urllib.error.URLError, ConnectionError, OSError) as error:
@@ -237,6 +238,10 @@ class ShardRouterServer(ThreadingHTTPServer):
     """
 
     daemon_threads = True
+    # socketserver's default backlog of 5 drops SYNs when more clients
+    # connect at once, and each dropped client waits out the kernel's
+    # 1 s retransmit
+    request_queue_size = socket.SOMAXCONN
 
     def __init__(
         self,
@@ -356,6 +361,10 @@ class ShardRouterHandler(RequestParsingMixin, BaseHTTPRequestHandler):
     # HTTP/1.1 so clients reuse connections (responses always carry a
     # Content-Length or close explicitly, e.g. /score-batch streams)
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: wfile is unbuffered, so headers and body leave as
+    # separate small sends, and Nagle would hold the body back until the
+    # client's delayed ACK (~40 ms) on every response
+    disable_nagle_algorithm = True
 
     server: ShardRouterServer
 

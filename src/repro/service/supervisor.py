@@ -42,6 +42,13 @@ from ..errors import ServiceError
 ANNOUNCEMENT = "serving on "
 
 
+#: The opener for every router, supervisor and rebalance call to a shard
+#: worker.  Shards listen on loopback URLs this supervisor hands out, so
+#: proxy environment variables (``http_proxy`` ...) must never apply —
+#: ``urllib.request.urlopen`` would honour them.
+SHARD_OPENER = urllib.request.build_opener(urllib.request.ProxyHandler({}))
+
+
 @dataclass
 class ShardSpec:
     """How to (re)start one shard worker."""
@@ -408,7 +415,7 @@ class ShardSupervisor:
         """One ``GET /readyz``; any HTTP answer (even 503) counts as
         reachable — the probe hunts hung/dead workers, not drains."""
         try:
-            with urllib.request.urlopen(
+            with SHARD_OPENER.open(
                 url + "/readyz", timeout=self._probe_timeout
             ):
                 return True
@@ -538,6 +545,7 @@ def build_worker_argv(
 
 __all__ = [
     "ANNOUNCEMENT",
+    "SHARD_OPENER",
     "ShardSpec",
     "ShardSupervisor",
     "build_worker_argv",

@@ -14,8 +14,9 @@ crash-safe with the classic two-file scheme:
   valid ones* is real corruption and refuses to load.
 * :class:`DurableOwnerStore` — an :class:`~repro.service.OwnerStore`
   whose mutations are logged write-ahead, with periodic compaction into
-  an atomic snapshot file (the temp+rename+fsync machinery of
-  :class:`repro.io.checkpoint.CheckpointStore`).  Recovery = load the
+  an atomic snapshot file: compact JSON streamed one edge, profile or
+  owner row at a time through the temp+rename+fsync machinery of
+  :class:`repro.io.checkpoint.CheckpointStore`.  Recovery = load the
   snapshot, replay the WAL tail past the snapshot's sequence number.
 
 The durability contract, pinned by ``tests/service/test_chaos.py``
@@ -63,7 +64,8 @@ from ..graph.social_graph import SocialGraph
 from ..io.checkpoint import CheckpointStore
 from ..io.dataset import owner_from_dict, owner_to_dict
 from ..io.serialization import (
-    graph_from_json,
+    graph_from_dict,
+    graph_to_dict,
     graph_to_json,
     profile_from_dict,
     profile_to_dict,
@@ -217,7 +219,7 @@ def export_slice(
             owner_entry_to_dict(store.get(int(owner_id)))
             for owner_id in owner_ids
         ]
-        graph_doc = json.loads(graph_to_json(store.graph))
+        graph_doc = graph_to_dict(store.graph)
         digest = graph_digest(store.graph)
     return {
         "version": _FORMAT_VERSION,
@@ -258,7 +260,7 @@ def import_slice(
             "slice failed its owners digest in transit", phase="transfer"
         )
     if adopt_graph:
-        store.replace_graph(graph_from_json(json.dumps(document["graph"])))
+        store.replace_graph(graph_from_dict(document["graph"]))
     elif graph_digest(store.graph) != document.get("graph_digest"):
         raise RebalanceError(
             "destination graph diverged from source graph; refusing to "
@@ -919,7 +921,7 @@ class DurableOwnerStore(OwnerStore):
         """
         with self._lock:
             seq = self._append(
-                "adopt_graph", {"graph": json.loads(graph_to_json(graph))}
+                "adopt_graph", {"graph": graph_to_dict(graph)}
             )
             super().replace_graph(graph)
             self._maybe_compact()
@@ -993,17 +995,19 @@ class DurableOwnerStore(OwnerStore):
                 raise UnknownUserError(user)
 
     def _save_snapshot(self) -> int:
+        # generators, so the checkpoint store streams one edge, profile
+        # or owner row at a time instead of building the whole document
         seq = self._wal.seq
         document = {
             "version": _FORMAT_VERSION,
             "seq": seq,
-            "graph": json.loads(graph_to_json(self._graph)),
-            "owners": [
+            "graph": graph_to_dict(self._graph, lazy=True),
+            "owners": (
                 owner_entry_to_dict(entry)
                 for entry in sorted(
                     self._entries.values(), key=lambda e: e.index
                 )
-            ],
+            ),
         }
         self._checkpoints.save(SNAPSHOT_KEY, document)
         self._wal.reset()
@@ -1020,7 +1024,7 @@ class DurableOwnerStore(OwnerStore):
                 f"{document.get('version')!r}"
             )
         try:
-            graph = graph_from_json(json.dumps(document["graph"]))
+            graph = graph_from_dict(document["graph"])
             entries = [
                 owner_entry_from_dict(row) for row in document["owners"]
             ]
@@ -1074,9 +1078,7 @@ class DurableOwnerStore(OwnerStore):
             elif op == "detach_owner":
                 OwnerStore.detach_owner(self, int(args["owner"]))
             elif op == "adopt_graph":
-                OwnerStore.replace_graph(
-                    self, graph_from_json(json.dumps(args["graph"]))
-                )
+                OwnerStore.replace_graph(self, graph_from_dict(args["graph"]))
             else:
                 raise WalError(f"unknown WAL op {op!r}")
         except WalError:

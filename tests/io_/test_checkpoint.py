@@ -13,6 +13,7 @@ from repro.errors import CheckpointError
 from repro.io.checkpoint import (
     CheckpointStore,
     SessionCheckpointer,
+    iter_json_chunks,
     pool_result_from_dict,
     pool_result_to_dict,
     rng_state_from_json,
@@ -104,6 +105,29 @@ class TestCheckpointStore:
         store.discard("a")
         assert store.load("a") is None
         store.discard("a")  # idempotent
+
+    def test_streamed_chunks_equal_the_compact_encoding(self):
+        rows = [{"b": [1, 2], "a": None}, {"z": {"y": 1.5}}]
+        document = {
+            "seq": 3,
+            "plain": {"k": "v"},
+            "nested": {"rows": iter(rows), "empty": iter(())},
+            "tail": iter(["x"]),
+        }
+        expanded = {
+            "seq": 3,
+            "plain": {"k": "v"},
+            "nested": {"rows": rows, "empty": []},
+            "tail": ["x"],
+        }
+        assert "".join(iter_json_chunks(document)) == json.dumps(
+            expanded, sort_keys=True, separators=(",", ":")
+        )
+
+    def test_save_writes_compact_sorted_json(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        store.save("a", {"y": [1, {"b": 2, "a": 1}], "x": iter([3])})
+        assert store.path("a").read_text() == '{"x":[3],"y":[1,{"a":1,"b":2}]}'
 
     def test_writes_are_atomic(self, tmp_path):
         store = CheckpointStore(tmp_path)

@@ -1,10 +1,14 @@
 """Tests for JSON serialization."""
 
+import json
+
 import pytest
 
 from repro.errors import SerializationError
 from repro.io.serialization import (
+    graph_from_dict,
     graph_from_json,
+    graph_to_dict,
     graph_to_json,
     load_graph,
     profile_from_dict,
@@ -60,6 +64,16 @@ class TestGraphRoundTrip:
                 restored.profile(user).attributes
                 == graph.profile(user).attributes
             )
+
+    def test_dict_is_the_parsed_json_document(self):
+        graph, _ = make_ego_graph(num_friends=4, num_strangers=8, seed=3)
+        document = json.loads(graph_to_json(graph))
+        assert graph_to_dict(graph) == document
+        lazy = graph_to_dict(graph, lazy=True)
+        lazy["users"], lazy["edges"] = list(lazy["users"]), list(lazy["edges"])
+        assert lazy == document
+        restored = graph_from_dict(document)
+        assert graph_to_json(restored) == graph_to_json(graph)
 
     def test_file_round_trip(self, tmp_path):
         graph, _ = make_ego_graph(seed=4)

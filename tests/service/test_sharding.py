@@ -9,8 +9,11 @@ workers the test can take "down" instantly.  Process-level failure
 
 from __future__ import annotations
 
+import http.client
+import socket
 import threading
 import time
+import urllib.request
 
 import pytest
 
@@ -20,9 +23,13 @@ from repro.resilience import RetryPolicy
 from repro.service import (
     DurableOwnerStore,
     OwnerStore,
+    RebalanceCoordinator,
     RiskEngine,
     ShardMap,
+    ShardRouterHandler,
     ShardRouterServer,
+    ShardSpec,
+    ShardSupervisor,
     build_server,
 )
 from repro.synth import EgoNetConfig, generate_study_population
@@ -660,3 +667,91 @@ class TestBatchTeardown:
             if status == 200:
                 break
             time.sleep(0.2)
+
+
+# ---------------------------------------------------------------------------
+# the router's sockets: TCP_NODELAY, listen backlog, no proxies
+# ---------------------------------------------------------------------------
+@pytest.fixture
+def dead_proxy(monkeypatch):
+    """Point ``http_proxy`` at a closed port.  urllib caches its global
+    opener (with the proxies it read from the environment), so the cache
+    is dropped before the test and again after it."""
+    for name in ("no_proxy", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("http_proxy", "http://127.0.0.1:9")
+    urllib.request.install_opener(None)
+    yield
+    urllib.request.install_opener(None)
+
+
+class TestRouterSockets:
+    def test_accepted_connections_disable_nagle(self, shard_rig, monkeypatch):
+        router = shard_rig[0]
+        nodelay = []
+        setup = ShardRouterHandler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            nodelay.append(
+                handler.connection.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+            )
+
+        monkeypatch.setattr(ShardRouterHandler, "setup", recording_setup)
+        status, _, _ = get(f"{router.url}/healthz")
+        assert status == 200
+        assert nodelay and all(nodelay)
+
+    def test_backlog_holds_a_burst_of_connects(self):
+        router = ShardRouterServer(
+            ("127.0.0.1", 0), ShardMap(1), StaticSupervisor([])
+        )
+        connections = []
+        try:
+            # nothing accepts: every connect must wait in the backlog
+            for _ in range(16):
+                try:
+                    connections.append(
+                        socket.create_connection(
+                            router.server_address[:2], timeout=0.3
+                        )
+                    )
+                except OSError:
+                    pass
+        finally:
+            for connection in connections:
+                connection.close()
+            router.server_close()
+        assert len(connections) == 16
+
+    def test_router_ignores_proxy_variables(self, shard_rig, dead_proxy):
+        router, _, _, shard_map = shard_rig
+        owner = sorted(cohort_owner_shards(shard_map))[0]
+        # http.client, not urllib: the test's own hop must skip the proxy
+        connection = http.client.HTTPConnection(
+            *router.server_address[:2], timeout=60
+        )
+        try:
+            connection.request("GET", f"/score?owner={owner}")
+            response = connection.getresponse()
+            assert response.status == 200, response.read()
+        finally:
+            connection.close()
+
+    def test_supervisor_probe_ignores_proxy_variables(
+        self, shard_rig, dead_proxy
+    ):
+        servers = shard_rig[2]
+        supervisor = ShardSupervisor([ShardSpec(index=0, argv=["unused"])])
+        assert supervisor._probe(servers[0].url)
+
+    def test_rebalance_calls_ignore_proxy_variables(
+        self, shard_rig, dead_proxy
+    ):
+        router = shard_rig[0]
+        coordinator = RebalanceCoordinator(
+            router, lambda shard, count: None, shard_patience=2.0
+        )
+        assert coordinator._shard_call(0, "GET", "/readyz")["ready"]

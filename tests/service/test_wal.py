@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import json
 import threading
+import tracemalloc
 import zlib
 
 import pytest
 
 from repro.errors import GraphError, UnknownUserError, WalError
 from repro.faults import ServiceFaultInjector, ServiceFaultPlan
-from repro.io import result_digest
+from repro.io import graph_to_json, result_digest
 from repro.service import (
     DurableOwnerStore,
     OwnerStore,
@@ -21,10 +22,13 @@ from repro.service import (
 )
 from repro.service.wal import (
     MUTATION_OPS,
+    SNAPSHOT_KEY,
     WAL_FILENAME,
     decode_record,
     encode_record,
+    owner_entry_to_dict,
 )
+from repro.synth import EgoNetConfig, generate_study_population
 
 from ..conftest import make_profile
 from .conftest import SERVICE_SEED, make_service_population
@@ -310,6 +314,110 @@ class TestDurableOwnerStore:
 # ---------------------------------------------------------------------------
 # fault injection (in-process)
 # ---------------------------------------------------------------------------
+# ---------------------------------------------------------------------------
+# snapshot format: compact and streamed; indented snapshots still load
+# ---------------------------------------------------------------------------
+def legacy_snapshot_document(store):
+    """The snapshot document as the pre-streaming writer built it: the
+    graph through a full ``indent=2`` JSON round trip, every owner row
+    materialized.  The oracle for the streamed writer."""
+    return {
+        "version": 1,
+        "seq": store.last_seq,
+        "graph": json.loads(graph_to_json(store.graph)),
+        "owners": [
+            owner_entry_to_dict(store.get(owner_id))
+            for owner_id in sorted(
+                store.owner_ids(), key=lambda owner: store.get(owner).index
+            )
+        ],
+    }
+
+
+def snapshot_path(wal_dir):
+    return wal_dir / f"{SNAPSHOT_KEY}.json"
+
+
+class TestSnapshotFormat:
+    def mutate(self, store):
+        owner = store.owner_ids()[0]
+        entry = store.get(owner)
+        stranger = sorted(entry.universe - {owner})[0]
+        store.touch(owner)
+        store.grant_labels(owner, {stranger: 2})
+        store.add_friendship(owner, stranger)
+        return owner
+
+    def test_streamed_snapshot_is_the_compact_encoding_of_the_old_document(
+        self, wal_dir, durable_store
+    ):
+        self.mutate(durable_store)
+        durable_store.compact()
+        expected = json.dumps(
+            legacy_snapshot_document(durable_store),
+            sort_keys=True,
+            separators=(",", ":"),
+        ).encode("utf-8")
+        assert snapshot_path(wal_dir).read_bytes() == expected
+
+    def test_indented_snapshot_still_recovers_to_equal_digests(
+        self, wal_dir, durable_store
+    ):
+        owner = self.mutate(durable_store)
+        durable_store.compact()
+        digests = {
+            owner_id: RiskEngine(durable_store, seed=SERVICE_SEED)
+            .score(owner_id)
+            .digest
+            for owner_id in durable_store.owner_ids()
+        }
+        expected = store_state(durable_store)
+        # the format every WAL directory written before streaming holds
+        snapshot_path(wal_dir).write_text(
+            json.dumps(
+                legacy_snapshot_document(durable_store),
+                indent=2,
+                sort_keys=True,
+            ),
+            encoding="utf-8",
+        )
+        recovered = reopen(durable_store, wal_dir)
+        try:
+            assert recovered.recovery.replayed == 0
+            assert store_state(recovered) == expected
+            assert {
+                owner_id: RiskEngine(recovered, seed=SERVICE_SEED)
+                .score(owner_id)
+                .digest
+                for owner_id in recovered.owner_ids()
+            } == digests
+            # the next compaction rewrites it in the compact format
+            recovered.touch(owner)
+            recovered.compact()
+            assert b"\n" not in snapshot_path(wal_dir).read_bytes()
+        finally:
+            recovered.close()
+
+    def test_compaction_allocates_less_than_the_snapshot_size(self, wal_dir):
+        # the benchmark's served cohort: 8 owners x 300 strangers
+        population = generate_study_population(
+            num_owners=8,
+            ego_config=EgoNetConfig(num_friends=30, num_strangers=300),
+            seed=1,
+        )
+        store = DurableOwnerStore.open(wal_dir, population)
+        try:
+            tracemalloc.start()
+            try:
+                store.compact()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < snapshot_path(wal_dir).stat().st_size
+        finally:
+            store.close()
+
+
 class TestFaultInjection:
     def test_fsync_failure_rejects_without_applying(self, wal_dir):
         injector = ServiceFaultInjector(
