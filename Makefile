@@ -32,14 +32,12 @@ perf-smoke:
 		"benchmarks/bench_perf_scaling.py::test_perf_batch_network_similarity" \
 		"benchmarks/bench_perf_scaling.py::test_perf_harmonic_factorization_reuse"
 
-# multi-core scoring: worker-backend tests, parallel-vs-serial digest
-# equality, and the 2-worker cold-throughput bench at reduced scale
+# multi-process study: parallel-vs-serial digest and payload equality
+# (fault plans included) and the picklable per-owner job
 parallel-smoke:
-	$(PYTHON) -m pytest -q -o addopts= tests/service/test_workers.py \
-		tests/experiments/test_study.py::TestParallelStudy
-	REPRO_BENCH_OWNERS=3 REPRO_BENCH_STRANGERS=80 REPRO_BENCH_SCORE_WORKERS=2 \
-		$(PYTHON) -m pytest -q \
-		"benchmarks/bench_service_throughput.py::test_parallel_cold_throughput"
+	$(PYTHON) -m pytest -q -o addopts= \
+		tests/experiments/test_study.py::TestParallelStudy \
+		tests/experiments/test_study.py::TestScoreJob
 
 # the resilience layer: retry/faults/checkpoint tests, then the faulted
 # archetype benchmarks

@@ -39,20 +39,11 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from repro.service import (
-    OwnerStore,
-    ProcessPoolBackend,
-    RiskEngine,
-    ScoreJob,
-    ScoreScheduler,
-)
+from repro.service import OwnerStore, RiskEngine, ScoreScheduler
 
 from .conftest import OUT_DIR, SEED, KeepAliveClient, write_artifact
 
 CACHED_ROUNDS = 20
-
-#: Worker processes for the parallel-cold bench (0 skips the section).
-SCORE_WORKERS = int(os.environ.get("REPRO_BENCH_SCORE_WORKERS", "2"))
 
 #: Shard counts the scaling section sweeps (always through the router,
 #: so the comparison isolates shard parallelism, not proxy overhead).
@@ -128,84 +119,6 @@ def test_service_throughput(benchmark, population):
 
     write_artifact(
         "service_throughput", json.dumps(document, indent=2, sort_keys=True)
-    )
-
-
-def test_parallel_cold_throughput(benchmark, population):
-    """Multi-core cold scoring: ``--score-workers N`` vs the serial path.
-
-    Digest equality between the two paths is asserted unconditionally —
-    parallelism must never change a result.  The >= 2.5x throughput
-    acceptance bar only applies on hardware that can deliver it (4+
-    cores and 4+ workers); smaller machines still verify correctness and
-    report the measured speedup.
-    """
-    if SCORE_WORKERS < 1:
-        import pytest
-
-        pytest.skip("REPRO_BENCH_SCORE_WORKERS=0 disables this bench")
-
-    store = OwnerStore.from_population(population)
-    owner_ids = store.owner_ids()
-
-    # --- serial baseline: the inline cold path, one owner at a time ---
-    serial_engine = RiskEngine(
-        OwnerStore.from_population(population), seed=SEED
-    )
-    start = time.perf_counter()
-    serial_digests = {o: serial_engine.score(o).digest for o in owner_ids}
-    serial_elapsed = time.perf_counter() - start
-
-    # --- parallel: the same cold scores as picklable jobs on N workers ---
-    jobs = [
-        ScoreJob.from_universe(
-            store.get(o).owner,
-            store.get(o).index,
-            store.graph,
-            store.universe(o),
-            seed=SEED,
-        )
-        for o in owner_ids
-    ]
-    with ProcessPoolBackend(SCORE_WORKERS) as backend:
-        backend.warm_up()  # keep interpreter spawn out of the timing
-
-        def parallel_sweep():
-            return backend.map_jobs(jobs)
-
-        outcomes = benchmark.pedantic(parallel_sweep, rounds=1, iterations=1)
-        parallel_elapsed = benchmark.stats.stats.mean
-        stats = backend.stats()
-
-    # correctness is unconditional: byte-identical to the serial engine
-    assert [o.owner_id for o in outcomes] == list(owner_ids)
-    for outcome in outcomes:
-        assert outcome.digest == serial_digests[outcome.owner_id]
-    assert stats["worker_crashes"] == 0
-    assert stats["jobs_completed"] >= len(owner_ids)
-
-    speedup = serial_elapsed / parallel_elapsed
-    cores = os.cpu_count() or 1
-    if cores >= 4 and SCORE_WORKERS >= 4:
-        # acceptance contract: 4+ workers on 4+ cores deliver >= 2.5x
-        assert speedup >= 2.5, (
-            f"parallel cold throughput only {speedup:.2f}x serial "
-            f"({SCORE_WORKERS} workers, {cores} cores)"
-        )
-
-    document = {
-        "owners": len(owner_ids),
-        "score_workers": SCORE_WORKERS,
-        "cpu_cores": cores,
-        "serial_elapsed_seconds": round(serial_elapsed, 4),
-        "parallel_elapsed_seconds": round(parallel_elapsed, 4),
-        "speedup": round(speedup, 2),
-        "digest_equality": True,
-        "per_worker": stats["per_worker"],
-    }
-    write_artifact(
-        "service_parallel_cold",
-        json.dumps(document, indent=2, sort_keys=True),
     )
 
 

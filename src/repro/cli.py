@@ -281,17 +281,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=4, help="concurrent scoring threads"
     )
     parser.add_argument(
-        "--score-workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help=(
-            "worker *processes* for cold scores (0 = score inline on the "
-            "request thread; N >= 1 dispatches cold scores to a process "
-            "pool, digest-checked against the serial pipeline)"
-        ),
-    )
-    parser.add_argument(
         "--max-pending",
         type=int,
         default=64,
@@ -433,17 +422,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="tear the Nth WAL record mid-write and crash (power cut)",
     )
     chaos.add_argument(
-        "--crash-worker-at-job",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "kill the scoring worker handling the Nth dispatched cold "
-            "score (requires --score-workers >= 1; the job is retried "
-            "once on a fresh worker)"
-        ),
-    )
-    chaos.add_argument(
         "--fault-seed",
         type=int,
         default=0,
@@ -461,7 +439,6 @@ def _service_fault_injector(args: argparse.Namespace):
         slow_disk_seconds=args.fault_slow_disk,
         torn_write_at_mutation=args.torn_write_at_mutation,
         crash_at_mutation=args.crash_at_mutation,
-        worker_crash_at_job=args.crash_worker_at_job,
     )
     if not plan.injects_anything:
         return None
@@ -546,12 +523,14 @@ def serve_main(argv: Sequence[str] | None = None) -> int:
     # reject unusable bounds before any cohort generation or shard spawn
     # (a shard worker would otherwise die on them after booting, and the
     # supervisor would restart it into the same error forever)
-    for flag in ("admission", "workers", "max_pending"):
+    for flag in ("admission", "workers", "max_pending", "compact_every"):
         if getattr(args, flag) < 1:
             parser.error(
                 f"--{flag.replace('_', '-')} must be >= 1, got "
                 f"{getattr(args, flag)}"
             )
+    if args.shards < 0:
+        parser.error(f"--shards must be >= 0, got {args.shards}")
     if args.shards and args.shard_index is not None:
         parser.error("--shards and --shard-index are mutually exclusive")
     if (args.shard_index is None) != (args.shard_count is None):
@@ -576,29 +555,11 @@ def serve_main(argv: Sequence[str] | None = None) -> int:
             f"truncated {report.truncated_bytes} torn bytes",
             file=sys.stderr,
         )
-    backend = None
-    if args.score_workers > 0:
-        from .service import ProcessPoolBackend
-
-        backend = ProcessPoolBackend(
-            args.score_workers, injector=_service_fault_injector(args)
-        )
-        print(
-            f"cold scoring on {args.score_workers} worker process(es)",
-            file=sys.stderr,
-        )
-    elif args.crash_worker_at_job is not None:
-        print(
-            "warning: --crash-worker-at-job has no effect without "
-            "--score-workers",
-            file=sys.stderr,
-        )
     engine = RiskEngine(
         store,
         pooling=args.pooling,
         classifier=args.classifier,
         seed=args.seed,
-        backend=backend,
     )
     if args.warm_all:
         for owner_id in store.owner_ids():
@@ -655,9 +616,6 @@ def serve_main(argv: Sequence[str] | None = None) -> int:
     )
     if summary_refresh is not None:
         summary["refresh"] = summary_refresh
-    if backend is not None:
-        summary["workers"] = backend.stats()
-        backend.shutdown()
     if isinstance(store, DurableOwnerStore):
         store.close()  # sync any appends not yet group-committed
         summary["wal"] = store.wal.stats()
@@ -707,7 +665,6 @@ def serve_sharded(args: argparse.Namespace) -> int:
         "--pooling", args.pooling,
         "--host", args.host,
         "--workers", str(args.workers),
-        "--score-workers", str(args.score_workers),
         "--max-pending", str(args.max_pending),
         "--timeout", str(args.timeout),
         "--wal-fsync", args.wal_fsync,
@@ -848,6 +805,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return serve_main(list(argv[1:]))
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.workers < 0:
+        parser.error(f"--workers must be >= 0, got {args.workers}")
     if args.workers and args.checkpoint_dir:
         parser.error(
             "--workers and --checkpoint-dir are mutually exclusive "

@@ -221,11 +221,11 @@ class ShardUnavailableError(ServiceError):
 
 
 class WorkerCrashError(ServiceError):
-    """A scoring worker process died and the retry budget is spent."""
+    """A worker process died before finishing its study job."""
 
 
 class WorkerIntegrityError(ServiceError):
-    """A worker's result failed its digest check after rehydration."""
+    """A worker's result failed its digest check in the parent."""
 
 
 class SerializationError(ReproError):

@@ -10,12 +10,16 @@ protocol of Section IV.
 from __future__ import annotations
 
 import dataclasses
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from multiprocessing import get_context
 from pathlib import Path
-from typing import Any, Literal
+from typing import Any, Iterable, Literal
 
 from ..benefits.model import BenefitModel
 from ..config import PipelineConfig
+from ..errors import ConfigError, WorkerCrashError, WorkerIntegrityError
 from ..faults import FaultInjector, FaultPlan
 from ..graph.profile import Profile
 from ..graph.social_graph import SocialGraph
@@ -295,8 +299,8 @@ def run_study(
     workers:
         Worker *processes* for the per-owner loop.  ``0`` (the default)
         runs serially in this process.  With ``workers >= 1`` each
-        owner's session executes in a
-        :class:`~repro.service.ProcessPoolBackend` worker; owners keep
+        owner's session executes in a spawned
+        ``concurrent.futures.ProcessPoolExecutor`` worker; owners keep
         their serial seeds (``seed + index``) and results merge in
         submission order, so the study's
         :func:`~repro.io.result_digest`\\ s match the serial run exactly.
@@ -341,7 +345,6 @@ def run_study(
             fault_plan=fault_plan,
             retry_policy=retry_policy,
         )
-        session = plan.build_session(population.graph)
         checkpointer = None
         if store is not None:
             checkpointer = SessionCheckpointer(
@@ -351,26 +354,146 @@ def run_study(
             )
             if not resume:
                 checkpointer.reset()
-        similarities = session.compute_similarities()
-        benefits = session.compute_benefits()
-        visibility = {
-            stranger: stranger_visibility_vector(
-                population.graph, owner.user_id, stranger
-            )
-            for stranger in session.ego.strangers
-        }
-        result = session.run(checkpointer=checkpointer)
         runs.append(
-            OwnerRun(
-                owner=owner,
-                result=result,
-                similarities=similarities,
-                benefits=benefits,
-                visibility=visibility,
-                profiles=session.ego.stranger_profiles(),
-            )
+            _run_owner(owner, plan, population.graph, checkpointer)
         )
     return StudyResult(runs=tuple(runs), pooling=pooling, classifier=classifier)
+
+
+def _run_owner(
+    owner: SimulatedOwner,
+    plan: OwnerSessionPlan,
+    graph: SocialGraph,
+    checkpointer=None,
+) -> OwnerRun:
+    """One owner's study block: similarities, benefits, visibility, run.
+
+    The serial loop and :func:`execute_owner_run_job` both run exactly
+    this, in this order, so a worker reproduces the serial artifacts.
+    """
+    session = plan.build_session(graph)
+    similarities = session.compute_similarities()
+    benefits = session.compute_benefits()
+    visibility = {
+        stranger: stranger_visibility_vector(graph, owner.user_id, stranger)
+        for stranger in session.ego.strangers
+    }
+    return OwnerRun(
+        owner=owner,
+        result=session.run(checkpointer=checkpointer),
+        similarities=similarities,
+        benefits=benefits,
+        visibility=visibility,
+        profiles=session.ego.stranger_profiles(),
+    )
+
+
+@dataclass(frozen=True)
+class ScoreJob:
+    """Everything a worker process needs to run one owner's study block.
+
+    The job is a *value*: no oracle closures, no live graph references.
+    The oracle is rebuilt in the worker from the owner's ground truth via
+    :func:`plan_owner_session`, exactly as the serial loop builds it, so
+    the derived seed (``seed + index``) and every downstream random
+    stream match the serial run.
+
+    ``profiles``/``edges`` carry the owner's universe as an induced
+    subgraph.  That subgraph reproduces the serial run exactly: friends
+    and 2-hop strangers are all inside the universe, NS only inspects
+    mutual friends (a subset of the owner's friends) and the edges among
+    them, and visibility uses the fixed owner-stranger distance of 2.
+    """
+
+    owner: SimulatedOwner
+    index: int
+    pooling: str
+    classifier: str
+    config: PipelineConfig | None
+    seed: int
+    use_owner_confidence: bool
+    profiles: tuple[Profile, ...]
+    edges: tuple[tuple[UserId, UserId], ...]
+    fault_plan: FaultPlan | None = None
+    retry_policy: RetryPolicy | None = None
+
+    @classmethod
+    def from_universe(
+        cls,
+        owner: SimulatedOwner,
+        index: int,
+        graph: SocialGraph,
+        universe: Iterable[UserId],
+        *,
+        pooling: str = "npp",
+        classifier: str = "harmonic",
+        config: PipelineConfig | None = None,
+        seed: int = 0,
+        use_owner_confidence: bool = True,
+        fault_plan: FaultPlan | None = None,
+        retry_policy: RetryPolicy | None = None,
+    ) -> "ScoreJob":
+        """Snapshot one owner's universe off ``graph`` into a job.
+
+        The universe is widened to the owner's friends and 2-hop
+        strangers so the subgraph holds everything the session touches.
+        """
+        owner_id = owner.user_id
+        members = set(universe)
+        members.add(owner_id)
+        members |= graph.friends(owner_id)
+        members |= graph.two_hop_neighbors(owner_id)
+        ordered = sorted(members)
+        return cls(
+            owner=owner,
+            index=index,
+            pooling=pooling,
+            classifier=classifier,
+            config=config,
+            seed=seed,
+            use_owner_confidence=use_owner_confidence,
+            profiles=tuple(graph.profile(user) for user in ordered),
+            edges=tuple(
+                (user, friend)
+                for user in ordered
+                for friend in sorted(graph.friends(user) & members)
+                if user < friend
+            ),
+            fault_plan=fault_plan,
+            retry_policy=retry_policy,
+        )
+
+    def subgraph(self) -> SocialGraph:
+        """Rebuild the owner's universe as a standalone graph."""
+        return SocialGraph.from_edges(self.profiles, self.edges)
+
+    def build_plan(self) -> OwnerSessionPlan:
+        """Derive the session plan exactly as :func:`run_study` does."""
+        return plan_owner_session(
+            self.owner,
+            self.index,
+            pooling=self.pooling,  # type: ignore[arg-type]
+            classifier=self.classifier,
+            config=self.config,
+            seed=self.seed,
+            use_owner_confidence=self.use_owner_confidence,
+            fault_plan=self.fault_plan,
+            retry_policy=self.retry_policy,
+        )
+
+
+def execute_owner_run_job(job: ScoreJob) -> tuple[OwnerRun, str]:
+    """Worker entry point of the parallel owner loop.
+
+    Returns the owner's run and the :func:`~repro.io.result_digest` of
+    its session result, computed in the worker so the parent can check
+    that the result survived the trip back intact.
+    """
+    # Imported lazily: repro.io's study exporter imports this module.
+    from ..io.serialization import result_digest
+
+    run = _run_owner(job.owner, job.build_plan(), job.subgraph())
+    return run, result_digest(run.result)
 
 
 def _run_study_parallel(
@@ -390,13 +513,17 @@ def _run_study_parallel(
 ) -> StudyResult:
     """Deterministic multi-process owner loop behind ``workers >= 1``.
 
-    Each owner becomes a picklable
-    :class:`~repro.service.workers.ScoreJob` carrying their ego universe
-    as an induced subgraph; workers replay the serial loop's per-owner
-    block (same derived seed, same computation order), and results merge
-    in submission order — so digests equal the serial study's.
+    Each owner becomes a picklable :class:`ScoreJob` carrying their ego
+    universe as an induced subgraph; workers replay the serial loop's
+    per-owner block (same derived seed, same computation order), and
+    results come back in submission order — so digests equal the serial
+    study's.  A worker that dies fails the study with
+    :class:`~repro.errors.WorkerCrashError` (no retry: the study is
+    deterministic, so a rerun reproduces it); a result whose digest
+    changed on the way back raises
+    :class:`~repro.errors.WorkerIntegrityError`.
     """
-    from ..errors import ConfigError
+    from ..io.serialization import result_digest
 
     if workers < 0:
         raise ConfigError(f"workers must be >= 0, got {workers}")
@@ -410,13 +537,6 @@ def _run_study_parallel(
             "workers requires the built-in similarity measures: custom "
             "callables may not survive pickling into worker processes"
         )
-    # Imported lazily: the service layer consumes this module.
-    from ..service.workers import (
-        ProcessPoolBackend,
-        ScoreJob,
-        execute_owner_run_job,
-    )
-
     jobs = [
         ScoreJob.from_universe(
             owner,
@@ -433,7 +553,24 @@ def _run_study_parallel(
         )
         for index, owner in enumerate(population.owners)
     ]
-    with ProcessPoolBackend(workers) as backend:
-        outcomes = backend.map_jobs(jobs, runner=execute_owner_run_job)
-    runs = tuple(outcome.run for outcome in outcomes)
-    return StudyResult(runs=runs, pooling=pooling, classifier=classifier)
+    runs: list[OwnerRun] = []
+    with ProcessPoolExecutor(
+        workers, mp_context=get_context("spawn")
+    ) as pool:
+        outcomes = pool.map(execute_owner_run_job, jobs)
+        for job in jobs:
+            try:
+                run, digest = next(outcomes)
+            except BrokenProcessPool as error:
+                raise WorkerCrashError(
+                    "a worker process died: the study job for owner "
+                    f"{job.owner.user_id} (index {job.index}) did not "
+                    "complete"
+                ) from error
+            if result_digest(run.result) != digest:
+                raise WorkerIntegrityError(
+                    f"study result of owner {job.owner.user_id} failed "
+                    "its digest check after leaving the worker"
+                )
+            runs.append(run)
+    return StudyResult(runs=tuple(runs), pooling=pooling, classifier=classifier)

@@ -318,7 +318,6 @@ class ServiceFaultPlan:
     slow_disk_seconds: float = 0.0
     torn_write_at_mutation: int | None = None
     crash_at_mutation: int | None = None
-    worker_crash_at_job: int | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.fsync_failure_rate <= 1.0:
@@ -330,11 +329,7 @@ class ServiceFaultPlan:
             raise ConfigError(
                 f"slow_disk_seconds must be >= 0, got {self.slow_disk_seconds}"
             )
-        for name in (
-            "torn_write_at_mutation",
-            "crash_at_mutation",
-            "worker_crash_at_job",
-        ):
+        for name in ("torn_write_at_mutation", "crash_at_mutation"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
@@ -347,7 +342,6 @@ class ServiceFaultPlan:
             or self.slow_disk_seconds
             or self.torn_write_at_mutation is not None
             or self.crash_at_mutation is not None
-            or self.worker_crash_at_job is not None
         )
 
 
@@ -414,15 +408,6 @@ class ServiceFaultInjector:
         """Crash after the Nth mutation is durable but unacknowledged."""
         if mutation_index == self._plan.crash_at_mutation:
             self._crash(24)
-
-    def should_crash_worker(self, job_index: int) -> bool:
-        """Whether the Nth dispatched scoring job should kill its worker.
-
-        The process-pool backend asks this per dispatch (retries count as
-        new dispatches), so a single planned crash exercises the
-        retry-on-a-fresh-worker path deterministically.
-        """
-        return job_index == self._plan.worker_crash_at_job
 
 
 __all__ = [

@@ -17,14 +17,13 @@ behind the :class:`~repro.service.RiskEngine` seam:
 * :class:`RiskMeasure` — the contract: ``compute`` (a cold score),
   ``compute_incremental`` (optional cold-identical delta re-score),
   ``digest`` (recompute the canonical
-  digest of a result, used for worker integrity checks), ``describe``
+  digest of a result), ``describe``
   (the measure-specific JSON blocks of a ``/score`` response), and
   ``granted_labels`` (oracle labels to persist through the store).
 
 **Digest contract.**  A measure's digest must be a pure function of the
-result and byte-identical wherever the result is computed: inline,
-on a worker subprocess (when ``remote_safe``), or on any shard of a
-sharded deployment (shards hold full graph copies and owners keep
+result and byte-identical wherever the result is computed: inline
+or on any shard of a sharded deployment (shards hold full graph copies and owners keep
 their global cohort indices, so seeds and cohorts agree).
 """
 
@@ -120,12 +119,6 @@ class RiskMeasure(abc.ABC):
     name: ClassVar[str] = ""
     #: One-line human description for the ``/measures`` endpoint.
     description: ClassVar[str] = ""
-    #: Whether the measure may run on a worker process against the
-    #: owner's universe subgraph (a :class:`~repro.service.workers.ScoreJob`)
-    #: and still produce the inline digest.  Measures that consult users
-    #: outside the owner's 2-hop universe — cohort-relative measures —
-    #: must stay inline on the full graph.
-    remote_safe: ClassVar[bool] = True
     #: Whether :meth:`compute_incremental` is implemented.  Incremental
     #: measures promise a hard contract: the incremental result (and its
     #: digest) is byte-identical to a cold :meth:`compute` on the same
@@ -163,8 +156,7 @@ class RiskMeasure(abc.ABC):
         """Recompute the canonical digest of a result.
 
         Must equal the ``digest`` of the :class:`MeasureScore` that
-        produced ``result``; the worker backend uses it to integrity-
-        check rehydrated results.
+        produced ``result``.
         """
 
     @abc.abstractmethod

@@ -28,9 +28,8 @@ candidates are pooled into the same ``alpha`` equal-width NS bins as
 Definition 1, so the report mirrors the pipeline's pooling view.
 
 Everything consulted — mutual friends, their edges, the owner's own
-profile — lies inside the owner's universe subgraph, so the measure is
-``remote_safe`` and deterministic: no oracle, no RNG, digest equal on
-every worker and shard.
+profile — lies inside the owner's universe subgraph, and the measure is
+deterministic: no oracle, no RNG, digest equal on every shard.
 """
 
 from __future__ import annotations
@@ -54,8 +53,6 @@ class FriendshipRiskMeasure(RiskMeasure):
         "risk: theta-weighted items newly exposed at distance 1, "
         "discounted by NS homophily (Akcora et al., arXiv:1210.3234)"
     )
-    remote_safe = True
-
     def compute(self, request: MeasureRequest) -> MeasureScore:
         """Score every 2-hop candidate's induced disclosure for the owner."""
         graph = request.graph

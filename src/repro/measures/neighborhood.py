@@ -18,11 +18,9 @@ attacker keeps after anonymization):
 The cohort is **every user of the graph**, not just registered owners:
 shard workers hold a full copy of the graph while registering only
 their own owners, so a graph-wide cohort is what keeps sharded digests
-byte-identical to the unsharded deployment.  For the same reason the
-measure is *not* ``remote_safe``: a worker job only ships the owner's
-universe subgraph, which would shrink the cohort and change the
-anonymity sets — the engine computes this measure inline on the full
-graph.
+byte-identical to the unsharded deployment.  Scoring on the owner's
+universe subgraph alone would shrink the cohort and change the
+anonymity sets.
 
 Deterministic by construction: no oracle, no RNG.  Caveat (documented
 in docs/service.md): the engine's cache keys on the *owner's* version,
@@ -65,10 +63,6 @@ class NeighborhoodUniquenessMeasure(RiskMeasure):
         "neighborhood signature against the whole-graph cohort "
         "(Romanini et al., arXiv:2009.09973)"
     )
-    #: Needs the whole-graph cohort; a worker's universe subgraph would
-    #: shrink the anonymity sets.
-    remote_safe = False
-
     def compute(self, request: MeasureRequest) -> MeasureScore:
         """Count the owner's radius-1/2 structural twins in the cohort."""
         graph = request.graph

@@ -3,9 +3,8 @@
 Mirrors :mod:`repro.similarity.registry` (and fapilog's ``plugins/``
 layout): a module-level dict, explicit double-registration errors, and
 typed lookup failures that list the menu.  Builtins are registered when
-:mod:`repro.measures` is imported — including inside spawned worker
-processes, so a measure-tagged :class:`~repro.service.workers.ScoreJob`
-resolves identically everywhere.
+:mod:`repro.measures` is imported, so every process (shard workers
+included) resolves the same menu.
 """
 
 from __future__ import annotations
@@ -64,7 +63,6 @@ def measure_catalog() -> list[dict[str, Any]]:
             "name": name,
             "description": _REGISTRY[name].description,
             "default": name == DEFAULT_MEASURE,
-            "remote_safe": _REGISTRY[name].remote_safe,
         }
         for name in available_measures()
     ]

@@ -33,9 +33,6 @@ class StrangerRiskMeasure(RiskMeasure):
         "(the paper's pipeline: NS pooling, owner labeling, "
         "label completion)"
     )
-    #: An ego session only touches the owner's universe subgraph, so the
-    #: measure runs on worker processes digest-identically.
-    remote_safe = True
     #: Cold-identical delta replay via :mod:`repro.learning.replay`.
     supports_incremental = True
 

@@ -18,10 +18,6 @@ instead of re-running the batch study per request:
   enqueue the invalidated owners, and idle scheduler slots rescore them
   ahead of demand (``repro-study serve --background-refresh``), with
   delta accounting surfaced under ``/metrics``;
-* :class:`ProcessPoolBackend` — multi-core cold scoring: picklable
-  :class:`ScoreJob`\\ s run in worker processes, results are rehydrated
-  and digest-checked, crashed workers are retried on a fresh pool
-  (``repro-study serve --score-workers N`` / ``run-study --workers N``);
 * :class:`AsyncRiskServer` — the asyncio JSON API (``/score``,
   ``/score-batch``, ``/mutate``, ``/owners``, ``/healthz``, ``/readyz``,
   ``/metrics``) wired through the resilience layer and started from the
@@ -81,15 +77,6 @@ from .wal import (
     slice_digest,
     state_digest,
 )
-from .workers import (
-    WORKER_CRASH_EXIT_CODE,
-    ProcessPoolBackend,
-    ScoreJob,
-    ScoreOutcome,
-    StudyOutcome,
-    execute_owner_run_job,
-    execute_score_job,
-)
 
 __all__ = [
     "AdmissionQueue",
@@ -102,13 +89,10 @@ __all__ = [
     "OwnerEntry",
     "OwnerStore",
     "PHASES",
-    "ProcessPoolBackend",
     "RebalanceCoordinator",
     "RecoveryReport",
     "RefreshScheduler",
     "RiskEngine",
-    "ScoreJob",
-    "ScoreOutcome",
     "ScoreRecord",
     "ScoreScheduler",
     "ServiceState",
@@ -118,16 +102,12 @@ __all__ = [
     "ShardRouterServer",
     "ShardSpec",
     "ShardSupervisor",
-    "StudyOutcome",
-    "WORKER_CRASH_EXIT_CODE",
     "WriteAheadLog",
     "build_router",
     "build_server",
     "build_worker_argv",
     "detach_slice",
     "effective_topology",
-    "execute_owner_run_job",
-    "execute_score_job",
     "export_slice",
     "import_slice",
     "moved_owners",

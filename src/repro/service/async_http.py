@@ -312,9 +312,6 @@ class _RequestHandler(RequestParsingMixin):
         store = self.server.engine.store
         if isinstance(store, DurableOwnerStore):
             document["wal"] = store.wal.stats()
-        backend = getattr(self.server.engine, "backend", None)
-        if backend is not None and hasattr(backend, "stats"):
-            document["workers"] = backend.stats()
         if self.server.refresher is not None:
             document["refresh"] = self.server.refresher.snapshot()
         return document
@@ -422,8 +419,7 @@ class _RequestHandler(RequestParsingMixin):
         """Score many owners, streaming one NDJSON line per owner.
 
         Every owner is submitted to the scheduler up front (so distinct
-        owners score concurrently — across worker processes when the
-        engine has a backend) and results are streamed back in request
+        owners score concurrently) and results are streamed back in request
         order as each future resolves.  A per-owner failure (unknown
         owner, backpressure, scoring error) becomes an ``error`` line;
         the stream itself only fails on circuit-open or a bad body.

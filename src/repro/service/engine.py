@@ -15,13 +15,6 @@ as :func:`repro.experiments.run_study`, so an engine score of a pristine
 owner is byte-identical to the batch study (checked via
 :func:`repro.io.result_digest`).
 
-Cold scores optionally run out-of-process: pass a
-:class:`~repro.service.workers.ProcessPoolBackend` as ``backend`` and the
-engine ships each cold score to a worker process as a picklable
-:class:`~repro.service.workers.ScoreJob`, rehydrating and digest-checking
-the result.  Warm re-scores and cache hits stay in-process (they need the
-memoized pipeline state).
-
 The engine is thread-safe: per-owner locks serialize concurrent scores of
 the same owner while different owners score in parallel.  The memo and
 the lock table are LRU-bounded (``max_cached_owners``) so a long-running
@@ -330,11 +323,6 @@ class RiskEngine:
         Study parameters, with the same meaning (and defaults) as in
         :func:`repro.experiments.run_study`.  A cold engine score with a
         given ``seed`` equals the batch study's result for that owner.
-    backend:
-        Optional cold-score executor (anything with
-        ``run_job(job) -> ScoreOutcome``, normally a
-        :class:`~repro.service.workers.ProcessPoolBackend`).  ``None``
-        (the default) computes cold scores inline on the calling thread.
     max_cached_owners:
         LRU bound on memoized records and the per-owner lock table.
         Generous by default; evictions are surfaced in
@@ -351,7 +339,6 @@ class RiskEngine:
         config: PipelineConfig | None = None,
         seed: int = 0,
         use_owner_confidence: bool = True,
-        backend=None,
         max_cached_owners: int = 4096,
         clock=time.perf_counter,
     ) -> None:
@@ -365,7 +352,6 @@ class RiskEngine:
         self._config = config
         self._seed = seed
         self._use_owner_confidence = use_owner_confidence
-        self._backend = backend
         self._max_cached_owners = max_cached_owners
         self._clock = clock
         self._metrics = EngineMetrics()
@@ -397,11 +383,6 @@ class RiskEngine:
     def metrics(self) -> EngineMetrics:
         """Serving counters."""
         return self._metrics
-
-    @property
-    def backend(self):
-        """The cold-score backend (``None`` = inline serial scoring)."""
-        return self._backend
 
     @property
     def max_cached_owners(self) -> int:
@@ -468,9 +449,7 @@ class RiskEngine:
         Cache hit → the memoized record.  Stale cache → warm re-score
         (a delta replay through the measure's pipeline state when it
         supports incremental scoring, a recompute otherwise).  No cache
-        → cold run through the measure — on the configured backend's
-        worker pool when one is set and the measure is ``remote_safe``,
-        inline otherwise.
+        → cold run through the measure.
 
         Raises
         ------
@@ -562,14 +541,6 @@ class RiskEngine:
     def _compute(
         self, entry, version: int, cached: ScoreRecord | None, risk_measure
     ) -> ScoreRecord:
-        if (
-            cached is None
-            and self._backend is not None
-            and risk_measure.remote_safe
-        ):
-            # Pure cold scores still ship to the worker pool; pipeline
-            # state is built lazily by the first inline re-score.
-            return self._compute_cold_on_backend(entry, version, risk_measure)
         owner_id = entry.owner.user_id
         request = MeasureRequest(
             graph=self._store.graph,
@@ -650,41 +621,6 @@ class RiskEngine:
         if incremental.stats is not None:
             self._metrics.record_incremental(dict(incremental.stats))
         return incremental.score
-
-    def _compute_cold_on_backend(
-        self, entry, version: int, risk_measure
-    ) -> ScoreRecord:
-        """Ship one cold score to the worker pool as a picklable job."""
-        from .workers import ScoreJob
-
-        owner_id = entry.owner.user_id
-        start = self._clock()
-        job = ScoreJob.from_universe(
-            entry.owner,
-            entry.index,
-            self._store.graph,
-            self._store.universe(owner_id),
-            version=version,
-            pooling=self._pooling,
-            classifier=self._classifier,
-            config=self._config,
-            seed=self._seed,
-            use_owner_confidence=self._use_owner_confidence,
-            measure=risk_measure.name,
-        )
-        outcome = self._backend.run_job(job)
-        elapsed = self._clock() - start
-        return ScoreRecord(
-            owner_id=owner_id,
-            version=version,
-            source="cold",
-            result=outcome.result,
-            digest=outcome.digest,
-            reused_labels=0,
-            new_queries=outcome.new_queries,
-            elapsed_seconds=elapsed,
-            measure=risk_measure.name,
-        )
 
     def _touch_cache(
         self, owner_id: UserId, measure: str, version: int

@@ -223,20 +223,6 @@ class OwnerStore:
         with self._lock:
             return frozenset(self._user_owners.get(user_id, ()))
 
-    def universe(self, owner_id: UserId) -> frozenset[UserId]:
-        """An immutable snapshot of one owner's universe.
-
-        Used to carve the picklable subgraph a
-        :class:`~repro.service.workers.ScoreJob` ships to a worker
-        process; raises :class:`UnknownOwnerError` for unknown owners.
-        """
-        with self._lock:
-            try:
-                entry = self._entries[owner_id]
-            except KeyError:
-                raise UnknownOwnerError(owner_id) from None
-            return frozenset(entry.universe)
-
     # ------------------------------------------------------------------
     # mutations (each bumps the affected owners' versions)
     # ------------------------------------------------------------------

@@ -1,8 +1,12 @@
 """Tests for the study runner."""
 
+import dataclasses
+import os
+import pickle
+
 import pytest
 
-from repro.experiments.study import run_study
+from repro.experiments.study import ScoreJob, execute_owner_run_job, run_study
 from repro.types import RiskLabel
 
 
@@ -161,3 +165,116 @@ class TestParallelStudy:
 
         with pytest.raises(ConfigError):
             run_study(small_population, seed=23, workers=-1)
+
+    def test_fault_plan_runs_match_serial(self, small_population):
+        """The fault plan and retry policy travel inside each job: a
+        parallel study under every fault class gives the serial digests,
+        payloads and degradation accounting."""
+        from repro.faults import FaultPlan
+        from repro.io import result_digest
+        from repro.resilience import RetryPolicy
+
+        plan = FaultPlan(
+            oracle_timeout_rate=0.1,
+            oracle_abstain_rate=0.1,
+            fetch_failure_rate=0.1,
+            unreachable_rate=0.05,
+            attribute_drop_rate=0.1,
+        )
+        policy = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
+        kwargs = dict(seed=23, fault_plan=plan, retry_policy=policy)
+        serial = run_study(small_population, **kwargs)
+        parallel = run_study(small_population, workers=2, **kwargs)
+        assert serial.degraded
+        assert [result_digest(run.result) for run in parallel.runs] == [
+            result_digest(run.result) for run in serial.runs
+        ]
+        for serial_run, parallel_run in zip(serial.runs, parallel.runs):
+            assert parallel_run.similarities == serial_run.similarities
+            assert parallel_run.benefits == serial_run.benefits
+            assert parallel_run.visibility == serial_run.visibility
+            assert parallel_run.profiles == serial_run.profiles
+        assert parallel.total_unreachable == serial.total_unreachable
+        assert parallel.total_abstentions == serial.total_abstentions
+
+    def test_dead_worker_raises_worker_crash_error_naming_the_job(
+        self, small_population, monkeypatch
+    ):
+        from repro.errors import WorkerCrashError
+        from repro.experiments import study
+
+        class _ExitOnUnpickle:
+            """Kills the worker process that unpickles it."""
+
+            def __reduce__(self):
+                return (os._exit, (25,))
+
+        build = study.ScoreJob.from_universe
+
+        def poisoned(owner, index, *args, **kwargs):
+            job = build(owner, index, *args, **kwargs)
+            if index == 0:
+                job = dataclasses.replace(job, retry_policy=_ExitOnUnpickle())
+            return job
+
+        monkeypatch.setattr(study.ScoreJob, "from_universe", poisoned)
+        first = small_population.owners[0].user_id
+        with pytest.raises(WorkerCrashError, match=f"owner {first} "):
+            run_study(small_population, seed=23, workers=2)
+
+
+class TestScoreJob:
+    """The parallel study's job: a picklable value that reproduces one
+    owner's serial run block in any process."""
+
+    @pytest.fixture(scope="class")
+    def population(self):
+        from repro.synth import EgoNetConfig, generate_study_population
+
+        return generate_study_population(
+            num_owners=2,
+            ego_config=EgoNetConfig(num_friends=15, num_strangers=50),
+            seed=17,
+        )
+
+    @staticmethod
+    def make_jobs(population):
+        return [
+            ScoreJob.from_universe(
+                owner,
+                index,
+                population.graph,
+                population.handles[owner.user_id].strangers,
+                seed=17,
+            )
+            for index, owner in enumerate(population.owners)
+        ]
+
+    def test_job_is_picklable(self, population):
+        job = self.make_jobs(population)[0]
+        clone = pickle.loads(pickle.dumps(job))
+        assert clone == job
+
+    def test_subgraph_contains_the_full_ego_universe(self, population):
+        job = self.make_jobs(population)[0]
+        graph = job.subgraph()
+        owner_id = job.owner.user_id
+        full = population.graph
+        assert graph.friends(owner_id) == full.friends(owner_id)
+        assert graph.two_hop_neighbors(owner_id) == full.two_hop_neighbors(
+            owner_id
+        )
+
+    def test_subgraph_reproduces_inline_score_in_process(self, population):
+        # no pool involved: the subgraph + rebuilt-plan recipe alone must
+        # already reproduce the serial study's runs
+        from repro.io import result_digest
+
+        serial = run_study(population, seed=17)
+        for job, serial_run in zip(self.make_jobs(population), serial.runs):
+            run, digest = execute_owner_run_job(job)
+            assert digest == result_digest(serial_run.result)
+            assert run.similarities == serial_run.similarities
+            assert run.benefits == serial_run.benefits
+            assert run.visibility == serial_run.visibility
+            assert run.profiles == serial_run.profiles

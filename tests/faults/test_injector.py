@@ -239,8 +239,6 @@ class TestServiceFaultPlan:
             ServiceFaultPlan(crash_at_mutation=0)
         with pytest.raises(ConfigError):
             ServiceFaultPlan(torn_write_at_mutation=-3)
-        with pytest.raises(ConfigError):
-            ServiceFaultPlan(worker_crash_at_job=0)
 
     def test_injects_anything(self):
         from repro.faults import ServiceFaultPlan
@@ -250,21 +248,6 @@ class TestServiceFaultPlan:
         assert ServiceFaultPlan(crash_at_mutation=5).injects_anything
         assert ServiceFaultPlan(torn_write_at_mutation=1).injects_anything
         assert ServiceFaultPlan(slow_disk_seconds=0.5).injects_anything
-        assert ServiceFaultPlan(worker_crash_at_job=3).injects_anything
-
-    def test_should_crash_worker_keys_on_the_dispatch_index(self):
-        from repro.faults import ServiceFaultInjector, ServiceFaultPlan
-
-        injector = ServiceFaultInjector(
-            ServiceFaultPlan(worker_crash_at_job=2)
-        )
-        assert [injector.should_crash_worker(i) for i in (1, 2, 3)] == [
-            False,
-            True,
-            False,
-        ]
-        quiet = ServiceFaultInjector(ServiceFaultPlan(fsync_failure_rate=0.1))
-        assert not quiet.should_crash_worker(1)
 
 
 class TestServiceFaultInjector:

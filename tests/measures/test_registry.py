@@ -64,20 +64,10 @@ class TestRegistry:
         catalog = measure_catalog()
         assert [row["name"] for row in catalog] == list(available_measures())
         for row in catalog:
-            assert set(row) == {
-                "name", "description", "default", "remote_safe"
-            }
+            assert set(row) == {"name", "description", "default"}
             assert isinstance(row["description"], str) and row["description"]
-            assert isinstance(row["remote_safe"], bool)
         defaults = [row["name"] for row in catalog if row["default"]]
         assert defaults == [DEFAULT_MEASURE]
-
-    def test_neighborhood_is_not_remote_safe(self):
-        # cohort-relative: a worker's universe subgraph would shrink the
-        # anonymity cohort and change the digest
-        assert get_measure("neighborhood").remote_safe is False
-        assert get_measure("stranger").remote_safe is True
-        assert get_measure("friendship").remote_safe is True
 
 
 class TestRegistryProperties:
@@ -105,5 +95,4 @@ class TestRegistryProperties:
         measure = get_measure(name)
         row = next(r for r in measure_catalog() if r["name"] == name)
         assert row["description"] == measure.description
-        assert row["remote_safe"] == measure.remote_safe
         assert row["default"] == (name == DEFAULT_MEASURE)

@@ -11,7 +11,7 @@ from repro.measures import (
     get_measure,
     run_measure_study,
 )
-from repro.service import OwnerStore, ProcessPoolBackend, RiskEngine
+from repro.service import OwnerStore, RiskEngine
 
 from .conftest import MEASURE_SEED, make_measure_population
 
@@ -191,7 +191,7 @@ class TestNeighborhoodMeasure:
 
 
 # ---------------------------------------------------------------------------
-# engine integration: cold/warm/cache and serial-vs-parallel digests
+# engine integration: cold/warm/cache
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("name", available_measures())
 class TestEngineAcrossMeasures:
@@ -210,25 +210,6 @@ class TestEngineAcrossMeasures:
         if name != "stranger":
             # stateless measures recompute; same graph, same digest
             assert warm.digest == cold.digest
-
-    def test_parallel_backend_reproduces_serial_digests(self, name):
-        serial_store = OwnerStore.from_population(make_measure_population())
-        serial = RiskEngine(serial_store, seed=MEASURE_SEED)
-        backend = ProcessPoolBackend(2)
-        try:
-            parallel_store = OwnerStore.from_population(
-                make_measure_population()
-            )
-            parallel = RiskEngine(
-                parallel_store, seed=MEASURE_SEED, backend=backend
-            )
-            for owner_id in serial_store.owner_ids():
-                assert (
-                    parallel.score(owner_id, measure=name).digest
-                    == serial.score(owner_id, measure=name).digest
-                )
-        finally:
-            backend.shutdown()
 
     def test_measures_are_cached_independently(self, name):
         store = OwnerStore.from_population(make_measure_population())

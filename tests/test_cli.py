@@ -49,17 +49,55 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--measure", "tarot"])
 
-    def test_serve_parser_score_worker_flags(self):
-        from repro.cli import build_serve_parser
 
-        args = build_serve_parser().parse_args([])
-        assert args.score_workers == 0
-        assert args.crash_worker_at_job is None
-        args = build_serve_parser().parse_args(
-            ["--score-workers", "4", "--crash-worker-at-job", "2"]
+
+class TestUsageErrors:
+    """Unusable bounds exit 2 with a usage message before any cohort is
+    generated or any process spawned — never a traceback after the
+    cohort is built, never a hang waiting on a shard that cannot boot."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_spawning(self, monkeypatch):
+        import subprocess
+
+        from repro.experiments import study
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process was spawned")
+
+        monkeypatch.setattr(subprocess, "Popen", refuse)
+        monkeypatch.setattr(study, "ProcessPoolExecutor", refuse)
+
+    @staticmethod
+    def usage_error(capsys, *argv) -> str:
+        with pytest.raises(SystemExit) as excinfo:
+            main(list(argv))
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "generating cohort" not in err
+        return err
+
+    def test_negative_study_workers(self, capsys):
+        err = self.usage_error(capsys, "--workers", "-1")
+        assert "--workers must be >= 0, got -1" in err
+
+    def test_negative_shards(self, capsys):
+        err = self.usage_error(capsys, "serve", "--shards", "-1")
+        assert "--shards must be >= 0, got -1" in err
+
+    @pytest.mark.parametrize("shards", ["0", "1"])
+    def test_zero_compact_every(self, capsys, tmp_path, shards):
+        err = self.usage_error(
+            capsys,
+            "serve", "--compact-every", "0", "--wal-dir", str(tmp_path),
+            "--shards", shards,
         )
-        assert args.score_workers == 4
-        assert args.crash_worker_at_job == 2
+        assert "--compact-every must be >= 1, got 0" in err
+        assert not any(tmp_path.iterdir())
+
+    def test_score_workers_is_gone(self, capsys):
+        err = self.usage_error(capsys, "serve", "--score-workers", "2")
+        assert "unrecognized arguments: --score-workers 2" in err
 
 
 class TestMain:
