@@ -57,12 +57,14 @@ chaos:
 	REPRO_BENCH_OWNERS=2 REPRO_BENCH_STRANGERS=60 \
 		$(PYTHON) -m pytest -q -o addopts= benchmarks/bench_wal_overhead.py
 
-# the sharded topology: unit + router tests, the 2-shard kill -9 /
+# the sharded topology: unit + router tests, the wire contract of the
+# HTTP core the router shares with the workers, the 2-shard kill -9 /
 # recover / isolation smoke, the @slow 4-shard mixed-load chaos gate,
 # and the 1/2/4-shard scaling sweep at reduced scale
 shard-smoke:
 	$(PYTHON) -m pytest -q -o addopts= \
 		tests/service/test_sharding.py \
+		tests/service/test_http.py \
 		"tests/service/test_chaos.py::test_sharded_kill9_recovers_and_siblings_keep_serving" \
 		"tests/service/test_chaos.py::test_sharded_kill9_under_mixed_load_isolates_and_recovers"
 	REPRO_BENCH_SHARD_OWNERS=4 REPRO_BENCH_SHARD_STRANGERS=40 \

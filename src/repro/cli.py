@@ -274,7 +274,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "bound on concurrently admitted work-bearing requests before "
-            "shedding with 429 + Retry-After"
+            "shedding with 429 + Retry-After (per shard worker and at the "
+            "--shards router, where it also sizes the shard-call pool)"
         ),
     )
     parser.add_argument(
@@ -514,10 +515,6 @@ def serve_main(argv: Sequence[str] | None = None) -> int:
     ``--drain-timeout`` for in-flight jobs, flush the WAL, and exit 0
     with one final metrics line on stderr.
     """
-    import json as _json
-    import signal
-    import threading
-
     parser = build_serve_parser()
     args = parser.parse_args(argv)
     # reject unusable bounds before any cohort generation or shard spawn
@@ -584,6 +581,42 @@ def serve_main(argv: Sequence[str] | None = None) -> int:
     server.state.ready = True
     server.state.detail = "serving"
 
+    def drain() -> dict:
+        print(
+            f"draining: {server.scheduler.pending_count()} in flight, "
+            f"budget {args.drain_timeout:.1f}s",
+            file=sys.stderr,
+        )
+        if server.refresher is not None:
+            summary_refresh = server.refresher.snapshot()
+            server.refresher.shutdown()
+        else:
+            summary_refresh = None
+        summary = server.scheduler.shutdown(
+            wait=True, drain=True, timeout=args.drain_timeout
+        )
+        if summary_refresh is not None:
+            summary["refresh"] = summary_refresh
+        if isinstance(store, DurableOwnerStore):
+            store.close()  # sync any appends not yet group-committed
+            summary["wal"] = store.wal.stats()
+        return summary
+
+    return _serve_until_signalled(server, drain)
+
+
+def _serve_until_signalled(server, drain) -> int:
+    """Serve ``server`` (the risk server or the router) until
+    SIGTERM/SIGINT, then run ``drain()`` and stop.
+
+    The signal flips ``server.state`` to draining, so work-bearing
+    requests answer 503 while health stays live; ``drain()`` returns the
+    summary printed as the final ``final metrics:`` line on stderr.
+    """
+    import json
+    import signal
+    import threading
+
     stop = threading.Event()
 
     def _begin_drain(signum, frame) -> None:
@@ -601,29 +634,12 @@ def serve_main(argv: Sequence[str] | None = None) -> int:
         stop.wait()
     except KeyboardInterrupt:  # pragma: no cover - race with the handler
         _begin_drain(signal.SIGINT, None)
-    print(
-        f"draining: {server.scheduler.pending_count()} in flight, "
-        f"budget {args.drain_timeout:.1f}s",
-        file=sys.stderr,
-    )
-    if server.refresher is not None:
-        summary_refresh = server.refresher.snapshot()
-        server.refresher.shutdown()
-    else:
-        summary_refresh = None
-    summary = server.scheduler.shutdown(
-        wait=True, drain=True, timeout=args.drain_timeout
-    )
-    if summary_refresh is not None:
-        summary["refresh"] = summary_refresh
-    if isinstance(store, DurableOwnerStore):
-        store.close()  # sync any appends not yet group-committed
-        summary["wal"] = store.wal.stats()
+    summary = drain()
     server.shutdown()
     server.server_close()
     loop.join(timeout=5)
     print(
-        "final metrics: " + _json.dumps(summary, sort_keys=True),
+        "final metrics: " + json.dumps(summary, sort_keys=True),
         file=sys.stderr,
         flush=True,
     )
@@ -640,10 +656,7 @@ def serve_sharded(args: argparse.Namespace) -> int:
     then drains the router and SIGTERMs every shard (each runs its own
     graceful drain).
     """
-    import json as _json
     import os
-    import signal
-    import threading
 
     from .service import (
         RebalanceCoordinator,
@@ -724,14 +737,8 @@ def serve_sharded(args: argparse.Namespace) -> int:
         backoff_seed=args.seed,
         log=lambda message: print(message, file=sys.stderr, flush=True),
     )
-    print(
-        f"starting {boot_count} shard worker(s) ...",
-        file=sys.stderr,
-        flush=True,
-    )
-    supervisor.start()
-
     state = ServiceState(ready=False, detail="recovering")
+    # bind first: a busy port fails here, before any worker is spawned
     router = build_router(
         shard_map,
         supervisor,
@@ -739,7 +746,14 @@ def serve_sharded(args: argparse.Namespace) -> int:
         port=args.port,
         request_timeout=args.timeout,
         state=state,
+        admission_capacity=args.admission,
     )
+    print(
+        f"starting {boot_count} shard worker(s) ...",
+        file=sys.stderr,
+        flush=True,
+    )
+    supervisor.start()
     coordinator = RebalanceCoordinator(
         router,
         lambda shard, shard_count: make_spec(
@@ -760,41 +774,21 @@ def serve_sharded(args: argparse.Namespace) -> int:
         coordinator.finish_boot_recovery()  # persists the current topology
     state.ready = True
     state.detail = "routing"
-    stop = threading.Event()
 
-    def _begin_drain(signum, frame) -> None:
-        state.draining = True
-        state.detail = f"draining ({signal.Signals(signum).name})"
-        stop.set()
+    def drain() -> dict:
+        print(
+            f"draining router, stopping {supervisor.num_shards} shard "
+            f"worker(s) (budget {args.drain_timeout:.1f}s each) ...",
+            file=sys.stderr,
+        )
+        return {
+            "router": dict(router.counters),
+            "supervisor": supervisor.stop(
+                drain_timeout=args.drain_timeout + 5.0
+            ),
+        }
 
-    signal.signal(signal.SIGTERM, _begin_drain)
-    signal.signal(signal.SIGINT, _begin_drain)
-
-    loop = threading.Thread(target=router.serve_forever, daemon=True)
-    loop.start()
-    print(f"serving on {router.url}", file=sys.stderr, flush=True)
-    try:
-        stop.wait()
-    except KeyboardInterrupt:  # pragma: no cover - race with the handler
-        _begin_drain(signal.SIGINT, None)
-    print(
-        f"draining router, stopping {supervisor.num_shards} shard "
-        f"worker(s) (budget {args.drain_timeout:.1f}s each) ...",
-        file=sys.stderr,
-    )
-    summary = {
-        "router": router.counters_snapshot(),
-        "supervisor": supervisor.stop(drain_timeout=args.drain_timeout + 5.0),
-    }
-    router.shutdown()
-    router.server_close()
-    loop.join(timeout=5)
-    print(
-        "final metrics: " + _json.dumps(summary, sort_keys=True),
-        file=sys.stderr,
-        flush=True,
-    )
-    return 0
+    return _serve_until_signalled(router, drain)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -44,10 +44,10 @@ instead of re-running the batch study per request:
   roll-forward/rollback after a crash at any phase.
 """
 
-from .async_http import AdmissionQueue, AsyncRiskServer, build_server
+from .async_http import AsyncRiskServer, build_server
 from .dirty import DirtyDelta, DirtyLog
 from .engine import EngineMetrics, RiskEngine, ScoreRecord
-from .http import ServiceState
+from .http import AdmissionQueue, ServiceState
 from .rebalance import (
     PHASES,
     RebalanceCoordinator,

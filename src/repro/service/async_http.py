@@ -1,15 +1,16 @@
-"""The asyncio JSON HTTP server over the risk engine.
+"""The risk endpoints, served on the shared asyncio HTTP core.
 
 :class:`AsyncRiskServer` is the single-node front-end ``repro-study
 serve`` runs (the endpoint catalogue is in :mod:`repro.service.http`,
-which also holds the request parsing it shares with the shard router).
-One event loop serves every connection, with HTTP/1.1 keep-alive:
+which also holds the listener, connection loop, request reader, and
+admission gate it shares with the shard router).  On top of that core:
 
 * **bounded admission** — every work-bearing request (``/score``,
   ``/score-batch``, ``/mutate``) first claims a slot in a fixed-size
-  :class:`AdmissionQueue`.  A full queue sheds the request explicitly
-  with *429 + Retry-After* instead of growing an unbounded accept
-  backlog; ``/metrics`` reports depth, peak, and shed counts.
+  :class:`~repro.service.http.AdmissionQueue`.  A full queue sheds the
+  request explicitly with *429 + Retry-After* instead of growing an
+  unbounded accept backlog; ``/metrics`` reports depth, peak, and shed
+  counts.
 * **request coalescing** — ``/score`` goes through
   :meth:`~repro.service.scheduler.ScoreScheduler.submit_coalesced`:
   concurrent hits for the same ``(owner, measure, version)`` share one
@@ -34,12 +35,8 @@ drain progress.
 from __future__ import annotations
 
 import asyncio
-import json
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from http.client import responses as _STATUS_REASONS
 from typing import Any
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import SplitResult
 
 from ..errors import (
     BackpressureError,
@@ -53,12 +50,11 @@ from ..measures import measure_catalog
 from ..resilience import CircuitBreaker, Deadline
 from .engine import RiskEngine
 from .http import (
-    _INVALID_MEASURE,
     MUTATION_ERRORS,
-    RequestParsingMixin,
+    HttpServerCore,
+    RequestHandler,
     ServiceState,
     mutation_failure,
-    parse_content_length,
 )
 from .scheduler import ScoreScheduler
 from .wal import (
@@ -77,201 +73,55 @@ from .wal import (
 _MUTATE_POOL_SIZE = 32
 
 
-class AdmissionQueue:
-    """Fixed-capacity admission gate for work-bearing requests.
+class _RiskHandler(RequestHandler):
+    """Serves one request on behalf of an :class:`AsyncRiskServer`."""
 
-    Touched only from the event-loop thread, so plain integers suffice.
-    ``try_enter`` claims a slot (or refuses — the caller sheds with 429),
-    ``leave`` releases it when the request finishes, however it ends.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError(f"admission capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.depth = 0
-        self.peak = 0
-        self.admitted = 0
-        self.shed = 0
-
-    def try_enter(self) -> bool:
-        """Claim a slot; ``False`` means full (shed the request)."""
-        if self.depth >= self.capacity:
-            self.shed += 1
-            return False
-        self.depth += 1
-        self.admitted += 1
-        if self.depth > self.peak:
-            self.peak = self.depth
-        return True
-
-    def leave(self) -> None:
-        """Release a slot claimed by :meth:`try_enter`."""
-        self.depth -= 1
-
-    def snapshot(self) -> dict[str, int]:
-        """JSON-ready counters for ``/metrics``."""
-        return {
-            "capacity": self.capacity,
-            "depth": self.depth,
-            "peak": self.peak,
-            "admitted": self.admitted,
-            "shed": self.shed,
-        }
-
-
-class _Request:
-    """One parsed HTTP/1.1 request off an asyncio stream.
-
-    ``body`` is ``None`` when the ``Content-Length`` header was
-    malformed: the body was left unread and the request is answered 400.
-    """
-
-    __slots__ = ("method", "target", "version", "headers", "body")
-
-    def __init__(
-        self,
-        method: str,
-        target: str,
-        version: str,
-        headers: dict[str, str],
-        body: bytes | None,
-    ) -> None:
-        self.method = method
-        self.target = target
-        self.version = version
-        self.headers = headers
-        self.body = body
-
-    @property
-    def wants_close(self) -> bool:
-        connection = self.headers.get("connection", "").lower()
-        if self.version == "HTTP/1.0":
-            return connection != "keep-alive"
-        return connection == "close"
-
-
-class _RequestHandler(RequestParsingMixin):
-    """Serves one request on behalf of an :class:`AsyncRiskServer`.
-
-    The response is buffered into the stream writer synchronously
-    (``_respond``), so the :class:`RequestParsingMixin` validation
-    helpers can answer 400s inline; the connection loop drains the
-    writer after :meth:`handle` returns.
-    """
-
-    def __init__(
-        self,
-        server: "AsyncRiskServer",
-        request: _Request,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        self.server = server
-        self.request = request
-        self.writer = writer
-        self.close_connection = request.wants_close
+    server: "AsyncRiskServer"
 
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
-    async def handle(self) -> None:
-        """Dispatch one request to its endpoint."""
-        if self.request.body is None:
-            self._reject_content_length(
-                self.request.headers.get("content-length")
-            )
-        elif self.request.method == "GET":
-            await self._do_get()
-        elif self.request.method == "POST":
-            await self._do_post()
-        else:
-            self._respond(
-                501,
-                {"error": f"unsupported method {self.request.method!r}"},
-            )
-
-    async def _do_get(self) -> None:
-        parsed = urlparse(self.request.target)
-        if parsed.path == "/healthz":
+    async def _do_get(self, url: SplitResult) -> None:
+        if url.path == "/healthz":
             self._respond(200, self._health_document())
-        elif parsed.path == "/readyz":
+        elif url.path == "/readyz":
             self._readyz()
-        elif parsed.path == "/metrics":
+        elif url.path == "/metrics":
             self._respond(200, self._metrics_document())
-        elif parsed.path == "/owners":
+        elif url.path == "/owners":
             self._respond(
                 200, {"owners": self.server.engine.owners_overview()}
             )
-        elif parsed.path == "/measures":
+        elif url.path == "/measures":
             self._respond(200, {"measures": measure_catalog()})
-        elif parsed.path == "/score":
-            await self._gated(lambda: self._score_query(parsed.query))
+        elif url.path == "/score":
+            await self._gated(lambda: self._score_query(url.query))
         else:
-            self._respond(404, {"error": f"unknown path {parsed.path!r}"})
+            self._respond(404, {"error": f"unknown path {url.path!r}"})
 
-    async def _do_post(self) -> None:
-        path = urlparse(self.request.target).path
-        if path == "/score":
+    async def _do_post(self, url: SplitResult) -> None:
+        if url.path == "/score":
             await self._gated(self._score_body)
-        elif path == "/score-batch":
-            await self._gated(self._score_batch)
-        elif path == "/mutate":
-            await self._gated(self._mutate)
-        elif path == "/slice/export":
+        elif url.path == "/score-batch":
+            await self._gated(self._score_batch_body)
+        elif url.path == "/mutate":
+            await self._gated(self._mutate_body)
+        elif url.path == "/slice/export":
             await self._slice_export()
-        elif path == "/slice/import":
+        elif url.path == "/slice/import":
             await self._slice_import()
-        elif path == "/slice/detach":
+        elif url.path == "/slice/detach":
             await self._slice_detach()
-        elif path == "/slice/digest":
+        elif url.path == "/slice/digest":
             await self._slice_digest()
         else:
-            self._respond(404, {"error": f"unknown path {path!r}"})
+            self._respond(404, {"error": f"unknown path {url.path!r}"})
 
-    # ------------------------------------------------------------------
-    # admission / lifecycle gates
-    # ------------------------------------------------------------------
-    async def _gated(self, work) -> None:
-        """Run work-bearing ``work()`` behind the drain and admission
-        gates, releasing its admission slot however it ends."""
-        if self._reject_while_draining() or not self._admit():
-            return
-        try:
-            await work()
-        finally:
-            self.server.admission.leave()
-
-    def _admit(self) -> bool:
-        """Claim an admission slot, shedding with 429 when full."""
-        admission = self.server.admission
-        if admission.try_enter():
-            return True
-        self._respond(
-            429,
-            {
-                "error": (
-                    f"admission queue full: {admission.depth} requests "
-                    f"in flight (bound {admission.capacity})"
-                ),
-                "pending": admission.depth,
-            },
-            retry_after=1,
-        )
-        return False
-
-    def _reject_while_draining(self) -> bool:
-        """503 work-bearing requests during drain; health stays live."""
-        if self.server.state.draining:
-            self._respond(
-                503,
-                {
-                    "error": "service is draining",
-                    "pending": self.server.scheduler.pending_count(),
-                },
-                retry_after=1,
-            )
-            return True
-        return False
+    def _draining_document(self) -> dict[str, Any]:
+        return {
+            "error": "service is draining",
+            "pending": self.server.scheduler.pending_count(),
+        }
 
     # ------------------------------------------------------------------
     # read endpoints
@@ -319,28 +169,6 @@ class _RequestHandler(RequestParsingMixin):
     # ------------------------------------------------------------------
     # scoring
     # ------------------------------------------------------------------
-    async def _score_query(self, query: str) -> None:
-        """``GET /score?owner=<id>[&measure=<name>]``."""
-        values = parse_qs(query)
-        owner_id = self._owner_from_query(values)
-        if owner_id is None:
-            return
-        measure = self._measure_from_values(values.get("measure"))
-        if measure is not _INVALID_MEASURE:
-            await self._score(owner_id, measure)
-
-    async def _score_body(self) -> None:
-        """``POST /score`` with ``{"owner": <id>, "measure": <name>}``."""
-        body = self._json_body()
-        if body is None:
-            return
-        owner_id = self._owner_from_body(body)
-        if owner_id is None:
-            return
-        measure = self._measure_from_body(body)
-        if measure is not _INVALID_MEASURE:
-            await self._score(owner_id, measure)
-
     async def _score(self, owner_id: int, measure: str | None = None) -> None:
         breaker = self.server.breaker
         try:
@@ -415,7 +243,9 @@ class _RequestHandler(RequestParsingMixin):
             f"{self.server.request_timeout:.1f}s budget"
         )
 
-    async def _score_batch(self) -> None:
+    async def _score_batch(
+        self, owners: list[int], measure: str | None
+    ) -> None:
         """Score many owners, streaming one NDJSON line per owner.
 
         Every owner is submitted to the scheduler up front (so distinct
@@ -424,15 +254,6 @@ class _RequestHandler(RequestParsingMixin):
         owner, backpressure, scoring error) becomes an ``error`` line;
         the stream itself only fails on circuit-open or a bad body.
         """
-        body = self._json_body()
-        if body is None:
-            return
-        owners = self._owners_from_body(body)
-        if owners is None:
-            return
-        measure = self._measure_from_body(body)
-        if measure is _INVALID_MEASURE:
-            return
         breaker = self.server.breaker
         try:
             breaker.before_call()
@@ -449,15 +270,7 @@ class _RequestHandler(RequestParsingMixin):
                 submissions.append((owner_id, future, coalesced))
             except BackpressureError as error:
                 submissions.append((owner_id, error, False))
-        # NDJSON stream: no Content-Length is possible, so the
-        # connection closes when the batch ends.
-        self.writer.write(
-            b"HTTP/1.1 200 OK\r\n"
-            b"Content-Type: application/x-ndjson\r\n"
-            b"Connection: close\r\n"
-            b"\r\n"
-        )
-        self.close_connection = True
+        self._start_stream()
         failed = False
         for owner_id, pending, coalesced in submissions:
             line: dict[str, Any]
@@ -495,23 +308,19 @@ class _RequestHandler(RequestParsingMixin):
                     failed = True
                 else:
                     line = record.to_dict()
-            self.writer.write(json.dumps(line).encode("utf-8") + b"\n")
-            await self.writer.drain()
+            await self._stream_line(line)
         if failed:
             breaker.record_failure()
         else:
             breaker.record_success()
 
     # ------------------------------------------------------------------
-    # mutations (blocking WAL work runs off-loop, on the mutate pool)
+    # mutations (blocking WAL work runs off-loop, on the server's pool:
+    # keeping fsyncs and the group-commit barrier wait off the event
+    # loop is what lets concurrent mutations overlap — the pile-up
+    # inside ``wait_durable`` is the group being committed)
     # ------------------------------------------------------------------
-    async def _mutate(self) -> None:
-        body = self._json_body()
-        if body is None:
-            return
-        op = self._mutation_op(body)
-        if op is None:
-            return
+    async def _mutate(self, op: str, body: dict[str, Any]) -> None:
         store = self.server.engine.store
         try:
             result = await self._run_blocking(mutate_store, store, op, body)
@@ -519,19 +328,6 @@ class _RequestHandler(RequestParsingMixin):
             self._respond(*mutation_failure(op, error))
         else:
             self._respond(200, result)
-
-    async def _run_blocking(self, fn, *args):
-        """Run blocking store work on the mutate pool.
-
-        Keeping fsyncs (and the group-commit barrier wait) off the
-        event loop is what lets concurrent mutations actually overlap —
-        the pile-up inside ``wait_durable`` is the group being
-        committed.
-        """
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self.server.mutate_pool, lambda: fn(*args)
-        )
 
     # ------------------------------------------------------------------
     # migration handoff (driven by the router's rebalance coordinator)
@@ -568,11 +364,10 @@ class _RequestHandler(RequestParsingMixin):
             return
         try:
             result = await self._run_blocking(
-                lambda: import_slice(
-                    self.server.engine.store,
-                    document,
-                    adopt_graph=bool(body.get("adopt_graph")),
-                )
+                import_slice,
+                self.server.engine.store,
+                document,
+                adopt_graph=bool(body.get("adopt_graph")),
             )
         except RebalanceError as error:
             # digest mismatch or unsupported slice: the migration must
@@ -614,42 +409,17 @@ class _RequestHandler(RequestParsingMixin):
             ),
         )
 
-    # ------------------------------------------------------------------
-    # plumbing
-    # ------------------------------------------------------------------
-    def _request_body(self) -> bytes | None:
-        return self.request.body
 
-    def _respond(
-        self,
-        status: int,
-        document: dict[str, Any],
-        retry_after: int | None = None,
-    ) -> None:
-        payload = json.dumps(document).encode("utf-8")
-        reason = _STATUS_REASONS.get(status, "Unknown")
-        head = [
-            f"HTTP/1.1 {status} {reason}",
-            "Content-Type: application/json",
-            f"Content-Length: {len(payload)}",
-        ]
-        if retry_after is not None:
-            head.append(f"Retry-After: {retry_after}")
-        if self.close_connection:
-            head.append("Connection: close")
-        self.writer.write(
-            "\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + payload
-        )
+class AsyncRiskServer(HttpServerCore):
+    """The risk endpoints bound to one engine and scheduler.
 
-
-class AsyncRiskServer:
-    """Asyncio HTTP server bound to one engine and scheduler.
-
-    Driven like a ``socketserver`` server: :meth:`serve_forever` blocks
-    (run it on a thread), :attr:`url` waits for the listener to bind,
-    :meth:`shutdown` stops the loop from any thread, and
-    :meth:`server_close` releases the mutate pool.
+    Lifecycle (bind in the constructor, :meth:`serve_forever` on a
+    thread, :meth:`shutdown`, :meth:`server_close`) comes from
+    :class:`~repro.service.http.HttpServerCore`; the pool runs blocking
+    store work (mutations, slice ops).
     """
+
+    handler_class = _RiskHandler
 
     def __init__(
         self,
@@ -662,136 +432,20 @@ class AsyncRiskServer:
         refresher=None,
         admission_capacity: int = 256,
     ) -> None:
-        self._host, self._port = address
+        super().__init__(
+            address,
+            request_timeout=request_timeout,
+            state=state,
+            admission_capacity=admission_capacity,
+            pool_size=_MUTATE_POOL_SIZE,
+            pool_name="wal-commit",
+        )
         self.engine = engine
         self.scheduler = scheduler
-        self.request_timeout = request_timeout
         self.breaker = breaker or CircuitBreaker(
             failure_threshold=5, recovery_time=5.0
         )
-        self.state = state or ServiceState()
         self.refresher = refresher
-        self.admission = AdmissionQueue(admission_capacity)
-        self.mutate_pool = ThreadPoolExecutor(
-            max_workers=_MUTATE_POOL_SIZE, thread_name_prefix="wal-commit"
-        )
-        self._bound = threading.Event()
-        self._stopped = threading.Event()
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop_event: asyncio.Event | None = None
-        self._shutdown_requested = False
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    @property
-    def url(self) -> str:
-        """The server's base URL; blocks briefly until the port binds."""
-        if not self._bound.wait(timeout=10):
-            raise RuntimeError("async server never bound its listener")
-        return f"http://{self._host}:{self._port}"
-
-    def serve_forever(self) -> None:
-        """Run the event loop until :meth:`shutdown`; call on a thread."""
-        try:
-            asyncio.run(self._serve())
-        finally:
-            self._stopped.set()
-            self._bound.set()  # unblock url() waiters even on bind failure
-
-    def shutdown(self) -> None:
-        """Stop the loop from any thread; waits for it to exit."""
-        self._shutdown_requested = True
-        loop, stop_event = self._loop, self._stop_event
-        if loop is not None and stop_event is not None:
-            try:
-                loop.call_soon_threadsafe(stop_event.set)
-            except RuntimeError:  # loop already closed
-                pass
-        if not self._stopped.is_set() and self._loop is not None:
-            self._stopped.wait(timeout=5)
-
-    def server_close(self) -> None:
-        """Release the mutate pool (after :meth:`shutdown`)."""
-        self.mutate_pool.shutdown(wait=False)
-
-    async def _serve(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        if self._shutdown_requested:  # shut down before the loop started
-            return
-        server = await asyncio.start_server(
-            self._handle_client, self._host, self._port
-        )
-        self._port = server.sockets[0].getsockname()[1]
-        self._bound.set()
-        try:
-            await self._stop_event.wait()
-        finally:
-            server.close()
-            await server.wait_closed()
-
-    # ------------------------------------------------------------------
-    # connection handling
-    # ------------------------------------------------------------------
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                request = await self._read_request(reader, writer)
-                if request is None:
-                    break
-                handler = _RequestHandler(self, request, writer)
-                await handler.handle()
-                await writer.drain()
-                if handler.close_connection:
-                    break
-        except (
-            ConnectionError,
-            asyncio.IncompleteReadError,
-            TimeoutError,
-        ):
-            pass  # client went away mid-request
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-
-    @staticmethod
-    async def _read_request(
-        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> _Request | None:
-        """Parse one request off the stream; ``None`` ends the connection."""
-        try:
-            request_line = await reader.readline()
-        except (asyncio.LimitOverrunError, ValueError):
-            return None
-        if not request_line:
-            return None
-        parts = request_line.decode("latin-1").strip().split()
-        if len(parts) != 3 or not parts[2].startswith("HTTP/"):
-            writer.write(
-                b"HTTP/1.1 400 Bad Request\r\n"
-                b"Content-Length: 0\r\nConnection: close\r\n\r\n"
-            )
-            return None
-        method, target, version = parts
-        headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = parse_content_length(headers.get("content-length"))
-        if length is None:  # body extent unknown: answered 400 + close
-            body = None
-        else:
-            body = await reader.readexactly(length) if length else b""
-        return _Request(method, target, version, headers, body)
 
 
 def build_server(
@@ -836,7 +490,6 @@ def build_server(
 
 
 __all__ = [
-    "AdmissionQueue",
     "AsyncRiskServer",
     "build_server",
 ]

@@ -1,4 +1,4 @@
-"""The wire conventions shared by the HTTP server and the shard router.
+"""The HTTP core shared by the risk server and the shard router.
 
 The single-node server (:mod:`repro.service.async_http`) exposes
 
@@ -30,22 +30,36 @@ The single-node server (:mod:`repro.service.async_http`) exposes
   coordinator, not by clients.
 
 The router (:mod:`repro.service.router`) speaks the same conventions in
-front of the shard workers.  This module holds what both share, once:
-the lifecycle flags (:class:`ServiceState`), request parsing
-(:class:`RequestParsingMixin`: ``Content-Length``, ``?owner=``, the JSON
-body, ``{"owner": …}``, ``{"owners": […]}``, ``measure``, ``op``), and
-the ``/mutate`` exception-to-status table (:func:`mutation_failure`).
+front of the shard workers.  Both run on the one asyncio core in this
+module: :class:`HttpServerCore` owns the listener (bound in the
+constructor, backlog ``socket.SOMAXCONN``), the keep-alive connection
+loop, the request reader, an :class:`AdmissionQueue` and a thread pool
+for blocking calls; :class:`RequestHandler` is the base both handlers
+extend, holding the response writer, the drain and admission gates, and
+request parsing (``Content-Length``, ``?owner=``, the JSON body,
+``{"owner": …}``, ``{"owners": […]}``, ``measure``, ``op``).  The
+``/mutate`` exception-to-status table (:func:`mutation_failure`) lives
+here too.
 
 Backpressure and outage speak different status codes: saturation is
 429 + ``Retry-After`` (the client should slow down), while drain or
-shutdown is 503 (the client should fail over).
+shutdown is 503 (the client should fail over).  A request line longer
+than 64 KiB is a 414; a longer header line, or more than 100 headers, a
+431 — each answered with ``Connection: close``.
 """
 
 from __future__ import annotations
 
+import asyncio
+import functools
 import json
+import socket
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any
+from http.client import responses as _STATUS_REASONS
+from typing import Any, NamedTuple
+from urllib.parse import parse_qs, urlsplit
 
 from ..errors import (
     GraphError,
@@ -60,6 +74,11 @@ from .wal import MUTATION_OPS
 # Sentinel distinguishing "measure was invalid (response already sent)"
 # from "no measure requested" (None → the engine default).
 _INVALID_MEASURE = object()
+
+#: Longest request or header line accepted, and most headers per
+#: request — the limits ``http.client`` and ``http.server`` apply.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
 
 #: Everything a store mutation may raise that maps to a status code
 #: (see :func:`mutation_failure`); anything else is a server fault.
@@ -128,29 +147,307 @@ def mutation_failure(op: str, error: Exception) -> tuple[int, dict[str, Any]]:
     return 400, {"error": f"malformed arguments for {op!r}: {error}"}
 
 
-class RequestParsingMixin:
-    """Request parsing shared by the server and router handlers.
+class AdmissionQueue:
+    """Fixed-capacity admission gate for work-bearing requests.
 
-    Both speak the same wire conventions and answer malformed input with
-    the same 400 documents.  Each helper returns the parsed value, or
-    ``None`` (:data:`_INVALID_MEASURE` for measures) after it has already
-    sent the 400.  The host class provides ``_respond(status, document,
-    retry_after=None)``, ``_request_body()`` (the raw body bytes, or
-    ``None`` after rejecting a malformed ``Content-Length``), and a
-    ``close_connection`` flag.
+    Touched only from the event-loop thread, so plain integers suffice.
+    ``try_enter`` claims a slot (or refuses — the caller sheds with 429),
+    ``leave`` releases it when the request finishes, however it ends.
     """
 
+    def __init__(self, capacity: int) -> None:
+        if capacity < 1:
+            raise ValueError(f"admission capacity must be >= 1, got {capacity}")
+        self.capacity = capacity
+        self.depth = 0
+        self.peak = 0
+        self.admitted = 0
+        self.shed = 0
+
+    def try_enter(self) -> bool:
+        """Claim a slot; ``False`` means full (shed the request)."""
+        if self.depth >= self.capacity:
+            self.shed += 1
+            return False
+        self.depth += 1
+        self.admitted += 1
+        if self.depth > self.peak:
+            self.peak = self.depth
+        return True
+
+    def leave(self) -> None:
+        """Release a slot claimed by :meth:`try_enter`."""
+        self.depth -= 1
+
+    def snapshot(self) -> dict[str, int]:
+        """JSON-ready counters for ``/metrics``."""
+        return {
+            "capacity": self.capacity,
+            "depth": self.depth,
+            "peak": self.peak,
+            "admitted": self.admitted,
+            "shed": self.shed,
+        }
+
+
+def _encode_response(
+    status: int,
+    document: dict[str, Any],
+    retry_after: int | None = None,
+    close: bool = False,
+) -> bytes:
+    """One complete JSON response, head and body, as bytes."""
+    payload = json.dumps(document).encode("utf-8")
+    head = [
+        f"HTTP/1.1 {status} {_STATUS_REASONS.get(status, 'Unknown')}",
+        "Content-Type: application/json",
+        f"Content-Length: {len(payload)}",
+    ]
+    if retry_after is not None:
+        head.append(f"Retry-After: {retry_after}")
+    if close:
+        head.append("Connection: close")
+    return "\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + payload
+
+
+class _Rejected(Exception):
+    """The reader refused a request before any handler saw it."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+class _Request(NamedTuple):
+    """One parsed HTTP/1.1 request off an asyncio stream.
+
+    ``body`` is ``None`` when the ``Content-Length`` header was
+    malformed: the body was left unread and the request is answered 400.
+    """
+
+    method: str
+    target: str
+    version: str
+    headers: dict[str, str]
+    body: bytes | None
+
+    @property
+    def wants_close(self) -> bool:
+        connection = self.headers.get("connection", "").lower()
+        if self.version == "HTTP/1.0":
+            return connection != "keep-alive"
+        return connection == "close"
+
+
+async def _read_request(reader: asyncio.StreamReader) -> _Request | None:
+    """Parse one request off the stream; ``None`` is a clean end.
+
+    Raises :class:`_Rejected` for a request the connection loop answers
+    itself (and then closes): a malformed or over-long request line, or
+    over-long or too many headers.
+    """
+    try:  # a ValueError is a line longer than the stream's limit
+        request_line = await reader.readline()
+    except ValueError:
+        raise _Rejected(414, "request line too long") from None
+    if not request_line:
+        return None
+    parts = request_line.decode("latin-1").strip().split()
+    if len(parts) != 3 or not parts[2].startswith("HTTP/"):
+        raise _Rejected(400, "malformed request line")
+    method, target, version = parts
+    headers: dict[str, str] = {}
+    try:
+        for _ in range(_MAX_HEADERS + 1):
+            line = await reader.readline()
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        else:
+            raise _Rejected(431, f"more than {_MAX_HEADERS} headers")
+    except ValueError:
+        raise _Rejected(431, "header line too long") from None
+    length = parse_content_length(headers.get("content-length"))
+    if length is None:  # body extent unknown: answered 400 + close
+        body = None
+    else:
+        body = await reader.readexactly(length) if length else b""
+    return _Request(method, target, version, headers, body)
+
+
+class RequestHandler:
+    """Serves one request; the risk server and the router extend it.
+
+    Subclasses route with ``_do_get(url)`` / ``_do_post(url)`` and serve
+    the parsed work with ``_score(owner_id, measure)``,
+    ``_score_batch(owners, measure)`` and ``_mutate(op, body)``.
+    Responses are buffered into the stream writer synchronously
+    (:meth:`_respond`), so the validation helpers answer 400s inline —
+    each returns the parsed value, or ``None`` (:data:`_INVALID_MEASURE`
+    for measures) after it has sent the 400; the connection loop drains
+    the writer after :meth:`handle`.
+    """
+
+    def __init__(
+        self,
+        server: "HttpServerCore",
+        request: _Request,
+        writer: asyncio.StreamWriter,
+    ) -> None:
+        self.server = server
+        self.request = request
+        self.writer = writer
+        self.close_connection = request.wants_close
+
+    async def handle(self) -> None:
+        """Dispatch one request to its endpoint."""
+        request = self.request
+        if request.body is None:
+            self._reject_content_length(request.headers.get("content-length"))
+        elif request.method == "GET":
+            await self._do_get(urlsplit(request.target))
+        elif request.method == "POST":
+            await self._do_post(urlsplit(request.target))
+        else:
+            self._respond(
+                501, {"error": f"unsupported method {request.method!r}"}
+            )
+
+    # ------------------------------------------------------------------
+    # drain and admission gates
+    # ------------------------------------------------------------------
+    async def _gated(self, work) -> None:
+        """Run work-bearing ``work()`` behind the drain and admission
+        gates, releasing its admission slot however it ends."""
+        if self._reject_while_draining() or not self._admit():
+            return
+        try:
+            await work()
+        finally:
+            self.server.admission.leave()
+
+    def _admit(self) -> bool:
+        """Claim an admission slot, shedding with 429 when full."""
+        admission = self.server.admission
+        if admission.try_enter():
+            return True
+        self._respond(
+            429,
+            {
+                "error": (
+                    f"admission queue full: {admission.depth} requests "
+                    f"in flight (bound {admission.capacity})"
+                ),
+                "pending": admission.depth,
+            },
+            retry_after=1,
+        )
+        return False
+
+    def _draining_document(self) -> dict[str, Any]:
+        return {"error": "service is draining"}
+
+    def _reject_while_draining(self) -> bool:
+        """503 work-bearing requests during drain; health stays live."""
+        if self.server.state.draining:
+            self._respond(503, self._draining_document(), retry_after=1)
+            return True
+        return False
+
+    async def _run_blocking(self, fn, *args, **kwargs):
+        """Run a blocking call on the server's pool, off the event loop."""
+        return await asyncio.get_running_loop().run_in_executor(
+            self.server.pool, functools.partial(fn, *args, **kwargs)
+        )
+
+    # ------------------------------------------------------------------
+    # scoring requests
+    # ------------------------------------------------------------------
+    async def _score_query(self, query: str) -> None:
+        """``GET /score?owner=<id>[&measure=<name>]``."""
+        values = parse_qs(query)
+        owner_id = self._owner_from_query(values)
+        if owner_id is None:
+            return
+        measure = self._measure_from_values(values.get("measure"))
+        if measure is not _INVALID_MEASURE:
+            await self._score(owner_id, measure)
+
+    async def _score_body(self) -> None:
+        """``POST /score`` with ``{"owner": <id>, "measure": <name>}``."""
+        body = self._json_body()
+        if body is None:
+            return
+        owner_id = self._owner_from_body(body)
+        if owner_id is None:
+            return
+        measure = self._measure_from_body(body)
+        if measure is not _INVALID_MEASURE:
+            await self._score(owner_id, measure)
+
+    async def _score_batch_body(self) -> None:
+        """``POST /score-batch`` with ``{"owners": [...], "measure": …}``."""
+        body = self._json_body()
+        if body is None:
+            return
+        owners = self._owners_from_body(body)
+        if owners is None:
+            return
+        measure = self._measure_from_body(body)
+        if measure is not _INVALID_MEASURE:
+            await self._score_batch(owners, measure)
+
+    async def _mutate_body(self) -> None:
+        """``POST /mutate`` with ``{"op": <mutation>, ...}``."""
+        body = self._json_body()
+        if body is None:
+            return
+        op = self._mutation_op(body)
+        if op is not None:
+            await self._mutate(op, body)
+
+    # ------------------------------------------------------------------
+    # responses
+    # ------------------------------------------------------------------
+    def _respond(
+        self,
+        status: int,
+        document: dict[str, Any],
+        retry_after: int | None = None,
+    ) -> None:
+        self.writer.write(
+            _encode_response(
+                status, document, retry_after, self.close_connection
+            )
+        )
+
+    def _start_stream(self) -> None:
+        """Send an NDJSON stream's head.  No ``Content-Length`` is
+        possible, so the connection closes when the stream ends."""
+        self.writer.write(
+            b"HTTP/1.1 200 OK\r\n"
+            b"Content-Type: application/x-ndjson\r\n"
+            b"Connection: close\r\n"
+            b"\r\n"
+        )
+        self.close_connection = True
+
+    async def _stream_line(self, document: dict[str, Any]) -> None:
+        self.writer.write(json.dumps(document).encode("utf-8") + b"\n")
+        await self.writer.drain()
+
+    # ------------------------------------------------------------------
+    # request parsing
+    # ------------------------------------------------------------------
     def _reject_content_length(self, value: str | None) -> None:
         """400 + ``Connection: close`` for a malformed ``Content-Length``."""
         self.close_connection = True
         self._respond(400, {"error": f"invalid Content-Length {value!r}"})
 
     def _json_body(self) -> dict[str, Any] | None:
-        raw = self._request_body()
-        if raw is None:
-            return None
         try:
-            body = json.loads(raw.decode("utf-8") or "{}")
+            body = json.loads(self.request.body.decode("utf-8") or "{}")
         except (json.JSONDecodeError, UnicodeDecodeError):
             body = None
         if not isinstance(body, dict):
@@ -253,9 +550,154 @@ class RequestParsingMixin:
         return self._measure_from_values([measure])
 
 
+def _listen(address: tuple[str, int]) -> socket.socket:
+    """A bound, listening TCP socket (``OSError`` if the port is busy).
+
+    ``IPPROTO_TCP`` is named because asyncio sets ``TCP_NODELAY`` only on
+    sockets that say so (Nagle would hold bodies back ~40 ms).  A short
+    backlog drops SYNs in a burst of connects, costing a 1 s retransmit.
+    """
+    sock = socket.socket(
+        socket.AF_INET, socket.SOCK_STREAM, socket.IPPROTO_TCP
+    )
+    try:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        sock.bind(address)
+        sock.listen(socket.SOMAXCONN)
+    except OSError:
+        sock.close()
+        raise
+    return sock
+
+
+class HttpServerCore:
+    """The asyncio listener both front doors run on.
+
+    Driven like a ``socketserver`` server: the constructor binds and
+    listens (so a busy port raises ``OSError`` right there),
+    :meth:`serve_forever` blocks (run it on a thread), :meth:`shutdown`
+    stops the loop from any thread, and :meth:`server_close` releases
+    the socket and the blocking-call pool.  Every connection is served
+    by one event loop with HTTP/1.1 keep-alive; each request gets a
+    fresh :attr:`handler_class`.
+    """
+
+    handler_class: type[RequestHandler] = RequestHandler
+
+    def __init__(
+        self,
+        address: tuple[str, int],
+        *,
+        request_timeout: float,
+        state: ServiceState | None,
+        admission_capacity: int,
+        pool_size: int,
+        pool_name: str,
+    ) -> None:
+        self.request_timeout = request_timeout
+        self.state = state or ServiceState()
+        self.admission = AdmissionQueue(admission_capacity)
+        self.socket = _listen(address)
+        self.server_address = self.socket.getsockname()
+        self.pool = ThreadPoolExecutor(
+            max_workers=pool_size, thread_name_prefix=pool_name
+        )
+        self._stopped = threading.Event()
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._stop_event: asyncio.Event | None = None
+        self._shutdown_requested = False
+
+    @property
+    def url(self) -> str:
+        """The server's base URL (useful with an ephemeral port)."""
+        host, port = self.server_address[:2]
+        return f"http://{host}:{port}"
+
+    def serve_forever(self) -> None:
+        """Run the event loop until :meth:`shutdown`; call on a thread."""
+        try:
+            asyncio.run(self._serve())
+        finally:
+            self._stopped.set()
+
+    def shutdown(self) -> None:
+        """Stop the loop from any thread; waits for it to exit."""
+        self._shutdown_requested = True
+        loop, stop_event = self._loop, self._stop_event
+        if loop is not None and stop_event is not None:
+            try:
+                loop.call_soon_threadsafe(stop_event.set)
+            except RuntimeError:  # loop already closed
+                pass
+        if not self._stopped.is_set() and self._loop is not None:
+            self._stopped.wait(timeout=5)
+
+    def server_close(self) -> None:
+        """Release the listening socket and the pool (after
+        :meth:`shutdown`)."""
+        self.socket.close()
+        self.pool.shutdown(wait=False)
+
+    async def _serve(self) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._stop_event = asyncio.Event()
+        if self._shutdown_requested:  # shut down before the loop started
+            return
+        server = await asyncio.start_server(
+            self._handle_client,
+            sock=self.socket,
+            backlog=socket.SOMAXCONN,
+            limit=_MAX_LINE,
+        )
+        try:
+            await self._stop_event.wait()
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    async def _handle_client(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        try:
+            while True:
+                try:
+                    request = await _read_request(reader)
+                except _Rejected as rejected:
+                    writer.write(
+                        _encode_response(
+                            rejected.status,
+                            {"error": str(rejected)},
+                            close=True,
+                        )
+                    )
+                    await writer.drain()
+                    break
+                if request is None:
+                    break
+                handler = self.handler_class(self, request, writer)
+                await handler.handle()
+                await writer.drain()
+                if handler.close_connection:
+                    break
+        except (
+            ConnectionError,
+            asyncio.IncompleteReadError,
+            TimeoutError,
+        ):
+            pass  # client went away mid-request
+        finally:
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):  # pragma: no cover
+                pass
+
+
 __all__ = [
+    "AdmissionQueue",
+    "HttpServerCore",
     "MUTATION_ERRORS",
-    "RequestParsingMixin",
+    "RequestHandler",
     "ServiceState",
     "mutation_failure",
     "parse_content_length",

@@ -48,20 +48,18 @@ between export and cutover; ``GET /shards`` reports the live phase.
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import threading
 import time
-import urllib.error
-import urllib.request
 from pathlib import Path
 from typing import Any, Callable
 
-from ..errors import RebalanceError
+from ..errors import RebalanceError, ShardUnavailableError
 from ..io.checkpoint import CheckpointStore
+from .router import ShardClient
 from .sharding import ShardMap
-from .supervisor import SHARD_OPENER, ShardSpec
+from .supervisor import ShardSpec
 
 #: The migration state machine, in execution order.  The manifest's
 #: ``phase`` field is always the *last completed* entry — except
@@ -715,6 +713,7 @@ class RebalanceCoordinator:
     ) -> dict[str, Any]:
         """One JSON call to a shard, patient across supervisor restarts.
 
+        Each attempt is one :meth:`~repro.service.router.ShardClient.attempt`.
         Connection failures and 5xx answers are retried until
         ``patience`` runs out — a shard killed mid-phase comes back on
         the same WAL dir, and the phase call simply lands on the
@@ -724,52 +723,31 @@ class RebalanceCoordinator:
         deadline = time.monotonic() + (
             self._shard_patience if patience is None else patience
         )
+        client = ShardClient(
+            self._supervisor, shard, timeout=self._http_timeout
+        )
         last_error = f"shard {shard} never became addressable"
         while time.monotonic() < deadline:
-            url = self._supervisor.url_of(shard)
-            if url is None:
-                time.sleep(0.1)
-                continue
-            data = None
-            headers = {}
-            if body is not None:
-                data = json.dumps(body).encode("utf-8")
-                headers["Content-Type"] = "application/json"
-            request = urllib.request.Request(
-                url + path, data=data, headers=headers, method=method
-            )
             try:
-                with SHARD_OPENER.open(
-                    request, timeout=self._http_timeout
-                ) as response:
-                    return json.loads(response.read().decode("utf-8"))
-            except urllib.error.HTTPError as error:
-                status = int(error.code)
-                try:
-                    document = json.loads(error.read().decode("utf-8"))
-                except Exception:  # noqa: BLE001 - non-JSON error body
-                    document = {}
-                if status in (502, 503, 504):
-                    last_error = (
-                        f"shard {shard} answered {status}: "
-                        f"{document.get('error', '')}"
-                    )
-                    time.sleep(0.2)
-                    continue
-                raise RebalanceError(
-                    f"shard {shard} {method} {path} answered {status}: "
-                    f"{document.get('error', '')}",
-                    phase=(self._manifest or {}).get("phase"),
-                ) from error
-            except (
-                urllib.error.URLError,
-                ConnectionError,
-                OSError,
-                json.JSONDecodeError,
-            ) as error:
-                last_error = f"shard {shard} unreachable: {error}"
+                status, document, _ = client.attempt(method, path, body)
+            except ShardUnavailableError as error:
+                last_error = str(error)
                 time.sleep(0.2)
                 continue
+            if status < 300:
+                return document
+            if status in (502, 503, 504):
+                last_error = (
+                    f"shard {shard} answered {status}: "
+                    f"{document.get('error', '')}"
+                )
+                time.sleep(0.2)
+                continue
+            raise RebalanceError(
+                f"shard {shard} {method} {path} answered {status}: "
+                f"{document.get('error', '')}",
+                phase=(self._manifest or {}).get("phase"),
+            )
         raise RebalanceError(
             f"{method} {path} failed: {last_error}",
             phase=(self._manifest or {}).get("phase"),

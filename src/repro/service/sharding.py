@@ -1,6 +1,6 @@
 """Owner-space partitioning: a consistent-hash ring over shard workers.
 
-One ``ThreadingHTTPServer`` + one WAL + one scheduler is a single-node
+One HTTP server + one WAL + one scheduler is a single-node
 ceiling *and* a single point of failure; scoring millions of owners
 needs the owner space partitioned across processes that fail — and
 recover — independently.  :class:`ShardMap` is the partition function:

@@ -36,6 +36,34 @@ def wait_until(predicate, timeout: float = 10.0) -> bool:
     return bool(predicate())
 
 
+class StaticSupervisor:
+    """Fake supervisor over in-process servers; tests flip shards down."""
+
+    def __init__(self, servers):
+        self.servers = servers
+        self.down: set[int] = set()
+
+    def url_of(self, shard_index: int):
+        if shard_index in self.down:
+            return None
+        return self.servers[shard_index].url
+
+    def snapshot(self):
+        return {
+            "shards": [
+                {
+                    "shard": index,
+                    "alive": index not in self.down,
+                    "url": self.url_of(index),
+                    "pid": None,
+                    "restarts": 0,
+                    "last_exit_code": None,
+                }
+                for index in range(len(self.servers))
+            ]
+        }
+
+
 @pytest.fixture
 def service_population():
     """A fresh (mutable) two-owner cohort."""

@@ -6,6 +6,7 @@ import json
 import os
 import queue
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -182,3 +183,35 @@ def test_sharded_serve_forwards_background_refresh():
                 os.killpg(process.pid, signal.SIGKILL)
                 process.wait(timeout=10)
         process.stderr.close()
+
+
+@pytest.mark.parametrize("topology", [(), ("--shards", "2")])
+def test_serve_refuses_a_busy_port(topology):
+    """A port another socket already listens on fails the boot: a
+    non-zero exit and no ``serving on`` line, which perfbench and the
+    supervisor read as readiness.  The router binds before it spawns
+    any shard worker."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    with socket.create_server(("127.0.0.1", 0)) as busy:
+        port = str(busy.getsockname()[1])
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", port,
+             "--owners", "1", "--strangers", "20", "--friends", "6",
+             *topology],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,  # lets a timeout reap any shard workers
+        )
+        try:
+            _, stderr = process.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(process.pid, signal.SIGKILL)
+            process.communicate()
+            pytest.fail(f"serve --port {port} kept running on a busy port")
+    assert process.returncode != 0, stderr
+    assert "serving on" not in stderr
+    assert "Address already in use" in stderr
+    assert "shard worker" not in stderr

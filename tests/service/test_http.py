@@ -19,10 +19,17 @@ from repro.service import (
     OwnerStore,
     RiskEngine,
     ScoreScheduler,
+    ShardMap,
+    ShardRouterServer,
     build_server,
 )
 
-from .conftest import SERVICE_SEED, make_service_population, wait_until
+from .conftest import (
+    SERVICE_SEED,
+    StaticSupervisor,
+    make_service_population,
+    wait_until,
+)
 from .test_scheduler import GatedEngine
 
 
@@ -132,6 +139,113 @@ def live_server():
     thread = serve(server)
     yield server
     shut_down(server, thread)
+
+
+@pytest.fixture(scope="module", params=["server", "router"])
+def front_door(request, live_server):
+    """Each front door in turn: the risk server itself, then a router
+    (one shard) in front of it.  Both run on the shared HTTP core."""
+    if request.param == "server":
+        yield live_server
+        return
+    router = ShardRouterServer(
+        ("127.0.0.1", 0), ShardMap(1), StaticSupervisor([live_server])
+    )
+    thread = serve(router)
+    yield router
+    router.shutdown()
+    router.server_close()
+    thread.join(timeout=10)
+
+
+def assert_rejected_and_closed(url: str, payload: bytes, status: int):
+    """The reader answers ``status`` with a JSON error, then closes."""
+    response, closed = raw_request(url, payload)
+    head, _, body = response.partition(b"\r\n\r\n")
+    assert head.startswith(f"HTTP/1.1 {status} ".encode()), response[:200]
+    assert b"\r\nConnection: close" in head, head
+    assert "error" in json.loads(body)
+    assert closed, "the connection must close after a rejected request"
+
+
+class TestWireLimits:
+    """The shared reader's limits, which are ``http.client``'s: each
+    rejection is answered (never a silent drop), closes the
+    connection, logs no traceback, and leaves the server serving."""
+
+    @pytest.fixture(autouse=True)
+    def no_tracebacks(self, front_door, caplog):
+        yield
+        assert not [
+            record for record in caplog.records
+            if record.levelname in ("ERROR", "CRITICAL")
+        ]
+        assert get(f"{front_door.url}/healthz")[0] == 200
+
+    def test_overlong_request_line_is_414(self, front_door):
+        target = "/healthz?pad=" + "x" * 70_000
+        assert_rejected_and_closed(
+            front_door.url,
+            f"GET {target} HTTP/1.1\r\nHost: test\r\n\r\n".encode(),
+            414,
+        )
+
+    def test_overlong_header_line_is_431(self, front_door):
+        assert_rejected_and_closed(
+            front_door.url,
+            (
+                "GET /healthz HTTP/1.1\r\nHost: test\r\n"
+                f"X-Pad: {'x' * 70_000}\r\n\r\n"
+            ).encode(),
+            431,
+        )
+
+    def test_more_than_a_hundred_headers_is_431(self, front_door):
+        # 100 + Host
+        headers = "".join(f"X-Header-{i}: {i}\r\n" for i in range(100))
+        assert_rejected_and_closed(
+            front_door.url,
+            f"GET /healthz HTTP/1.1\r\nHost: test\r\n{headers}\r\n".encode(),
+            431,
+        )
+
+    def test_a_hundred_headers_are_served(self, front_door):
+        # 98 + Host + Connection: exactly the limit
+        headers = "".join(f"X-Header-{i}: {i}\r\n" for i in range(98))
+        response, _ = raw_request(
+            front_door.url,
+            (
+                "GET /healthz HTTP/1.1\r\nHost: test\r\n"
+                f"{headers}Connection: close\r\n\r\n"
+            ).encode(),
+        )
+        assert response.startswith(b"HTTP/1.1 200 "), response[:200]
+
+    def test_unsupported_method_is_a_json_501(self, front_door):
+        host, port = front_door.url.removeprefix("http://").split(":")
+        connection = http.client.HTTPConnection(host, int(port), timeout=30)
+        try:
+            connection.request("DELETE", "/score")
+            response = connection.getresponse()
+            assert response.status == 501
+            assert json.loads(response.read()) == {
+                "error": "unsupported method 'DELETE'"
+            }
+        finally:
+            connection.close()
+
+
+def test_a_busy_port_raises_at_construction():
+    """Both front doors bind in the constructor, so a busy port is an
+    ``OSError`` there, never a listener thread that dies quietly."""
+    with socket.create_server(("127.0.0.1", 0)) as busy:
+        port = busy.getsockname()[1]
+        with pytest.raises(OSError):
+            build_server(make_engine(), port=port)
+        with pytest.raises(OSError):
+            ShardRouterServer(
+                ("127.0.0.1", port), ShardMap(1), StaticSupervisor([])
+            )
 
 
 class TestEndpoints:

@@ -21,10 +21,13 @@ from repro.errors import ServiceError
 from repro.measures import available_measures
 from repro.resilience import RetryPolicy
 from repro.service import (
+    AsyncRiskServer,
     DurableOwnerStore,
     OwnerStore,
     RebalanceCoordinator,
     RiskEngine,
+    ScoreScheduler,
+    ShardClient,
     ShardMap,
     ShardRouterHandler,
     ShardRouterServer,
@@ -32,8 +35,10 @@ from repro.service import (
     ShardSupervisor,
     build_server,
 )
+from repro.service.async_http import _RiskHandler
 from repro.synth import EgoNetConfig, generate_study_population
 
+from .conftest import StaticSupervisor
 from .test_http import (
     assert_malformed_length_is_rejected,
     gated_engine,
@@ -173,34 +178,6 @@ class TestShardedStores:
 # ---------------------------------------------------------------------------
 # in-process router harness
 # ---------------------------------------------------------------------------
-class StaticSupervisor:
-    """Fake supervisor over in-process servers; tests flip shards down."""
-
-    def __init__(self, servers):
-        self.servers = servers
-        self.down: set[int] = set()
-
-    def url_of(self, shard_index: int):
-        if shard_index in self.down:
-            return None
-        return self.servers[shard_index].url
-
-    def snapshot(self):
-        return {
-            "shards": [
-                {
-                    "shard": index,
-                    "alive": index not in self.down,
-                    "url": self.url_of(index),
-                    "pid": None,
-                    "restarts": 0,
-                    "last_exit_code": None,
-                }
-                for index in range(len(self.servers))
-            ]
-        }
-
-
 @pytest.fixture(scope="module")
 def shard_rig():
     """Two in-process shard servers + a router, shared by the module."""
@@ -570,8 +547,6 @@ class TestRouterBackpressureRelay:
 
     @pytest.fixture
     def gated_rig(self):
-        from repro.service import AsyncRiskServer, ScoreScheduler
-
         engine = gated_engine()
         scheduler = ScoreScheduler(engine, max_workers=1, max_pending=1)
         shard_server = AsyncRiskServer(("127.0.0.1", 0), engine, scheduler)
@@ -620,6 +595,48 @@ class TestRouterBackpressureRelay:
             engine.gate.set()
             blocked.join(timeout=10)
 
+    def test_full_router_sheds_with_429_and_retry_after(self, gated_rig):
+        """``--admission`` bounds the router too: with its one slot held
+        by a request parked on a busy shard, the next one is shed at
+        the router with 429 + Retry-After instead of a new thread."""
+        _, shard_server, engine = gated_rig
+        router = ShardRouterServer(
+            ("127.0.0.1", 0),
+            ShardMap(1),
+            StaticSupervisor([shard_server]),
+            admission_capacity=1,
+        )
+        router_thread = threading.Thread(
+            target=router.serve_forever, daemon=True
+        )
+        router_thread.start()
+        blocked = threading.Thread(
+            target=get, args=(f"{router.url}/score?owner=1",)
+        )
+        blocked.start()
+        try:
+            deadline = time.monotonic() + 10
+            while not engine.running_now() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert engine.running_now()
+            status, document, response = get(f"{router.url}/score?owner=2")
+            assert status == 429
+            assert response.headers["Retry-After"] == "1"
+            assert "admission queue full" in document["error"]
+            assert document["pending"] == 1
+            engine.gate.set()
+            blocked.join(timeout=10)
+            # the one pool thread is free again, so /metrics can fan out
+            _, metrics, _ = get(f"{router.url}/metrics")
+            assert metrics["admission"]["shed"] == 1
+            assert metrics["admission"]["depth"] == 0
+        finally:
+            engine.gate.set()
+            blocked.join(timeout=10)
+            router.shutdown()
+            router.server_close()
+            router_thread.join(timeout=10)
+
     def test_draining_shard_relays_as_503(self, gated_rig):
         router, shard_server, engine = gated_rig
         engine.gate.set()
@@ -634,32 +651,46 @@ class TestRouterBackpressureRelay:
 
 
 class TestBatchTeardown:
-    def test_batch_pump_threads_never_outlive_the_request(self, shard_rig):
-        """Merge-pump teardown is reliable: stranded shard streams are
-        force-closed and joined, even when one shard's members all fail
-        (the path that used to abandon a reader past a 1s join)."""
+    def test_batch_pump_threads_never_outlive_the_request(
+        self, shard_rig, monkeypatch
+    ):
+        """Merge-pump teardown is reliable: by the time the response
+        ends, every shard stream the batch opened is closed and every
+        pump it started on the router's pool has finished, even when
+        one shard's members all fail."""
         router, supervisor, _, shard_map = shard_rig
         owners = sorted(cohort_owner_shards(shard_map))
+        pool_calls, streams = [], []
+        submit = router.pool.submit
+
+        def recording_submit(fn, *args, **kwargs):
+            future = submit(fn, *args, **kwargs)
+            pool_calls.append(future)
+            return future
+
+        open_stream = ShardClient.open_stream
+
+        def recording_open_stream(client, path, body):
+            stream = open_stream(client, path, body)
+            streams.append(stream)
+            return stream
+
+        monkeypatch.setattr(router.pool, "submit", recording_submit)
+        monkeypatch.setattr(ShardClient, "open_stream", recording_open_stream)
         supervisor.down.add(1)  # one shard's lines become 503 errors
         try:
             status, lines, _ = post_ndjson(
                 f"{router.url}/score-batch", {"owners": owners}
             )
-            assert status == 200
-            assert len(lines) == len(owners)
+            # the stream ended: nothing of this batch may still run
+            assert all(future.done() for future in pool_calls)
+            assert all(stream.closed for stream in streams)
         finally:
             supervisor.down.discard(1)
-        deadline = time.monotonic() + 10
-        while time.monotonic() < deadline:
-            leaked = [
-                thread.name
-                for thread in threading.enumerate()
-                if thread.name.startswith("batch-pump-shard-")
-            ]
-            if not leaked:
-                break
-            time.sleep(0.05)
-        assert leaked == []
+            monkeypatch.undo()
+        assert status == 200
+        assert len(lines) == len(owners)
+        assert pool_calls and streams  # one pump per shard, one stream up
         # breaker recovery for later tests
         end = time.monotonic() + 30
         while time.monotonic() < end:
@@ -687,44 +718,63 @@ def dead_proxy(monkeypatch):
 
 class TestRouterSockets:
     def test_accepted_connections_disable_nagle(self, shard_rig, monkeypatch):
+        """Both front doors run on asyncio, whose transports set
+        ``TCP_NODELAY``; a Nagle-delayed body would wait out the
+        client's delayed ACK (~40 ms) on every response."""
         router = shard_rig[0]
-        nodelay = []
-        setup = ShardRouterHandler.setup
+        nodelay: dict[str, list[int]] = {"router": [], "shard": []}
 
-        def recording_setup(handler):
-            setup(handler)
-            nodelay.append(
-                handler.connection.getsockopt(
-                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+        def recording(handler_class, door):
+            handle = handler_class.handle
+
+            async def recording_handle(handler):
+                sock = handler.writer.get_extra_info("socket")
+                nodelay[door].append(
+                    sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
                 )
-            )
+                await handle(handler)
 
-        monkeypatch.setattr(ShardRouterHandler, "setup", recording_setup)
-        status, _, _ = get(f"{router.url}/healthz")
+            monkeypatch.setattr(handler_class, "handle", recording_handle)
+
+        recording(ShardRouterHandler, "router")
+        recording(_RiskHandler, "shard")
+        status, _, _ = get(f"{router.url}/healthz")  # fans out to shards
         assert status == 200
-        assert nodelay and all(nodelay)
+        assert nodelay["router"] and all(nodelay["router"])
+        assert nodelay["shard"] and all(nodelay["shard"])
 
     def test_backlog_holds_a_burst_of_connects(self):
-        router = ShardRouterServer(
-            ("127.0.0.1", 0), ShardMap(1), StaticSupervisor([])
-        )
+        """Both front doors bind and listen in their constructor with a
+        ``socket.SOMAXCONN`` backlog: a burst of connects to a server
+        that accepts nothing yet all wait in the backlog."""
+        engine = gated_engine()
+        servers = [
+            ShardRouterServer(
+                ("127.0.0.1", 0), ShardMap(1), StaticSupervisor([])
+            ),
+            AsyncRiskServer(
+                ("127.0.0.1", 0), engine, ScoreScheduler(engine)
+            ),
+        ]
         connections = []
         try:
-            # nothing accepts: every connect must wait in the backlog
-            for _ in range(16):
-                try:
-                    connections.append(
-                        socket.create_connection(
-                            router.server_address[:2], timeout=0.3
+            for server in servers:
+                # nothing accepts: every connect must wait in the backlog
+                for _ in range(16):
+                    try:
+                        connections.append(
+                            socket.create_connection(
+                                server.server_address[:2], timeout=0.3
+                            )
                         )
-                    )
-                except OSError:
-                    pass
+                    except OSError:
+                        pass
         finally:
             for connection in connections:
                 connection.close()
-            router.server_close()
-        assert len(connections) == 16
+            for server in servers:
+                server.server_close()
+        assert len(connections) == 2 * 16
 
     def test_router_ignores_proxy_variables(self, shard_rig, dead_proxy):
         router, _, _, shard_map = shard_rig
