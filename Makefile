@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-paper-scale perf-smoke parallel-smoke robustness chaos shard-smoke rebalance-smoke measures-smoke incremental-smoke serve-smoke perfbench-smoke study serve examples clean
+.PHONY: install test bench bench-paper-scale perf-smoke parallel-smoke robustness chaos shard-smoke rebalance-smoke measures-smoke incremental-smoke serve-smoke perfbench-smoke loc study serve examples clean
 
 install:
 	$(PYTHON) -m pip install -e ".[test]"
@@ -128,6 +128,14 @@ serve-smoke:
 # compaction, plus the digest checks every run makes
 perfbench-smoke:
 	$(PYTHON) -m pytest -q -o addopts= perfbench/test_perfbench.py
+
+# Python line counts of the package, its service layer and the tests
+# (the figures ROADMAP tracks)
+loc:
+	@for dir in src src/repro/service tests; do \
+		printf '%-18s %6d\n' "$$dir" \
+			"$$(find $$dir -name '*.py' -print0 | xargs -0 cat | wc -l)"; \
+	done
 
 study:
 	$(PYTHON) -m repro --owners 8 --strangers 300

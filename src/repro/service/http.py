@@ -131,12 +131,15 @@ def parse_content_length(value: str | None) -> int | None:
 def mutation_failure(op: str, error: Exception) -> tuple[int, dict[str, Any]]:
     """The ``(status, document)`` answering a failed ``/mutate``.
 
-    ``error`` must be one of :data:`MUTATION_ERRORS`.  A
-    :class:`~repro.errors.WalError` is a 500 and the mutation is *not*
-    acknowledged: under ``"always"`` the append failed before the
-    mutation applied; under ``"group"`` the fsync barrier failed after
-    it applied in memory, poisoning the log until a restart recovers
-    from disk — either way the client must not treat it as durable.
+    ``error`` must be one of :data:`MUTATION_ERRORS`.  A 404 or 400
+    means decoding the body or validating the op failed (on a durable
+    store, the op's check in :data:`~repro.service.wal.MUTATIONS`), so
+    nothing was logged or applied.  A :class:`~repro.errors.WalError` is a 500 and the
+    mutation is *not* acknowledged: either the append failed before the
+    mutation applied, or (under ``"group"``) the fsync barrier failed
+    after it applied in memory, poisoning the log until a restart
+    recovers from disk.  Either way the client must not treat it as
+    durable.
     """
     if isinstance(error, (UnknownUserError, UnknownOwnerError)):
         return 404, {"error": str(error)}

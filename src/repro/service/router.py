@@ -69,13 +69,7 @@ from .http import (
 )
 from .sharding import ShardMap
 from .supervisor import SHARD_OPENER, ShardSupervisor
-
-#: Ops addressed to a single owner (routed to that owner's shard).
-OWNER_OPS = frozenset({"touch", "grant_labels", "add_user"})
-#: Ops touching the shared graph (broadcast to every shard).
-BROADCAST_OPS = frozenset(
-    {"add_friendship", "remove_friendship", "update_profile"}
-)
+from .wal import BROADCAST_OPS, OWNER_OPS
 
 #: Bounded failover budget: ~3 attempts inside a couple hundred ms, so a
 #: dead shard answers 503 quickly instead of hanging its callers.

@@ -91,11 +91,16 @@ class OwnerStore:
         per-owner session seed (``base_seed + index``) and every served
         digest match the unsharded deployment exactly.
         """
+        store = cls(population.graph)
+        store._register_cohort(population, shard_map, shard_index)
+        return store
+
+    def _register_cohort(self, population, shard_map, shard_index) -> None:
+        # the base register, so a durable store seeds itself unlogged
         if (shard_map is None) != (shard_index is None):
             raise ValueError(
                 "shard_map and shard_index must be given together"
             )
-        store = cls(population.graph)
         for global_index, owner in enumerate(population.owners):
             if (
                 shard_map is not None
@@ -104,8 +109,9 @@ class OwnerStore:
                 continue
             handle = population.handles[owner.user_id]
             universe = {owner.user_id, *handle.friends, *handle.strangers}
-            store.register(owner, universe=universe, index=global_index)
-        return store
+            OwnerStore.register(
+                self, owner, universe=universe, index=global_index
+            )
 
     def register(
         self,

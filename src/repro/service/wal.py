@@ -27,18 +27,20 @@ write that timed out.
 
 When exactly is an acknowledged mutation on disk?  Per fsync policy:
 
-* ``"always"`` — fsync'd inside :meth:`WriteAheadLog.append`, before the
-  mutation is applied in memory and before the caller can acknowledge.
-  One fsync per mutation; the durability contract holds.
-* ``"group"`` — appended (write + flush, no fsync) inside ``append``,
-  then fsync'd by the :meth:`WriteAheadLog.wait_durable` commit barrier
-  **before the caller acknowledges**.  Concurrent mutations that arrive
-  while a sync is in flight share the next barrier, so one fsync covers
-  a whole batch.  The mutation is applied in memory *before* it is
-  durable (memtable-style; apply order equals WAL order), but
+* ``"group"`` (the default, and what ``serve`` runs) — appended (write +
+  flush, no fsync) inside :meth:`WriteAheadLog.append`, then fsync'd by
+  the :meth:`WriteAheadLog.wait_durable` commit barrier **before the
+  caller acknowledges**.  Concurrent mutations that arrive while a sync
+  is in flight share the next barrier, so one fsync covers a whole
+  batch.  The mutation is applied in memory *before* it is durable
+  (memtable-style; apply order equals WAL order), but
   :class:`DurableOwnerStore` only returns to its caller — and hence the
-  HTTP layer only acks — after ``wait_durable``.  The durability
-  contract holds, at a fraction of the fsync cost.
+  HTTP layer only acks — after ``wait_durable``.
+* ``"always"`` — fsync'd inside ``append``, before the mutation is
+  applied in memory.  One fsync per mutation.
+
+Every op the store logs, replays and serves over ``POST /mutate`` is one
+row of :data:`MUTATIONS`.
 """
 
 from __future__ import annotations
@@ -48,9 +50,9 @@ import json
 import os
 import threading
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ..errors import (
     GraphError,
@@ -327,13 +329,10 @@ class WriteAheadLog:
     path:
         The log file (created if missing).
     fsync:
-        ``"always"`` — fsync inside every :meth:`append` (full
-        durability, the default); ``"group"`` — group commit: ``append``
-        only writes, and :meth:`wait_durable` runs a commit barrier that
-        batches every record appended since the last sync into one
-        fsync, acking each only once its batch is durable (full
-        durability at a fraction of the fsync cost — the serving
-        default).
+        ``"group"`` (the default) — group commit: ``append`` only
+        writes, and :meth:`wait_durable` batches every record appended
+        since the last sync into one fsync; ``"always"`` — fsync inside
+        every :meth:`append`.  Both are fully durable at the ack.
     start_seq:
         Sequence number to continue from (recovery sets this).
     injector:
@@ -345,7 +344,7 @@ class WriteAheadLog:
         self,
         path: str | Path,
         *,
-        fsync: str = "always",
+        fsync: str = "group",
         start_seq: int = 0,
         injector=None,
     ) -> None:
@@ -609,12 +608,7 @@ class RecoveryReport:
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready view for ``/healthz``."""
-        return {
-            "source": self.source,
-            "snapshot_seq": self.snapshot_seq,
-            "replayed": self.replayed,
-            "truncated_bytes": self.truncated_bytes,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -626,18 +620,16 @@ class DurableOwnerStore(OwnerStore):
     Construct via :meth:`open` (recover-or-seed) — the plain constructor
     wires an already-populated store to an already-positioned log.
 
-    Mutation protocol: under the store lock, validate the arguments,
-    append to the WAL (fsync per policy), apply in memory, auto-compact
-    every ``compact_every`` mutations; then — with the lock released —
-    block on :meth:`WriteAheadLog.wait_durable` before returning.
-    Because validation precedes logging, every logged record replays
-    cleanly; because logging precedes applying (and the apply happens
-    under the same lock), replay order equals memory order; because
-    nothing returns before ``wait_durable``, an *acknowledged* mutation
-    is always on disk (``"always"`` syncs inside the append, ``"group"``
-    at the barrier).  Waiting outside
-    the store lock is what lets concurrent mutations pile into one
-    group-commit fsync instead of serializing on it.
+    Every mutating method encodes its call into the op's WAL args and
+    hands them to ``_logged``.  Under the store lock it runs the op's
+    :data:`MUTATIONS` check (so every logged record replays cleanly),
+    appends, applies by decoding the logged args exactly as replay will
+    (so memory and replay agree), and compacts every ``compact_every``
+    mutations; then, with the lock released, it blocks on
+    :meth:`WriteAheadLog.wait_durable`, so no mutation is acknowledged
+    before its record is on disk.  Waiting outside the lock is what lets
+    concurrent mutations share one group-commit fsync.  When the check
+    finds nothing new to log, the method returns at once.
     """
 
     def __init__(
@@ -659,6 +651,7 @@ class DurableOwnerStore(OwnerStore):
         self._compact_every = compact_every
         self._since_compaction = 0
         self.recovery = recovery or RecoveryReport("fresh", 0, 0, 0)
+        self._acked = threading.local()
 
     # ------------------------------------------------------------------
     # open / recover
@@ -674,7 +667,7 @@ class DurableOwnerStore(OwnerStore):
         wal_dir: str | Path,
         population: StudyPopulation | None = None,
         *,
-        fsync: str = "always",
+        fsync: str = "group",
         compact_every: int | None = 1024,
         injector=None,
         shard_map=None,
@@ -696,10 +689,6 @@ class DurableOwnerStore(OwnerStore):
         owners: the boot mode of a shard joining a live rebalance, whose
         owners arrive via slice import instead of the generator.
         """
-        if (shard_map is None) != (shard_index is None):
-            raise ValueError(
-                "shard_map and shard_index must be given together"
-            )
         wal_dir = Path(wal_dir)
         checkpoints = CheckpointStore(wal_dir)
         wal_path = wal_dir / WAL_FILENAME
@@ -710,30 +699,12 @@ class DurableOwnerStore(OwnerStore):
                     f"no snapshot under {wal_dir} and no population to "
                     "seed one from"
                 )
-            wal = WriteAheadLog(
-                wal_path,
-                fsync=fsync,
-                injector=injector,
-            )
+            wal = WriteAheadLog(wal_path, fsync=fsync, injector=injector)
             store = cls(
-                population.graph,
-                wal,
-                checkpoints,
-                compact_every=compact_every,
+                population.graph, wal, checkpoints, compact_every=compact_every
             )
-            for global_index, owner in enumerate(population.owners):
-                if join_empty:
-                    break
-                if (
-                    shard_map is not None
-                    and shard_map.shard_of(owner.user_id) != shard_index
-                ):
-                    continue
-                handle = population.handles[owner.user_id]
-                universe = {owner.user_id, *handle.friends, *handle.strangers}
-                OwnerStore.register(
-                    store, owner, universe=universe, index=global_index
-                )
+            if not join_empty:
+                store._register_cohort(population, shard_map, shard_index)
             store._save_snapshot()
             return store
 
@@ -749,122 +720,61 @@ class DurableOwnerStore(OwnerStore):
             [snapshot_seq, *(int(r["seq"]) for r in records)], default=0
         )
         wal = WriteAheadLog(
-            wal_path,
-            fsync=fsync,
-            start_seq=last_seq,
-            injector=injector,
+            wal_path, fsync=fsync, start_seq=last_seq, injector=injector
         )
-        store = cls(
-            graph,
-            wal,
-            checkpoints,
-            compact_every=compact_every,
-            recovery=RecoveryReport(
-                "recovered", snapshot_seq, len(tail), truncated
-            ),
+        store = cls(graph, wal, checkpoints, compact_every=compact_every)
+        store.recovery = RecoveryReport(
+            "recovered", snapshot_seq, len(tail), truncated
         )
         for entry in entries:
-            store._entries[entry.owner.user_id] = entry
-            for user in entry.universe:
-                store._user_owners.setdefault(user, set()).add(
-                    entry.owner.user_id
-                )
+            OwnerStore.attach_entry(store, entry)
         for record in tail:
-            store._replay(record)
+            try:
+                store._apply(record["op"], record.get("args", {}))
+            except Exception as error:
+                raise WalError(
+                    f"WAL record seq={record['seq']} op={record['op']!r} "
+                    f"failed to replay: {error!r}"
+                ) from error
         return store
 
     # ------------------------------------------------------------------
-    # logged mutations
+    # logged mutations: each encodes its call into the op's WAL args
     # ------------------------------------------------------------------
     def register(self, owner, universe=None, index=None) -> OwnerEntry:
         """Register one owner, durably (with its global cohort index)."""
-        with self._lock:
-            resolved = set(universe or {owner.user_id})
-            if index is None:
-                index = len(self._entries)
-            seq = self._append(
-                "register",
-                {
-                    "owner": owner_to_dict(owner),
-                    "universe": sorted(resolved),
-                    "index": int(index),
-                },
-            )
-            entry = super().register(owner, universe=resolved, index=index)
-            self._maybe_compact()
-        self._wal.wait_durable(seq)
-        return entry
+        args = {
+            "owner": owner_to_dict(owner),
+            "universe": sorted(set(universe or {owner.user_id})),
+            "index": index,
+        }
+        return self._logged("register", args)
 
     def add_user(self, profile: Profile, owner_id: UserId) -> None:
         """Durably add a new user inside one owner's universe."""
-        with self._lock:
-            self.get(owner_id)  # validate before logging
-            seq = self._append(
-                "add_user",
-                {"profile": profile_to_dict(profile), "owner": owner_id},
-            )
-            super().add_user(profile, owner_id)
-            self._maybe_compact()
-        self._wal.wait_durable(seq)
+        args = {"profile": profile_to_dict(profile), "owner": owner_id}
+        self._logged("add_user", args)
 
     def update_profile(self, profile: Profile) -> frozenset[UserId]:
         """Durably replace a user's profile."""
-        with self._lock:
-            seq = self._append(
-                "update_profile", {"profile": profile_to_dict(profile)}
-            )
-            affected = super().update_profile(profile)
-            self._maybe_compact()
-        self._wal.wait_durable(seq)
-        return affected
+        args = {"profile": profile_to_dict(profile)}
+        return self._logged("update_profile", args)
 
     def add_friendship(self, a: UserId, b: UserId) -> frozenset[UserId]:
         """Durably create the edge ``{a, b}``."""
-        with self._lock:
-            self._validate_edge(a, b)
-            seq = self._append("add_friendship", {"a": a, "b": b})
-            affected = super().add_friendship(a, b)
-            self._maybe_compact()
-        self._wal.wait_durable(seq)
-        return affected
+        return self._logged("add_friendship", {"a": a, "b": b})
 
     def remove_friendship(self, a: UserId, b: UserId) -> frozenset[UserId]:
         """Durably remove the edge ``{a, b}``."""
-        with self._lock:
-            self._validate_edge(a, b)
-            seq = self._append("remove_friendship", {"a": a, "b": b})
-            affected = super().remove_friendship(a, b)
-            self._maybe_compact()
-        self._wal.wait_durable(seq)
-        return affected
+        return self._logged("remove_friendship", {"a": a, "b": b})
 
     def grant_labels(
         self, owner_id: UserId, labels: Mapping[UserId, int]
     ) -> int:
         """Durably record oracle-granted labels (only the new ones)."""
-        with self._lock:
-            entry = self.get(owner_id)
-            delta = {
-                int(stranger): RiskLabel(int(label))
-                for stranger, label in sorted(labels.items())
-                if entry.labels.get(int(stranger)) != RiskLabel(int(label))
-            }
-            if not delta:
-                return 0
-            seq = self._append(
-                "grant_labels",
-                {
-                    "owner": owner_id,
-                    "labels": {
-                        str(stranger): int(label)
-                        for stranger, label in delta.items()
-                    },
-                },
-            )
-            granted = super().grant_labels(owner_id, delta)
-            self._maybe_compact()
-        self._wal.wait_durable(seq)
-        return granted
+        logged = {str(user): int(label) for user, label in labels.items()}
+        args = {"owner": owner_id, "labels": logged}
+        return self._logged("grant_labels", args) or 0
 
     def touch(self, owner_id: UserId) -> int:
         """Durably bump one owner's version.
@@ -872,13 +782,7 @@ class DurableOwnerStore(OwnerStore):
         Logged so that version numbers — which key the engine's cache
         and are visible via ``/owners`` — agree across restarts.
         """
-        with self._lock:
-            self.get(owner_id)
-            seq = self._append("touch", {"owner": owner_id})
-            version = super().touch(owner_id)
-            self._maybe_compact()
-        self._wal.wait_durable(seq)
-        return version
+        return self._logged("touch", {"owner": owner_id})
 
     def attach_entry(self, entry: OwnerEntry) -> OwnerEntry:
         """Durably adopt a migrated entry (WAL-slice handoff, dest side).
@@ -887,14 +791,8 @@ class DurableOwnerStore(OwnerStore):
         and its next compaction replays the attach from its own WAL —
         the handoff is acknowledged only once it can survive a crash.
         """
-        with self._lock:
-            seq = self._append(
-                "attach_owner", {"entry": owner_entry_to_dict(entry)}
-            )
-            attached = super().attach_entry(entry)
-            self._maybe_compact()
-        self._wal.wait_durable(seq)
-        return attached
+        args = {"entry": owner_entry_to_dict(entry)}
+        return self._logged("attach_owner", args)
 
     def detach_owner(self, owner_id: UserId) -> bool:
         """Durably drop a migrated owner (handoff, source side).
@@ -902,14 +800,7 @@ class DurableOwnerStore(OwnerStore):
         Nothing is logged when the owner is already gone — replayed
         truncations must not bloat the WAL.
         """
-        with self._lock:
-            if not self.has_owner(owner_id):
-                return False
-            seq = self._append("detach_owner", {"owner": int(owner_id)})
-            detached = super().detach_owner(owner_id)
-            self._maybe_compact()
-        self._wal.wait_durable(seq)
-        return detached
+        return bool(self._logged("detach_owner", {"owner": int(owner_id)}))
 
     def replace_graph(self, graph: SocialGraph) -> None:
         """Durably adopt a replacement graph (joining-shard import).
@@ -919,13 +810,34 @@ class DurableOwnerStore(OwnerStore):
         and compaction would replay attach records against a graph
         missing every pre-resize broadcast.
         """
+        self._logged("adopt_graph", {"graph": graph_to_dict(graph)})
+
+    def _logged(self, op: str, args: dict[str, Any]) -> Any:
+        """Check, append, apply, compact, then wait (class docstring)."""
+        check = MUTATIONS[op].check
+        self._acked.seq = None
         with self._lock:
-            seq = self._append(
-                "adopt_graph", {"graph": graph_to_dict(graph)}
-            )
-            super().replace_graph(graph)
-            self._maybe_compact()
+            args = args if check is None else check(self, args)
+            if args is None:  # nothing new to log, nor to wait for
+                return None
+            seq = self._wal.append(op, args)
+            self._since_compaction += 1
+            result = self._apply(op, args)
+            # compact only *after* the apply: the snapshot covers the
+            # WAL's seq, so compacting before it would truncate a record
+            # the snapshot lacks, losing an acknowledged mutation
+            every = self._compact_every
+            if every is not None and self._since_compaction >= every:
+                self._save_snapshot()
         self._wal.wait_durable(seq)
+        self._acked.seq = seq
+        return result
+
+    def _apply(self, op: str, args: Mapping[str, Any]) -> Any:
+        # the method is looked up per call, so a patched ``OwnerStore``
+        # method (perfbench's spans) sees logged applies and replays
+        row = MUTATIONS[op]
+        return getattr(OwnerStore, row.method)(self, *row.decode(args))
 
     # ------------------------------------------------------------------
     # durability lifecycle
@@ -937,8 +849,14 @@ class DurableOwnerStore(OwnerStore):
 
     @property
     def last_seq(self) -> int:
-        """Sequence number of the last durable mutation."""
+        """Seq of the last logged mutation (maybe another thread's)."""
         return self._wal.seq
+
+    @property
+    def acked_seq(self) -> int | None:
+        """Seq of the record this thread's last mutation logged, durable
+        once it returned (``None`` if it raised or logged nothing)."""
+        return getattr(self._acked, "seq", None)
 
     def compact(self) -> int:
         """Fold the WAL into a fresh snapshot; returns the covered seq.
@@ -946,16 +864,11 @@ class DurableOwnerStore(OwnerStore):
         Safe against a crash at any point: the snapshot is written
         atomically (temp + fsync + rename + dir fsync) *before* the log
         is truncated, and replay skips records at or below the
-        snapshot's sequence number — so a crash between the two steps
-        merely replays no-ops' worth of already-folded history... which
-        the seq filter drops.
+        snapshot's sequence number, so a crash between the two steps
+        replays nothing twice.
         """
         with self._lock:
             return self._save_snapshot()
-
-    def flush(self) -> None:
-        """Force WAL appends not yet group-committed to disk."""
-        self._wal.flush()
 
     def close(self) -> None:
         """Flush and close the WAL."""
@@ -964,36 +877,6 @@ class DurableOwnerStore(OwnerStore):
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _append(self, op: str, args: dict[str, Any]) -> int:
-        seq = self._wal.append(op, args)
-        self._since_compaction += 1
-        return seq
-
-    def _maybe_compact(self) -> None:
-        """Compact once ``compact_every`` mutations accumulate.
-
-        Called (under the store lock) *after* a mutation applies, never
-        before: the snapshot covers the WAL's current sequence number,
-        so compacting between append and apply would truncate a record
-        whose effect the snapshot does not yet hold — losing an
-        acknowledged mutation to the very mechanism meant to preserve
-        it.
-        """
-        if (
-            self._compact_every is not None
-            and self._since_compaction >= self._compact_every
-        ):
-            self._save_snapshot()
-
-    def _validate_edge(self, a: UserId, b: UserId) -> None:
-        # surface graph errors *before* the WAL sees the record, so every
-        # logged mutation is guaranteed to replay cleanly
-        if a == b:
-            raise GraphError(f"self-friendship rejected for user {a}")
-        for user in (a, b):
-            if user not in self._graph:
-                raise UnknownUserError(user)
-
     def _save_snapshot(self) -> int:
         # generators, so the checkpoint store streams one edge, profile
         # or owner row at a time instead of building the whole document
@@ -1033,123 +916,162 @@ class DurableOwnerStore(OwnerStore):
         entries.sort(key=lambda entry: entry.index)
         return graph, entries
 
-    def _replay(self, record: dict[str, Any]) -> None:
-        op, args = record["op"], record.get("args", {})
-        try:
-            if op == "register":
-                index = args.get("index")
-                OwnerStore.register(
-                    self,
-                    owner_from_dict(args["owner"]),
-                    universe={int(user) for user in args["universe"]},
-                    index=None if index is None else int(index),
-                )
-            elif op == "add_user":
-                OwnerStore.add_user(
-                    self,
-                    profile_from_dict(args["profile"]),
-                    owner_id=int(args["owner"]),
-                )
-            elif op == "update_profile":
-                OwnerStore.update_profile(
-                    self, profile_from_dict(args["profile"])
-                )
-            elif op == "add_friendship":
-                OwnerStore.add_friendship(self, int(args["a"]), int(args["b"]))
-            elif op == "remove_friendship":
-                OwnerStore.remove_friendship(
-                    self, int(args["a"]), int(args["b"])
-                )
-            elif op == "grant_labels":
-                OwnerStore.grant_labels(
-                    self,
-                    int(args["owner"]),
-                    {
-                        int(stranger): int(label)
-                        for stranger, label in args["labels"].items()
-                    },
-                )
-            elif op == "touch":
-                OwnerStore.touch(self, int(args["owner"]))
-            elif op == "attach_owner":
-                OwnerStore.attach_entry(
-                    self, owner_entry_from_dict(args["entry"])
-                )
-            elif op == "detach_owner":
-                OwnerStore.detach_owner(self, int(args["owner"]))
-            elif op == "adopt_graph":
-                OwnerStore.replace_graph(self, graph_from_dict(args["graph"]))
-            else:
-                raise WalError(f"unknown WAL op {op!r}")
-        except WalError:
-            raise
-        except Exception as error:
-            raise WalError(
-                f"WAL record seq={record.get('seq')} op={op!r} failed to "
-                f"replay: {error}"
-            ) from error
+
+# ---------------------------------------------------------------------------
+# the mutation table: the one home of the op vocabulary
+# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class MutationOp:
+    """One store mutation; a new op is one store method plus one row.
+
+    ``method`` names the :class:`OwnerStore` method the op applies;
+    ``decode`` maps its args (a WAL record's or a ``/mutate`` body's) to
+    that method's positional arguments.  ``check`` runs under the store
+    lock before the append: it raises on an invalid mutation and returns
+    the args to log, or ``None`` when there is nothing new.  ``route``
+    marks the ``/mutate`` ops: ``"owner"`` ones go to the owning shard,
+    ``"broadcast"`` ones to every shard.
+    """
+
+    method: str
+    decode: Callable[[Mapping[str, Any]], tuple]
+    check: Callable[[OwnerStore, dict], dict | None] | None = None
+    route: str | None = None
+
+
+def _known_owner(store: OwnerStore, args: dict) -> dict:
+    store.get(args["owner"])
+    return args
+
+
+def _valid_edge(store: OwnerStore, args: dict) -> dict:
+    if args["a"] == args["b"]:
+        raise GraphError(f"self-friendship rejected for user {args['a']}")
+    for user in (args["a"], args["b"]):
+        if user not in store.graph:
+            raise UnknownUserError(user)
+    return args
+
+
+def _new_labels(store: OwnerStore, args: dict) -> dict | None:
+    held = store.get(args["owner"]).labels
+    new = {
+        user: label
+        for user, label in args["labels"].items()
+        if held.get(int(user)) != RiskLabel(int(label))
+    }
+    return {**args, "labels": new} if new else None
+
+
+def _present_owner(store: OwnerStore, args: dict) -> dict | None:
+    return args if store.has_owner(args["owner"]) else None
+
+
+def _fixed_index(store: OwnerStore, args: dict) -> dict:
+    # an unindexed owner takes the next slot, fixed in its record
+    index = args["index"]
+    index = len(store.owner_ids()) if index is None else int(index)
+    return {**args, "index": index}
+
+
+def _owner(args: Mapping[str, Any]) -> tuple:
+    return (int(args["owner"]),)
+
+
+def _edge(args: Mapping[str, Any]) -> tuple:
+    return int(args["a"]), int(args["b"])
+
+
+def _profile(args: Mapping[str, Any]) -> tuple:
+    return (profile_from_dict(args["profile"]),)
+
+
+def _add_user(args: Mapping[str, Any]) -> tuple:
+    return profile_from_dict(args["profile"]), int(args["owner"])
+
+
+def _grant(args: Mapping[str, Any]) -> tuple:
+    labels = dict(args["labels"]).items()
+    return int(args["owner"]), {int(u): int(v) for u, v in labels}
+
+
+def _register(args: Mapping[str, Any]) -> tuple:
+    universe = {int(user) for user in args["universe"]}
+    return owner_from_dict(args["owner"]), universe, args.get("index")
+
+
+def _entry(args: Mapping[str, Any]) -> tuple:
+    return (owner_entry_from_dict(args["entry"]),)
+
+
+def _graph(args: Mapping[str, Any]) -> tuple:
+    return (graph_from_dict(args["graph"]),)
+
+
+#: Every op the WAL logs: ``/mutate``'s menu first, then internal ones.
+MUTATIONS: dict[str, MutationOp] = {
+    "add_friendship": MutationOp(
+        "add_friendship", _edge, _valid_edge, "broadcast"
+    ),
+    "remove_friendship": MutationOp(
+        "remove_friendship", _edge, _valid_edge, "broadcast"
+    ),
+    "update_profile": MutationOp(
+        "update_profile", _profile, None, "broadcast"
+    ),
+    # the router also copies the new profile to the other shards
+    "add_user": MutationOp("add_user", _add_user, _known_owner, "owner"),
+    "grant_labels": MutationOp("grant_labels", _grant, _new_labels, "owner"),
+    "touch": MutationOp("touch", _owner, _known_owner, "owner"),
+    "register": MutationOp("register", _register, _fixed_index),
+    "attach_owner": MutationOp("attach_entry", _entry),
+    "detach_owner": MutationOp("detach_owner", _owner, _present_owner),
+    "adopt_graph": MutationOp("replace_graph", _graph),
+}
+
+#: Ops accepted by :func:`mutate_store` / ``POST /mutate``.
+MUTATION_OPS = tuple(op for op, row in MUTATIONS.items() if row.route)
+#: Single-owner ops (routed to the owning shard).
+OWNER_OPS = frozenset(
+    op for op in MUTATION_OPS if MUTATIONS[op].route == "owner"
+)
+#: Shared-graph ops (broadcast to every shard).
+BROADCAST_OPS = frozenset(
+    op for op in MUTATION_OPS if MUTATIONS[op].route == "broadcast"
+)
 
 
 def mutate_store(
     store: OwnerStore, op: str, args: Mapping[str, Any]
 ) -> dict[str, Any]:
-    """Apply one named mutation to a store; the ``POST /mutate`` core.
+    """Apply one ``/mutate`` op to a store through its :data:`MUTATIONS` row.
 
-    Shared by the HTTP layer and tests so the op vocabulary lives in one
-    place.  Returns a JSON-ready result: which owners were invalidated,
-    their new versions, and (for durable stores) the WAL sequence number
-    that makes the mutation acknowledged-and-safe.
+    Unknown and internal ops raise :class:`KeyError`.  Returns a
+    JSON-ready result: which owners were invalidated, their new
+    versions, and (for durable stores) the seq that makes the mutation
+    acknowledged-and-safe, :attr:`DurableOwnerStore.acked_seq`.
     """
-    affected: Iterable[UserId]
-    if op == "add_friendship":
-        affected = store.add_friendship(int(args["a"]), int(args["b"]))
-    elif op == "remove_friendship":
-        affected = store.remove_friendship(int(args["a"]), int(args["b"]))
-    elif op == "update_profile":
-        affected = store.update_profile(profile_from_dict(args["profile"]))
-    elif op == "add_user":
-        owner_id = int(args["owner"])
-        store.add_user(profile_from_dict(args["profile"]), owner_id=owner_id)
-        affected = {owner_id}
-    elif op == "grant_labels":
-        owner_id = int(args["owner"])
-        store.grant_labels(
-            owner_id,
-            {
-                int(stranger): int(label)
-                for stranger, label in dict(args["labels"]).items()
-            },
-        )
-        affected = {owner_id}
-    elif op == "touch":
-        owner_id = int(args["owner"])
-        store.touch(owner_id)
-        affected = {owner_id}
-    else:
+    row = MUTATIONS.get(op)
+    if row is None or row.route is None:
         raise KeyError(op)
-    owners = sorted(affected)
+    result = getattr(store, row.method)(*row.decode(args))
+    owners = sorted(result if row.route == "broadcast" else _owner(args))
     return {
         "ok": True,
         "op": op,
         "affected": owners,
         "versions": {str(o): store.version(o) for o in owners},
-        "seq": store.last_seq if isinstance(store, DurableOwnerStore) else None,
+        "seq": store.acked_seq if isinstance(store, DurableOwnerStore) else None,
     }
 
 
-#: Ops accepted by :func:`mutate_store` / ``POST /mutate``.
-MUTATION_OPS = (
-    "add_friendship",
-    "remove_friendship",
-    "update_profile",
-    "add_user",
-    "grant_labels",
-    "touch",
-)
-
 __all__ = [
+    "BROADCAST_OPS",
     "DurableOwnerStore",
+    "MUTATIONS",
     "MUTATION_OPS",
+    "MutationOp",
+    "OWNER_OPS",
     "RecoveryReport",
     "SNAPSHOT_KEY",
     "WAL_FILENAME",

@@ -4,14 +4,21 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 import tracemalloc
 import zlib
 
 import pytest
 
-from repro.errors import GraphError, UnknownUserError, WalError
+from repro.errors import (
+    GraphError,
+    UnknownOwnerError,
+    UnknownUserError,
+    WalError,
+)
 from repro.faults import ServiceFaultInjector, ServiceFaultPlan
 from repro.io import graph_to_json, result_digest
+from repro.io.serialization import graph_from_dict, graph_to_dict
 from repro.service import (
     DurableOwnerStore,
     OwnerStore,
@@ -20,12 +27,16 @@ from repro.service import (
     mutate_store,
     read_wal,
 )
+from repro.service.router import BROADCAST_OPS, OWNER_OPS
 from repro.service.wal import (
     MUTATION_OPS,
+    MUTATIONS,
     SNAPSHOT_KEY,
     WAL_FILENAME,
     decode_record,
     encode_record,
+    graph_digest,
+    owner_entry_from_dict,
     owner_entry_to_dict,
 )
 from repro.synth import EgoNetConfig, generate_study_population
@@ -189,6 +200,7 @@ def store_state(store):
         "edges": {
             frozenset(edge) for edge in store.graph.edges()
         },
+        "graph": graph_digest(store.graph),
     }
 
 
@@ -279,14 +291,30 @@ class TestDurableOwnerStore:
         self, wal_dir, durable_store
     ):
         owner = durable_store.owner_ids()[0]
+        stranger = sorted(durable_store.get(owner).universe - {owner})[0]
+        durable_store.grant_labels(owner, {stranger: 1})
         seq = durable_store.last_seq
+        logged = (wal_dir / WAL_FILENAME).read_bytes()
         with pytest.raises(GraphError):
             durable_store.add_friendship(owner, owner)
         with pytest.raises(UnknownUserError):
             durable_store.add_friendship(owner, 424_242)
         with pytest.raises(UnknownUserError):
             durable_store.remove_friendship(owner, 424_242)
+        with pytest.raises(UnknownOwnerError):
+            durable_store.add_user(make_profile(777_004), 424_242)
+        with pytest.raises(UnknownOwnerError):
+            durable_store.grant_labels(424_242, {stranger: 1})
+        with pytest.raises(UnknownOwnerError):
+            durable_store.touch(424_242)
+        with pytest.raises(ValueError):
+            durable_store.grant_labels(owner, {stranger: 9})  # no such label
+        # nothing new to log: labels already held, an absent owner
+        assert durable_store.grant_labels(owner, {stranger: 1}) == 0
+        assert durable_store.detach_owner(424_242) is False
         assert durable_store.last_seq == seq
+        assert (wal_dir / WAL_FILENAME).read_bytes() == logged
+        assert 777_004 not in durable_store.graph
 
     def test_scores_are_byte_identical_after_recovery(
         self, wal_dir, durable_store
@@ -424,7 +452,10 @@ class TestFaultInjection:
             ServiceFaultPlan(fsync_failure_rate=1.0), seed=5
         )
         store = DurableOwnerStore.open(
-            wal_dir, make_service_population(), injector=injector
+            wal_dir,
+            make_service_population(),
+            fsync="always",
+            injector=injector,
         )
         owner = store.owner_ids()[0]
         version = store.version(owner)
@@ -441,7 +472,10 @@ class TestFaultInjection:
             crash=lambda code: crashes.append(code),
         )
         store = DurableOwnerStore.open(
-            wal_dir, make_service_population(), injector=injector
+            wal_dir,
+            make_service_population(),
+            fsync="always",
+            injector=injector,
         )
         owner = store.owner_ids()[0]
         store.touch(owner)  # mutation 1: clean
@@ -463,7 +497,10 @@ class TestFaultInjection:
             crash=lambda code: crashes.append(code),
         )
         store = DurableOwnerStore.open(
-            wal_dir, make_service_population(), injector=injector
+            wal_dir,
+            make_service_population(),
+            fsync="always",
+            injector=injector,
         )
         owner = store.owner_ids()[0]
         store.touch(owner)
@@ -516,11 +553,129 @@ class TestMutateStore:
         result = mutate_store(store, "touch", {"owner": owner})
         assert result["seq"] == store.last_seq
         assert result["versions"][str(owner)] == store.version(owner)
+        grant = {"owner": owner, "labels": {str(owner + 1): 1}}
+        assert mutate_store(store, "grant_labels", grant)["seq"] == 2
+        # labels already held: nothing is logged, so no seq acks it
+        assert mutate_store(store, "grant_labels", grant)["seq"] is None
+        assert store.last_seq == 2
         store.close()
 
     def test_unknown_op_raises_keyerror(self, plain_store):
         with pytest.raises(KeyError):
             mutate_store(plain_store, "drop_table", {})
+        with pytest.raises(KeyError):  # logged, but not a /mutate op
+            mutate_store(plain_store, "detach_owner", {"owner": 1})
+
+
+# ---------------------------------------------------------------------------
+# the mutation table: one row per logged op
+# ---------------------------------------------------------------------------
+def golden_population():
+    """The tiny cohort :data:`GOLDEN_WAL_LINES` was written against."""
+    return generate_study_population(
+        num_owners=2,
+        ego_config=EgoNetConfig(
+            num_friends=2, num_strangers=2, num_communities=1
+        ),
+        seed=SERVICE_SEED,
+    )
+
+
+def golden_mutations(store, population):
+    """One call per logged op: the calls behind the golden WAL."""
+    a, b = (owner.user_id for owner in population.owners)
+    for index, owner in enumerate(population.owners):
+        handle = population.handles[owner.user_id]
+        universe = {owner.user_id, *handle.friends, *handle.strangers}
+        store.register(owner, universe=universe, index=index)
+    store.add_user(make_profile(9_001), a)
+    store.update_profile(make_profile(9_001, locale="DE"))
+    store.add_friendship(a, 9_001)
+    store.remove_friendship(a, 9_001)
+    store.grant_labels(a, {9_001: 1})
+    store.touch(b)
+    entry = owner_entry_from_dict(owner_entry_to_dict(store.get(b)))
+    store.detach_owner(b)
+    store.attach_entry(entry)
+    store.replace_graph(graph_from_dict(graph_to_dict(store.graph)))
+
+
+def owner_rows(store):
+    return [owner_entry_to_dict(store.get(o)) for o in store.owner_ids()]
+
+
+def golden_wal():
+    return b"".join(line + b"\n" for line in GOLDEN_WAL_LINES)
+
+
+class TestMutationTable:
+    def test_golden_wal_recovers_to_the_expected_state(self, wal_dir):
+        DurableOwnerStore.open(
+            wal_dir, golden_population(), join_empty=True
+        ).close()
+        (wal_dir / WAL_FILENAME).write_bytes(golden_wal())
+        population = golden_population()
+        oracle = OwnerStore(population.graph)
+        golden_mutations(oracle, population)
+        recovered = DurableOwnerStore.open(wal_dir)
+        try:
+            ops = [decode_record(line)["op"] for line in GOLDEN_WAL_LINES]
+            assert set(ops) == set(MUTATIONS)
+            assert recovered.recovery.replayed == len(ops)
+            assert store_state(recovered) == store_state(oracle)
+            assert owner_rows(recovered) == owner_rows(oracle)
+        finally:
+            recovered.close()
+
+    def test_the_store_writes_the_golden_wal(self, wal_dir):
+        population = golden_population()
+        store = DurableOwnerStore.open(wal_dir, population, join_empty=True)
+        golden_mutations(store, population)
+        store.close()
+        assert (wal_dir / WAL_FILENAME).read_bytes() == golden_wal()
+
+    def test_every_table_method_is_logged(self, wal_dir, durable_store):
+        a, b = durable_store.owner_ids()[:2]
+
+        def moved_entry(store):
+            row = owner_entry_to_dict(store.get(b))
+            return owner_entry_from_dict({**row, "version": 7})
+
+        def grown_graph(store):
+            graph = graph_from_dict(graph_to_dict(store.graph))
+            graph.add_friendship(a, b)
+            return graph
+
+        calls = {
+            "add_user": lambda s: s.add_user(make_profile(777_003), a),
+            "update_profile": lambda s: s.update_profile(
+                make_profile(777_003, locale="DE")
+            ),
+            "add_friendship": lambda s: s.add_friendship(a, 777_003),
+            "remove_friendship": lambda s: s.remove_friendship(a, 777_003),
+            "grant_labels": lambda s: s.grant_labels(a, {777_003: 2}),
+            "touch": lambda s: s.touch(b),
+            "register": lambda s: s.register(
+                s.get(b).owner, universe=s.get(b).universe, index=99
+            ),
+            "attach_entry": lambda s: s.attach_entry(moved_entry(s)),
+            "replace_graph": lambda s: s.replace_graph(grown_graph(s)),
+            "detach_owner": lambda s: s.detach_owner(b),
+        }
+        assert set(calls) == {row.method for row in MUTATIONS.values()}
+        store = durable_store
+        for method, call in calls.items():
+            before = store_state(store)
+            call(store)
+            expected = store_state(store)
+            assert expected != before, method
+            store = reopen(store, wal_dir)
+            assert store_state(store) == expected, method
+        store.close()
+
+    def test_router_routes_every_mutate_op_exactly_once(self):
+        assert OWNER_OPS | BROADCAST_OPS == set(MUTATION_OPS)
+        assert not OWNER_OPS & BROADCAST_OPS
 
 
 def profile_to_dict_for_test(profile):
@@ -697,6 +852,48 @@ class TestGroupCommit:
         assert recovered.version(owner) == 2
         recovered.close()
 
+    def test_concurrent_acks_report_their_own_record_seq(self, wal_dir):
+        """Two mutations share a group commit; each ack names its own
+        record, not whichever record the log had reached by then."""
+        syncing, gate = threading.Event(), threading.Event()
+
+        def slow_disk(_seconds: float) -> None:
+            syncing.set()
+            assert gate.wait(timeout=30)
+
+        injector = ServiceFaultInjector(
+            ServiceFaultPlan(slow_disk_seconds=1.0), sleeper=slow_disk
+        )
+        store = DurableOwnerStore.open(
+            wal_dir,
+            make_service_population(),
+            fsync="group",
+            injector=injector,
+        )
+        first, second = store.owner_ids()[:2]
+        acks: dict[int, int] = {}
+
+        def mutate(owner: int) -> None:
+            acks[owner] = mutate_store(store, "touch", {"owner": owner})["seq"]
+
+        leader = threading.Thread(target=mutate, args=(first,))
+        leader.start()
+        assert syncing.wait(timeout=30)  # the leader's fsync is held
+        follower = threading.Thread(target=mutate, args=(second,))
+        follower.start()
+        deadline = time.monotonic() + 30
+        while store.last_seq < 2 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert store.last_seq == 2, "the follower never appended"
+        gate.set()
+        leader.join(timeout=30)
+        follower.join(timeout=30)
+        records, _ = read_wal(wal_dir / WAL_FILENAME)
+        own = {record["args"]["owner"]: record["seq"] for record in records}
+        assert acks == own == {first: 1, second: 2}
+        assert max(acks.values()) <= store.wal.stats()["group"]["durable_seq"]
+        store.close()
+
     def test_auto_compaction_never_outruns_the_apply(self, wal_dir):
         # regression: compacting between append and apply would snapshot
         # the pre-mutation state while truncating the record — silently
@@ -709,3 +906,148 @@ class TestGroupCommit:
         recovered = reopen(store, wal_dir)
         assert recovered.version(owner) == 1
         recovered.close()
+
+
+#: The golden WAL: what the encoder wrote for :func:`golden_mutations`
+#: before the op table existed, one element per line (sans newline).
+GOLDEN_WAL_LINES = (
+    (
+        b'797c43f4 {"args":{"index":0,"owner":{"attitude":{"familiar_lastnames'
+        b'":["brown"],"gender_weight":0.09182504551198727,"item_sensitivities"'
+        b':{"education":0.016583434928346432,"friend":0.027008302633053684,"ho'
+        b'metown":0.017558201260481684,"location":0.006795392606663887,"photo"'
+        b':0.08434562806214183,"wall":0.018610282532386294,"work":0.0229725465'
+        b'30416905},"lastname_weight":0.02001422785951828,"locale_weight":0.28'
+        b'88063229279156,"network_weight":0.5668345593834339,"noise_sd":0.0157'
+        b'4827742772254,"owner_locale":"TR","risky_gender":"male","threshold_r'
+        b'isky":0.4479975212758305,"threshold_very_risky":0.6347287011993901},'
+        b'"confidence":86.69559672993232,"ground_truth":{"4":3,"5":2},"profile'
+        b'":{"attributes":{"gender":"male","hometown":"london","last_name":"br'
+        b'own","locale":"GB","location":"london"},"id":1,"privacy":{"education'
+        b'":"PRIVATE","friend":"FRIENDS_OF_FRIENDS","hometown":"PRIVATE","loca'
+        b'tion":"FRIENDS_OF_FRIENDS","photo":"FRIENDS_OF_FRIENDS","wall":"FRIE'
+        b'NDS","work":"FRIENDS_OF_FRIENDS"}},"thetas":{"education":0.771444564'
+        b'372799,"friend":0.9464706289094899,"hometown":0.7392746237537478,"lo'
+        b'cation":0.7091782563056399,"photo":0.8145036507109062,"wall":0.76217'
+        b'18898124273,"work":0.621702192956817},"user_id":1},"universe":[1,2,3'
+        b',4,5]},"op":"register","seq":1}'
+    ),
+    (
+        b'08ed703e {"args":{"index":1,"owner":{"attitude":{"familiar_lastnames'
+        b'":["mueller"],"gender_weight":0.285755268425227,"item_sensitivities"'
+        b':{"education":0.024009282257698543,"friend":0.016611342825677288,"ho'
+        b'metown":0.020293418946005965,"location":0.01191188276513423,"photo":'
+        b'0.08978966561161046,"wall":0.014332460541274785,"work":0.02088336945'
+        b'593719},"lastname_weight":0.02127652701805527,"locale_weight":0.1577'
+        b'2952231566506,"network_weight":0.3608882884903457,"noise_sd":0.02430'
+        b'5811203774043,"owner_locale":"TR","risky_gender":"male","threshold_r'
+        b'isky":0.4535743778907648,"threshold_very_risky":0.7163426587808076},'
+        b'"confidence":85.15951485081567,"ground_truth":{"10":1,"9":2},"profil'
+        b'e":{"attributes":{"education":"rwth aachen","gender":"female","homet'
+        b'own":"frankfurt","last_name":"mueller","locale":"DE","location":"fra'
+        b'nkfurt","work":"university"},"id":6,"privacy":{"education":"FRIENDS"'
+        b',"friend":"FRIENDS","hometown":"PUBLIC","location":"FRIENDS_OF_FRIEN'
+        b'DS","photo":"FRIENDS_OF_FRIENDS","wall":"FRIENDS","work":"FRIENDS"}}'
+        b',"thetas":{"education":0.7331788156716488,"friend":0.851478496604319'
+        b'2,"hometown":0.795504409966983,"location":0.6440008474891208,"photo"'
+        b':0.7559779612336618,"wall":0.512110856608582,"work":0.73711160186701'
+        b'62},"user_id":6},"universe":[6,7,8,9,10]},"op":"register","seq":2}'
+    ),
+    (
+        b'73da976a {"args":{"owner":1,"profile":{"attributes":{"gender":"male"'
+        b',"last_name":"smith","locale":"US"},"id":9001,"privacy":{"education"'
+        b':"FRIENDS","friend":"FRIENDS","hometown":"FRIENDS","location":"FRIEN'
+        b'DS","photo":"FRIENDS","wall":"FRIENDS","work":"FRIENDS"}}},"op":"add'
+        b'_user","seq":3}'
+    ),
+    (
+        b'4dff2eb5 {"args":{"profile":{"attributes":{"gender":"male","last_nam'
+        b'e":"smith","locale":"DE"},"id":9001,"privacy":{"education":"FRIENDS"'
+        b',"friend":"FRIENDS","hometown":"FRIENDS","location":"FRIENDS","photo'
+        b'":"FRIENDS","wall":"FRIENDS","work":"FRIENDS"}}},"op":"update_profil'
+        b'e","seq":4}'
+    ),
+    b'9421fff0 {"args":{"a":1,"b":9001},"op":"add_friendship","seq":5}',
+    b'84ea2659 {"args":{"a":1,"b":9001},"op":"remove_friendship","seq":6}',
+    (
+        b'a215cbfe {"args":{"labels":{"9001":1},"owner":1},"op":"grant_labels"'
+        b',"seq":7}'
+    ),
+    b'a185d90a {"args":{"owner":6},"op":"touch","seq":8}',
+    b'2962260d {"args":{"owner":6},"op":"detach_owner","seq":9}',
+    (
+        b'159a7f01 {"args":{"entry":{"index":1,"labels":{},"owner":{"attitude"'
+        b':{"familiar_lastnames":["mueller"],"gender_weight":0.285755268425227'
+        b',"item_sensitivities":{"education":0.024009282257698543,"friend":0.0'
+        b'16611342825677288,"hometown":0.020293418946005965,"location":0.01191'
+        b'188276513423,"photo":0.08978966561161046,"wall":0.014332460541274785'
+        b',"work":0.02088336945593719},"lastname_weight":0.02127652701805527,"'
+        b'locale_weight":0.15772952231566506,"network_weight":0.36088828849034'
+        b'57,"noise_sd":0.024305811203774043,"owner_locale":"TR","risky_gender'
+        b'":"male","threshold_risky":0.4535743778907648,"threshold_very_risky"'
+        b':0.7163426587808076},"confidence":85.15951485081567,"ground_truth":{'
+        b'"10":1,"9":2},"profile":{"attributes":{"education":"rwth aachen","ge'
+        b'nder":"female","hometown":"frankfurt","last_name":"mueller","locale"'
+        b':"DE","location":"frankfurt","work":"university"},"id":6,"privacy":{'
+        b'"education":"FRIENDS","friend":"FRIENDS","hometown":"PUBLIC","locati'
+        b'on":"FRIENDS_OF_FRIENDS","photo":"FRIENDS_OF_FRIENDS","wall":"FRIEND'
+        b'S","work":"FRIENDS"}},"thetas":{"education":0.7331788156716488,"frie'
+        b'nd":0.8514784966043192,"hometown":0.795504409966983,"location":0.644'
+        b'0008474891208,"photo":0.7559779612336618,"wall":0.512110856608582,"w'
+        b'ork":0.7371116018670162},"user_id":6},"universe":[6,7,8,9,10],"versi'
+        b'on":1}},"op":"attach_owner","seq":10}'
+    ),
+    (
+        b'c56003ef {"args":{"graph":{"edges":[[1,2],[1,3],[2,5],[3,4],[3,5],[6'
+        b',7],[6,8],[7,9],[8,9],[8,10]],"users":[{"attributes":{"gender":"male'
+        b'","hometown":"london","last_name":"brown","locale":"GB","location":"'
+        b'london"},"id":1,"privacy":{"education":"PRIVATE","friend":"FRIENDS_O'
+        b'F_FRIENDS","hometown":"PRIVATE","location":"FRIENDS_OF_FRIENDS","pho'
+        b'to":"FRIENDS_OF_FRIENDS","wall":"FRIENDS","work":"FRIENDS_OF_FRIENDS'
+        b'"}},{"attributes":{"education":"community college","gender":"male","'
+        b'hometown":"los angeles","last_name":"johnson","locale":"US","locatio'
+        b'n":"los angeles","work":"software company"},"id":2,"privacy":{"educa'
+        b'tion":"PRIVATE","friend":"PUBLIC","hometown":"PUBLIC","location":"PU'
+        b'BLIC","photo":"FRIENDS","wall":"PRIVATE","work":"FRIENDS"}},{"attrib'
+        b'utes":{"education":"itu","gender":"female","hometown":"ankara","last'
+        b'_name":"arslan","locale":"TR","location":"ankara","work":"student"},'
+        b'"id":3,"privacy":{"education":"PRIVATE","friend":"FRIENDS","hometown'
+        b'":"FRIENDS_OF_FRIENDS","location":"FRIENDS_OF_FRIENDS","photo":"FRIE'
+        b'NDS_OF_FRIENDS","wall":"FRIENDS","work":"PRIVATE"}},{"attributes":{"'
+        b'education":"university of seville","gender":"male","hometown":"madri'
+        b'd","last_name":"garcia","locale":"ES","location":"madrid"},"id":4,"p'
+        b'rivacy":{"education":"FRIENDS","friend":"PUBLIC","hometown":"FRIENDS'
+        b'","location":"FRIENDS_OF_FRIENDS","photo":"FRIENDS_OF_FRIENDS","wall'
+        b'":"PRIVATE","work":"FRIENDS"}},{"attributes":{"education":"bogazici '
+        b'university","gender":"male","hometown":"istanbul","last_name":"kaya"'
+        b',"locale":"TR","location":"istanbul","work":"student"},"id":5,"priva'
+        b'cy":{"education":"FRIENDS","friend":"FRIENDS","hometown":"PRIVATE","'
+        b'location":"FRIENDS_OF_FRIENDS","photo":"FRIENDS_OF_FRIENDS","wall":"'
+        b'PUBLIC","work":"FRIENDS"}},{"attributes":{"education":"rwth aachen",'
+        b'"gender":"female","hometown":"frankfurt","last_name":"mueller","loca'
+        b'le":"DE","location":"frankfurt","work":"university"},"id":6,"privacy'
+        b'":{"education":"FRIENDS","friend":"FRIENDS","hometown":"PUBLIC","loc'
+        b'ation":"FRIENDS_OF_FRIENDS","photo":"FRIENDS_OF_FRIENDS","wall":"FRI'
+        b'ENDS","work":"FRIENDS"}},{"attributes":{"gender":"female","hometown"'
+        b':"antalya","last_name":"dogan","locale":"TR","location":"antalya"},"'
+        b'id":7,"privacy":{"education":"PUBLIC","friend":"PRIVATE","hometown":'
+        b'"PRIVATE","location":"PUBLIC","photo":"PUBLIC","wall":"FRIENDS","wor'
+        b'k":"FRIENDS"}},{"attributes":{"gender":"male","last_name":"arslan","'
+        b'locale":"TR","location":"antalya","work":"student"},"id":8,"privacy"'
+        b':{"education":"PRIVATE","friend":"PRIVATE","hometown":"FRIENDS_OF_FR'
+        b'IENDS","location":"PUBLIC","photo":"FRIENDS_OF_FRIENDS","wall":"FRIE'
+        b'NDS","work":"FRIENDS_OF_FRIENDS"}},{"attributes":{"gender":"male","h'
+        b'ometown":"antalya","last_name":"ozturk","locale":"TR","location":"an'
+        b'talya"},"id":9,"privacy":{"education":"PRIVATE","friend":"FRIENDS","'
+        b'hometown":"FRIENDS_OF_FRIENDS","location":"FRIENDS","photo":"FRIENDS'
+        b'_OF_FRIENDS","wall":"FRIENDS","work":"FRIENDS"}},{"attributes":{"edu'
+        b'cation":"bogazici university","gender":"female","last_name":"kaya","'
+        b'locale":"TR","work":"student"},"id":10,"privacy":{"education":"PRIVA'
+        b'TE","friend":"PUBLIC","hometown":"FRIENDS","location":"PUBLIC","phot'
+        b'o":"FRIENDS_OF_FRIENDS","wall":"FRIENDS","work":"FRIENDS"}},{"attrib'
+        b'utes":{"gender":"male","last_name":"smith","locale":"DE"},"id":9001,'
+        b'"privacy":{"education":"FRIENDS","friend":"FRIENDS","hometown":"FRIE'
+        b'NDS","location":"FRIENDS","photo":"FRIENDS","wall":"FRIENDS","work":'
+        b'"FRIENDS"}}],"version":1}},"op":"adopt_graph","seq":11}'
+    ),
+)
