@@ -19,18 +19,18 @@ bench-paper-scale:
 		$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # vectorized scoring core at reduced scale: the E18 sections that pin
-# batch-NS and factorization-reuse equality contracts (speedup floors
+# the batch-NS and array-prediction equality contracts (speedup floors
 # only assert at full scale), plus the fast-vs-reference unit suites
 perf-smoke:
 	$(PYTHON) -m pytest -q -o addopts= \
 		tests/similarity/test_network_batch.py \
 		tests/clustering/test_squeezer_fast.py \
-		tests/classifier/test_solver_reuse.py \
+		tests/classifier/test_prediction_oracle.py \
 		tests/graph/test_adjacency_index.py
 	REPRO_BENCH_OWNERS=3 REPRO_BENCH_STRANGERS=80 \
 		$(PYTHON) -m pytest -q -o addopts= -s \
 		"benchmarks/bench_perf_scaling.py::test_perf_batch_network_similarity" \
-		"benchmarks/bench_perf_scaling.py::test_perf_harmonic_factorization_reuse"
+		"benchmarks/bench_perf_scaling.py::test_perf_harmonic_array_vs_oracle"
 
 # multi-process study: parallel-vs-serial digest and payload equality
 # (fault plans included) and the picklable per-owner job

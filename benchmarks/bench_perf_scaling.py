@@ -2,11 +2,11 @@
 
 Not a paper artifact — engineering benchmarks for the costs that
 dominate a deployment: the all-pairs ``PS()`` edge-weight matrix, the
-harmonic solve (dense versus sparse path), the vectorized scoring core
-(batch ``NS()`` and harmonic factorization reuse), and a full owner
-session.  The assertions pin the contracts (vectorized paths match the
-scalar references — exactly where the design guarantees it) so a
-performance regression cannot silently change results.
+harmonic solve, the vectorized scoring core (batch ``NS()`` and
+array-form harmonic predictions), and a full owner session.  The
+assertions pin the contracts (vectorized paths match the scalar
+references — exactly where the design guarantees it) so a performance
+regression cannot silently change results.
 
 The scoring-core sections time with ``time.perf_counter`` instead of the
 ``benchmark`` fixture so they run in plain CI smoke jobs, and they emit
@@ -27,11 +27,15 @@ import pytest
 
 from repro.classifier.graphs import SimilarityGraph
 from repro.classifier.harmonic import HarmonicClassifier
-from repro.config import ClassifierConfig
 from repro.learning.session import RiskLearningSession
 from repro.similarity.network import NetworkSimilarity
 from repro.similarity.profile import ProfileSimilarity
 from repro.types import RiskLabel
+
+from tests.classifier.prediction_oracle import (
+    assert_matches_oracle,
+    harmonic_oracle,
+)
 
 from .conftest import OUT_DIR, SEED, STRANGERS
 
@@ -39,10 +43,6 @@ from .conftest import OUT_DIR, SEED, STRANGERS
 #: average owner sees thousands of strangers, and that is where the batch
 #: path's advantage is honest to measure (per-call overhead amortized).
 NS_STRANGERS = 4 * STRANGERS
-#: Unlabeled-system size for the factorization-reuse section.  Always
-#: above the sparse threshold (600): below it every predict runs the
-#: same dense solve and the bench records a meaningless ~1.0x "speedup".
-HARMONIC_SIZE = max(900, 3 * STRANGERS)
 
 _PERF_RECORDS: list[dict] = []
 
@@ -90,7 +90,7 @@ def test_perf_pairwise_matrix(benchmark, pool_profiles):
     assert matrix.shape == (len(pool_profiles), len(pool_profiles))
 
 
-def _sparse_system(size: int, seed: int = 0):
+def _random_graph(size: int, seed: int = 0):
     rng = np.random.default_rng(seed)
     weights = np.zeros((size, size))
     for _ in range(size * 5):
@@ -101,31 +101,11 @@ def _sparse_system(size: int, seed: int = 0):
 
 
 def test_perf_harmonic_dense(benchmark):
-    graph = _sparse_system(400)
-    classifier = HarmonicClassifier(
-        graph, ClassifierConfig(sparse_size_threshold=0)
-    )
+    graph = _random_graph(400)
+    classifier = HarmonicClassifier(graph)
     labeled = {0: RiskLabel.NOT_RISKY, 1: RiskLabel.VERY_RISKY}
     predictions = benchmark(classifier.predict, labeled)
     assert len(predictions) == 398
-
-
-def test_perf_harmonic_sparse(benchmark):
-    graph = _sparse_system(400)
-    dense = HarmonicClassifier(
-        graph, ClassifierConfig(sparse_size_threshold=0)
-    )
-    sparse = HarmonicClassifier(
-        graph, ClassifierConfig(sparse_size_threshold=1)
-    )
-    labeled = {0: RiskLabel.NOT_RISKY, 1: RiskLabel.VERY_RISKY}
-    predictions = benchmark(sparse.predict, labeled)
-    reference = dense.predict(labeled)
-    # contract: the sparse path reproduces the dense solution
-    for node in (5, 100, 399):
-        assert predictions[node].score == pytest.approx(
-            reference[node].score, abs=1e-6
-        )
 
 
 @pytest.fixture(scope="module")
@@ -181,60 +161,49 @@ def test_perf_batch_network_similarity(ns_population):
         assert speedup >= 5.0
 
 
-def test_perf_harmonic_factorization_reuse():
-    """Repeated predicts with an unchanged labeled set (stabilization
-    re-predicts within a round): a warm predict through the cached
-    ``splu`` factor vs a fresh classifier's cold predict on the same
-    graph, which slices, assembles and factorizes the system first.
-    Warm equals cold bitwise, the sparse route matches the dense solve
-    to 1e-6; >= 2x once the system is big enough for the sparse route."""
-    graph = _sparse_system(HARMONIC_SIZE, seed=SEED)
-    labeled = {
-        node: (RiskLabel.NOT_RISKY if node % 2 else RiskLabel.VERY_RISKY)
-        for node in range(0, 20)
-    }
-    reuse = HarmonicClassifier(graph)
-    dense = HarmonicClassifier(
-        graph, ClassifierConfig(sparse_size_threshold=0)
+def test_perf_harmonic_array_vs_oracle(ns_population):
+    """Array-form harmonic predictions vs the per-node oracle (one
+    ``Prediction`` and masses dict per unlabeled node) on the largest
+    real ``PS()`` pool graph of a session, labeled with that pool's
+    first-round answers.  Bitwise equality always; >= 1.5x at full
+    scale (the shared O(n^3) solve caps the ratio as pools grow)."""
+    owner = ns_population.owners[0]
+    classifiers: dict = {}
+    result = RiskLearningSession(
+        ns_population.graph,
+        owner.user_id,
+        owner.as_oracle(),
+        seed=SEED,
+        classifier_cache=classifiers,
+    ).run()
+    pool = max(result.pool_results, key=lambda pool: len(pool.final_labels))
+    classifier = classifiers[pool.pool_id][1]
+    labeled = dict(pool.rounds[0].answers)
+
+    # contract: labels, scores and masses equal the oracle bit for bit
+    assert_matches_oracle(
+        classifier.predict(labeled), harmonic_oracle(classifier, labeled)
     )
 
-    cold = reuse.predict(labeled)
-    warm = reuse.predict(labeled)
-    reference = dense.predict(labeled)
-    sparse_route = HARMONIC_SIZE >= reuse._config.sparse_size_threshold
-    for node in cold:
-        # contract: factorization reuse is bitwise-invisible
-        assert cold[node].masses == warm[node].masses
-        for value, mass in cold[node].masses.items():
-            if sparse_route:
-                # sparse LU vs dense LU differ in the last ulps only
-                assert mass == pytest.approx(
-                    reference[node].masses[value], abs=1e-6
-                )
-            else:
-                # below the sparse threshold both run the same dense
-                # solve — exact equality
-                assert mass == reference[node].masses[value]
-
-    graph.weights_csr()  # take the one-time CSR build off the clock
-    t_warm = _best_of(lambda: reuse.predict(labeled), 5)
-    t_cold = _best_of(lambda: HarmonicClassifier(graph).predict(labeled), 3)
-    speedup = t_cold / t_warm
+    t_array = _best_of(lambda: classifier.predict(labeled), 20)
+    t_oracle = _best_of(lambda: harmonic_oracle(classifier, labeled), 5)
+    speedup = t_oracle / t_array
+    size = len(classifier.graph)
     _PERF_RECORDS.append(
         {
-            "op": "harmonic.predict_factorization_reuse",
-            "n": HARMONIC_SIZE,
-            "seconds": t_warm,
-            "cold_seconds": t_cold,
+            "op": "harmonic.predict_array_vs_oracle",
+            "n": size,
+            "seconds": t_array,
+            "oracle_seconds": t_oracle,
             "speedup": speedup,
         }
     )
     print(
-        f"\nharmonic reuse: n={HARMONIC_SIZE} warm {t_warm * 1e3:.1f}ms "
-        f"cold {t_cold * 1e3:.1f}ms speedup {speedup:.1f}x"
+        f"\nharmonic array: n={size} array {t_array * 1e3:.2f}ms "
+        f"oracle {t_oracle * 1e3:.2f}ms speedup {speedup:.1f}x"
     )
-    if sparse_route:
-        assert speedup >= 2.0
+    if size >= 200:
+        assert speedup >= 1.5
 
 
 def test_perf_full_owner_session(benchmark, population):

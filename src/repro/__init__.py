@@ -30,7 +30,7 @@ from .classifier import (
     HarmonicClassifier,
     KnnClassifier,
     MajorityClassifier,
-    Prediction,
+    PoolPredictions,
     SimilarityGraph,
 )
 from .clustering import (
@@ -97,9 +97,9 @@ __all__ = [
     "NetworkSimilarityGroup",
     "PipelineConfig",
     "PoolLearner",
+    "PoolPredictions",
     "PoolResult",
     "PoolingConfig",
-    "Prediction",
     "Profile",
     "ProfileAttribute",
     "ProfileSimilarity",

@@ -7,7 +7,7 @@ a complete weighted graph whose edge weights come from profile similarity
 two baselines (weighted kNN, majority vote) used by the ablation benches.
 """
 
-from .base import ClassifierFactory, PoolClassifier, Prediction
+from .base import ClassifierFactory, PoolClassifier, PoolPredictions
 from .graphs import SimilarityGraph
 from .harmonic import HarmonicClassifier
 from .knn import KnnClassifier
@@ -19,6 +19,6 @@ __all__ = [
     "KnnClassifier",
     "MajorityClassifier",
     "PoolClassifier",
-    "Prediction",
+    "PoolPredictions",
     "SimilarityGraph",
 ]

@@ -45,7 +45,6 @@ class SimilarityGraph:
         self._index = {node: position for position, node in enumerate(node_tuple)}
         self._weights = weights.copy()
         np.fill_diagonal(self._weights, 0.0)
-        self._weights_csr = None
 
     @classmethod
     def from_profiles(
@@ -102,21 +101,6 @@ class SimilarityGraph:
         view = self._weights.view()
         view.setflags(write=False)
         return view
-
-    def weights_csr(self):
-        """The weight matrix in scipy CSR form, built once and cached.
-
-        The graph is immutable after construction, so the sparse snapshot
-        never goes stale; the solver-reuse path of
-        :class:`~repro.classifier.harmonic.HarmonicClassifier` slices its
-        blocks from here instead of re-slicing the dense matrix on every
-        predict.
-        """
-        if self._weights_csr is None:
-            import scipy.sparse as sparse
-
-            self._weights_csr = sparse.csr_matrix(self._weights)
-        return self._weights_csr
 
     def __len__(self) -> int:
         return len(self._nodes)

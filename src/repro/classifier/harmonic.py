@@ -27,7 +27,7 @@ import numpy as np
 from ..config import ClassifierConfig
 from ..errors import ClassifierError
 from ..types import RiskLabel, UserId
-from .base import Prediction, masses_to_prediction
+from .base import PoolPredictions, label_columns, label_prior, split_nodes
 from .graphs import SimilarityGraph
 
 
@@ -48,20 +48,13 @@ class HarmonicClassifier:
     ) -> None:
         self._graph = graph
         self._config = config or ClassifierConfig()
-        # One-entry cache for the sparse LU factor of (D - W_uu), keyed by
-        # the unlabeled index partition.  Stabilization re-predicts with an
-        # unchanged labeled set several times per round; a hit skips the
-        # block slicing, system assembly and factorization entirely.
-        self._factor_cache: tuple[tuple[int, ...], object] | None = None
 
     @property
     def graph(self) -> SimilarityGraph:
         """The underlying similarity graph."""
         return self._graph
 
-    def predict(
-        self, labeled: Mapping[UserId, RiskLabel]
-    ) -> dict[UserId, Prediction]:
+    def predict(self, labeled: Mapping[UserId, RiskLabel]) -> PoolPredictions:
         """Predict labels for every unlabeled node.
 
         Raises
@@ -71,26 +64,11 @@ class HarmonicClassifier:
         """
         if not labeled:
             raise ClassifierError("harmonic classifier needs at least one label")
-        nodes = self._graph.nodes
-        labeled_idx = []
-        for user_id in labeled:
-            labeled_idx.append(self._graph.index_of(user_id))
-        labeled_set = set(labeled_idx)
-        unlabeled_idx = [
-            position for position in range(len(nodes)) if position not in labeled_set
-        ]
-        if not unlabeled_idx:
-            return {}
-
+        labeled_idx, unlabeled_idx, unlabeled_nodes = split_nodes(
+            self._graph, labeled
+        )
         masses = self._class_masses(labeled, labeled_idx, unlabeled_idx)
-        predictions: dict[UserId, Prediction] = {}
-        for row, position in enumerate(unlabeled_idx):
-            node_masses = {
-                value: float(masses[row, column])
-                for column, value in enumerate(RiskLabel.values())
-            }
-            predictions[nodes[position]] = masses_to_prediction(node_masses)
-        return predictions
+        return PoolPredictions.from_masses(unlabeled_nodes, masses)
 
     # ------------------------------------------------------------------
     # internals
@@ -99,114 +77,39 @@ class HarmonicClassifier:
         self,
         labeled: Mapping[UserId, RiskLabel],
         labeled_idx: list[int],
-        unlabeled_idx: list[int],
+        unlabeled_idx: np.ndarray,
     ) -> np.ndarray:
-        label_values = RiskLabel.values()
-        anchor = np.zeros((len(labeled_idx), len(label_values)))
-        nodes = self._graph.nodes
-        for row, position in enumerate(labeled_idx):
-            value = int(labeled[nodes[position]])
-            anchor[row, label_values.index(value)] = 1.0
-
-        solution = self._solve_sparse(labeled_idx, unlabeled_idx, anchor)
-        if solution is None:
-            weights = np.asarray(self._graph.weights)
-            w_uu = weights[np.ix_(unlabeled_idx, unlabeled_idx)]
-            w_ul = weights[np.ix_(unlabeled_idx, labeled_idx)]
-            degrees = w_uu.sum(axis=1) + w_ul.sum(axis=1)
-            rhs = w_ul @ anchor
-            solution = self._solve_dense(w_uu, degrees, rhs)
-
-        solution = np.clip(solution, 0.0, None)
+        """Row-normalized class masses; isolated rows take the label prior."""
+        solution = self._solve(labeled, labeled_idx, unlabeled_idx)
         row_sums = solution.sum(axis=1)
-        prior = self._label_prior(labeled)
-        for row in range(solution.shape[0]):
-            if row_sums[row] <= 1e-12:
-                solution[row] = prior
-            else:
-                solution[row] /= row_sums[row]
+        isolated = row_sums <= 1e-12
+        np.divide(
+            solution, row_sums[:, None], out=solution, where=~isolated[:, None]
+        )
+        solution[isolated] = label_prior(labeled)
         return solution
 
-    def _solve_sparse(
+    def _solve(
         self,
+        labeled: Mapping[UserId, RiskLabel],
         labeled_idx: list[int],
-        unlabeled_idx: list[int],
-        anchor: np.ndarray,
-    ) -> np.ndarray | None:
-        """Sparse solve through a cached ``splu`` factorization.
-
-        Pools can hold thousands of strangers; once ``min_edge_weight``
-        sparsifies the similarity graph, a sparse factorization beats the
-        dense LU by a wide margin.  All blocks come from the graph's
-        cached CSR matrix (:meth:`SimilarityGraph.weights_csr`), and the
-        factorization of ``D - W_uu`` is cached keyed by the unlabeled
-        partition: the multi-RHS class-mass solve and every re-predict
-        with an unchanged labeled set reuse one factor, so a warm predict
-        only slices ``W_ul`` and runs triangular solves.  Warm and cold
-        results are bitwise identical because both run exactly this code —
-        only the factorization step is skipped on a hit.
-
-        Returns ``None`` to hand control to :meth:`_solve_dense` whenever
-        the sparse route does not apply: a system smaller than
-        ``sparse_size_threshold`` or denser than
-        ``sparse_density_threshold``, a singular factorization, or a
-        non-finite solution.
-        """
-        size = len(unlabeled_idx)
-        if not (
-            self._config.sparse_size_threshold > 0
-            and size >= self._config.sparse_size_threshold
-        ):
-            return None
-        import scipy.sparse as sparse
-        from scipy.sparse.linalg import splu
-
-        rows = self._graph.weights_csr()[unlabeled_idx]
-        key = tuple(unlabeled_idx)
-        cached = self._factor_cache
-        if cached is not None and cached[0] == key:
-            factor = cached[1]
-        else:
-            w_uu = rows[:, unlabeled_idx]
-            if (
-                w_uu.nnz / max(size * size, 1)
-                >= self._config.sparse_density_threshold
-            ):
-                return None
-            degrees = np.asarray(rows.sum(axis=1)).ravel()
-            system = sparse.csc_matrix(
-                sparse.diags(degrees + self._config.epsilon) - w_uu
-            )
-            try:
-                factor = splu(system)
-            except (RuntimeError, ValueError):
-                # SuperLU signals a singular factorization as RuntimeError
-                # but some scipy versions' input validation raise
-                # ValueError for the same condition; either way the dense
-                # solve is the correct fallback.
-                return None
-            self._factor_cache = (key, factor)
-        rhs = np.asarray(rows[:, labeled_idx] @ anchor)
-        solution = factor.solve(rhs)
-        if not np.all(np.isfinite(solution)):
-            self._factor_cache = None
-            return None
-        return solution
-
-    def _solve_dense(
-        self, w_uu: np.ndarray, degrees: np.ndarray, rhs: np.ndarray
+        unlabeled_idx: np.ndarray,
     ) -> np.ndarray:
-        """Solve ``(D - W_uu) f = rhs`` densely; least squares if singular."""
-        system = np.diag(degrees + self._config.epsilon) - w_uu
-        try:
-            return np.linalg.solve(system, rhs)
-        except np.linalg.LinAlgError:
-            return np.linalg.lstsq(system, rhs, rcond=None)[0]
+        """The one-vs-rest harmonic solution, clipped at 0.
 
-    @staticmethod
-    def _label_prior(labeled: Mapping[UserId, RiskLabel]) -> np.ndarray:
-        values = RiskLabel.values()
-        counts = np.zeros(len(values))
-        for label in labeled.values():
-            counts[values.index(int(label))] += 1
-        return counts / counts.sum()
+        Solves ``(D_uu - W_uu) f = W_ul y`` densely, by least squares if
+        the system is singular.
+        """
+        anchor = np.zeros((len(labeled_idx), len(RiskLabel.values())))
+        anchor[np.arange(len(labeled_idx)), label_columns(labeled)] = 1.0
+        weights = np.asarray(self._graph.weights)
+        w_uu = weights[np.ix_(unlabeled_idx, unlabeled_idx)]
+        w_ul = weights[np.ix_(unlabeled_idx, labeled_idx)]
+        degrees = w_uu.sum(axis=1) + w_ul.sum(axis=1)
+        system = np.diag(degrees + self._config.epsilon) - w_uu
+        rhs = w_ul @ anchor
+        try:
+            solution = np.linalg.solve(system, rhs)
+        except np.linalg.LinAlgError:
+            solution = np.linalg.lstsq(system, rhs, rcond=None)[0]
+        return np.clip(solution, 0.0, None)

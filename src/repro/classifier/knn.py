@@ -15,7 +15,7 @@ import numpy as np
 from ..config import ClassifierConfig
 from ..errors import ClassifierError
 from ..types import RiskLabel, UserId
-from .base import Prediction, masses_to_prediction
+from .base import PoolPredictions, label_columns, label_prior, split_nodes
 from .graphs import SimilarityGraph
 
 
@@ -33,42 +33,24 @@ class KnnClassifier:
         self._graph = graph
         self._config = config or ClassifierConfig()
 
-    def predict(
-        self, labeled: Mapping[UserId, RiskLabel]
-    ) -> dict[UserId, Prediction]:
+    def predict(self, labeled: Mapping[UserId, RiskLabel]) -> PoolPredictions:
         """Predict labels for every unlabeled node."""
         if not labeled:
             raise ClassifierError("knn classifier needs at least one label")
-        weights = np.asarray(self._graph.weights)
-        nodes = self._graph.nodes
-        labeled_positions = [self._graph.index_of(user) for user in labeled]
-        labeled_values = [int(labeled[nodes[p]]) for p in labeled_positions]
-        label_values = RiskLabel.values()
-
-        counts = np.zeros(len(label_values))
-        for value in labeled_values:
-            counts[label_values.index(value)] += 1
-        prior = counts / counts.sum()
-
-        predictions: dict[UserId, Prediction] = {}
-        labeled_set = set(labeled_positions)
-        k = self._config.knn_k
-        for position in range(len(nodes)):
-            if position in labeled_set:
-                continue
-            edge_weights = weights[position, labeled_positions]
-            order = np.argsort(edge_weights)[::-1][:k]
-            masses = np.zeros(len(label_values))
-            for neighbor in order:
-                weight = edge_weights[neighbor]
-                if weight <= 0:
-                    continue
-                masses[label_values.index(labeled_values[neighbor])] += weight
-            if masses.sum() <= 0:
-                masses = prior.copy()
-            node_masses = {
-                value: float(mass / masses.sum())
-                for value, mass in zip(label_values, masses)
-            }
-            predictions[nodes[position]] = masses_to_prediction(node_masses)
-        return predictions
+        labeled_idx, unlabeled_idx, unlabeled_nodes = split_nodes(
+            self._graph, labeled
+        )
+        columns = label_columns(labeled)
+        edge_weights = np.asarray(self._graph.weights)[
+            np.ix_(unlabeled_idx, labeled_idx)
+        ]
+        # each row's labeled neighbors, heaviest first
+        order = np.argsort(edge_weights, axis=1)[:, ::-1][:, : self._config.knn_k]
+        rows = np.arange(len(unlabeled_idx))
+        masses = np.zeros((len(unlabeled_idx), len(RiskLabel.values())))
+        for neighbor in order.T:
+            weight = edge_weights[rows, neighbor]
+            masses[rows, columns[neighbor]] += np.where(weight <= 0, 0.0, weight)
+        masses[masses.sum(axis=1) <= 0] = label_prior(labeled)
+        masses /= masses.sum(axis=1)[:, None]
+        return PoolPredictions.from_masses(unlabeled_nodes, masses)

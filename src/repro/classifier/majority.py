@@ -9,9 +9,11 @@ from __future__ import annotations
 
 from typing import Mapping
 
+import numpy as np
+
 from ..errors import ClassifierError
 from ..types import RiskLabel, UserId
-from .base import Prediction, masses_to_prediction
+from .base import PoolPredictions, label_prior
 from .graphs import SimilarityGraph
 
 
@@ -21,22 +23,10 @@ class MajorityClassifier:
     def __init__(self, graph: SimilarityGraph) -> None:
         self._graph = graph
 
-    def predict(
-        self, labeled: Mapping[UserId, RiskLabel]
-    ) -> dict[UserId, Prediction]:
+    def predict(self, labeled: Mapping[UserId, RiskLabel]) -> PoolPredictions:
         """Predict the majority label for every unlabeled node."""
         if not labeled:
             raise ClassifierError("majority classifier needs at least one label")
-        values = RiskLabel.values()
-        counts = {value: 0 for value in values}
-        for label in labeled.values():
-            counts[int(label)] += 1
-        total = sum(counts.values())
-        masses = {value: count / total for value, count in counts.items()}
-        prediction = masses_to_prediction(masses)
-        labeled_ids = set(labeled)
-        return {
-            node: prediction
-            for node in self._graph.nodes
-            if node not in labeled_ids
-        }
+        nodes = [node for node in self._graph.nodes if node not in labeled]
+        masses = np.tile(label_prior(labeled), (len(nodes), 1))
+        return PoolPredictions.from_masses(nodes, masses)

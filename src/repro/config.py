@@ -150,14 +150,6 @@ class ClassifierConfig:
     #: weight decays with distance; with the bounded categorical ``PS()``
     #: the exponent plays that role (1.0 = raw similarities).
     edge_sharpening: float = 8.0
-    #: The harmonic solve switches to scipy's sparse solver when the
-    #: unlabeled block is at least this large *and* sparse enough
-    #: (see ``sparse_density_threshold``); 0 disables the sparse path.
-    #: The default sits at the measured dense/sparse crossover (~10x
-    #: faster sparse at 1,000 nodes, ~40% slower at 400).
-    sparse_size_threshold: int = 600
-    #: Maximum nonzero density of the unlabeled block for the sparse path.
-    sparse_density_threshold: float = 0.3
 
     def __post_init__(self) -> None:
         _require(self.epsilon >= 0, f"epsilon must be >= 0, got {self.epsilon}")
@@ -169,14 +161,6 @@ class ClassifierConfig:
         _require(
             self.edge_sharpening > 0,
             f"edge_sharpening must be positive, got {self.edge_sharpening}",
-        )
-        _require(
-            self.sparse_size_threshold >= 0,
-            "sparse_size_threshold must be >= 0",
-        )
-        _require(
-            0.0 <= self.sparse_density_threshold <= 1.0,
-            "sparse_density_threshold must lie in [0, 1]",
         )
 
 

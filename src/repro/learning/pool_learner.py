@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from typing import Mapping
 
-from ..classifier.base import PoolClassifier, Prediction
+from ..classifier.base import PoolClassifier, PoolPredictions
 from ..config import LearningConfig
 from ..errors import (
     CircuitOpenError,
@@ -108,7 +108,6 @@ class PoolLearner:
         unlabeled: set[UserId] = set(self._members) - set(self._initial_labels)
         labeled: dict[UserId, RiskLabel] = dict(self._initial_labels)
         unreachable: set[UserId] = set()
-        previous: dict[UserId, Prediction] = {}
         if labeled and not unlabeled:
             # everything already known: nothing to learn
             return PoolResult(
@@ -122,6 +121,10 @@ class PoolLearner:
         rounds: list[RoundRecord] = []
         stopping = StoppingCondition(self._config)
         stop_reason = StopReason.MAX_ROUNDS
+        # the last prediction round's result and its record's two dicts
+        previous: PoolPredictions | None = None
+        previous_scores: dict[UserId, float] = {}
+        previous_labels: dict[UserId, RiskLabel] = {}
 
         for round_index in range(1, self._config.max_rounds + 1):
             queried, answers, abstained, newly_unreachable = self._query_round(
@@ -129,9 +132,9 @@ class PoolLearner:
             )
             unreachable.update(newly_unreachable)
             validation_pairs = tuple(
-                (int(previous[stranger].label), int(answers[stranger]))
+                (int(previous_labels[stranger]), int(answers[stranger]))
                 for stranger in queried
-                if stranger in previous
+                if stranger in previous_labels
             )
             rmse = (
                 root_mean_square_error(validation_pairs)
@@ -142,7 +145,11 @@ class PoolLearner:
             unlabeled.difference_update(queried)
             unlabeled.difference_update(newly_unreachable)
 
-            if not unlabeled:
+            if not unlabeled or not labeled:
+                # The pool is exhausted, or every query so far abstained or
+                # failed and there is nothing to fit yet (a barren round:
+                # sample again).
+                exhausted = not unlabeled
                 rounds.append(
                     RoundRecord(
                         round_index=round_index,
@@ -153,49 +160,25 @@ class PoolLearner:
                         predicted_scores={},
                         predicted_labels={},
                         unstabilized=frozenset(),
-                        stabilized=True,
+                        stabilized=exhausted,
                         abstained=abstained,
                     )
                 )
+                if not exhausted:
+                    continue
                 stop_reason = StopReason.EXHAUSTED
                 # Owner-labeled strangers need no prediction; unreachable
                 # ones keep their last prediction (degraded, not absent).
-                previous = {
-                    stranger: prediction
-                    for stranger, prediction in previous.items()
+                previous_labels = {
+                    stranger: label
+                    for stranger, label in previous_labels.items()
                     if stranger in unreachable
                 }
                 break
 
-            if not labeled:
-                # Every query so far abstained or failed: there is nothing
-                # to fit yet.  Record the barren round and sample again.
-                rounds.append(
-                    RoundRecord(
-                        round_index=round_index,
-                        queried=tuple(queried),
-                        answers=answers,
-                        validation_pairs=validation_pairs,
-                        rmse=rmse,
-                        predicted_scores={},
-                        predicted_labels={},
-                        unstabilized=frozenset(),
-                        stabilized=False,
-                        abstained=abstained,
-                    )
-                )
-                continue
-
             predictions = self._classifier.predict(labeled)
-            current_scores = {
-                stranger: prediction.score
-                for stranger, prediction in predictions.items()
-            }
+            current_scores = predictions.score_map()
             if previous:
-                previous_scores = {
-                    stranger: prediction.score
-                    for stranger, prediction in previous.items()
-                }
                 unstable = unstabilized_strangers(
                     previous_scores, current_scores, self._config.confidence
                 )
@@ -203,10 +186,13 @@ class PoolLearner:
             else:
                 # First prediction round: every label is brand new, so the
                 # pool cannot be considered stable yet.
-                unstable = frozenset(current_scores)
+                unstable = frozenset(predictions.nodes)
                 stabilized = False
 
             should_stop = stopping.observe(rmse, stabilized)
+            previous = predictions
+            previous_scores = current_scores
+            previous_labels = predictions.label_map()
             rounds.append(
                 RoundRecord(
                     round_index=round_index,
@@ -215,30 +201,22 @@ class PoolLearner:
                     validation_pairs=validation_pairs,
                     rmse=rmse,
                     predicted_scores=current_scores,
-                    predicted_labels={
-                        stranger: prediction.label
-                        for stranger, prediction in predictions.items()
-                    },
+                    predicted_labels=previous_labels,
                     unstabilized=unstable,
                     stabilized=stabilized,
                     abstained=abstained,
                 )
             )
-            previous = predictions
             if should_stop:
                 stop_reason = StopReason.CONVERGED
                 break
 
-        predicted_labels = {
-            stranger: prediction.label
-            for stranger, prediction in previous.items()
-        }
         return PoolResult(
             pool_id=self._pool_id,
             nsg_index=self._nsg_index,
             rounds=tuple(rounds),
             owner_labels=labeled,
-            predicted_labels=predicted_labels,
+            predicted_labels=dict(previous_labels),
             stop_reason=stop_reason,
             unreachable=frozenset(unreachable),
         )
@@ -249,7 +227,7 @@ class PoolLearner:
     def _query_round(
         self,
         unlabeled: set[UserId],
-        previous: Mapping[UserId, Prediction],
+        previous: PoolPredictions | None,
     ) -> tuple[tuple[UserId, ...], dict[UserId, RiskLabel], tuple[UserId, ...], set[UserId]]:
         """Gather one round's answers, resampling around faults.
 

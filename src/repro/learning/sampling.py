@@ -12,9 +12,9 @@ active-learning survey the paper cites (ref [15]).
 from __future__ import annotations
 
 import random
-from typing import Mapping, Protocol, Sequence
+from typing import Protocol, Sequence
 
-from ..classifier.base import Prediction
+from ..classifier.base import PoolPredictions
 from ..errors import LearningError
 from ..types import UserId
 
@@ -27,7 +27,7 @@ class Sampler(Protocol):
         unlabeled: Sequence[UserId],
         count: int,
         rng: random.Random,
-        predictions: Mapping[UserId, Prediction] | None,
+        predictions: PoolPredictions | None,
     ) -> list[UserId]:  # pragma: no cover - protocol signature
         """Choose up to ``count`` strangers from ``unlabeled``."""
         ...
@@ -48,7 +48,7 @@ class RandomSampler:
         unlabeled: Sequence[UserId],
         count: int,
         rng: random.Random,
-        predictions: Mapping[UserId, Prediction] | None = None,
+        predictions: PoolPredictions | None = None,
     ) -> list[UserId]:
         """Pick up to ``count`` strangers uniformly at random."""
         _check_request(unlabeled, count)
@@ -72,18 +72,18 @@ class UncertaintySampler:
         unlabeled: Sequence[UserId],
         count: int,
         rng: random.Random,
-        predictions: Mapping[UserId, Prediction] | None = None,
+        predictions: PoolPredictions | None = None,
     ) -> list[UserId]:
         """Pick the ``count`` least-confident strangers."""
         _check_request(unlabeled, count)
         if not predictions:
             return self._fallback.select(unlabeled, count, rng, predictions)
 
-        def confidence(stranger: UserId) -> float:
-            prediction = predictions.get(stranger)
-            if prediction is None:
-                return -1.0  # never predicted: maximally interesting
-            return max(prediction.masses.values())
-
-        ranked = sorted(sorted(unlabeled), key=confidence)
+        confidence = dict(
+            zip(predictions.nodes, predictions.masses.max(axis=1).tolist())
+        )
+        # a stranger never predicted ranks first: maximally interesting
+        ranked = sorted(
+            sorted(unlabeled), key=lambda stranger: confidence.get(stranger, -1.0)
+        )
         return ranked[: min(count, len(ranked))]

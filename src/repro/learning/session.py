@@ -136,10 +136,9 @@ class RiskLearningSession:
         self._fetcher = fetcher
         #: Optional cross-session classifier memo, ``pool_id -> (profiles,
         #: classifier)``.  When the pool's profiles are unchanged the
-        #: similarity graph — and the classifier holding the splu factor
-        #: cache — is reused instead of rebuilt, so a warm re-run of an
-        #: untouched-membership pool skips graph assembly and (on a
-        #: factor-cache hit) the sparse factorization.  Only consulted
+        #: classifier and its similarity graph are reused instead of
+        #: rebuilt, so a warm re-run of an untouched-membership pool
+        #: skips graph assembly.  Only consulted
         #: when no fetcher and no edge-similarity wrapper are active
         #: (both can change the effective profiles/weights per run).
         self._classifier_cache = classifier_cache

@@ -20,7 +20,10 @@ labels is equally valid and reproduces the strict-integer reading.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Mapping
+
+import numpy as np
 
 from ..errors import LearningError
 from ..types import RiskLabel, UserId
@@ -47,12 +50,11 @@ def unstabilized_strangers(
     longer subject to classification change.
     """
     threshold = change_threshold(confidence)
-    common = previous.keys() & current.keys()
-    return frozenset(
-        stranger
-        for stranger in common
-        if abs(current[stranger] - previous[stranger]) >= threshold
-    )
+    common = [stranger for stranger in current if stranger in previous]
+    before = np.fromiter(map(previous.__getitem__, common), float, len(common))
+    after = np.fromiter(map(current.__getitem__, common), float, len(common))
+    moved = np.abs(after - before) >= threshold
+    return frozenset(compress(common, moved.tolist()))
 
 
 def is_stabilized(

@@ -8,6 +8,8 @@ from repro.classifier.harmonic import HarmonicClassifier
 from repro.errors import ClassifierError
 from repro.types import RiskLabel
 
+from .prediction_oracle import prediction_of
+
 
 def graph_from(weights, nodes=None):
     weights = np.asarray(weights, dtype=float)
@@ -31,22 +33,23 @@ class TestBasics:
         predictions = HarmonicClassifier(graph).predict(
             {0: RiskLabel.RISKY, 1: RiskLabel.NOT_RISKY}
         )
-        assert predictions == {}
+        assert predictions.nodes == ()
+        assert predictions.masses.shape == (0, 3)
 
     def test_predicts_every_unlabeled_node(self):
         size = 6
         graph = graph_from(np.ones((size, size)) - np.eye(size))
         predictions = HarmonicClassifier(graph).predict({0: RiskLabel.RISKY})
-        assert set(predictions) == set(range(1, size))
+        assert predictions.nodes == tuple(range(1, size))
+        assert predictions.labels.shape == predictions.scores.shape == (size - 1,)
 
 
 class TestHarmonicProperties:
     def test_single_label_propagates_everywhere(self):
         graph = graph_from(np.ones((4, 4)) - np.eye(4))
         predictions = HarmonicClassifier(graph).predict({0: RiskLabel.VERY_RISKY})
-        for prediction in predictions.values():
-            assert prediction.label is RiskLabel.VERY_RISKY
-            assert prediction.masses[3] == pytest.approx(1.0)
+        assert set(predictions.label_map().values()) == {RiskLabel.VERY_RISKY}
+        assert predictions.masses[:, 2] == pytest.approx(1.0)
 
     def test_two_cluster_separation(self):
         """Two dense blocks with a weak bridge: each block follows its
@@ -63,8 +66,9 @@ class TestHarmonicProperties:
         predictions = HarmonicClassifier(graph).predict(
             {0: RiskLabel.NOT_RISKY, 2: RiskLabel.VERY_RISKY}
         )
-        assert predictions[1].label is RiskLabel.NOT_RISKY
-        assert predictions[3].label is RiskLabel.VERY_RISKY
+        labels = predictions.label_map()
+        assert labels[1] is RiskLabel.NOT_RISKY
+        assert labels[3] is RiskLabel.VERY_RISKY
 
     def test_scores_lie_in_label_hull(self):
         rng = np.random.default_rng(0)
@@ -76,16 +80,15 @@ class TestHarmonicProperties:
         predictions = HarmonicClassifier(graph).predict(
             {0: RiskLabel.NOT_RISKY, 1: RiskLabel.RISKY}
         )
-        for prediction in predictions.values():
-            assert 1.0 <= prediction.score <= 2.0 + 1e-9
+        assert np.all(predictions.scores >= 1.0)
+        assert np.all(predictions.scores <= 2.0 + 1e-9)
 
     def test_masses_sum_to_one(self):
         graph = graph_from(np.ones((5, 5)) - np.eye(5))
         predictions = HarmonicClassifier(graph).predict(
             {0: RiskLabel.RISKY, 1: RiskLabel.VERY_RISKY}
         )
-        for prediction in predictions.values():
-            assert sum(prediction.masses.values()) == pytest.approx(1.0)
+        assert predictions.masses.sum(axis=1) == pytest.approx(1.0)
 
     def test_equidistant_node_gets_mixed_masses(self):
         weights = np.array(
@@ -99,10 +102,10 @@ class TestHarmonicProperties:
         predictions = HarmonicClassifier(graph).predict(
             {0: RiskLabel.NOT_RISKY, 1: RiskLabel.VERY_RISKY}
         )
-        masses = predictions[2].masses
-        assert masses[1] == pytest.approx(0.5, abs=1e-6)
-        assert masses[3] == pytest.approx(0.5, abs=1e-6)
-        assert predictions[2].score == pytest.approx(2.0, abs=1e-6)
+        mixed = prediction_of(predictions, 2)
+        assert mixed.masses[1] == pytest.approx(0.5, abs=1e-6)
+        assert mixed.masses[3] == pytest.approx(0.5, abs=1e-6)
+        assert mixed.score == pytest.approx(2.0, abs=1e-6)
 
     def test_isolated_node_falls_back_to_label_prior(self):
         weights = np.array(
@@ -116,8 +119,7 @@ class TestHarmonicProperties:
         predictions = HarmonicClassifier(graph).predict(
             {0: RiskLabel.VERY_RISKY}
         )
-        isolated = predictions[2]
-        assert isolated.masses[3] == pytest.approx(1.0)
+        assert prediction_of(predictions, 2).masses[3] == pytest.approx(1.0)
 
     def test_closer_anchor_dominates(self):
         weights = np.array(
@@ -131,7 +133,7 @@ class TestHarmonicProperties:
         predictions = HarmonicClassifier(graph).predict(
             {0: RiskLabel.NOT_RISKY, 1: RiskLabel.VERY_RISKY}
         )
-        assert predictions[2].label is RiskLabel.NOT_RISKY
+        assert predictions.label_map()[2] is RiskLabel.NOT_RISKY
 
     def test_tie_breaks_toward_higher_risk(self):
         """The paper: under-prediction is the dangerous error."""
@@ -146,4 +148,4 @@ class TestHarmonicProperties:
         predictions = HarmonicClassifier(graph).predict(
             {0: RiskLabel.NOT_RISKY, 1: RiskLabel.VERY_RISKY}
         )
-        assert predictions[2].label is RiskLabel.VERY_RISKY
+        assert predictions.label_map()[2] is RiskLabel.VERY_RISKY

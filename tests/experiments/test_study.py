@@ -99,18 +99,17 @@ class TestParallelStudy:
         self, small_population, serial_study, monkeypatch
     ):
         """A parallel run on the scoring core's fast paths (batch NS,
-        vectorized Squeezer, cached sparse LU) must produce the same
-        digests as a serial run on the scalar references: NS scored per
-        stranger, the textbook Squeezer loop and the dense harmonic
-        solve.  The workers are subprocesses, so the patches below only
-        reach the serial side.  At this scale pools stay below the
-        sparse threshold, so the solves are identical dense solves in
-        both runs and the equality is exact."""
+        vectorized Squeezer, array-form predictions) must produce the
+        same digests as a serial run on the scalar references: NS scored
+        per stranger, the textbook Squeezer loop and one harmonic
+        prediction per node.  The workers are subprocesses, so the
+        patches below only reach the serial side."""
+        from repro.classifier.harmonic import HarmonicClassifier
         from repro.clustering import pools
-        from repro.config import ClassifierConfig, PipelineConfig
         from repro.io import result_digest
         from repro.similarity.network import NetworkSimilarity
 
+        from ..classifier.prediction_oracle import oracle_harmonic_predict
         from ..clustering.squeezer_oracle import reference_squeezer
 
         def per_stranger(self, graph, owner, strangers):
@@ -119,10 +118,10 @@ class TestParallelStudy:
         vectorized = run_study(small_population, seed=23, workers=2)
         monkeypatch.setattr(NetworkSimilarity, "for_strangers", per_stranger)
         monkeypatch.setattr(pools, "squeezer", reference_squeezer)
-        dense_config = PipelineConfig(
-            classifier=ClassifierConfig(sparse_size_threshold=0)
+        monkeypatch.setattr(
+            HarmonicClassifier, "predict", oracle_harmonic_predict
         )
-        scalar = run_study(small_population, seed=23, config=dense_config)
+        scalar = run_study(small_population, seed=23)
         assert [result_digest(run.result) for run in vectorized.runs] == [
             result_digest(run.result) for run in scalar.runs
         ]

@@ -4,14 +4,18 @@ import random
 
 import pytest
 
-from repro.classifier.base import masses_to_prediction
+from repro.classifier.base import PoolPredictions
 from repro.errors import LearningError
 from repro.learning.sampling import RandomSampler, UncertaintySampler
 
 
-def prediction(confidence):
-    rest = (1.0 - confidence) / 2
-    return masses_to_prediction({1: confidence, 2: rest, 3: rest})
+def predictions(confidences):
+    """Predictions whose top-class mass is ``confidences[node]``."""
+    rows = [
+        [confidence, (1.0 - confidence) / 2, (1.0 - confidence) / 2]
+        for confidence in confidences.values()
+    ]
+    return PoolPredictions.from_masses(list(confidences), rows)
 
 
 class TestRandomSampler:
@@ -49,26 +53,24 @@ class TestRandomSampler:
 
 class TestUncertaintySampler:
     def test_prefers_least_confident(self):
-        predictions = {
-            1: prediction(0.9),
-            2: prediction(0.4),
-            3: prediction(0.6),
-        }
         sampler = UncertaintySampler()
-        chosen = sampler.select([1, 2, 3], 2, random.Random(0), predictions)
+        chosen = sampler.select(
+            [1, 2, 3], 2, random.Random(0), predictions({1: 0.9, 2: 0.4, 3: 0.6})
+        )
         assert chosen == [2, 3]
 
     def test_unpredicted_strangers_come_first(self):
-        predictions = {1: prediction(0.5)}
         sampler = UncertaintySampler()
-        chosen = sampler.select([1, 2], 1, random.Random(0), predictions)
+        chosen = sampler.select([1, 2], 1, random.Random(0), predictions({1: 0.5}))
         assert chosen == [2]
 
     def test_falls_back_to_random_without_predictions(self):
         sampler = UncertaintySampler()
         chosen = sampler.select(list(range(10)), 3, random.Random(7), None)
         assert len(chosen) == 3
+        empty = PoolPredictions.from_masses([], [])
+        assert sampler.select(list(range(10)), 3, random.Random(7), empty) == chosen
 
     def test_empty_population_rejected(self):
         with pytest.raises(LearningError):
-            UncertaintySampler().select([], 1, random.Random(0), {})
+            UncertaintySampler().select([], 1, random.Random(0), None)

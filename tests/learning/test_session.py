@@ -103,17 +103,29 @@ class TestSessionOptions:
             )
 
     def test_custom_classifier_factory(self):
-        from repro.classifier.majority import MajorityClassifier
+        """A user-written classifier plugs in through the array result:
+        this one always predicts "very risky" with certainty."""
+        from repro.classifier.base import PoolPredictions
+
+        class AlwaysVeryRisky:
+            def __init__(self, sim_graph):
+                self.nodes = sim_graph.nodes
+
+            def predict(self, labeled):
+                nodes = [node for node in self.nodes if node not in labeled]
+                return PoolPredictions.from_masses(
+                    nodes, [[0.0, 0.0, 1.0]] * len(nodes)
+                )
 
         graph, owner = make_ego_graph(seed=8)
         result = RiskLearningSession(
-            graph,
-            owner,
-            similarity_oracle(),
-            classifier=lambda sim_graph: MajorityClassifier(sim_graph),
-            seed=8,
+            graph, owner, similarity_oracle(), classifier=AlwaysVeryRisky, seed=8
         ).run()
         assert result.num_strangers > 0
+        for pool in result.pool_results:
+            assert set(pool.predicted_labels.values()) <= {RiskLabel.VERY_RISKY}
+            for record in pool.rounds:
+                assert set(record.predicted_scores.values()) <= {3.0}
 
     @pytest.mark.parametrize("pooling", ["npp", "nsp"])
     def test_pooling_strategies(self, pooling):

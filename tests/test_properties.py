@@ -183,9 +183,10 @@ class TestHarmonicProperties:
         graph = SimilarityGraph(list(range(size)), weights)
         labeled = {0: RiskLabel.NOT_RISKY, 1: RiskLabel.VERY_RISKY}
         predictions = HarmonicClassifier(graph).predict(labeled)
-        for prediction in predictions.values():
-            assert 1.0 - 1e-9 <= prediction.score <= 3.0 + 1e-9
-            assert abs(sum(prediction.masses.values()) - 1.0) < 1e-6
+        assert len(predictions) == size - 2
+        assert np.all(predictions.scores >= 1.0 - 1e-9)
+        assert np.all(predictions.scores <= 3.0 + 1e-9)
+        assert np.all(np.abs(predictions.masses.sum(axis=1) - 1.0) < 1e-6)
 
     @given(st.integers(3, 10), st.sampled_from(list(RiskLabel)))
     @QUICK_SETTINGS
@@ -193,8 +194,7 @@ class TestHarmonicProperties:
         weights = np.ones((size, size)) - np.eye(size)
         graph = SimilarityGraph(list(range(size)), weights)
         predictions = HarmonicClassifier(graph).predict({0: label, 1: label})
-        for prediction in predictions.values():
-            assert prediction.label is label
+        assert set(predictions.label_map().values()) == {label}
 
 
 # ---------------------------------------------------------------------------
