@@ -26,11 +26,14 @@ perf-smoke:
 		tests/similarity/test_network_batch.py \
 		tests/clustering/test_squeezer_fast.py \
 		tests/classifier/test_prediction_oracle.py \
+		tests/similarity/test_pool_oracle.py \
 		tests/graph/test_adjacency_index.py
 	REPRO_BENCH_OWNERS=3 REPRO_BENCH_STRANGERS=80 \
 		$(PYTHON) -m pytest -q -o addopts= -s \
+		"benchmarks/bench_perf_scaling.py::test_perf_pairwise_matrix" \
 		"benchmarks/bench_perf_scaling.py::test_perf_batch_network_similarity" \
-		"benchmarks/bench_perf_scaling.py::test_perf_harmonic_array_vs_oracle"
+		"benchmarks/bench_perf_scaling.py::test_perf_harmonic_array_vs_oracle" \
+		"benchmarks/bench_perf_scaling.py::test_perf_benefits_array_vs_oracle"
 
 # multi-process study: parallel-vs-serial digest and payload equality
 # (fault plans included) and the picklable per-owner job

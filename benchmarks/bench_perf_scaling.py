@@ -2,17 +2,17 @@
 
 Not a paper artifact — engineering benchmarks for the costs that
 dominate a deployment: the all-pairs ``PS()`` edge-weight matrix, the
-harmonic solve, the vectorized scoring core (batch ``NS()`` and
-array-form harmonic predictions), and a full owner session.  The
+harmonic solve, the vectorized scoring core (batch ``NS()``, array-form
+harmonic predictions and benefits), and a full owner session.  The
 assertions pin the contracts (vectorized paths match the scalar
 references — exactly where the design guarantees it) so a performance
 regression cannot silently change results.
 
-The scoring-core sections time with ``time.perf_counter`` instead of the
-``benchmark`` fixture so they run in plain CI smoke jobs, and they emit
-machine-readable records to ``benchmarks/out/BENCH_perf.json``
-(op, n, seconds, speedup vs the reference arm), stamped with
-``cpu_cores``.  A committed snapshot lives in
+The scoring-core and ``PS()`` sections time with ``time.perf_counter``
+instead of the ``benchmark`` fixture so they run in plain CI smoke jobs,
+and they emit machine-readable records to
+``benchmarks/out/BENCH_perf.json`` (op, n, seconds, speedup vs the
+reference arm), stamped with ``cpu_cores``.  A committed snapshot lives in
 ``benchmarks/baselines/BENCH_perf_baseline.json``.  Speedup
 floors are only asserted at full scale — reduced-scale smoke runs
 (small ``REPRO_BENCH_STRANGERS``) still verify every equality contract.
@@ -25,6 +25,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.benefits.model import BenefitModel
 from repro.classifier.graphs import SimilarityGraph
 from repro.classifier.harmonic import HarmonicClassifier
 from repro.learning.session import RiskLearningSession
@@ -35,6 +36,11 @@ from repro.types import RiskLabel
 from tests.classifier.prediction_oracle import (
     assert_matches_oracle,
     harmonic_oracle,
+)
+from tests.similarity.pool_oracle import (
+    assert_bitwise_equal,
+    benefits_oracle,
+    ps_matrix_oracle,
 )
 
 from .conftest import OUT_DIR, SEED, STRANGERS
@@ -80,14 +86,34 @@ def pool_profiles(population):
     return [population.graph.profile(s) for s in strangers]
 
 
-def test_perf_pairwise_matrix(benchmark, pool_profiles):
+def test_perf_pairwise_matrix(pool_profiles):
+    """Table-gather ``PS()`` matrix vs the scalar oracle (``PS.__call__``
+    on every ordered pair) over one owner's strangers: the whole matrix
+    bit for bit always, >= 20x at full scale."""
     measure = ProfileSimilarity(pool_profiles)
-    matrix = benchmark(measure.pairwise_matrix, pool_profiles)
-    # contract: vectorized result equals the scalar measure
-    assert matrix[0, 1] == pytest.approx(
-        measure(pool_profiles[0], pool_profiles[1])
+    matrix = measure.pairwise_matrix(pool_profiles)
+    # contract: every cell equals the scalar measure, bit for bit
+    assert_bitwise_equal(matrix, ps_matrix_oracle(measure, pool_profiles))
+
+    t_array = _best_of(lambda: measure.pairwise_matrix(pool_profiles), 10)
+    t_oracle = _best_of(lambda: ps_matrix_oracle(measure, pool_profiles), 1)
+    speedup = t_oracle / t_array
+    size = len(pool_profiles)
+    _PERF_RECORDS.append(
+        {
+            "op": "ps.pairwise_array_vs_oracle",
+            "n": size,
+            "seconds": t_array,
+            "oracle_seconds": t_oracle,
+            "speedup": speedup,
+        }
     )
-    assert matrix.shape == (len(pool_profiles), len(pool_profiles))
+    print(
+        f"\nPS matrix: n={size} array {t_array * 1e3:.2f}ms "
+        f"oracle {t_oracle * 1e3:.0f}ms speedup {speedup:.0f}x"
+    )
+    if size >= 200:
+        assert speedup >= 20.0
 
 
 def _random_graph(size: int, seed: int = 0):
@@ -204,6 +230,49 @@ def test_perf_harmonic_array_vs_oracle(ns_population):
     )
     if size >= 200:
         assert speedup >= 1.5
+
+
+def test_perf_benefits_array_vs_oracle(ns_population):
+    """``BenefitModel.for_strangers`` (visibility bit per privacy level)
+    vs the per-stranger oracle (``BenefitModel.__call__``) on the
+    cohort's largest stranger set: bitwise equality always, >= 3x at
+    full scale."""
+    graph = ns_population.graph
+    owner = max(
+        (o.user_id for o in ns_population.owners),
+        key=lambda user_id: len(graph.two_hop_neighbors(user_id)),
+    )
+    strangers = graph.two_hop_neighbors(owner)
+    model = BenefitModel()
+
+    batch = model.for_strangers(graph, owner, strangers)
+    # contract: every stranger's benefit equals the scalar formula's bits
+    expected = benefits_oracle(model, graph, owner, strangers)
+    assert list(batch) == list(expected)
+    assert_bitwise_equal(
+        np.array(list(batch.values())), np.array(list(expected.values()))
+    )
+
+    t_array = _best_of(lambda: model.for_strangers(graph, owner, strangers), 10)
+    t_oracle = _best_of(
+        lambda: benefits_oracle(model, graph, owner, strangers), 5
+    )
+    speedup = t_oracle / t_array
+    _PERF_RECORDS.append(
+        {
+            "op": "benefits.array_vs_oracle",
+            "n": len(strangers),
+            "seconds": t_array,
+            "oracle_seconds": t_oracle,
+            "speedup": speedup,
+        }
+    )
+    print(
+        f"\nbenefits: n={len(strangers)} array {t_array * 1e3:.3f}ms "
+        f"oracle {t_oracle * 1e3:.3f}ms speedup {speedup:.1f}x"
+    )
+    if len(strangers) >= 1000:
+        assert speedup >= 3.0
 
 
 def test_perf_full_owner_session(benchmark, population):

@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from ..errors import ConfigError
+from ..graph.profile import DEFAULT_VISIBILITY
 from ..graph.social_graph import SocialGraph
-from ..graph.visibility import stranger_visibility_vector
+from ..graph.visibility import level_bits, stranger_visibility_vector
 from ..types import BenefitItem, UserId
 
 
@@ -142,8 +143,18 @@ class BenefitModel:
         owner: UserId,
         strangers: frozenset[UserId] | set[UserId],
     ) -> dict[UserId, float]:
-        """``B(owner, s)`` for every stranger ``s``."""
-        return {s: self(graph, owner, s) for s in strangers}
+        """``B(owner, s)`` for every stranger ``s``, bit for bit :meth:`__call__`."""
+        del owner  # strangers sit at distance 2 by definition
+        bit = level_bits()
+        thetas = [(item, self._thetas[item]) for item in self._items]
+        benefits = {}
+        for stranger in strangers:
+            privacy = graph.profile(stranger).privacy
+            total = 0
+            for item, theta in thetas:
+                total += theta * bit[privacy.get(item, DEFAULT_VISIBILITY)]
+            benefits[stranger] = total / len(thetas)
+        return benefits
 
     def maximum(self) -> float:
         """The largest achievable benefit (every item visible)."""

@@ -10,14 +10,20 @@ profile-similarity function ``PS()`` — which is what
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
 from ..errors import ClassifierError
 from ..graph.profile import Profile
-from ..similarity.profile import ProfileSimilarity
 from ..types import UserId
+
+
+class PairwiseSimilarity(Protocol):
+    """An edge-weight measure yielding its symmetric all-pairs matrix."""
+
+    def pairwise_matrix(self, profiles: Sequence[Profile]) -> np.ndarray:
+        """Similarity of every pair of ``profiles``, as a square matrix."""
 
 
 class SimilarityGraph:
@@ -37,7 +43,7 @@ class SimilarityGraph:
                 f"weight matrix shape {weights.shape} does not match "
                 f"{size} nodes"
             )
-        if size and not np.allclose(weights, weights.T):
+        if not (np.array_equal(weights, weights.T) or np.allclose(weights, weights.T)):
             raise ClassifierError("weight matrix must be symmetric")
         if np.any(weights < 0):
             raise ClassifierError("weights must be non-negative")
@@ -50,7 +56,7 @@ class SimilarityGraph:
     def from_profiles(
         cls,
         profiles: Sequence[Profile],
-        similarity: ProfileSimilarity | Callable[[Profile, Profile], float],
+        similarity: PairwiseSimilarity,
         min_edge_weight: float = 0.0,
         sharpening: float = 1.0,
     ) -> "SimilarityGraph":
@@ -63,7 +69,8 @@ class SimilarityGraph:
         similarity:
             The pairwise profile similarity (typically a
             :class:`~repro.similarity.profile.ProfileSimilarity` built on
-            the pool's own profiles, per Section III-C).
+            the pool's own profiles, per Section III-C); its
+            ``pairwise_matrix`` supplies every edge weight.
         min_edge_weight:
             Weights at or below this value are zeroed, sparsifying the
             graph.
@@ -73,19 +80,8 @@ class SimilarityGraph:
             bandwidth plays in Zhu et al.'s Euclidean setting).
         """
         nodes = [profile.user_id for profile in profiles]
-        size = len(nodes)
-        if hasattr(similarity, "pairwise_matrix"):
-            weights = np.asarray(similarity.pairwise_matrix(profiles), dtype=float)
-            weights[weights <= min_edge_weight] = 0.0
-        else:
-            weights = np.zeros((size, size), dtype=float)
-            for row in range(size):
-                for column in range(row + 1, size):
-                    weight = float(similarity(profiles[row], profiles[column]))
-                    if weight <= min_edge_weight:
-                        weight = 0.0
-                    weights[row, column] = weight
-                    weights[column, row] = weight
+        weights = np.asarray(similarity.pairwise_matrix(profiles), dtype=float)
+        weights[weights <= min_edge_weight] = 0.0
         if sharpening != 1.0:
             weights = np.power(weights, sharpening)
         return cls(nodes, weights)

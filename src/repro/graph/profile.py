@@ -11,6 +11,7 @@ A profile carries two kinds of information the pipeline consumes:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -123,17 +124,11 @@ def value_frequencies(
     measure and the support computations of Squeezer.  Users who left the
     attribute blank do not contribute.
     """
-    population = (
-        list(profiles.values()) if isinstance(profiles, Mapping) else list(profiles)
+    population = profiles.values() if isinstance(profiles, Mapping) else profiles
+    counts = Counter(
+        value
+        for value in (profile.attributes.get(attribute) for profile in population)
+        if value is not None
     )
-    counts: dict[str, int] = {}
-    filled = 0
-    for profile in population:
-        value = profile.attribute(attribute)
-        if value is None:
-            continue
-        counts[value] = counts.get(value, 0) + 1
-        filled += 1
-    if filled == 0:
-        return {}
+    filled = sum(counts.values())
     return {value: count / filled for value, count in counts.items()}

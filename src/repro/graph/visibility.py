@@ -10,7 +10,7 @@ serves friends and unrelated users in the examples).
 
 from __future__ import annotations
 
-from ..types import BenefitItem, UserId
+from ..types import BenefitItem, UserId, VisibilityLevel
 from .social_graph import SocialGraph
 
 #: Strangers are 2-hop contacts by definition, so visibility checks that do
@@ -65,4 +65,17 @@ def stranger_visibility_vector(
     return {
         item: profile.is_visible(item, STRANGER_DISTANCE)
         for item in BenefitItem
+    }
+
+
+def level_bits(distance: int = STRANGER_DISTANCE) -> dict[VisibilityLevel, float]:
+    """``V_s(i, o)`` as 1.0/0.0 per privacy level for a viewer at ``distance``.
+
+    Batch callers look it up per cell by the item's level
+    (``privacy.get(item, DEFAULT_VISIBILITY)``) instead of calling
+    :meth:`~repro.graph.profile.Profile.is_visible`.
+    """
+    return {
+        level: 1.0 if level.visible_at_distance(distance) else 0.0
+        for level in VisibilityLevel
     }

@@ -91,8 +91,9 @@ class RiskLearningSession:
         Optional hook wrapping the per-pool ``PS()`` measure before edge
         weights are computed — e.g.
         ``lambda ps: VisibilityAugmentedSimilarity(ps, mix=0.3)`` for the
-        visibility-augmented extension.  ``None`` keeps the paper's
-        edge weights.
+        visibility-augmented extension; it must return a
+        :class:`~repro.classifier.graphs.PairwiseSimilarity`.  ``None``
+        keeps the paper's edge weights.
     fetcher:
         Optional profile fetcher (``fetch(graph, user_ids)`` returning a
         :class:`~repro.resilience.FetchReport`), e.g. a

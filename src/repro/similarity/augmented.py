@@ -23,8 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import SimilarityError
-from ..graph.profile import Profile
-from ..graph.visibility import STRANGER_DISTANCE
+from ..graph.profile import DEFAULT_VISIBILITY, Profile
+from ..graph.visibility import STRANGER_DISTANCE, level_bits
 from ..types import BenefitItem
 from .profile import ProfileSimilarity
 
@@ -82,13 +82,11 @@ class VisibilityAugmentedSimilarity:
         """
         base = self._profile_similarity.pairwise_matrix(profiles)
         items = BenefitItem.all_items()
+        bit = level_bits()
         bits = np.array(
             [
-                [
-                    1.0 if profile.is_visible(item, STRANGER_DISTANCE) else 0.0
-                    for item in items
-                ]
-                for profile in profiles
+                [bit[privacy.get(item, DEFAULT_VISIBILITY)] for item in items]
+                for privacy in (profile.privacy for profile in profiles)
             ]
         )
         # agreement = fraction of items where the bits coincide

@@ -118,21 +118,6 @@ class ProfileSimilarity:
         raw = math.sqrt(freq_left * freq_right) * self._config.mismatch_scale
         return min(raw, _MISMATCH_CEILING)
 
-    def coverage(self, left: Profile, right: Profile) -> float:
-        """Fraction of compared attributes filled on *both* profiles.
-
-        The similarity itself already averages over present attributes
-        only; coverage says how much evidence that average rests on, so
-        degraded (partially-fetched) profiles can be weighed accordingly.
-        """
-        both = sum(
-            1
-            for attribute in self._attributes
-            if left.attribute(attribute) is not None
-            and right.attribute(attribute) is not None
-        )
-        return both / len(self._attributes)
-
     def __call__(self, left: Profile, right: Profile) -> float:
         """Compute ``PS(left, right)`` in [0, 1].
 
@@ -157,46 +142,47 @@ class ProfileSimilarity:
         return weighted_sum / weight_total
 
     def pairwise_matrix(self, profiles: Sequence[Profile]) -> np.ndarray:
-        """All-pairs ``PS`` values as a symmetric matrix.
+        """All-pairs ``PS`` values, bit for bit the measure on every pair.
 
-        Semantically identical to calling the measure on every pair, but
-        vectorized per attribute: pools can hold thousands of strangers and
-        the similarity graph needs every pair, so the quadratic work runs
-        in numpy instead of the Python interpreter.  The diagonal is the
-        self-similarity (1.0 whenever any attribute is filled).
+        Per attribute, the pool's ``k`` values are coded once (``k`` marks
+        a missing one) and a ``(k+1) x (k+1)`` table of ``weight *
+        similarity`` (0 in the missing row and column) is gathered to n x
+        n with ``table[codes][:, codes]``, and the weight total likewise;
+        both add their terms in attribute order, the same floats in the
+        same order as :meth:`__call__`.
         """
         size = len(profiles)
         weighted_sum = np.zeros((size, size))
         weight_total = np.zeros((size, size))
         for attribute in self._attributes:
-            values = [profile.attribute(attribute) for profile in profiles]
-            present = np.array([value is not None for value in values])
-            if not present.any():
+            values = [profile.attributes.get(attribute) for profile in profiles]
+            vocabulary = sorted({value for value in values if value is not None})
+            if not vocabulary:
                 continue
-            vocabulary = {value for value in values if value is not None}
-            code_of = {value: code for code, value in enumerate(sorted(vocabulary))}
-            codes = np.array(
-                [code_of[value] if value is not None else -1 for value in values]
-            )
+            missing = len(vocabulary)
+            code_of = {value: code for code, value in enumerate(vocabulary)}
+            codes = np.array([code_of.get(value, missing) for value in values])
             frequencies = np.array(
-                [
-                    self.frequency(attribute, value) if value is not None else 0.0
-                    for value in values
-                ]
+                [self.frequency(attribute, value) for value in vocabulary]
             )
-            equal = codes[:, None] == codes[None, :]
-            mismatch = np.sqrt(np.outer(frequencies, frequencies))
-            mismatch = np.minimum(
-                mismatch * self._config.mismatch_scale, _MISMATCH_CEILING
+            similarity = np.minimum(
+                np.sqrt(np.outer(frequencies, frequencies))
+                * self._config.mismatch_scale,
+                _MISMATCH_CEILING,
             )
-            similarity = np.where(equal, 1.0, mismatch)
-            both = np.outer(present, present)
+            np.fill_diagonal(similarity, 1.0)
             weight = self._weights[attribute]
-            weighted_sum += weight * similarity * both
-            weight_total += weight * both
-        with np.errstate(invalid="ignore", divide="ignore"):
-            result = np.where(weight_total > 0, weighted_sum / weight_total, 0.0)
-        return result
+            table = np.zeros((missing + 1, missing + 1))
+            table[:missing, :missing] = weight * similarity
+            weighted_sum += table[codes][:, codes]
+            table[:missing, :missing] = weight
+            weight_total += table[codes][:, codes]
+        return np.divide(
+            weighted_sum,
+            weight_total,
+            out=np.zeros((size, size)),
+            where=weight_total > 0,
+        )
 
     # ------------------------------------------------------------------
     # internals

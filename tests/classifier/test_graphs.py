@@ -8,6 +8,7 @@ from repro.errors import ClassifierError
 from repro.similarity.profile import ProfileSimilarity
 
 from ..conftest import make_profile
+from ..similarity.pool_oracle import assert_bitwise_equal, similarity_graph_oracle
 
 
 def unit_graph():
@@ -68,10 +69,9 @@ class TestFromProfiles:
         ]
         measure = ProfileSimilarity(profiles)
         fast = SimilarityGraph.from_profiles(profiles, measure)
-        slow = SimilarityGraph.from_profiles(
-            profiles, lambda a, b: measure(a, b)
-        )
-        assert np.allclose(fast.weights, slow.weights)
+        slow = similarity_graph_oracle(profiles, measure)
+        assert fast.nodes == slow.nodes
+        assert_bitwise_equal(fast.weights, slow.weights)
 
     def test_min_edge_weight_sparsifies(self):
         profiles = [
