@@ -28,6 +28,7 @@ import pytest
 from repro.benefits.model import BenefitModel
 from repro.classifier.graphs import SimilarityGraph
 from repro.classifier.harmonic import HarmonicClassifier
+from repro.learning.replay import replay_session
 from repro.learning.session import RiskLearningSession
 from repro.similarity.network import NetworkSimilarity
 from repro.similarity.profile import ProfileSimilarity
@@ -194,16 +195,15 @@ def test_perf_harmonic_array_vs_oracle(ns_population):
     first-round answers.  Bitwise equality always; >= 1.5x at full
     scale (the shared O(n^3) solve caps the ratio as pools grow)."""
     owner = ns_population.owners[0]
-    classifiers: dict = {}
-    result = RiskLearningSession(
-        ns_population.graph,
-        owner.user_id,
-        owner.as_oracle(),
-        seed=SEED,
-        classifier_cache=classifiers,
-    ).run()
-    pool = max(result.pool_results, key=lambda pool: len(pool.final_labels))
-    classifier = classifiers[pool.pool_id][1]
+    outcome = replay_session(
+        RiskLearningSession(
+            ns_population.graph, owner.user_id, owner.as_oracle(), seed=SEED
+        )
+    )
+    pool = max(
+        outcome.result.pool_results, key=lambda pool: len(pool.final_labels)
+    )
+    classifier = outcome.state.classifiers[pool.pool_id][1]
     labeled = dict(pool.rounds[0].answers)
 
     # contract: labels, scores and masses equal the oracle bit for bit

@@ -26,6 +26,7 @@ from ..graph.social_graph import SocialGraph
 from ..graph.visibility import stranger_visibility_vector
 from ..learning.accuracy import exact_match_fraction
 from ..learning.oracle import LabelOracle
+from ..learning.replay import replay_session
 from ..learning.results import SessionResult
 from ..learning.session import RiskLearningSession
 from ..resilience import (
@@ -366,24 +367,25 @@ def _run_owner(
     graph: SocialGraph,
     checkpointer=None,
 ) -> OwnerRun:
-    """One owner's study block: similarities, benefits, visibility, run.
+    """One owner's study block: the session run plus its artifacts.
 
-    The serial loop and :func:`execute_owner_run_job` both run exactly
-    this, in this order, so a worker reproduces the serial artifacts.
+    The run's own NS and benefit stages supply the similarities and
+    benefits.  The serial loop and :func:`execute_owner_run_job` both run
+    exactly this, so a worker reproduces the serial artifacts.
     """
     session = plan.build_session(graph)
-    similarities = session.compute_similarities()
-    benefits = session.compute_benefits()
-    visibility = {
-        stranger: stranger_visibility_vector(graph, owner.user_id, stranger)
-        for stranger in session.ego.strangers
-    }
+    outcome = replay_session(session, checkpointer=checkpointer)
     return OwnerRun(
         owner=owner,
-        result=session.run(checkpointer=checkpointer),
-        similarities=similarities,
-        benefits=benefits,
-        visibility=visibility,
+        result=outcome.result,
+        similarities=outcome.state.similarities,
+        benefits=outcome.state.benefits,
+        visibility={
+            stranger: stranger_visibility_vector(
+                graph, owner.user_id, stranger
+            )
+            for stranger in session.ego.strangers
+        },
         profiles=session.ego.stranger_profiles(),
     )
 

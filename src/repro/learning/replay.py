@@ -1,13 +1,20 @@
-"""Delta-proportional session replay: cold-identical results at warm cost.
+"""The one session driver: cold runs, resumes and warm replays.
+
+:func:`replay_session` runs the paper's Figure 1 pipeline — ``NS()`` per
+stranger, the benefit ``B(o, s)``, the pools of Definitions 1–3, one
+active-learning loop per pool — for every caller: the study and
+:meth:`RiskLearningSession.run
+<repro.learning.session.RiskLearningSession.run>`, a checkpointed run
+resuming after a kill, and the engine's cold and warm scores.  They
+differ only in what they pass in.
 
 The paper's motivation for active learning is the *dynamic* graph —
 "stranger connections might change very fast ... it is preferable to
-select the training set on the fly" (Section III).  This module is the
-serving-layer answer: given the pipeline state of a previous run and the
-dirty delta of the mutations since
-(:class:`~repro.service.dirty.DirtyDelta`), :func:`replay_session`
-reproduces — byte for byte — what a **cold** session on the current
-graph would compute, while only paying for what the delta touched:
+select the training set on the fly" (Section III).  Given the stage
+outputs of a previous run (:class:`SessionReplayState`) and the dirty
+delta of the mutations since (:class:`~repro.service.dirty.DirtyDelta`),
+the driver reproduces — byte for byte — what a run from scratch on the
+current graph computes, while only paying for what the delta touched:
 
 * ``NS(o, s)`` is recomputed only for dirty strangers (the batch bitset
   kernel over the touched rows); every other similarity is replayed
@@ -27,21 +34,29 @@ graph would compute, while only paying for what the delta touched:
   every *subsequent* pool — rerun or not — sees exactly the stream a
   full run would have produced.
 * Re-run pools with unchanged profiles reuse their similarity graph and
-  harmonic classifier (and thereby its splu factor cache) through the
-  session's classifier memo.
+  classifier through the state's classifier memo.
 
-Because reuse is gated on *recomputed-input equality*, not on the dirty
-sets alone, conservative (superset) deltas cost extra recomputation but
-can never change the result — the substrate of the engine's
-digest-equivalence guarantee, property-tested by the stateful
+**Reuse rule.**  Prior stages are reused only when a prior state and a
+dirty delta are both given, the session carries none of the
+:data:`~repro.learning.session.REPLAY_UNSAFE_KWARGS` hooks, and the call
+passes no ``strangers=`` subset, no ``initial_labels=`` and no
+checkpointer.  Otherwise the prior is empty and every stage recomputes
+every row.  Because reuse is gated on *recomputed-input equality*, not
+on the dirty sets alone, conservative (superset) deltas cost extra
+recomputation but can never change the result — the substrate of the
+engine's digest-equivalence guarantee, property-tested by the stateful
 mutate/score suite.
+
+A checkpoint is one more source of completed pools: the checkpointer
+restores the RNG to its state after the last completed pool, and those
+pools' saved results are taken as they are.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Mapping
 
 from ..clustering.pools import (
     PooledGroup,
@@ -50,29 +65,9 @@ from ..clustering.pools import (
     build_pools_cached,
 )
 from ..errors import LearningError
-from ..graph.social_graph import SocialGraph
-from ..similarity.network import NetworkSimilarity
-from ..types import UserId
-from .oracle import LabelOracle, RecordingOracle
+from ..types import RiskLabel, UserId
 from .results import PoolResult, SessionResult
 from .session import RiskLearningSession
-
-#: Session-constructor kwargs that make a replay unsound: a fetcher can
-#: drop members nondeterministically w.r.t. our fingerprints, a custom
-#: NS() or edge-similarity wrapper breaks the dirty-set derivation
-#: (which is exact only for the default structural measure), and a
-#: custom sampler may consume randomness we do not checkpoint.
-REPLAY_UNSAFE_KWARGS = (
-    "fetcher",
-    "network_similarity",
-    "edge_similarity_wrapper",
-    "sampler",
-)
-
-
-def replay_supported(session_kwargs: Mapping[str, Any]) -> bool:
-    """Whether a session built with these kwargs may be replayed."""
-    return all(not session_kwargs.get(key) for key in REPLAY_UNSAFE_KWARGS)
 
 
 @dataclass
@@ -93,8 +88,8 @@ class SessionReplayState:
     benefits: dict[UserId, float] = field(default_factory=dict)
     groups: dict[int, PooledGroup] = field(default_factory=dict)
     pools: dict[str, PoolRecord] = field(default_factory=dict)
-    #: ``pool_id -> (profiles, classifier)`` — the session-level memo
-    #: carrying the similarity graphs and splu factor caches across runs.
+    #: ``pool_id -> (profiles, classifier)`` — the memo carrying each
+    #: pool's similarity graph and classifier across runs.
     classifiers: dict[str, tuple] = field(default_factory=dict)
 
 
@@ -114,184 +109,186 @@ class ReplayStats:
 
     def to_dict(self) -> dict[str, int | bool]:
         """The JSON-shaped form merged into the ``incremental`` block."""
-        return {
-            "full_run": self.full_run,
-            "ns_reused": self.ns_reused,
-            "ns_recomputed": self.ns_recomputed,
-            "benefits_reused": self.benefits_reused,
-            "benefits_recomputed": self.benefits_recomputed,
-            "groups_reused": self.groups_reused,
-            "groups_total": self.groups_total,
-            "pools_reused": self.pools_reused,
-            "pools_rerun": self.pools_rerun,
-        }
+        return asdict(self)
 
 
 @dataclass
 class ReplayOutcome:
-    """A replayed session: the cold-identical result plus bookkeeping."""
+    """A driven session: the result, its stage outputs, bookkeeping.
+
+    ``reused_labels`` counts the owner labels of pools replayed from the
+    prior state (no new oracle query was asked for them).
+    """
 
     result: SessionResult
     state: SessionReplayState
     stats: ReplayStats
     reused_labels: int
-    new_queries: int
 
 
 def replay_session(
-    graph: SocialGraph,
-    owner: UserId,
-    oracle: LabelOracle,
-    seed: int | None,
-    session_kwargs: Mapping[str, Any],
-    state: SessionReplayState | None,
-    dirty,
+    session: RiskLearningSession,
+    state: SessionReplayState | None = None,
+    dirty=None,
+    *,
+    strangers: frozenset[UserId] | set[UserId] | None = None,
+    initial_labels: Mapping[UserId, RiskLabel] | None = None,
+    checkpointer=None,
 ) -> ReplayOutcome:
-    """Run (or incrementally replay) one owner's session.
+    """Run one owner's session, reusing what the reuse rule allows.
 
-    ``state`` is the previous run's :class:`SessionReplayState` (``None``
-    runs everything and just *builds* state); ``dirty`` is the merged
-    :class:`~repro.service.dirty.DirtyDelta` covering every mutation
-    since that state was recorded, or ``None`` when the gap is unknown
-    (treated as full).  The returned result is byte-identical to
-    ``RiskLearningSession(...).run()`` on the current graph.
+    ``state`` is a previous run's :class:`SessionReplayState` and
+    ``dirty`` the merged :class:`~repro.service.dirty.DirtyDelta`
+    covering every mutation since; ``strangers``, ``initial_labels``
+    and ``checkpointer`` are the study inputs of
+    :meth:`~repro.learning.session.RiskLearningSession.run`.  The
+    returned result is byte-identical to a run from scratch with the
+    same study inputs on the current graph.
 
     Raises
     ------
     LearningError
-        As the plain session would (e.g. the owner has no strangers),
-        or when ``session_kwargs`` contain replay-unsafe hooks.
+        If the owner has no strangers (nothing to learn about), or the
+        subset contains non-strangers.
     """
-    if not replay_supported(session_kwargs):
-        raise LearningError(
-            "session kwargs contain replay-unsafe hooks; "
-            f"unsupported: {REPLAY_UNSAFE_KWARGS}"
-        )
-    recorder = RecordingOracle(oracle)
-    prior = state or SessionReplayState()
-    session = RiskLearningSession(
-        graph,
-        owner,
-        recorder,
-        seed=seed,
-        classifier_cache=prior.classifiers,
-        **session_kwargs,
-    )
-    strangers = session.ego.strangers
-    if not strangers:
-        raise LearningError(
-            f"owner {owner} has no strangers; nothing to learn"
-        )
-    stats = ReplayStats()
-    full = state is None or dirty is None or dirty.full
-
-    # --- network similarities: recompute only the dirty rows ----------
-    if full:
-        dirty_ns = strangers
+    ego_strangers = session.ego.strangers
+    if strangers is None:
+        target = ego_strangers
     else:
-        dirty_ns = {
-            s for s in strangers
-            if s in dirty.ns or s not in prior.similarities
-        }
-    similarities = {
-        s: prior.similarities[s] for s in strangers if s not in dirty_ns
-    }
-    if dirty_ns:
-        # Batch path over just the touched strangers; value-for-value
-        # identical to the full batch a cold run computes.
-        measure = NetworkSimilarity(session.config.network_similarity)
-        similarities.update(
-            measure.for_strangers(graph, owner, frozenset(dirty_ns))
-        )
-    stats.ns_recomputed = len(dirty_ns)
-    stats.ns_reused = len(strangers) - len(dirty_ns)
-
-    # --- benefits: B(o, s) reads only s's profile ---------------------
-    if full:
-        dirty_benefit = strangers
-    else:
-        dirty_benefit = {
-            s for s in strangers
-            if s in dirty.profiles or s not in prior.benefits
-        }
-    benefits = {
-        s: prior.benefits[s] for s in strangers if s not in dirty_benefit
-    }
-    if dirty_benefit:
-        benefits.update(
-            session.benefit_model.for_strangers(
-                graph, owner, frozenset(dirty_benefit)
+        unknown = set(strangers) - ego_strangers
+        if unknown:
+            raise LearningError(
+                f"not strangers of owner {session.ego.owner}: "
+                f"{sorted(unknown)[:5]}"
             )
+        target = frozenset(strangers)
+    if not target:
+        raise LearningError(
+            f"owner {session.ego.owner} has no strangers; nothing to learn"
         )
-    stats.benefits_recomputed = len(dirty_benefit)
-    stats.benefits_reused = len(strangers) - len(dirty_benefit)
+    reuse = (
+        state is not None
+        and dirty is not None
+        and not session.hooked
+        and strangers is None
+        and initial_labels is None
+        and checkpointer is None
+    )
+    prior = state if reuse else SessionReplayState()
+    stats = ReplayStats()
+
+    # --- per-stranger stages: recompute only the rows the delta staled
+    # (``dirty`` is read only for rows the prior holds, i.e. on reuse)
+    similarities, stats.ns_recomputed = _refresh_rows(
+        target,
+        prior.similarities,
+        lambda s: dirty.stales_ns(s),
+        session.compute_similarities,
+    )
+    stats.ns_reused = len(target) - stats.ns_recomputed
+    benefits, stats.benefits_recomputed = _refresh_rows(
+        target,
+        prior.benefits,
+        lambda s: dirty.stales_profile(s),
+        session.compute_benefits,
+    )
+    stats.benefits_reused = len(target) - stats.benefits_recomputed
 
     # --- pooling: re-bin everything, re-Squeeze only moved groups -----
     profiles = session.ego.stranger_profiles()
     if session.pooling == "nsp":
         pools = build_network_only_pools(similarities, session.config.pooling)
-        new_groups: dict[int, PooledGroup] = {}
+        groups: dict[int, PooledGroup] = {}
         stats.groups_total = len(pools)
     else:
-        pools, new_groups, reused_groups = build_pools_cached(
-            similarities,
-            profiles,
-            session.config.pooling,
-            None if state is None else prior.groups,
+        pools, groups, stats.groups_reused = build_pools_cached(
+            similarities, profiles, session.config.pooling, prior.groups
         )
-        stats.groups_reused = reused_groups
-        stats.groups_total = len(new_groups)
+        stats.groups_total = len(groups)
 
-    # --- pool loops: replay matching records, re-run the rest ---------
+    # --- pool loops: take restored and matching pools, run the rest --
     rng = random.Random(session.seed)
+    restored = checkpointer.load(rng) if checkpointer is not None else {}
     pool_results: list[PoolResult] = []
-    new_pools: dict[str, PoolRecord] = {}
+    records: dict[str, PoolRecord] = {}
     reused_labels = 0
     for pool in pools:
+        if pool.pool_id in restored:
+            # no RNG bracket is known for a restored pool: no record
+            pool_results.append(restored[pool.pool_id])
+            stats.pools_reused += 1
+            continue
         fingerprint = _pool_fingerprint(pool, similarities, benefits, profiles)
         rng_before = rng.getstate()
-        record = prior.pools.get(pool.pool_id) if state is not None else None
+        record = prior.pools.get(pool.pool_id)
         if (
             record is not None
             and record.fingerprint == fingerprint
             and record.rng_before == rng_before
         ):
-            pool_results.append(record.result)
-            new_pools[pool.pool_id] = record
             rng.setstate(record.rng_after)
-            reused_labels += len(record.result.owner_labels)
+            reused_labels += record.result.labels_requested
             stats.pools_reused += 1
-            continue
-        result = session.run_pool(pool, similarities, benefits, rng)
-        new_pools[pool.pool_id] = PoolRecord(
-            fingerprint=fingerprint,
-            result=result,
-            rng_before=rng_before,
-            rng_after=rng.getstate(),
-        )
-        pool_results.append(result)
-        stats.pools_rerun += 1
+        else:
+            result = session._run_pool(
+                pool,
+                similarities,
+                benefits,
+                rng,
+                initial_labels,
+                prior.classifiers,
+            )
+            record = PoolRecord(
+                fingerprint=fingerprint,
+                result=result,
+                rng_before=rng_before,
+                rng_after=rng.getstate(),
+            )
+            stats.pools_rerun += 1
+            if checkpointer is not None:
+                checkpointer.record(result, rng)
+        records[pool.pool_id] = record
+        pool_results.append(record.result)
     stats.full_run = stats.pools_reused == 0
 
-    result = SessionResult(
-        owner=owner,
-        pool_results=tuple(pool_results),
-        confidence=session.config.learning.confidence,
-    )
-    next_state = SessionReplayState(
-        similarities=similarities,
-        benefits=benefits,
-        groups=new_groups,
-        pools=new_pools,
-        classifiers=prior.classifiers,
-    )
     return ReplayOutcome(
-        result=result,
-        state=next_state,
+        result=SessionResult(
+            owner=session.ego.owner,
+            pool_results=tuple(pool_results),
+            confidence=session.config.learning.confidence,
+        ),
+        state=SessionReplayState(
+            similarities=similarities,
+            benefits=benefits,
+            groups=groups,
+            pools=records,
+            classifiers=prior.classifiers,
+        ),
         stats=stats,
         reused_labels=reused_labels,
-        new_queries=recorder.stats.queries,
     )
+
+
+def _refresh_rows(
+    target: frozenset[UserId],
+    prior_rows: Mapping[UserId, float],
+    stale: Callable[[UserId], bool],
+    compute: Callable[[frozenset[UserId]], dict[UserId, float]],
+) -> tuple[dict[UserId, float], int]:
+    """One per-stranger stage: prior rows the delta left alone, plus
+    ``compute`` over the rest; returns the rows and the recomputed count.
+
+    With no reusable row ``compute`` gets ``target`` itself, so a run
+    from scratch yields its rows in the order the stage's own batch
+    does.
+    """
+    dirty_rows = frozenset(
+        s for s in target if s not in prior_rows or stale(s)
+    )
+    rows = {s: prior_rows[s] for s in target if s not in dirty_rows}
+    if dirty_rows:
+        rows.update(compute(dirty_rows if rows else target))
+    return rows, len(dirty_rows)
 
 
 def _pool_fingerprint(
@@ -325,5 +322,4 @@ __all__ = [
     "ReplayStats",
     "SessionReplayState",
     "replay_session",
-    "replay_supported",
 ]

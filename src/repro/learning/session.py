@@ -1,9 +1,11 @@
 """The full per-owner risk learning session.
 
-:class:`RiskLearningSession` wires every stage of Figure 1 of the paper:
+:class:`RiskLearningSession` holds every stage of Figure 1 of the paper:
 similarity and benefit computation, pool construction, one active-learning
 loop per pool, and aggregation into a
-:class:`~repro.learning.results.SessionResult`.
+:class:`~repro.learning.results.SessionResult`.  The stages run in one
+place, :func:`repro.learning.replay.replay_session`, which :meth:`run`
+calls.
 
 Typical use::
 
@@ -59,6 +61,19 @@ DEFAULT_EDGE_WEIGHTS: dict[ProfileAttribute, float] = {
 
 #: Pooling strategies: the paper's NPP pools or the NSP baseline.
 PoolingStrategy = Literal["npp", "nsp"]
+
+#: Session-constructor hooks that make reusing a prior run unsound: a
+#: fetcher can drop members nondeterministically w.r.t. the replay
+#: fingerprints, a custom NS() or edge-similarity wrapper breaks the
+#: dirty-set derivation (which is exact only for the default structural
+#: measure), and a custom sampler may consume randomness the RNG bracket
+#: does not capture.
+REPLAY_UNSAFE_KWARGS = (
+    "fetcher",
+    "network_similarity",
+    "edge_similarity_wrapper",
+    "sampler",
+)
 
 
 class RiskLearningSession:
@@ -117,7 +132,6 @@ class RiskLearningSession:
         edge_similarity_wrapper=None,
         network_similarity=None,
         fetcher=None,
-        classifier_cache: dict | None = None,
     ) -> None:
         self._graph = graph
         self._owner = owner
@@ -135,14 +149,6 @@ class RiskLearningSession:
         #: the default reconstruction with the session's config.
         self._network_similarity = network_similarity
         self._fetcher = fetcher
-        #: Optional cross-session classifier memo, ``pool_id -> (profiles,
-        #: classifier)``.  When the pool's profiles are unchanged the
-        #: classifier and its similarity graph are reused instead of
-        #: rebuilt, so a warm re-run of an untouched-membership pool
-        #: skips graph assembly.  Only consulted
-        #: when no fetcher and no edge-similarity wrapper are active
-        #: (both can change the effective profiles/weights per run).
-        self._classifier_cache = classifier_cache
         self._ego = EgoNetwork(graph, owner)
 
     # ------------------------------------------------------------------
@@ -173,25 +179,43 @@ class RiskLearningSession:
         """The owner's benefit measure."""
         return self._benefit_model
 
+    @property
+    def hooked(self) -> bool:
+        """Whether any :data:`REPLAY_UNSAFE_KWARGS` hook is set.
+
+        A hooked session's outcome is not a function of the replay
+        fingerprints, so the driver never reuses a prior run for it.
+        """
+        return any(
+            getattr(self, f"_{name}") is not None
+            for name in REPLAY_UNSAFE_KWARGS
+        )
+
     # ------------------------------------------------------------------
     # pipeline
     # ------------------------------------------------------------------
-    def compute_similarities(self) -> dict[UserId, float]:
-        """``NS(owner, s)`` for every stranger."""
+    def compute_similarities(
+        self, strangers: frozenset[UserId] | None = None
+    ) -> dict[UserId, float]:
+        """``NS(owner, s)`` for every stranger, or for ``strangers`` only."""
+        targets = self._ego.strangers if strangers is None else strangers
         if self._network_similarity is not None:
             return {
                 stranger: self._network_similarity(
                     self._graph, self._owner, stranger
                 )
-                for stranger in self._ego.strangers
+                for stranger in targets
             }
         measure = NetworkSimilarity(self._config.network_similarity)
-        return measure.for_strangers(self._graph, self._owner, self._ego.strangers)
+        return measure.for_strangers(self._graph, self._owner, targets)
 
-    def compute_benefits(self) -> dict[UserId, float]:
-        """``B(owner, s)`` for every stranger."""
+    def compute_benefits(
+        self, strangers: frozenset[UserId] | None = None
+    ) -> dict[UserId, float]:
+        """``B(owner, s)`` for every stranger, or for ``strangers`` only."""
+        targets = self._ego.strangers if strangers is None else strangers
         return self._benefit_model.for_strangers(
-            self._graph, self._owner, self._ego.strangers
+            self._graph, self._owner, targets
         )
 
     def build_pools(
@@ -213,6 +237,9 @@ class RiskLearningSession:
         checkpointer=None,
     ) -> SessionResult:
         """Run the full session: pools, loops, aggregation.
+
+        The pipeline itself is :func:`repro.learning.replay.replay_session`,
+        the one driver the serving layer's warm replays also run.
 
         Parameters
         ----------
@@ -240,67 +267,14 @@ class RiskLearningSession:
             If the owner has no strangers (nothing to learn about), or
             the subset contains non-strangers.
         """
-        if strangers is None:
-            target = self._ego.strangers
-        else:
-            unknown = set(strangers) - self._ego.strangers
-            if unknown:
-                raise LearningError(
-                    f"not strangers of owner {self._owner}: "
-                    f"{sorted(unknown)[:5]}"
-                )
-            target = frozenset(strangers)
-        if not target:
-            raise LearningError(
-                f"owner {self._owner} has no strangers; nothing to learn"
-            )
-        similarities = {
-            stranger: value
-            for stranger, value in self.compute_similarities().items()
-            if stranger in target
-        }
-        benefits = self.compute_benefits()
-        pools = self.build_pools(similarities)
-        rng = random.Random(self._seed)
+        from .replay import replay_session  # replay imports this module
 
-        completed: dict[str, PoolResult] = {}
-        if checkpointer is not None:
-            completed = checkpointer.load(rng)
-
-        pool_results: list[PoolResult] = []
-        for pool in pools:
-            if pool.pool_id in completed:
-                pool_results.append(completed[pool.pool_id])
-                continue
-            result = self._run_pool(
-                pool, similarities, benefits, rng, initial_labels
-            )
-            pool_results.append(result)
-            if checkpointer is not None:
-                checkpointer.record(result, rng)
-        return SessionResult(
-            owner=self._owner,
-            pool_results=tuple(pool_results),
-            confidence=self._config.learning.confidence,
-        )
-
-    def run_pool(
-        self,
-        pool: StrangerPool,
-        similarities: Mapping[UserId, float],
-        benefits: Mapping[UserId, float],
-        rng: random.Random,
-        initial_labels: Mapping[UserId, RiskLabel] | None = None,
-    ) -> PoolResult:
-        """Run one pool's learning loop with the given session RNG.
-
-        The public seam the incremental replay
-        (:mod:`repro.learning.replay`) drives: a replay that reuses some
-        pools verbatim must run the *remaining* pools with the RNG in
-        exactly the state a full :meth:`run` would have reached — the
-        caller owns the RNG threading, this method only consumes it.
-        """
-        return self._run_pool(pool, similarities, benefits, rng, initial_labels)
+        return replay_session(
+            self,
+            strangers=strangers,
+            initial_labels=initial_labels,
+            checkpointer=checkpointer,
+        ).result
 
     # ------------------------------------------------------------------
     # internals
@@ -311,8 +285,17 @@ class RiskLearningSession:
         similarities: Mapping[UserId, float],
         benefits: Mapping[UserId, float],
         rng: random.Random,
-        initial_labels: Mapping[UserId, RiskLabel] | None = None,
+        initial_labels: Mapping[UserId, RiskLabel] | None,
+        classifiers: dict[str, tuple],
     ) -> PoolResult:
+        """Run one pool's learning loop, consuming the session RNG.
+
+        ``classifiers`` is the cross-run memo ``pool_id -> (profiles,
+        classifier)``: when the pool's profiles are unchanged the
+        classifier and its similarity graph are reused instead of
+        rebuilt.  Hooked sessions neither read nor fill it (a fetcher or
+        an edge wrapper can change the effective profiles or weights).
+        """
         if self._fetcher is not None:
             report = self._fetcher.fetch(self._graph, pool.members)
             profiles = list(report.profiles)
@@ -335,7 +318,14 @@ class RiskLearningSession:
                 unreachable=frozenset(pool.members),
                 profile_coverage=0.0,
             )
-        classifier = self._cached_classifier(pool.pool_id, profiles)
+        classifier = None
+        if not self.hooked:
+            cached = classifiers.get(pool.pool_id)
+            # A hit requires the pool's profile list to equal the one the
+            # classifier's graph was built from: its edge weights are a
+            # pure function of those profiles and the fixed config.
+            if cached is not None and cached[0] == list(profiles):
+                classifier = cached[1]
         if classifier is None:
             # Edge weights use PS() built on the pool's own profiles — "the
             # frequency of the item values in the data set (i.e., the
@@ -358,11 +348,8 @@ class RiskLearningSession:
                 sharpening=self._config.classifier.edge_sharpening,
             )
             classifier = self._classifier_factory(similarity_graph)
-            if self._cache_eligible():
-                self._classifier_cache[pool.pool_id] = (
-                    list(profiles),
-                    classifier,
-                )
+            if not self.hooked:
+                classifiers[pool.pool_id] = (list(profiles), classifier)
         learner = PoolLearner(
             pool_id=pool.pool_id,
             nsg_index=pool.nsg_index,
@@ -385,33 +372,6 @@ class RiskLearningSession:
             unreachable=result.unreachable | fetch_unreachable,
             profile_coverage=attribute_coverage(profiles),
         )
-
-    def _cache_eligible(self) -> bool:
-        """Whether the cross-session classifier memo may be used."""
-        return (
-            self._classifier_cache is not None
-            and self._fetcher is None
-            and self._edge_similarity_wrapper is None
-        )
-
-    def _cached_classifier(self, pool_id: str, profiles):
-        """A memoized classifier for the pool, or ``None`` to rebuild.
-
-        A hit requires the pool's profile list (identity *and* content)
-        to equal the one the classifier's similarity graph was built
-        from — the graph's edge weights are a pure function of those
-        profiles and the fixed config, so the reused instance predicts
-        byte-identically to a rebuilt one.
-        """
-        if not self._cache_eligible():
-            return None
-        entry = self._classifier_cache.get(pool_id)
-        if entry is None:
-            return None
-        cached_profiles, classifier = entry
-        if cached_profiles != list(profiles):
-            return None
-        return classifier
 
     @staticmethod
     def _display_names(profiles) -> dict[UserId, str]:

@@ -15,9 +15,9 @@ behind the :class:`~repro.service.RiskEngine` seam:
 * :class:`MeasureScore` — what a measure returns: an opaque result, its
   deterministic digest, and label accounting.
 * :class:`RiskMeasure` — the contract: ``compute`` (a cold score),
-  ``compute_incremental`` (optional cold-identical delta re-score),
-  ``digest`` (recompute the canonical
-  digest of a result), ``describe``
+  ``compute_incremental`` (the engine's one entry point: a cold score
+  unless the measure replays a prior pipeline state cold-identically),
+  ``digest`` (recompute the canonical digest of a result), ``describe``
   (the measure-specific JSON blocks of a ``/score`` response), and
   ``granted_labels`` (oracle labels to persist through the store).
 
@@ -119,37 +119,28 @@ class RiskMeasure(abc.ABC):
     name: ClassVar[str] = ""
     #: One-line human description for the ``/measures`` endpoint.
     description: ClassVar[str] = ""
-    #: Whether :meth:`compute_incremental` is implemented.  Incremental
-    #: measures promise a hard contract: the incremental result (and its
-    #: digest) is byte-identical to a cold :meth:`compute` on the same
-    #: graph, for any conservative dirty delta.
-    supports_incremental: ClassVar[bool] = False
 
     @abc.abstractmethod
     def compute(self, request: MeasureRequest) -> MeasureScore:
-        """Score one owner from scratch.
-
-        The engine also calls this to re-score a stale memo of a measure
-        without :meth:`compute_incremental`.
-        """
+        """Score one owner from scratch."""
 
     def compute_incremental(
         self, request: MeasureRequest, state: Any = None, dirty: Any = None
     ) -> IncrementalScore:
         """Score one owner from a prior pipeline state plus a dirty delta.
 
-        ``state`` is what the previous :class:`IncrementalScore` carried
-        (``None`` = no usable state: run fully, but *build* state);
-        ``dirty`` is the merged
-        :class:`~repro.service.dirty.DirtyDelta` covering every store
-        mutation between that state and the current graph, or ``None``
-        when the gap is unknown (must be treated as full).  The returned
-        score must be byte-identical to a cold :meth:`compute` on the
-        current graph — the engine's equivalence gate enforces it.
+        The engine scores every measure through this call.  ``state`` is
+        what the previous :class:`IncrementalScore` carried (``None`` =
+        no usable state: run fully, but *build* state); ``dirty`` is the
+        merged :class:`~repro.service.dirty.DirtyDelta` covering every
+        store mutation between that state and the current graph, or
+        ``None`` when the gap is unknown (must be treated as full).  The
+        returned score must be byte-identical to a cold :meth:`compute`
+        on the current graph — the engine's equivalence gate enforces
+        it.  The default keeps no state and recomputes.
         """
-        raise NotImplementedError(
-            f"measure {self.name!r} does not support incremental scoring"
-        )
+        del state, dirty
+        return IncrementalScore(score=self.compute(request))
 
     @abc.abstractmethod
     def digest(self, result: Any) -> str:

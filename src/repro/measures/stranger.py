@@ -1,12 +1,13 @@
 """The default measure: the paper's stranger-risk pipeline.
 
-A thin adapter putting the existing cold/warm scoring paths behind the
+A thin adapter putting the one session driver
+(:func:`~repro.learning.replay.replay_session`) behind the
 :class:`~repro.measures.base.RiskMeasure` contract, *byte-identically*:
-cold scores run the exact :func:`~repro.experiments.plan_owner_session`
-→ ``build_session().run()`` sequence the engine always ran (same derived
-seed ``seed + index``), warm re-scores replay only what a mutation
-touched (:mod:`repro.learning.replay`) and land on the same result, and
-the digest is :func:`repro.io.result_digest` of the
+every score builds the session from the same
+:func:`~repro.experiments.plan_owner_session` the study uses (same
+derived seed ``seed + index``), a warm re-score replays only what a
+mutation touched and lands on the result a cold score would, and the
+digest is :func:`repro.io.result_digest` of the
 :class:`~repro.learning.results.SessionResult` — so every digest
 recorded before the measure subsystem existed still matches.
 """
@@ -17,7 +18,7 @@ from typing import Any
 
 from ..experiments.study import plan_owner_session
 from ..io.serialization import result_digest, session_result_to_dict
-from ..learning.replay import replay_session, replay_supported
+from ..learning.replay import replay_session
 from ..learning.results import SessionResult
 from ..types import RiskLabel, UserId
 from .base import IncrementalScore, MeasureRequest, MeasureScore, RiskMeasure
@@ -33,29 +34,10 @@ class StrangerRiskMeasure(RiskMeasure):
         "(the paper's pipeline: NS pooling, owner labeling, "
         "label completion)"
     )
-    #: Cold-identical delta replay via :mod:`repro.learning.replay`.
-    supports_incremental = True
 
     def compute(self, request: MeasureRequest) -> MeasureScore:
         """Run the paper's scoring session from scratch."""
-        plan = plan_owner_session(
-            request.owner,
-            request.index,
-            pooling=request.pooling,  # type: ignore[arg-type]
-            classifier=request.classifier,
-            config=request.config,
-            seed=request.seed,
-            use_owner_confidence=request.use_owner_confidence,
-            fault_plan=request.fault_plan,
-            retry_policy=request.retry_policy,
-        )
-        result = plan.build_session(request.graph).run()
-        return MeasureScore(
-            result=result,
-            digest=result_digest(result),
-            reused_labels=0,
-            new_queries=result.labels_requested,
-        )
+        return self.compute_incremental(request).score
 
     def compute_incremental(
         self, request: MeasureRequest, state=None, dirty=None
@@ -66,10 +48,9 @@ class StrangerRiskMeasure(RiskMeasure):
         state; otherwise only what ``dirty`` touched is recomputed.
         Either way the result — and therefore the digest — is the one a
         cold :meth:`compute` would produce on the current graph.  Plans
-        carrying replay-unsafe hooks (fault injection) fall back to a
-        plain cold run with no state.
+        carrying replay-unsafe hooks (fault injection) get no state back.
         """
-        plan = plan_owner_session(
+        session = plan_owner_session(
             request.owner,
             request.index,
             pooling=request.pooling,  # type: ignore[arg-type]
@@ -79,34 +60,19 @@ class StrangerRiskMeasure(RiskMeasure):
             use_owner_confidence=request.use_owner_confidence,
             fault_plan=request.fault_plan,
             retry_policy=request.retry_policy,
-        )
-        if plan.injector is not None or not replay_supported(
-            plan.session_kwargs
-        ):
-            return IncrementalScore(score=self.compute(request))
-        outcome = replay_session(
-            request.graph,
-            plan.owner_id,
-            plan.oracle,
-            plan.seed,
-            plan.session_kwargs,
-            state,
-            dirty,
-        )
-        if state is None:
-            # Cold-run accounting parity with ``compute``: report the
-            # session's own label tally rather than the recorder's.
-            new_queries = outcome.result.labels_requested
-        else:
-            new_queries = outcome.new_queries
+        ).build_session(request.graph)
+        outcome = replay_session(session, state, dirty)
+        result = outcome.result
         score = MeasureScore(
-            result=outcome.result,
-            digest=result_digest(outcome.result),
-            reused_labels=outcome.reused_labels if state is not None else 0,
-            new_queries=new_queries,
+            result=result,
+            digest=result_digest(result),
+            reused_labels=outcome.reused_labels,
+            new_queries=result.labels_requested - outcome.reused_labels,
         )
         return IncrementalScore(
-            score=score, state=outcome.state, stats=outcome.stats.to_dict()
+            score=score,
+            state=None if session.hooked else outcome.state,
+            stats=outcome.stats.to_dict(),
         )
 
     def digest(self, result: SessionResult) -> str:

@@ -50,6 +50,14 @@ class DirtyDelta:
     profiles: frozenset[UserId] = frozenset()
     full: bool = False
 
+    def stales_ns(self, user: UserId) -> bool:
+        """Whether ``NS(o, user)`` may have changed."""
+        return self.full or user in self.ns
+
+    def stales_profile(self, user: UserId) -> bool:
+        """Whether ``user``'s profile may have changed."""
+        return self.full or user in self.profiles
+
     def merge(self, other: "DirtyDelta") -> "DirtyDelta":
         """The union of two deltas (``full`` dominates)."""
         if self.full or other.full:

@@ -4,14 +4,15 @@
 Scoring dispatches through the pluggable measure registry
 (:mod:`repro.measures`); the default measure is the paper's stranger
 pipeline.  Scores are memoized per ``(owner, measure, graph_version)``:
-an unchanged owner is
-served from cache; an owner whose graph changed since the last score is
-re-scored *warm* — measures with ``compute_incremental`` replay only what
-the store's dirty log says the mutations touched, landing byte-identical
-to a cold score, and the rest recompute; an owner never scored before
-pays the full cold cost.  Cold
-scores are built from the same :class:`~repro.experiments.OwnerSessionPlan`
-as :func:`repro.experiments.run_study`, so an engine score of a pristine
+an unchanged owner is served from cache; any other score is one
+``compute_incremental`` call, handed the measure's pipeline state from
+its last score and the store's dirty delta since.  An owner whose graph
+changed is re-scored *warm*: the stranger measure replays only what the
+mutations touched, landing byte-identical to a cold score, and measures
+that keep no state recompute.  An owner never scored before pays the
+full cold cost.  Stranger scores run the same session driver, built
+from the same :class:`~repro.experiments.OwnerSessionPlan`, as
+:func:`repro.experiments.run_study`, so an engine score of a pristine
 owner is byte-identical to the batch study (checked via
 :func:`repro.io.result_digest`).
 
@@ -448,8 +449,8 @@ class RiskEngine:
 
         Cache hit → the memoized record.  Stale cache → warm re-score
         (a delta replay through the measure's pipeline state when it
-        supports incremental scoring, a recompute otherwise).  No cache
-        → cold run through the measure.
+        keeps one, a recompute otherwise).  No cache → cold run through
+        the measure.
 
         Raises
         ------
@@ -553,12 +554,9 @@ class RiskEngine:
             use_owner_confidence=self._use_owner_confidence,
         )
         start = self._clock()
-        if risk_measure.supports_incremental:
-            score = self._compute_incremental(
-                owner_id, request, version, cached, risk_measure
-            )
-        else:
-            score = risk_measure.compute(request)
+        score = self._compute_incremental(
+            owner_id, request, version, cached, risk_measure
+        )
         elapsed = self._clock() - start
         source: ScoreSource = "warm" if cached is not None else "cold"
         return ScoreRecord(

@@ -196,6 +196,9 @@ class ProfileSimilarity:
         missing = [a for a in self._attributes if a not in weights]
         if missing:
             raise ValueError(f"weights missing for attributes: {missing}")
+        negative = [a for a in self._attributes if weights[a] < 0]
+        if negative:
+            raise ValueError(f"attribute weights must be non-negative: {negative}")
         total = float(sum(weights[a] for a in self._attributes))
         if total <= 0:
             raise ValueError("attribute weights must sum to a positive value")

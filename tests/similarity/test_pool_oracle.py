@@ -15,6 +15,7 @@ subsets, all-zero thetas and profiles with no privacy entry.
 import struct
 from unittest import mock
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -263,3 +264,17 @@ class TestFloatOrderCases:
         batch = model.for_strangers(graph, 0, frozenset({1}))
         expected = benefits_oracle(model, graph, 0, frozenset({1}))
         assert _bits(batch[1]) == _bits(expected[1])
+
+
+def test_negative_weight_rejected():
+    """A negative weight with a positive total used to pass, and then the
+    scalar measure and the matrix disagreed: for two profiles that filled
+    only gender, ``PS(p, p)`` was 1.0 and ``PS(p, q)`` 0.5 while the matrix
+    zeroed both cells (its weight total there is negative)."""
+    left = Profile(1, {ProfileAttribute.GENDER: "a"})
+    right = Profile(2, {ProfileAttribute.GENDER: "b"})
+    weights = {attribute: 0.0 for attribute in ProfileAttribute}
+    weights[ProfileAttribute.GENDER] = -1.0
+    weights[ProfileAttribute.LOCALE] = 2.0
+    with pytest.raises(ValueError, match="non-negative"):
+        ProfileSimilarity([left, right], weights=weights)
