@@ -125,7 +125,7 @@ def test_incremental_rescoring_speedup():
         "seed": SEED,
         "sizes": results,
     }
-    OUT_DIR.mkdir(exist_ok=True)
+    OUT_DIR.mkdir(parents=True, exist_ok=True)
     (OUT_DIR / "BENCH_incremental.json").write_text(
         json.dumps(document, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",

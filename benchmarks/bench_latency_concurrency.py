@@ -304,7 +304,7 @@ def test_latency_under_concurrency(tmp_path):
             for clients, row in results.items()
         },
     }
-    OUT_DIR.mkdir(exist_ok=True)
+    OUT_DIR.mkdir(parents=True, exist_ok=True)
     (OUT_DIR / "BENCH_latency_concurrency.json").write_text(
         json.dumps(document, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",

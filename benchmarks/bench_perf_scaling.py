@@ -59,7 +59,7 @@ def _emit_perf_json():
     """Write the scoring-core timing records after the module finishes."""
     yield
     if _PERF_RECORDS:
-        OUT_DIR.mkdir(exist_ok=True)
+        OUT_DIR.mkdir(parents=True, exist_ok=True)
         payload = {
             "seed": SEED,
             "cpu_cores": os.cpu_count() or 1,

@@ -188,7 +188,7 @@ def test_measure_throughput(population):
         "digest_determinism": True,
         "measures": results,
     }
-    OUT_DIR.mkdir(exist_ok=True)
+    OUT_DIR.mkdir(parents=True, exist_ok=True)
     (OUT_DIR / "BENCH_measure_throughput.json").write_text(
         json.dumps(document, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
@@ -351,7 +351,7 @@ def test_sharded_scaling_throughput(tmp_path):
             str(shards): results[shards] for shards in SHARD_TOPOLOGIES
         },
     }
-    OUT_DIR.mkdir(exist_ok=True)
+    OUT_DIR.mkdir(parents=True, exist_ok=True)
     (OUT_DIR / "BENCH_shard_scaling.json").write_text(
         json.dumps(document, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",

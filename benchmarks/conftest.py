@@ -2,7 +2,8 @@
 
 The cohort and the two studies (NPP / NSP) are generated once per
 benchmark session; the individual benches time their own analysis step
-and write the rendered paper-style artifact to ``benchmarks/out/``.
+and write the rendered paper-style artifact to ``benchmarks/out/``
+(``benchmarks/out/local/`` when any ``REPRO_BENCH_*`` knob is set).
 
 Scale knobs come from environment variables so the same harness serves a
 quick CI pass and a full-scale reproduction run:
@@ -30,7 +31,12 @@ OWNERS = int(os.environ.get("REPRO_BENCH_OWNERS", "10"))
 STRANGERS = int(os.environ.get("REPRO_BENCH_STRANGERS", "300"))
 SEED = int(os.environ.get("REPRO_BENCH_SEED", "2012"))
 
+#: Where records land.  A run with any ``REPRO_BENCH_*`` override is a
+#: reduced- or off-default-scale run: it writes under the untracked
+#: ``out/local/`` so the committed full-scale records stay as they are.
 OUT_DIR = Path(__file__).parent / "out"
+if any(name.startswith("REPRO_BENCH_") for name in os.environ):
+    OUT_DIR = OUT_DIR / "local"
 
 
 class KeepAliveClient:
@@ -118,7 +124,7 @@ class KeepAliveClient:
 
 def write_artifact(name: str, text: str) -> None:
     """Persist a rendered table/figure next to the benchmark results."""
-    OUT_DIR.mkdir(exist_ok=True)
+    OUT_DIR.mkdir(parents=True, exist_ok=True)
     (OUT_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
     print("\n" + text)
 

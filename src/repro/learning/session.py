@@ -17,6 +17,7 @@ Typical use::
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 from typing import Literal, Mapping
 
@@ -137,7 +138,9 @@ class RiskLearningSession:
         self._owner = owner
         self._oracle = oracle
         self._config = config or PipelineConfig()
-        self._classifier_factory = self._resolve_classifier(classifier)
+        self._classifier_factory = self._resolve_classifier(
+            classifier, self._config
+        )
         if pooling not in ("npp", "nsp"):
             raise LearningError(f"unknown pooling strategy {pooling!r}")
         self._pooling: PoolingStrategy = pooling
@@ -383,17 +386,23 @@ class RiskLearningSession:
                 names[profile.user_id] = f"{last_name} (#{profile.user_id})"
         return names
 
+    @staticmethod
     def _resolve_classifier(
-        self, classifier: str | ClassifierFactory
+        classifier: str | ClassifierFactory, config: PipelineConfig
     ) -> ClassifierFactory:
+        # Built from the config, not closures over the session: a factory
+        # referring back to its session would keep every session alive
+        # until the cyclic garbage collector ran.
         if callable(classifier):
             return classifier
         if classifier == "harmonic":
-            return lambda graph: HarmonicClassifier(graph, self._config.classifier)
+            return functools.partial(
+                HarmonicClassifier, config=config.classifier
+            )
         if classifier == "knn":
-            return lambda graph: KnnClassifier(graph, self._config.classifier)
+            return functools.partial(KnnClassifier, config=config.classifier)
         if classifier == "majority":
-            return lambda graph: MajorityClassifier(graph)
+            return MajorityClassifier
         raise LearningError(
             f"unknown classifier {classifier!r}; expected one of "
             f"{CLASSIFIER_NAMES} or a factory"

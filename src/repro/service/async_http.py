@@ -12,11 +12,12 @@ admission gate it shares with the shard router).  On top of that core:
   unbounded accept backlog; ``/metrics`` reports depth, peak, and shed
   counts.
 * **request coalescing** — ``/score`` goes through
-  :meth:`~repro.service.scheduler.ScoreScheduler.submit_coalesced`:
+  :meth:`~repro.service.scheduler.ScoreScheduler.serve_or_submit`:
   concurrent hits for the same ``(owner, measure, version)`` share one
-  engine call and the result fans out to every waiter.  Coalesced
-  futures are awaited behind :func:`asyncio.shield` so one waiter's
-  deadline cannot cancel work its neighbors still need.
+  engine call and the result fans out to every waiter, and with no
+  flight to join a fresh memo is answered right on the event loop.
+  Coalesced futures are awaited behind :func:`asyncio.shield` so one
+  waiter's deadline cannot cancel work its neighbors still need.
 * **group-committed WAL** — mutations run on a small thread pool (the
   event loop must never block on an fsync) and, under the default
   ``--wal-fsync group``, concurrent mutations pile into one
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import asyncio
 from typing import Any
-from urllib.parse import SplitResult
 
 from ..errors import (
     BackpressureError,
@@ -54,6 +54,7 @@ from .http import (
     HttpServerCore,
     RequestHandler,
     ServiceState,
+    SplitResult,
     mutation_failure,
 )
 from .scheduler import ScoreScheduler
@@ -178,7 +179,7 @@ class _RiskHandler(RequestHandler):
             return
         deadline = Deadline(self.server.request_timeout)
         try:
-            future, coalesced = self.server.scheduler.submit_coalesced(
+            record, future, coalesced = self.server.scheduler.serve_or_submit(
                 owner_id, measure=measure
             )
         except BackpressureError as error:
@@ -192,7 +193,8 @@ class _RiskHandler(RequestHandler):
             )
             return
         try:
-            record = await self._await_score(future, coalesced, deadline)
+            if record is None:
+                record = await self._await_score(future, coalesced, deadline)
         except (asyncio.TimeoutError, TimeoutError):
             breaker.record_failure()
             self._respond(504, {"error": self._budget_error(owner_id)})

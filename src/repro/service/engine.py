@@ -63,9 +63,20 @@ class ScoreRecord:
     new_queries: int
     elapsed_seconds: float
     measure: str = DEFAULT_MEASURE
+    #: The measure's blocks of :meth:`to_dict`, built by the first call
+    #: and shared with every cache-hit copy of the record, so a memo is
+    #: described once rather than once per read.
+    described: dict[str, Any] = dataclasses.field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-ready view for the ``/score`` endpoint."""
+        """JSON-ready view for the ``/score`` endpoint (its measure
+        blocks are shared with the record: read, don't mutate)."""
+        if not self.described:
+            self.described.update(
+                get_measure(self.measure).describe(self.result)
+            )
         document: dict[str, Any] = {
             "owner": self.owner_id,
             "version": self.version,
@@ -76,7 +87,7 @@ class ScoreRecord:
             "new_queries": self.new_queries,
             "elapsed_seconds": self.elapsed_seconds,
         }
-        document.update(get_measure(self.measure).describe(self.result))
+        document.update(self.described)
         return document
 
 
@@ -479,26 +490,24 @@ class RiskEngine:
                 self._metrics.record_error(name)
                 raise
             version = entry.version
-            cached = self._touch_cache(owner_id, name, version)
-            if cached is not None:
-                self._metrics.record_hit(name)
-                # provenance of *this response*: served from memo, free
-                return dataclasses.replace(
-                    cached, source="cache", elapsed_seconds=0.0
-                )
+            hit = self._serve_hit(owner_id, name, version)
+            if hit is not None:
+                return hit
             stale = self.cached(owner_id, name)
             try:
                 record = self._compute(entry, version, stale, risk_measure)
             except Exception:
                 self._metrics.record_error(name)
                 raise
-            self._memoize(owner_id, name, record)
             # persist the oracle's label grants through the store: on a
             # WAL-backed store they survive a crash, which matters because
-            # labels are the loop's scarcest resource (3 per round)
+            # labels are the loop's scarcest resource (3 per round).  The
+            # grant goes first: once memoized, :meth:`peek` may serve the
+            # record without the owner lock.
             granted = risk_measure.granted_labels(record.result)
             if granted:
                 self._store.grant_labels(owner_id, granted)
+            self._memoize(owner_id, name, record)
             self._metrics.record_score(
                 record.source,
                 record.elapsed_seconds,
@@ -507,6 +516,27 @@ class RiskEngine:
                 name,
             )
             return record
+
+    def peek(
+        self, owner_id: UserId, measure: str, version: int
+    ) -> ScoreRecord | None:
+        """A cache-hit record for ``(owner_id, measure)`` at ``version``,
+        or ``None`` — never a computation.
+
+        ``measure`` is a resolved name (:meth:`resolve_measure`).  The
+        memo is served only when its version equals both ``version`` and
+        the store version read in this call, the same freshness check
+        :meth:`score` makes; a hit is counted like one :meth:`score`
+        serves.  No owner lock is taken, so a read is never queued
+        behind a warm compute of the same owner.
+        """
+        try:
+            current = self._store.version(owner_id)
+        except UnknownOwnerError:
+            return None
+        if current != version:
+            return None
+        return self._serve_hit(owner_id, measure, version)
 
     def invalidate(self, owner_id: UserId) -> None:
         """Drop the owner's memoized records (the next scores run cold).
@@ -619,6 +649,19 @@ class RiskEngine:
         if incremental.stats is not None:
             self._metrics.record_incremental(dict(incremental.stats))
         return incremental.score
+
+    def _serve_hit(
+        self, owner_id: UserId, measure: str, version: int
+    ) -> ScoreRecord | None:
+        """The fresh memo as this response's record (counted), or ``None``."""
+        cached = self._touch_cache(owner_id, measure, version)
+        if cached is None:
+            return None
+        self._metrics.record_hit(measure)
+        # provenance of *this response*: served from memo, free
+        return dataclasses.replace(
+            cached, source="cache", elapsed_seconds=0.0
+        )
 
     def _touch_cache(
         self, owner_id: UserId, measure: str, version: int

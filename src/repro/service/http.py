@@ -59,7 +59,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from http.client import responses as _STATUS_REASONS
 from typing import Any, NamedTuple
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import SplitResult, parse_qs, urlsplit
 
 from ..errors import (
     GraphError,
@@ -195,12 +195,11 @@ class AdmissionQueue:
 
 def _encode_response(
     status: int,
-    document: dict[str, Any],
+    payload: bytes,
     retry_after: int | None = None,
     close: bool = False,
 ) -> bytes:
-    """One complete JSON response, head and body, as bytes."""
-    payload = json.dumps(document).encode("utf-8")
+    """One complete response, head and JSON ``payload``, as bytes."""
     head = [
         f"HTTP/1.1 {status} {_STATUS_REASONS.get(status, 'Unknown')}",
         "Content-Type: application/json",
@@ -419,9 +418,15 @@ class RequestHandler:
         document: dict[str, Any],
         retry_after: int | None = None,
     ) -> None:
+        self._relay(status, json.dumps(document).encode("utf-8"), retry_after)
+
+    def _relay(
+        self, status: int, payload: bytes, retry_after: int | None = None
+    ) -> None:
+        """Answer with an already encoded JSON body."""
         self.writer.write(
             _encode_response(
-                status, document, retry_after, self.close_connection
+                status, payload, retry_after, self.close_connection
             )
         )
 
@@ -606,6 +611,9 @@ class HttpServerCore:
             max_workers=pool_size, thread_name_prefix=pool_name
         )
         self._stopped = threading.Event()
+        #: Open client connections, closed when the loop stops: an idle
+        #: keep-alive connection would otherwise outlive the server.
+        self._connections: set[asyncio.StreamWriter] = set()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop_event: asyncio.Event | None = None
         self._shutdown_requested = False
@@ -656,11 +664,14 @@ class HttpServerCore:
             await self._stop_event.wait()
         finally:
             server.close()
+            for writer in list(self._connections):
+                writer.close()
             await server.wait_closed()
 
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        self._connections.add(writer)
         try:
             while True:
                 try:
@@ -669,7 +680,7 @@ class HttpServerCore:
                     writer.write(
                         _encode_response(
                             rejected.status,
-                            {"error": str(rejected)},
+                            json.dumps({"error": str(rejected)}).encode(),
                             close=True,
                         )
                     )
@@ -689,6 +700,7 @@ class HttpServerCore:
         ):
             pass  # client went away mid-request
         finally:
+            self._connections.discard(writer)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -702,6 +714,7 @@ __all__ = [
     "MUTATION_ERRORS",
     "RequestHandler",
     "ServiceState",
+    "SplitResult",
     "mutation_failure",
     "parse_content_length",
 ]

@@ -726,32 +726,35 @@ class RebalanceCoordinator:
         client = ShardClient(
             self._supervisor, shard, timeout=self._http_timeout
         )
-        last_error = f"shard {shard} never became addressable"
-        while time.monotonic() < deadline:
-            try:
-                status, document, _ = client.attempt(method, path, body)
-            except ShardUnavailableError as error:
-                last_error = str(error)
-                time.sleep(0.2)
-                continue
-            if status < 300:
-                return document
-            if status in (502, 503, 504):
-                last_error = (
-                    f"shard {shard} answered {status}: "
-                    f"{document.get('error', '')}"
+        try:
+            last_error = f"shard {shard} never became addressable"
+            while time.monotonic() < deadline:
+                try:
+                    status, document, _ = client.attempt(method, path, body)
+                except ShardUnavailableError as error:
+                    last_error = str(error)
+                    time.sleep(0.2)
+                    continue
+                if status < 300:
+                    return document
+                if status in (502, 503, 504):
+                    last_error = (
+                        f"shard {shard} answered {status}: "
+                        f"{document.get('error', '')}"
+                    )
+                    time.sleep(0.2)
+                    continue
+                raise RebalanceError(
+                    f"shard {shard} {method} {path} answered {status}: "
+                    f"{document.get('error', '')}",
+                    phase=(self._manifest or {}).get("phase"),
                 )
-                time.sleep(0.2)
-                continue
             raise RebalanceError(
-                f"shard {shard} {method} {path} answered {status}: "
-                f"{document.get('error', '')}",
+                f"{method} {path} failed: {last_error}",
                 phase=(self._manifest or {}).get("phase"),
             )
-        raise RebalanceError(
-            f"{method} {path} failed: {last_error}",
-            phase=(self._manifest or {}).get("phase"),
-        )
+        finally:
+            client.close()  # one call: keep no idle connection
 
 
 __all__ = [

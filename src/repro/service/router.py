@@ -47,11 +47,9 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import select
 import threading
-import urllib.error
-import urllib.request
 from typing import Any
-from urllib.parse import SplitResult
 
 from ..errors import (
     CircuitOpenError,
@@ -65,10 +63,11 @@ from .http import (
     HttpServerCore,
     RequestHandler,
     ServiceState,
+    SplitResult,
     mutation_failure,
 )
 from .sharding import ShardMap
-from .supervisor import SHARD_OPENER, ShardSupervisor
+from .supervisor import ShardSupervisor
 from .wal import BROADCAST_OPS, OWNER_OPS
 
 #: Bounded failover budget: ~3 attempts inside a couple hundred ms, so a
@@ -100,6 +99,14 @@ class ShardClient:
     connection-level failures into :class:`ShardUnavailableError`, which
     the retry policy treats as transient and the breaker as a failure.
     Blocking: the router calls it from its thread pool.
+
+    Calls reuse HTTP/1.1 keep-alive connections, pooled under the URL
+    they were opened to: a URL change (a restarted worker) drops the
+    pool.  A connection goes back only after its response was read to
+    the end without ``Connection: close``, is checked for end-of-file
+    before reuse, and is discarded on any error.  One is opened only
+    when every pooled one is busy, so the pool never outgrows the peak
+    number of concurrent calls to the shard.
     """
 
     def __init__(
@@ -118,83 +125,161 @@ class ShardClient:
         self.breaker = breaker or CircuitBreaker(
             failure_threshold=3, recovery_time=1.0
         )
+        self._pool_lock = threading.Lock()
+        self._pool_url: str | None = None
+        self._idle: list[http.client.HTTPConnection] = []
 
-    # -- one attempt ---------------------------------------------------
+    # -- connections ---------------------------------------------------
     def _unreachable(self, error: Exception) -> ShardUnavailableError:
         return ShardUnavailableError(
             f"shard {self.shard_index} unreachable: {error}",
             shard=self.shard_index,
         )
 
-    def _request(self, method: str, path: str, body: Any = None):
+    def _url(self) -> str:
         url = self._supervisor.url_of(self.shard_index)
         if url is None:
             raise ShardUnavailableError(
                 f"shard {self.shard_index} is down (restarting)",
                 shard=self.shard_index,
             )
+        return url
+
+    def _connect(self, url: str) -> http.client.HTTPConnection:
+        # http.client never consults proxy environment variables
+        return http.client.HTTPConnection(
+            url.removeprefix("http://"), timeout=self._timeout
+        )
+
+    def _checkout(self, url: str) -> http.client.HTTPConnection | None:
+        """A pooled connection to ``url`` whose peer has not closed it."""
+        dropped: list[http.client.HTTPConnection] = []
+        connection = None
+        with self._pool_lock:
+            if url != self._pool_url:
+                dropped, self._idle = self._idle, []
+                self._pool_url = url
+            while self._idle:
+                candidate = self._idle.pop()
+                if _peer_open(candidate):
+                    connection = candidate
+                    break
+                dropped.append(candidate)
+        for stale in dropped:
+            stale.close()
+        return connection
+
+    def _checkin(self, url: str, connection) -> None:
+        with self._pool_lock:
+            if url == self._pool_url:
+                self._idle.append(connection)
+                return
+        connection.close()
+
+    def close(self) -> None:
+        """Close the pooled connections; calls still running close theirs
+        when they finish."""
+        with self._pool_lock:
+            idle, self._idle = self._idle, []
+            self._pool_url = None
+        for connection in idle:
+            connection.close()
+
+    # -- one attempt ---------------------------------------------------
+    @staticmethod
+    def _send(connection, method: str, path: str, body: Any, **headers):
+        """Send one request; returns its response with the status line
+        and headers read."""
         data = None
-        headers = {}
         if body is not None:
             data = json.dumps(body).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            url + path, data=data, headers=headers, method=method
-        )
-        try:
-            return SHARD_OPENER.open(request, timeout=self._timeout)
-        except urllib.error.HTTPError as error:
-            return error  # an HTTP answer: the shard is alive
-        except OSError as error:  # URLError, refused, reset, timed out
-            raise self._unreachable(error) from error
+        connection.request(method, path, body=data, headers=headers)
+        return connection.getresponse()
 
-    def _read(self, response) -> tuple[int, dict[str, Any], int | None]:
+    def _exchange(
+        self, url: str, connection, method: str, path: str, body,
+        *, reused: bool = False, raw: bool = False,
+    ):
+        """One request/response on ``connection``, pooled afterwards if
+        it may be reused.  ``None`` means a reused connection failed a
+        GET before any answer arrived: the peer had closed it while idle.
+        """
         try:
-            with response:
-                raw = response.read()
+            response = self._send(connection, method, path, body)
         except (OSError, http.client.HTTPException) as error:
+            connection.close()
+            if reused and method == "GET" and isinstance(
+                error, ConnectionError
+            ):
+                return None
             raise self._unreachable(error) from error
         try:
-            document = json.loads(raw.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            document = {"error": raw.decode("utf-8", "replace")[:200]}
-        retry_after = response.headers.get("Retry-After")
-        return (
-            response.status,
-            document,
-            int(retry_after) if retry_after is not None else None,
-        )
+            payload = response.read()
+        except (OSError, http.client.HTTPException) as error:
+            connection.close()
+            raise self._unreachable(error) from error
+        if response.will_close:
+            connection.close()
+        else:
+            self._checkin(url, connection)
+        if raw:
+            return response.status, payload, _retry_after(response)
+        return _decode(response, payload)
 
     def attempt(
-        self, method: str, path: str, body: Any = None
-    ) -> tuple[int, dict[str, Any], int | None]:
+        self, method: str, path: str, body: Any = None, *, raw: bool = False
+    ) -> tuple[int, Any, int | None]:
         """One JSON call, no retry, no breaker: ``(status, body,
         retry_after)``.  Any HTTP answer is returned, error statuses
         included; a shard that is down, unreachable, or breaks off
         mid-answer raises :class:`ShardUnavailableError`.  The rebalance
-        coordinator's phase calls use it too."""
-        return self._read(self._request(method, path, body))
+        coordinator's phase calls use it too.  ``raw=True`` returns the
+        body as the bytes the shard sent, for relaying verbatim.
+
+        A GET whose pooled connection turns out closed by the peer
+        before any answer byte arrives is sent once more, at once, on a
+        fresh connection; any other method is never re-sent.
+        """
+        url = self._url()
+        connection = self._checkout(url)
+        if connection is not None:
+            answer = self._exchange(
+                url, connection, method, path, body, reused=True, raw=raw
+            )
+            if answer is not None:
+                return answer
+        return self._exchange(
+            url, self._connect(url), method, path, body, raw=raw
+        )
 
     # -- public surface ------------------------------------------------
     def call(
-        self, method: str, path: str, body: Any = None, *, retries: bool = True
-    ) -> tuple[int, dict[str, Any], int | None]:
+        self,
+        method: str,
+        path: str,
+        body: Any = None,
+        *,
+        retries: bool = True,
+        raw: bool = False,
+    ) -> tuple[int, Any, int | None]:
         """Proxy one JSON request; returns ``(status, body, retry_after)``.
 
         ``retries=False`` is for mutations: exactly one attempt, so a
-        lost ack is reported instead of silently replayed.
+        lost ack is reported instead of silently replayed.  ``raw`` is
+        :meth:`attempt`'s.
         """
         if not retries:
             self.breaker.before_call()
             try:
-                result = self.attempt(method, path, body)
+                result = self.attempt(method, path, body, raw=raw)
             except ShardUnavailableError:
                 self.breaker.record_failure()
                 raise
             self.breaker.record_success()
             return result
         return retry_call(
-            lambda: self.attempt(method, path, body),
+            lambda: self.attempt(method, path, body, raw=raw),
             self._retry_policy,
             retry_on=(ShardUnavailableError,),
             breaker=self.breaker,
@@ -216,16 +301,27 @@ class ShardClient:
     def open_stream(self, path: str, body: Any):
         """Open an NDJSON response stream (retried like a read).
 
-        Raises :class:`_ShardRefusal` when the shard answers a non-200
-        (circuit open, draining): the caller turns that into per-owner
-        error lines.
+        The stream runs on a connection of its own, closed with the
+        stream.  Raises :class:`_ShardRefusal` when the shard answers a
+        non-200 (circuit open, draining): the caller turns that into
+        per-owner error lines.
         """
 
         def attempt():
-            response = self._request("POST", path, body)
-            if response.status != 200:
-                raise _ShardRefusal(*self._read(response)[:2])
-            return response
+            connection = self._connect(self._url())
+            try:
+                # Connection: close hands the socket to the response,
+                # which closes it when read to the end or closed
+                response = self._send(
+                    connection, "POST", path, body, Connection="close"
+                )
+                if response.status == 200:
+                    return response
+                payload = response.read()
+            except (OSError, http.client.HTTPException) as error:
+                connection.close()
+                raise self._unreachable(error) from error
+            raise _ShardRefusal(*_decode(response, payload)[:2])
 
         return retry_call(
             attempt,
@@ -235,10 +331,39 @@ class ShardClient:
         )
 
 
+def _peer_open(connection: http.client.HTTPConnection) -> bool:
+    """Whether an idle keep-alive connection is still usable: a
+    zero-timeout poll finds nothing readable on it (a readable idle
+    socket is an end-of-file).  ``poll``, not ``select``: a busy router
+    holds socket descriptors above ``select``'s ``FD_SETSIZE``."""
+    sock = connection.sock
+    if sock is None:
+        return False
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return not poller.poll(0)
+
+
+def _decode(
+    response, payload: bytes
+) -> tuple[int, dict[str, Any], int | None]:
+    """``(status, document, retry_after)`` of a fully read response."""
+    try:
+        document = json.loads(payload.decode("utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        document = {"error": payload.decode("utf-8", "replace")[:200]}
+    return response.status, document, _retry_after(response)
+
+
+def _retry_after(response) -> int | None:
+    value = response.headers.get("Retry-After")
+    return int(value) if value is not None else None
+
+
 class ShardRouterHandler(RequestHandler):
     """Routes requests to shard workers; never computes a score.
 
-    Shard calls block (:class:`ShardClient` over ``urllib``), so each
+    Shard calls block (:class:`ShardClient` over ``http.client``), so each
     one runs on the server's pool; the event loop only parses, fans out,
     and writes answers.
     """
@@ -508,13 +633,15 @@ class ShardRouterHandler(RequestHandler):
         if measure is not None:
             path += f"&measure={measure}"
         try:
-            status, document, retry_after = await self._run_blocking(
-                clients[shard].call, "GET", path
+            # relayed as the shard encoded it: the router never reads a
+            # score, so it neither decodes nor re-encodes one
+            status, payload, retry_after = await self._run_blocking(
+                clients[shard].call, "GET", path, raw=True
             )
         except _SHARD_FAILURES as error:
             self._reject_shard_away(error, shard)
             return
-        self._respond(status, document, retry_after=retry_after)
+        self._relay(status, payload, retry_after=retry_after)
 
     async def _score_batch(
         self, owners: list[int], measure: str | None
@@ -922,7 +1049,7 @@ class ShardRouterServer(HttpServerCore):
 
         Surviving shards keep their existing :class:`ShardClient` — and
         with it their circuit-breaker history; new tail shards get fresh
-        clients; clients past the new count are dropped.
+        clients; clients past the new count are closed and dropped.
         """
         old_clients = self._topology[1]
         clients = [
@@ -932,6 +1059,15 @@ class ShardRouterServer(HttpServerCore):
             for shard in range(shard_map.num_shards)
         ]
         self._topology = (shard_map, clients)
+        for client in old_clients[len(clients):]:
+            client.close()
+
+    def server_close(self) -> None:
+        """Release the listener, the pool and every pooled shard
+        connection."""
+        super().server_close()
+        for client in self.clients:
+            client.close()
 
     # -- migration fence -----------------------------------------------
     def set_fence(self, owners, phase: str) -> None:

@@ -23,6 +23,10 @@ queueing N engine calls, and every waiter receives the identical
 record.  The store *version* is part of the key, so a mutation that
 lands mid-coalesce bumps the version and later requests miss the stale
 entry — they see the post-mutation score, never a stale fan-out.
+:meth:`ScoreScheduler.serve_or_submit` goes one step further for
+reads: with no flight to join, a memo that is fresh at the key's
+version is returned on the caller's thread, and only a miss is
+submitted.
 """
 
 from __future__ import annotations
@@ -149,12 +153,56 @@ class ScoreScheduler:
             an in-flight request costs no queue slot.
         """
         key = self._coalesce_key(owner_id, measure)
-        if key is not None:
-            with self._coalesce_lock:
-                shared = self._inflight.get(key)
-                if shared is not None and not shared.done():
-                    self._coalesced_hits += 1
-                    return shared, True
+        shared = self._join(key)
+        if shared is not None:
+            return shared, True
+        return self._submit_keyed(key, owner_id, measure), False
+
+    def serve_or_submit(
+        self, owner_id: UserId, measure: str | None = None
+    ) -> "tuple[Any, Future[Any] | None, bool]":
+        """Answer from a fresh memo at once, or :meth:`submit_coalesced`.
+
+        Returns ``(record, None, False)`` when the engine holds a memo
+        at the request's ``(owner, measure, version)`` key — no worker
+        thread, no future — and ``(None, future, coalesced)`` otherwise.
+        A running flight for the key is joined *before* the memo is
+        consulted: the engine memoizes a record before its flight's
+        future resolves, and the flight's waiters are counted as
+        coalesced.  Engines without a ``peek`` (duck-typed fakes) always
+        take the submit path.
+
+        Raises
+        ------
+        BackpressureError
+            As :meth:`submit_coalesced`.
+        """
+        key = self._coalesce_key(owner_id, measure)
+        shared = self._join(key)
+        if shared is not None:
+            return None, shared, True
+        peek = getattr(self._engine, "peek", None)
+        if key is not None and callable(peek):
+            record = peek(*key)
+            if record is not None:
+                return record, None, False
+        return None, self._submit_keyed(key, owner_id, measure), False
+
+    def _join(self, key) -> "Future[Any] | None":
+        """The running flight for ``key`` (counted as a coalesced hit)."""
+        if key is None:
+            return None
+        with self._coalesce_lock:
+            shared = self._inflight.get(key)
+            if shared is not None and not shared.done():
+                self._coalesced_hits += 1
+                return shared
+        return None
+
+    def _submit_keyed(
+        self, key, owner_id: UserId, measure: str | None
+    ) -> "Future[Any]":
+        """:meth:`submit`, registering the future as ``key``'s flight."""
         future = self.submit(owner_id, measure)
         if key is not None:
             with self._coalesce_lock:
@@ -163,7 +211,7 @@ class ScoreScheduler:
             future.add_done_callback(
                 lambda done, key=key: self._uncoalesce(key, done)
             )
-        return future, False
+        return future
 
     def _coalesce_key(
         self, owner_id: UserId, measure: str | None

@@ -25,13 +25,12 @@ the supervisor is already on it".
 
 from __future__ import annotations
 
+import http.client
 import random
 import subprocess
 import sys
 import threading
 import time
-import urllib.error
-import urllib.request
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
@@ -40,13 +39,6 @@ from ..errors import ServiceError
 
 #: Announcement line prefix every serve process prints once it is bound.
 ANNOUNCEMENT = "serving on "
-
-
-#: The opener for every router, supervisor and rebalance call to a shard
-#: worker.  Shards listen on loopback URLs this supervisor hands out, so
-#: proxy environment variables (``http_proxy`` ...) must never apply —
-#: ``urllib.request.urlopen`` would honour them.
-SHARD_OPENER = urllib.request.build_opener(urllib.request.ProxyHandler({}))
 
 
 @dataclass
@@ -413,16 +405,19 @@ class ShardSupervisor:
 
     def _probe(self, url: str) -> bool:
         """One ``GET /readyz``; any HTTP answer (even 503) counts as
-        reachable — the probe hunts hung/dead workers, not drains."""
+        reachable — the probe hunts hung/dead workers, not drains.
+        ``http.client`` never consults proxy environment variables."""
+        connection = http.client.HTTPConnection(
+            url.removeprefix("http://"), timeout=self._probe_timeout
+        )
         try:
-            with SHARD_OPENER.open(
-                url + "/readyz", timeout=self._probe_timeout
-            ):
-                return True
-        except urllib.error.HTTPError:
+            connection.request("GET", "/readyz")
+            connection.getresponse().read()
             return True
-        except (urllib.error.URLError, ConnectionError, OSError):
+        except (OSError, http.client.HTTPException):
             return False
+        finally:
+            connection.close()
 
     def _monitor_loop(self) -> None:
         while not self._stopping.wait(timeout=self._health_interval):
@@ -545,7 +540,6 @@ def build_worker_argv(
 
 __all__ = [
     "ANNOUNCEMENT",
-    "SHARD_OPENER",
     "ShardSpec",
     "ShardSupervisor",
     "build_worker_argv",

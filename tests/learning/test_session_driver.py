@@ -10,6 +10,9 @@ between them shows up as a changed digest.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.experiments import plan_owner_session, run_study
@@ -303,3 +306,47 @@ def test_study_takes_ns_and_benefits_from_the_run(population):
         assert run.benefits == session.compute_benefits()
         assert run.profiles == session.ego.stranger_profiles()
         assert set(run.visibility) == session.ego.strangers
+
+
+@pytest.fixture
+def gc_disabled():
+    """Run with the cyclic garbage collector off: only reference
+    counting frees objects, so anything in a reference cycle stays."""
+    gc.collect()
+    gc.disable()
+    yield
+    gc.enable()
+
+
+@pytest.mark.parametrize("classifier", ["harmonic", "knn", "majority"])
+def test_finished_sessions_are_freed_by_reference_counting(
+    population, gc_disabled, classifier
+):
+    session = next(_sessions(population, classifier=classifier))
+    session.run()
+    ref = weakref.ref(session)
+    del session
+    assert ref() is None
+
+
+def test_engine_cold_rescores_leave_no_session_alive(
+    gc_disabled, monkeypatch
+):
+    """Invalidate+score cycles on one owner: every session the engine
+    built is freed once its score is memoized."""
+    sessions = []
+    init = RiskLearningSession.__init__
+
+    def tracking(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        sessions.append(weakref.ref(self))
+
+    monkeypatch.setattr(RiskLearningSession, "__init__", tracking)
+    population = _population()
+    engine = RiskEngine(OwnerStore.from_population(population), seed=SEED)
+    owner = population.owners[0].user_id
+    for _ in range(5):
+        engine.invalidate(owner)
+        assert engine.score(owner).source == "cold"
+    assert len(sessions) == 5
+    assert [ref for ref in sessions if ref() is not None] == []

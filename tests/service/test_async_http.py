@@ -426,6 +426,94 @@ class TestCoalescing:
 
 
 # ---------------------------------------------------------------------------
+# cached reads: a fresh memo is answered on the event loop
+# ---------------------------------------------------------------------------
+class PeeklessEngine:
+    """A real engine behind a duck-typed front without ``peek``: what
+    the scheduler sees from an engine that predates the memo lookup."""
+
+    def __init__(self, engine):
+        self.store = engine.store
+        self.metrics = engine.metrics
+        self.resolve_measure = engine.resolve_measure
+        self.score = engine.score
+
+
+def count_submissions(monkeypatch, scheduler) -> list:
+    """Record every ``scheduler.submit`` (each one is a worker-thread
+    score)."""
+    calls: list = []
+    submit = scheduler.submit
+
+    def recording(owner_id, measure=None):
+        calls.append((owner_id, measure))
+        return submit(owner_id, measure)
+
+    monkeypatch.setattr(scheduler, "submit", recording)
+    return calls
+
+
+class TestCachedReads:
+    def test_fresh_memo_is_served_without_a_submission(
+        self, async_server, monkeypatch
+    ):
+        owner = async_server.engine.store.owner_ids()[0]
+        status, cold, _ = get(f"{async_server.url}/score?owner={owner}")
+        assert (status, cold["source"]) == (200, "cold")
+        before = get(f"{async_server.url}/metrics")[1]["engine"]
+        submissions = count_submissions(monkeypatch, async_server.scheduler)
+        status, hit, _ = get(f"{async_server.url}/score?owner={owner}")
+        after = get(f"{async_server.url}/metrics")[1]["engine"]
+        assert status == 200
+        assert hit["source"] == "cache"
+        assert hit["digest"] == cold["digest"]
+        assert hit["elapsed_seconds"] == 0.0
+        assert submissions == []  # no worker thread, no future
+        assert after["requests"] == before["requests"] + 1
+        assert after["cache_hits"] == before["cache_hits"] + 1
+
+    def test_a_read_after_an_acked_mutation_sees_its_version(
+        self, async_server
+    ):
+        owner = async_server.engine.store.owner_ids()[0]
+        assert get(f"{async_server.url}/score?owner={owner}")[0] == 200
+        for _ in range(3):
+            # the pre-mutation memo is fresh right up to the ack
+            status, hit, _ = get(f"{async_server.url}/score?owner={owner}")
+            assert (status, hit["source"]) == (200, "cache")
+            status, acked = post(
+                f"{async_server.url}/mutate", {"op": "touch", "owner": owner}
+            )
+            assert status == 200
+            version = acked["versions"][str(owner)]
+            status, record, _ = get(
+                f"{async_server.url}/score?owner={owner}"
+            )
+            assert status == 200
+            assert record["version"] == version > hit["version"]
+            assert record["source"] == "warm"
+
+    def test_an_engine_without_the_lookup_still_serves(self, monkeypatch):
+        engine = PeeklessEngine(make_engine())
+        scheduler = ScoreScheduler(engine, max_workers=1, max_pending=8)
+        server = AsyncRiskServer(("127.0.0.1", 0), engine, scheduler)
+        thread = serve(server)
+        try:
+            submissions = count_submissions(monkeypatch, scheduler)
+            owner = engine.store.owner_ids()[0]
+            sources = []
+            for _ in range(2):
+                status, record, _ = get(f"{server.url}/score?owner={owner}")
+                assert status == 200
+                sources.append(record["source"])
+            assert sources == ["cold", "cache"]
+            # both went through the scheduler: no lookup to answer with
+            assert len(submissions) == 2
+        finally:
+            shut_down(server, thread)
+
+
+# ---------------------------------------------------------------------------
 # lifecycle
 # ---------------------------------------------------------------------------
 class TestLifecycle:

@@ -11,6 +11,7 @@ import pytest
 
 from repro.errors import UnknownOwnerError
 from repro.io import result_digest
+from repro.measures import get_measure
 from repro.service import OwnerStore, RiskEngine
 
 from .conftest import SERVICE_SEED
@@ -171,6 +172,28 @@ class TestOverview:
         assert document["labels"]  # non-empty {stranger: label}
         assert all(isinstance(key, str) for key in document["labels"])
         assert "session" in document
+
+    def test_a_memo_is_described_once_across_its_hits(
+        self, service_engine, monkeypatch
+    ):
+        measure = get_measure("stranger")
+        calls = []
+        describe = type(measure).describe
+
+        def counting(self, result):
+            calls.append(result)
+            return describe(self, result)
+
+        monkeypatch.setattr(type(measure), "describe", counting)
+        owner_id = service_engine.store.owner_ids()[0]
+        cold = service_engine.score(owner_id).to_dict()
+        hits = [service_engine.score(owner_id).to_dict() for _ in range(3)]
+        assert len(calls) == 1
+        assert all(
+            {**hit, "source": "cold", "elapsed_seconds": 0.0}
+            == {**cold, "elapsed_seconds": 0.0}
+            for hit in hits
+        )
 
 
 class TestCacheBounds:

@@ -10,6 +10,8 @@ workers the test can take "down" instantly.  Process-level failure
 from __future__ import annotations
 
 import http.client
+import os
+import signal
 import socket
 import threading
 import time
@@ -34,11 +36,14 @@ from repro.service import (
     ShardSpec,
     ShardSupervisor,
     build_server,
+    build_worker_argv,
 )
+from repro.service import router as router_module
 from repro.service.async_http import _RiskHandler
+from repro.service.http import HttpServerCore
 from repro.synth import EgoNetConfig, generate_study_population
 
-from .conftest import StaticSupervisor
+from .conftest import StaticSupervisor, wait_until
 from .test_http import (
     assert_malformed_length_is_rejected,
     gated_engine,
@@ -698,6 +703,215 @@ class TestBatchTeardown:
             if status == 200:
                 break
             time.sleep(0.2)
+
+
+# ---------------------------------------------------------------------------
+# pooled keep-alive connections from the router to its shards
+# ---------------------------------------------------------------------------
+FAST_RETRIES = RetryPolicy(
+    max_attempts=2, base_delay=0.01, max_delay=0.02, seed=1
+)
+
+
+@pytest.fixture
+def accepted(monkeypatch):
+    """Every connection a server accepts, per server, as its writer.
+
+    Wraps ``HttpServerCore._handle_client`` before the test starts any
+    server (a running server holds the method it was started with).
+    """
+    connections: dict[HttpServerCore, list] = {}
+    handle_client = HttpServerCore._handle_client
+
+    async def recording(server, reader, writer):
+        connections.setdefault(server, []).append(writer)
+        await handle_client(server, reader, writer)
+
+    monkeypatch.setattr(HttpServerCore, "_handle_client", recording)
+    return connections
+
+
+def start_router(shard_servers, shard_map):
+    """Serve ``shard_servers`` and a router over them; returns the router
+    and a function that stops everything."""
+    supervisor = StaticSupervisor(shard_servers)
+    router = ShardRouterServer(
+        ("127.0.0.1", 0), shard_map, supervisor, retry_policy=FAST_RETRIES
+    )
+    servers = [*shard_servers, router]
+    threads = [
+        threading.Thread(target=server.serve_forever, daemon=True)
+        for server in servers
+    ]
+    for thread in threads:
+        thread.start()
+
+    def stop():
+        for server in reversed(servers):
+            server.shutdown()
+            server.server_close()
+        for server in shard_servers:
+            server.scheduler.shutdown(wait=False)
+        for thread in threads:
+            thread.join(timeout=10)
+
+    return router, stop
+
+
+def close_accepted(server, connections) -> None:
+    """The shard closes its side of every connection it accepted."""
+    for writer in connections.get(server, []):
+        server._loop.call_soon_threadsafe(writer.close)
+
+
+def await_peer_close(client: ShardClient) -> None:
+    """Wait until the client's pooled connections see the peer's close."""
+    assert wait_until(
+        lambda: not any(
+            router_module._peer_open(idle) for idle in client._idle
+        )
+    )
+
+
+@pytest.fixture
+def pooled_rig(accepted):
+    """Two fresh in-process shards behind a router, started after the
+    ``accepted`` recorder is in place."""
+    shard_map = ShardMap(NUM_SHARDS)
+    shard_servers = [
+        build_server(
+            RiskEngine(
+                OwnerStore.from_population(
+                    make_shard_population(),
+                    shard_map=shard_map,
+                    shard_index=shard,
+                ),
+                seed=SHARD_SEED,
+            ),
+            max_workers=2,
+            max_pending=16,
+        )
+        for shard in range(NUM_SHARDS)
+    ]
+    router, stop = start_router(shard_servers, shard_map)
+    yield router, shard_servers, shard_map
+    stop()
+
+
+@pytest.fixture
+def durable_rig(accepted, tmp_path):
+    """One WAL-backed shard behind a router."""
+    store = DurableOwnerStore.open(
+        tmp_path / "shard-0", make_shard_population()
+    )
+    shard = build_server(RiskEngine(store, seed=SHARD_SEED), max_workers=2)
+    router, stop = start_router([shard], ShardMap(1))
+    yield router, shard, store
+    stop()
+    store.close()
+
+
+class TestPooledShardConnections:
+    def test_sequential_reads_open_at_most_one_connection_per_shard(
+        self, pooled_rig, accepted
+    ):
+        router, shard_servers, shard_map = pooled_rig
+        owners = sorted(cohort_owner_shards(shard_map))
+        for index in range(50):
+            owner = owners[index % len(owners)]
+            status, _, _ = get(f"{router.url}/score?owner={owner}")
+            assert status == 200
+        opened = [len(accepted.get(server, [])) for server in shard_servers]
+        assert opened == [1, 1]
+
+    def test_a_read_on_a_connection_the_shard_closed_is_resent_fresh(
+        self, pooled_rig, accepted, monkeypatch
+    ):
+        router, shard_servers, shard_map = pooled_rig
+        owner, shard = next(iter(cohort_owner_shards(shard_map).items()))
+        assert get(f"{router.url}/score?owner={owner}")[0] == 200
+        close_accepted(shard_servers[shard], accepted)
+        await_peer_close(router.clients[shard])
+        # the close lands after the idle check: the send meets a dead peer
+        monkeypatch.setattr(router_module, "_peer_open", lambda _: True)
+        breaker = router.clients[shard].breaker
+        failures: list = []
+        record_failure = breaker.record_failure
+        monkeypatch.setattr(
+            breaker,
+            "record_failure",
+            lambda: failures.append(1) or record_failure(),
+        )
+        status, document, _ = get(f"{router.url}/score?owner={owner}")
+        assert status == 200, document
+        assert len(accepted[shard_servers[shard]]) == 2
+        # resent at once, inside one attempt: not a retry-policy failure
+        assert failures == []
+
+    def test_a_mutation_on_a_dropped_connection_is_never_resent(
+        self, durable_rig, accepted, monkeypatch
+    ):
+        router, shard, store = durable_rig
+        owner = store.owner_ids()[0]
+        touch = {"op": "touch", "owner": owner}
+        status, _ = post(f"{router.url}/mutate", touch)
+        assert status == 200
+        logged = store.last_seq
+        close_accepted(shard, accepted)
+        await_peer_close(router.clients[0])
+        with monkeypatch.context() as patch:
+            patch.setattr(router_module, "_peer_open", lambda _: True)
+            status, document = post(f"{router.url}/mutate", touch)
+        assert status == 503, document
+        assert store.last_seq - logged <= 1  # at most the one attempt
+        assert len(accepted[shard]) == 1  # no resend on a fresh connection
+        # the next mutation opens a fresh connection and is logged once
+        status, _ = post(f"{router.url}/mutate", touch)
+        assert status == 200
+        assert len(accepted[shard]) == 2
+        assert store.last_seq == logged + 1
+
+    def test_reads_follow_a_kill9_restarted_shard_to_its_new_url(self):
+        cohort = ["--owners", "4", "--strangers", "20", "--friends", "6"]
+        supervisor = ShardSupervisor(
+            [
+                ShardSpec(
+                    index=shard, argv=build_worker_argv(shard, 2, cohort)
+                )
+                for shard in range(2)
+            ],
+            health_interval=0.1,
+            restart_backoff=0.05,
+        )
+        supervisor.start()
+        router = ShardRouterServer(
+            ("127.0.0.1", 0), ShardMap(2), supervisor,
+            retry_policy=FAST_RETRIES,
+        )
+        thread = threading.Thread(target=router.serve_forever, daemon=True)
+        thread.start()
+        try:
+            owners = get(f"{router.url}/owners")[1]["owners"]
+            victim = next(row["owner"] for row in owners if row["shard"] == 1)
+            status, before, _ = get(f"{router.url}/score?owner={victim}")
+            assert status == 200
+            old_url = supervisor.url_of(1)
+            os.kill(supervisor.pid_of(1), signal.SIGKILL)
+            assert wait_until(
+                lambda: supervisor.url_of(1) not in (None, old_url),
+                timeout=60,
+            )
+            assert supervisor.wait_for_ready(1, timeout=60)
+            # the old URL's pooled connection is dropped, not tried
+            status, after, _ = get(f"{router.url}/score?owner={victim}")
+            assert status == 200, after
+            assert after["digest"] == before["digest"]
+            assert router.clients[1].breaker.state == "closed"
+        finally:
+            router.shutdown()
+            router.server_close()
+            thread.join(timeout=10)
+            supervisor.stop(drain_timeout=10)
 
 
 # ---------------------------------------------------------------------------
