@@ -97,7 +97,7 @@ measures-smoke:
 		"benchmarks/bench_service_throughput.py::test_measure_throughput"
 
 # the incremental rescoring layer: the session driver's golden digests
-# (cold, resumed, hooked and warm runs), dirty-set/delta-replay/refresh
+# (cold, resumed, hooked and warm runs), dirty-set/delta-replay
 # unit suites, the Hypothesis stateful equivalence gate at cranked depth
 # (every incremental warm digest must equal a cold recompute), and the
 # E21 single-edge mutation bench at reduced scale
@@ -106,8 +106,7 @@ incremental-smoke:
 		$(PYTHON) -m pytest -q -o addopts= \
 		tests/learning/test_session_driver.py \
 		tests/service/test_dirty.py \
-		tests/service/test_incremental.py \
-		tests/service/test_refresh.py
+		tests/service/test_incremental.py
 	REPRO_BENCH_INCREMENTAL_SIZES=1000 \
 		$(PYTHON) -m pytest -q -o addopts= -s \
 		benchmarks/bench_incremental.py

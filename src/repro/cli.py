@@ -298,14 +298,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="score every owner once before accepting traffic",
     )
-    parser.add_argument(
-        "--background-refresh",
-        action="store_true",
-        help=(
-            "rescore mutation-invalidated owners in idle scheduler "
-            "slots, ahead of demand (surfaced under /metrics refresh)"
-        ),
-    )
     sharding = parser.add_argument_group(
         "sharding",
         "fault isolation: consistent-hash owner shards behind a router",
@@ -526,8 +518,16 @@ def serve_main(argv: Sequence[str] | None = None) -> int:
                 f"--{flag.replace('_', '-')} must be >= 1, got "
                 f"{getattr(args, flag)}"
             )
+    if args.timeout <= 0:
+        parser.error(f"--timeout must be > 0, got {args.timeout}")
     if args.shards < 0:
         parser.error(f"--shards must be >= 0, got {args.shards}")
+    for flag in ("crash_at_mutation", "torn_write_at_mutation"):
+        if args.shards and getattr(args, flag) is not None:
+            parser.error(
+                f"--{flag.replace('_', '-')} applies to a single server, "
+                "not to --shards"
+            )
     if args.shards and args.shard_index is not None:
         parser.error("--shards and --shard-index are mutually exclusive")
     if (args.shard_index is None) != (args.shard_count is None):
@@ -573,11 +573,8 @@ def serve_main(argv: Sequence[str] | None = None) -> int:
         max_workers=args.workers,
         max_pending=args.max_pending,
         request_timeout=args.timeout,
-        background_refresh=args.background_refresh,
         admission_capacity=args.admission,
     )
-    if server.refresher is not None:
-        print("background refresh enabled", file=sys.stderr)
     server.state.ready = True
     server.state.detail = "serving"
 
@@ -587,16 +584,9 @@ def serve_main(argv: Sequence[str] | None = None) -> int:
             f"budget {args.drain_timeout:.1f}s",
             file=sys.stderr,
         )
-        if server.refresher is not None:
-            summary_refresh = server.refresher.snapshot()
-            server.refresher.shutdown()
-        else:
-            summary_refresh = None
         summary = server.scheduler.shutdown(
             wait=True, drain=True, timeout=args.drain_timeout
         )
-        if summary_refresh is not None:
-            summary["refresh"] = summary_refresh
         if isinstance(store, DurableOwnerStore):
             store.close()  # sync any appends not yet group-committed
             summary["wal"] = store.wal.stats()
@@ -646,6 +636,38 @@ def _serve_until_signalled(server, drain) -> int:
     return 0
 
 
+# serve options a shard worker does not inherit from the router: the
+# router keeps its own port, shard count and WAL root, build_worker_argv
+# sets the per-shard identity, port and WAL directory, and the crash
+# flags apply to a single server only
+_NOT_FORWARDED = frozenset(
+    (
+        "shards", "port", "wal_dir", "shard_index", "shard_count",
+        "join_empty", "crash_at_mutation", "torn_write_at_mutation",
+    )
+)
+
+
+def worker_base_args(args: argparse.Namespace) -> list[str]:
+    """The serve flags every shard worker inherits from the router.
+
+    Derived from :func:`build_serve_parser`: each option outside
+    ``_NOT_FORWARDED`` whose parsed value differs from its default
+    is spelled out again, so a new serve option reaches the workers
+    without a forwarding line of its own.
+    """
+    argv: list[str] = []
+    for action in build_serve_parser()._actions:
+        if action.dest in _NOT_FORWARDED or not action.option_strings:
+            continue
+        value = getattr(args, action.dest, action.default)
+        if value == action.default:
+            continue
+        flag = action.option_strings[0]
+        argv += [flag] if action.nargs == 0 else [flag, str(value)]
+    return argv
+
+
 def serve_sharded(args: argparse.Namespace) -> int:
     """Run ``serve --shards N``: supervisor + shard workers + router.
 
@@ -669,33 +691,7 @@ def serve_sharded(args: argparse.Namespace) -> int:
         effective_topology,
     )
 
-    base_args = [
-        "--owners", str(args.owners),
-        "--strangers", str(args.strangers),
-        "--friends", str(args.friends),
-        "--seed", str(args.seed),
-        "--classifier", args.classifier,
-        "--pooling", args.pooling,
-        "--host", args.host,
-        "--workers", str(args.workers),
-        "--max-pending", str(args.max_pending),
-        "--timeout", str(args.timeout),
-        "--wal-fsync", args.wal_fsync,
-        "--compact-every", str(args.compact_every),
-        "--drain-timeout", str(args.drain_timeout),
-        "--fault-seed", str(args.fault_seed),
-        "--admission", str(args.admission),
-    ]
-    if args.load_dataset:
-        base_args += ["--load-dataset", args.load_dataset]
-    if args.warm_all:
-        base_args.append("--warm-all")
-    if args.background_refresh:
-        base_args.append("--background-refresh")
-    if args.fault_fsync_fail:
-        base_args += ["--fault-fsync-fail", str(args.fault_fsync_fail)]
-    if args.fault_slow_disk:
-        base_args += ["--fault-slow-disk", str(args.fault_slow_disk)]
+    base_args = worker_base_args(args)
 
     # a completed live resize (POST /shards) persists the topology; an
     # interrupted one leaves a manifest — the effective boot count rolls

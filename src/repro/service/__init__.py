@@ -14,10 +14,6 @@ instead of re-running the batch study per request:
   :func:`repro.experiments.run_study` byte for byte on cold scores;
 * :class:`ScoreScheduler` — bounded worker pool with per-owner
   serialization and backpressure;
-* :class:`RefreshScheduler` — background refresh: store mutations
-  enqueue the invalidated owners, and idle scheduler slots rescore them
-  ahead of demand (``repro-study serve --background-refresh``), with
-  delta accounting surfaced under ``/metrics``;
 * :class:`AsyncRiskServer` — the asyncio JSON API (``/score``,
   ``/score-batch``, ``/mutate``, ``/owners``, ``/healthz``, ``/readyz``,
   ``/metrics``) wired through the resilience layer and started from the
@@ -60,7 +56,6 @@ from .router import (
     ShardRouterServer,
     build_router,
 )
-from .refresh import RefreshScheduler
 from .scheduler import ScoreScheduler
 from .sharding import DEFAULT_REPLICAS, ShardMap, moved_owners
 from .store import OwnerEntry, OwnerStore
@@ -91,7 +86,6 @@ __all__ = [
     "PHASES",
     "RebalanceCoordinator",
     "RecoveryReport",
-    "RefreshScheduler",
     "RiskEngine",
     "ScoreRecord",
     "ScoreScheduler",

@@ -11,7 +11,7 @@ admission gate it shares with the shard router).  On top of that core:
   request explicitly with *429 + Retry-After* instead of growing an
   unbounded accept backlog; ``/metrics`` reports depth, peak, and shed
   counts.
-* **request coalescing** — ``/score`` goes through
+* **request coalescing** — ``/score`` and ``/score-batch`` go through
   :meth:`~repro.service.scheduler.ScoreScheduler.serve_or_submit`:
   concurrent hits for the same ``(owner, measure, version)`` share one
   engine call and the result fans out to every waiter, and with no
@@ -163,8 +163,6 @@ class _RiskHandler(RequestHandler):
         store = self.server.engine.store
         if isinstance(store, DurableOwnerStore):
             document["wal"] = store.wal.stats()
-        if self.server.refresher is not None:
-            document["refresh"] = self.server.refresher.snapshot()
         return document
 
     # ------------------------------------------------------------------
@@ -250,11 +248,13 @@ class _RiskHandler(RequestHandler):
     ) -> None:
         """Score many owners, streaming one NDJSON line per owner.
 
-        Every owner is submitted to the scheduler up front (so distinct
-        owners score concurrently) and results are streamed back in request
-        order as each future resolves.  A per-owner failure (unknown
-        owner, backpressure, scoring error) becomes an ``error`` line;
-        the stream itself only fails on circuit-open or a bad body.
+        Every owner goes through the scheduler's ``serve_or_submit`` up
+        front, as on ``/score``: a fresh memo is streamed as is, and the
+        misses are submitted together (so distinct owners score
+        concurrently) and streamed back in request order as each future
+        resolves.  A per-owner failure (unknown owner, backpressure,
+        scoring error) becomes an ``error`` line; the stream itself only
+        fails on circuit-open or a bad body.
         """
         breaker = self.server.breaker
         try:
@@ -263,31 +263,33 @@ class _RiskHandler(RequestHandler):
             self._respond(503, {"error": str(error)}, retry_after=1)
             return
         deadline = Deadline(self.server.request_timeout)
-        submissions: list[tuple[int, Any, bool]] = []
+        submissions: list[tuple[int, Any]] = []
         for owner_id in owners:
             try:
-                future, coalesced = self.server.scheduler.submit_coalesced(
+                outcome = self.server.scheduler.serve_or_submit(
                     owner_id, measure=measure
                 )
-                submissions.append((owner_id, future, coalesced))
             except BackpressureError as error:
-                submissions.append((owner_id, error, False))
+                outcome = error
+            submissions.append((owner_id, outcome))
         self._start_stream()
         failed = False
-        for owner_id, pending, coalesced in submissions:
+        for owner_id, outcome in submissions:
             line: dict[str, Any]
-            if isinstance(pending, BackpressureError):
+            if isinstance(outcome, BackpressureError):
                 line = {
                     "owner": owner_id,
-                    "error": str(pending),
-                    "status": 429 if pending.saturated else 503,
+                    "error": str(outcome),
+                    "status": 429 if outcome.saturated else 503,
                 }
                 failed = True
             else:
+                record, future, coalesced = outcome
                 try:
-                    record = await self._await_score(
-                        pending, coalesced, deadline
-                    )
+                    if record is None:
+                        record = await self._await_score(
+                            future, coalesced, deadline
+                        )
                 except (asyncio.TimeoutError, TimeoutError):
                     line = {
                         "owner": owner_id,
@@ -431,7 +433,6 @@ class AsyncRiskServer(HttpServerCore):
         request_timeout: float = 60.0,
         breaker: CircuitBreaker | None = None,
         state: ServiceState | None = None,
-        refresher=None,
         admission_capacity: int = 256,
     ) -> None:
         super().__init__(
@@ -447,7 +448,6 @@ class AsyncRiskServer(HttpServerCore):
         self.breaker = breaker or CircuitBreaker(
             failure_threshold=5, recovery_time=5.0
         )
-        self.refresher = refresher
 
 
 def build_server(
@@ -459,26 +459,16 @@ def build_server(
     request_timeout: float = 60.0,
     breaker: CircuitBreaker | None = None,
     state: ServiceState | None = None,
-    background_refresh: bool = False,
     admission_capacity: int = 256,
 ) -> AsyncRiskServer:
     """Wire engine → scheduler → HTTP server (port 0 = ephemeral).
 
     ``admission_capacity`` bounds concurrently admitted work-bearing
     requests (beyond it, 429 + ``Retry-After``).
-    ``background_refresh=True`` additionally attaches a
-    :class:`~repro.service.refresh.RefreshScheduler` to the engine's
-    store, so mutations enqueue their invalidated owners for ahead-of-
-    demand rescoring in idle scheduler slots.
     """
     scheduler = ScoreScheduler(
         engine, max_workers=max_workers, max_pending=max_pending
     )
-    refresher = None
-    if background_refresh:
-        from .refresh import RefreshScheduler
-
-        refresher = RefreshScheduler(scheduler).attach(engine.store)
     return AsyncRiskServer(
         (host, port),
         engine,
@@ -486,7 +476,6 @@ def build_server(
         request_timeout=request_timeout,
         breaker=breaker,
         state=state,
-        refresher=refresher,
         admission_capacity=admission_capacity,
     )
 

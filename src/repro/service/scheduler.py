@@ -16,17 +16,16 @@ invariants a serving deployment needs:
 
 Different owners score concurrently up to ``max_workers``.
 
-On top of those, :meth:`ScoreScheduler.submit_coalesced` adds **request
-coalescing** (single-flight): concurrent requests for the same
-``(owner, measure, version)`` share one in-flight future instead of
-queueing N engine calls, and every waiter receives the identical
-record.  The store *version* is part of the key, so a mutation that
-lands mid-coalesce bumps the version and later requests miss the stale
-entry — they see the post-mutation score, never a stale fan-out.
-:meth:`ScoreScheduler.serve_or_submit` goes one step further for
-reads: with no flight to join, a memo that is fresh at the key's
-version is returned on the caller's thread, and only a miss is
-submitted.
+On top of those, :meth:`ScoreScheduler.serve_or_submit` is how a read
+decides a score.  It adds **request coalescing** (single-flight):
+concurrent requests for the same ``(owner, measure, version)`` share
+one in-flight future instead of queueing N engine calls, and every
+waiter receives the identical record.  The store *version* is part of
+the key, so a mutation that lands mid-coalesce bumps the version and
+later requests miss the stale entry — they see the post-mutation
+score, never a stale fan-out.  With no flight to join, a memo that is
+fresh at the key's version is returned on the caller's thread, and
+only a miss is submitted.
 """
 
 from __future__ import annotations
@@ -127,55 +126,35 @@ class ScoreScheduler:
                 self._executor.submit(self._run, owner_id, measure, future)
             return future
 
-    def submit_coalesced(
+    def serve_or_submit(
         self, owner_id: UserId, measure: str | None = None
-    ) -> "tuple[Future[Any], bool]":
-        """Like :meth:`submit`, but single-flight per (owner, measure,
-        version); returns ``(future, coalesced)``.
+    ) -> "tuple[Any, Future[Any] | None, bool]":
+        """Join a running flight, answer from a fresh memo, or submit.
 
-        A request arriving while an identical one — same owner, same
-        resolved measure, same store version — is still in flight gets
-        that request's future back (``coalesced=True``) instead of a
-        fresh engine call; the one engine result fans out to every
-        waiter.  The version in the key is what makes this safe against
-        mutations: a mid-coalesce mutation bumps the owner's version,
-        so later requests key differently and compute the new score.
+        Returns ``(None, future, True)`` when an identical request —
+        same owner, same resolved measure, same store version — is
+        still in flight: its future is shared (the one engine result
+        fans out to every waiter).  The version in the key is what makes
+        this safe against mutations: a mid-coalesce mutation bumps the
+        owner's version, so later requests key differently and compute
+        the new score.  Callers sharing a coalesced future must not
+        cancel it — their neighbors are waiting on it too (the async
+        front-end shields it accordingly).
 
-        Callers sharing a coalesced future must not cancel it — their
-        neighbors are waiting on it too (the async front-end shields it
-        accordingly).  Engines without a ``store``/``version`` (duck-
-        typed test fakes) fall back to a plain :meth:`submit`.
+        Otherwise returns ``(record, None, False)`` when the engine
+        holds a memo at the key — no worker thread, no future — and
+        ``(None, future, False)`` for a fresh submission.  The flight is
+        joined *before* the memo is consulted: the engine memoizes a
+        record before its flight's future resolves, and the flight's
+        waiters are counted as coalesced.  Engines without a
+        ``store``/``version`` (duck-typed fakes) are never coalesced,
+        and engines without a ``peek`` always take the submit path.
 
         Raises
         ------
         BackpressureError
             Only when a fresh submission is actually attempted; joining
-            an in-flight request costs no queue slot.
-        """
-        key = self._coalesce_key(owner_id, measure)
-        shared = self._join(key)
-        if shared is not None:
-            return shared, True
-        return self._submit_keyed(key, owner_id, measure), False
-
-    def serve_or_submit(
-        self, owner_id: UserId, measure: str | None = None
-    ) -> "tuple[Any, Future[Any] | None, bool]":
-        """Answer from a fresh memo at once, or :meth:`submit_coalesced`.
-
-        Returns ``(record, None, False)`` when the engine holds a memo
-        at the request's ``(owner, measure, version)`` key — no worker
-        thread, no future — and ``(None, future, coalesced)`` otherwise.
-        A running flight for the key is joined *before* the memo is
-        consulted: the engine memoizes a record before its flight's
-        future resolves, and the flight's waiters are counted as
-        coalesced.  Engines without a ``peek`` (duck-typed fakes) always
-        take the submit path.
-
-        Raises
-        ------
-        BackpressureError
-            As :meth:`submit_coalesced`.
+            an in-flight request or reading a memo costs no queue slot.
         """
         key = self._coalesce_key(owner_id, measure)
         shared = self._join(key)

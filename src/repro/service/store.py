@@ -67,7 +67,6 @@ class OwnerStore:
         self._entries: dict[UserId, OwnerEntry] = {}
         self._user_owners: dict[UserId, set[UserId]] = {}
         self._lock = threading.RLock()
-        self._mutation_listeners: list = []
 
     # ------------------------------------------------------------------
     # construction
@@ -245,7 +244,6 @@ class OwnerStore:
             self._user_owners.setdefault(profile.user_id, set()).add(owner_id)
             delta = DirtyDelta(profiles=frozenset({profile.user_id}))
             self._bump(frozenset({owner_id}), lambda _: delta)
-        self._notify(frozenset({owner_id}))
 
     def update_profile(self, profile: Profile) -> frozenset[UserId]:
         """Replace a user's profile; returns the owners invalidated.
@@ -258,11 +256,9 @@ class OwnerStore:
         with self._lock:
             self._graph.add_user(profile)
             delta = DirtyDelta(profiles=frozenset({profile.user_id}))
-            affected = self._bump(
+            return self._bump(
                 self.owners_of(profile.user_id), lambda _: delta
             )
-        self._notify(affected)
-        return affected
 
     def add_friendship(self, a: UserId, b: UserId) -> frozenset[UserId]:
         """Create the edge ``{a, b}``; returns the owners invalidated.
@@ -293,7 +289,6 @@ class OwnerStore:
                         self._user_owners.setdefault(user, set()).add(owner_id)
                 self._extend_ground_truth(entry)
             self._bump(affected, self._edge_delta(a, b))
-        self._notify(affected)
         return affected
 
     def _extend_ground_truth(self, entry: OwnerEntry) -> None:
@@ -326,12 +321,10 @@ class OwnerStore:
         """
         with self._lock:
             self._graph.remove_friendship(a, b)
-            affected = self._bump(
+            return self._bump(
                 self.owners_of(a) | self.owners_of(b),
                 self._edge_delta(a, b),
             )
-        self._notify(affected)
-        return affected
 
     def grant_labels(
         self, owner_id: UserId, labels: Mapping[UserId, int]
@@ -363,12 +356,10 @@ class OwnerStore:
         with self._lock:
             entry = self.get(owner_id)
             self._bump(frozenset({owner_id}), lambda _: FULL_DELTA)
-            version = entry.version
-        self._notify(frozenset({owner_id}))
-        return version
+            return entry.version
 
     # ------------------------------------------------------------------
-    # dirty-set / mutation-listener plumbing
+    # dirty-set plumbing
     # ------------------------------------------------------------------
     def dirty_between(
         self, owner_id: UserId, since_version: int
@@ -383,27 +374,6 @@ class OwnerStore:
         with self._lock:
             entry = self.get(owner_id)
             return entry.dirty.between(since_version, entry.version)
-
-    def add_mutation_listener(self, listener) -> None:
-        """Register ``listener(owner_ids)`` to run after each mutation.
-
-        Listeners fire outside the store lock, on the mutating thread,
-        with the frozenset of invalidated owners — the hook the
-        background refresh scheduler uses to enqueue rescoring work.
-        Listeners must not raise; exceptions are swallowed so a broken
-        observer can never fail a mutation that already happened.
-        """
-        with self._lock:
-            self._mutation_listeners.append(listener)
-
-    def _notify(self, owner_ids: frozenset[UserId]) -> None:
-        if not owner_ids:
-            return
-        for listener in list(self._mutation_listeners):
-            try:
-                listener(owner_ids)
-            except Exception:  # pragma: no cover - defensive
-                pass
 
     def _edge_delta(self, a: UserId, b: UserId):
         """Per-owner delta factory for an edge toggle (lock held)."""

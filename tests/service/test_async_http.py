@@ -472,6 +472,22 @@ class TestCachedReads:
         assert after["requests"] == before["requests"] + 1
         assert after["cache_hits"] == before["cache_hits"] + 1
 
+    def test_a_batch_streams_fresh_memos_without_a_submission(
+        self, async_server, monkeypatch
+    ):
+        owners = list(async_server.engine.store.owner_ids())
+        warm, cold = owners[0], owners[1]
+        status, scored, _ = get(f"{async_server.url}/score?owner={warm}")
+        assert status == 200
+        submissions = count_submissions(monkeypatch, async_server.scheduler)
+        status, lines, _ = post_ndjson(
+            f"{async_server.url}/score-batch", {"owners": [warm, cold, warm]}
+        )
+        assert status == 200
+        assert [line["source"] for line in lines] == ["cache", "cold", "cache"]
+        assert lines[0]["digest"] == lines[2]["digest"] == scored["digest"]
+        assert submissions == [(cold, None)]  # only the miss
+
     def test_a_read_after_an_acked_mutation_sees_its_version(
         self, async_server
     ):

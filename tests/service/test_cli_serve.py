@@ -1,4 +1,5 @@
-"""End-to-end test: ``repro-study serve`` as a real subprocess."""
+"""``repro-study serve`` end to end as a real subprocess, and the argv
+its router gives each shard worker."""
 
 from __future__ import annotations
 
@@ -141,48 +142,57 @@ def test_serve_rejects_unusable_bounds_before_booting(bound):
     assert "shard worker" not in stderr
 
 
-def test_sharded_serve_forwards_background_refresh():
-    """``serve --shards N --background-refresh`` must start a refresh
-    scheduler on every shard worker, so each shard's ``/metrics`` (as
-    forwarded by the router) carries a ``refresh`` block."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--owners", "2", "--strangers", "30", "--friends", "10",
-         "--seed", "3", "--shards", "2", "--background-refresh"],
-        env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.PIPE,
-        text=True,
-        start_new_session=True,  # lets cleanup reap the shard workers
-    )
-    try:
-        # the router announces after its "shard i ready at" lines
-        announcement = ""
-        for _ in range(50):
-            line = read_line_with_timeout(process.stderr, timeout=120)
-            if not line:
-                break
-            if line.startswith("serving on http://"):
-                announcement = line
-                break
-        assert announcement.startswith("serving on http://"), announcement
-        url = announcement.split()[-1].strip()
+def non_default_value(action) -> str:
+    """A command-line value that parses to something other than the
+    option's default."""
+    if action.choices:
+        return next(c for c in action.choices if c != action.default)
+    if action.type in (int, float):
+        return str((action.default or 0) + 3)
+    return f"{action.dest}-value"
 
-        shards = get_json(f"{url}/metrics")["shards"]
-        assert len(shards) == 2
-        for shard in shards:
-            assert "refresh" in shard, sorted(shard)
-    finally:
-        if process.poll() is None:
-            process.terminate()
-            try:
-                process.wait(timeout=30)
-            except subprocess.TimeoutExpired:
-                os.killpg(process.pid, signal.SIGKILL)
-                process.wait(timeout=10)
-        process.stderr.close()
+
+def test_sharded_serve_forwards_every_serve_option():
+    """A shard worker's argv, parsed back through the serve parser,
+    carries every option the router parsed, except the per-shard ones
+    ``build_worker_argv`` sets and the single-server crash flags.  The
+    router's argv sets every option to a non-default value, so an
+    option the derivation drops shows up as a default on the worker."""
+    from repro.cli import build_serve_parser, worker_base_args
+    from repro.service import build_worker_argv
+
+    parser = build_serve_parser()
+    router_argv: list[str] = []
+    for action in parser._actions:
+        if not action.option_strings or action.dest == "help":
+            continue
+        router_argv.append(action.option_strings[0])
+        if action.nargs != 0:
+            router_argv.append(non_default_value(action))
+    router = vars(parser.parse_args(router_argv))
+    for dest, value in router.items():
+        assert value != parser.get_default(dest), dest
+
+    argv = build_worker_argv(
+        1, 3, worker_base_args(parser.parse_args(router_argv)),
+        wal_dir="wal/shard-1",
+    )
+    assert argv[:4] == [sys.executable, "-m", "repro", "serve"]
+    worker = vars(parser.parse_args(argv[4:]))
+    per_shard = {
+        "shards": 0,
+        "port": 0,
+        "wal_dir": "wal/shard-1",
+        "shard_index": 1,
+        "shard_count": 3,
+        "join_empty": False,
+        "crash_at_mutation": None,
+        "torn_write_at_mutation": None,
+    }
+    assert worker.keys() == router.keys()
+    for dest, value in worker.items():
+        expected = per_shard.get(dest, router[dest])
+        assert value == expected, dest
 
 
 @pytest.mark.parametrize("topology", [(), ("--shards", "2")])

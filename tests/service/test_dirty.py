@@ -189,28 +189,3 @@ class TestStoreDirtyRecording:
         delta = store.dirty_between(owner, 0)
         assert delta is not None and delta.full
 
-
-class TestMutationListeners:
-    def test_listener_sees_the_invalidated_owners(self):
-        population = make_service_population()
-        store = OwnerStore.from_population(population)
-        owner = population.owners[0].user_id
-        seen: list[frozenset] = []
-        store.add_mutation_listener(seen.append)
-        s1, s2 = sorted(population.handles[owner].strangers)[:2]
-        affected = store.add_friendship(s1, s2)
-        assert seen == [affected]
-        store.touch(owner)
-        assert seen[-1] == frozenset({owner})
-
-    def test_broken_listener_cannot_fail_a_mutation(self):
-        population = make_service_population()
-        store = OwnerStore.from_population(population)
-        owner = population.owners[0].user_id
-
-        def explode(owner_ids):
-            raise RuntimeError("observer bug")
-
-        store.add_mutation_listener(explode)
-        version = store.touch(owner)  # must not raise
-        assert version == 1

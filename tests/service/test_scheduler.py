@@ -367,13 +367,22 @@ class VersionedGatedEngine(GatedEngine):
         return "default" if measure is None else measure
 
 
+def serve_or_submit(scheduler, owner_id, measure=None):
+    """``serve_or_submit`` on a ``peek``-less engine: never a record."""
+    record, future, coalesced = scheduler.serve_or_submit(
+        owner_id, measure=measure
+    )
+    assert record is None
+    return future, coalesced
+
+
 class TestCoalescing:
     def test_identical_concurrent_requests_share_one_future(self):
         engine = VersionedGatedEngine()
         scheduler = ScoreScheduler(engine, max_workers=2, max_pending=8)
         try:
-            first, coalesced_first = scheduler.submit_coalesced(1)
-            second, coalesced_second = scheduler.submit_coalesced(1)
+            first, coalesced_first = serve_or_submit(scheduler, 1)
+            second, coalesced_second = serve_or_submit(scheduler, 1)
             assert not coalesced_first and coalesced_second
             assert second is first  # one engine call, two waiters
             snapshot = scheduler.snapshot()
@@ -392,9 +401,9 @@ class TestCoalescing:
         engine.gate.set()
         scheduler = ScoreScheduler(engine, max_workers=1, max_pending=8)
         try:
-            first, _ = scheduler.submit_coalesced(1)
+            first, _ = serve_or_submit(scheduler, 1)
             first.result(timeout=10)
-            second, coalesced = scheduler.submit_coalesced(1)
+            second, coalesced = serve_or_submit(scheduler, 1)
             assert not coalesced
             assert second is not first  # a finished future never fans out
             second.result(timeout=10)
@@ -406,9 +415,9 @@ class TestCoalescing:
         engine = VersionedGatedEngine({1: 0})
         scheduler = ScoreScheduler(engine, max_workers=2, max_pending=8)
         try:
-            stale, _ = scheduler.submit_coalesced(1)
+            stale, _ = serve_or_submit(scheduler, 1)
             engine.store.versions[1] = 1  # a mutation landed mid-coalesce
-            fresh, coalesced = scheduler.submit_coalesced(1)
+            fresh, coalesced = serve_or_submit(scheduler, 1)
             assert not coalesced
             assert fresh is not stale  # new version: new engine call
             assert scheduler.snapshot()["coalesced_hits"] == 0
@@ -423,8 +432,8 @@ class TestCoalescing:
         engine = VersionedGatedEngine()
         scheduler = ScoreScheduler(engine, max_workers=2, max_pending=8)
         try:
-            default, _ = scheduler.submit_coalesced(1)
-            other, coalesced = scheduler.submit_coalesced(1, measure="other")
+            default, _ = serve_or_submit(scheduler, 1)
+            other, coalesced = serve_or_submit(scheduler, 1, measure="other")
             assert not coalesced and other is not default
             engine.gate.set()
             drain(default, other)
@@ -436,8 +445,8 @@ class TestCoalescing:
         engine = GatedEngine()  # no .store: coalescing cannot key safely
         scheduler = ScoreScheduler(engine, max_workers=2, max_pending=8)
         try:
-            first, coalesced_first = scheduler.submit_coalesced(1)
-            second, coalesced_second = scheduler.submit_coalesced(1)
+            first, coalesced_first = serve_or_submit(scheduler, 1)
+            second, coalesced_second = serve_or_submit(scheduler, 1)
             assert not coalesced_first and not coalesced_second
             assert second is not first
             assert scheduler.snapshot()["coalesced_hits"] == 0
@@ -452,7 +461,7 @@ class TestCoalescing:
         engine.gate.set()
         scheduler = ScoreScheduler(engine, max_workers=1, max_pending=8)
         try:
-            first, coalesced = scheduler.submit_coalesced(2)
+            first, coalesced = serve_or_submit(scheduler, 2)
             assert not coalesced  # version lookup failed: plain submit
             first.result(timeout=10)  # the engine itself accepts it
         finally:
@@ -463,7 +472,7 @@ class TestCoalescing:
         engine.gate.set()
         scheduler = ScoreScheduler(engine, max_workers=1, max_pending=8)
         try:
-            future, _ = scheduler.submit_coalesced(1)
+            future, _ = serve_or_submit(scheduler, 1)
             future.result(timeout=10)
             wait_until(lambda: not scheduler.snapshot()["coalesce_inflight"])
             assert scheduler.snapshot()["coalesce_inflight"] == 0

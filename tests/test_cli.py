@@ -99,6 +99,29 @@ class TestUsageErrors:
         err = self.usage_error(capsys, "serve", "--score-workers", "2")
         assert "unrecognized arguments: --score-workers 2" in err
 
+    def test_background_refresh_is_gone(self, capsys):
+        err = self.usage_error(capsys, "serve", "--background-refresh")
+        assert "unrecognized arguments: --background-refresh" in err
+
+    @pytest.mark.parametrize(
+        "flag", ["--crash-at-mutation", "--torn-write-at-mutation"]
+    )
+    def test_crash_flags_with_shards(self, capsys, tmp_path, flag):
+        err = self.usage_error(
+            capsys,
+            "serve", flag, "3", "--shards", "2", "--wal-dir", str(tmp_path),
+        )
+        assert f"{flag} applies to a single server, not to --shards" in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("shards", ["0", "2"])
+    @pytest.mark.parametrize("timeout", ["0", "-1"])
+    def test_non_positive_timeout(self, capsys, shards, timeout):
+        err = self.usage_error(
+            capsys, "serve", "--timeout", timeout, "--shards", shards
+        )
+        assert f"--timeout must be > 0, got {float(timeout)}" in err
+
 
 class TestMain:
     def run(self, capsys, *argv):
