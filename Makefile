@@ -97,14 +97,16 @@ measures-smoke:
 		"benchmarks/bench_service_throughput.py::test_measure_throughput"
 
 # the incremental rescoring layer: the session driver's golden digests
-# (cold, resumed, hooked and warm runs), dirty-set/delta-replay
-# unit suites, the Hypothesis stateful equivalence gate at cranked depth
-# (every incremental warm digest must equal a cold recompute), and the
-# E21 single-edge mutation bench at reduced scale
+# (cold, resumed, hooked and warm runs), pool independence (a changed
+# pool re-runs alone), dirty-set/delta-replay unit suites, the
+# Hypothesis stateful equivalence gate at cranked depth (every
+# incremental warm digest must equal a cold recompute), and the E21
+# single-edge mutation bench at reduced scale
 incremental-smoke:
 	INCREMENTAL_MACHINE_EXAMPLES=15 INCREMENTAL_MACHINE_STEPS=20 \
 		$(PYTHON) -m pytest -q -o addopts= \
 		tests/learning/test_session_driver.py \
+		tests/learning/test_pool_independence.py \
 		tests/service/test_dirty.py \
 		tests/service/test_incremental.py
 	REPRO_BENCH_INCREMENTAL_SIZES=1000 \

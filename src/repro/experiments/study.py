@@ -57,7 +57,6 @@ class OwnerSessionPlan:
     oracle: LabelOracle
     seed: int
     session_kwargs: dict[str, Any] = field(default_factory=dict)
-    injector: FaultInjector | None = None
 
     def build_session(self, graph: SocialGraph) -> RiskLearningSession:
         """Instantiate the session against the given graph snapshot."""
@@ -101,7 +100,6 @@ def plan_owner_session(
     benefit_model = BenefitModel(thetas=owner.thetas)
     oracle: LabelOracle = owner.as_oracle()
     fetcher = None
-    injector = None
     if fault_plan is not None and fault_plan.injects_anything:
         injector = FaultInjector(fault_plan, seed=f"{seed}:{owner.user_id}")
         policy = retry_policy or RetryPolicy(base_delay=0.0, jitter=0.0)
@@ -124,7 +122,6 @@ def plan_owner_session(
             network_similarity=network_similarity,
             fetcher=fetcher,
         ),
-        injector=injector,
     )
 
 
@@ -349,9 +346,7 @@ def run_study(
         checkpointer = None
         if store is not None:
             checkpointer = SessionCheckpointer(
-                store,
-                f"owner-{owner.user_id}-{pooling}",
-                extra_state=plan.injector,
+                store, f"owner-{owner.user_id}-{pooling}"
             )
             if not resume:
                 checkpointer.reset()

@@ -7,9 +7,10 @@ those archetypes deterministically so robustness experiments are exactly
 replayable:
 
 * **per-call faults** (oracle timeout/abstention, transient fetch
-  failure) draw from one seeded stream — same seed and call order, same
-  faults.  The stream's state can be captured and restored, which is how
-  checkpoint/resume replays a killed run byte-for-byte;
+  failure) are pure functions of ``(seed, user, attempt)``, where the
+  attempt counts the calls for that user so far — a retry rolls afresh,
+  and the faults do not depend on the order users are asked in, which
+  is what lets a killed run resume byte-for-byte;
 * **per-user faults** (unreachable users, dropped profile attributes)
   are pure functions of ``(seed, user)``, so they agree across retries
   and across resumed runs regardless of call order;
@@ -23,7 +24,7 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 from ..errors import (
     ConfigError,
@@ -116,38 +117,18 @@ class FaultInjector:
     def __init__(self, plan: FaultPlan, seed: int | str = 0) -> None:
         self._plan = plan
         self._seed = str(seed)
-        self._rng = random.Random(f"fault-injector:{self._seed}")
 
     @property
     def plan(self) -> FaultPlan:
         """The active fault plan."""
         return self._plan
 
-    # ------------------------------------------------------------------
-    # per-call stream (order-dependent; checkpointable)
-    # ------------------------------------------------------------------
-    def draw(self) -> float:
-        """One uniform draw from the injector's fault stream."""
-        return self._rng.random()
-
-    def state(self) -> dict[str, Any]:
-        """JSON-serializable snapshot of the fault stream."""
-        version, internal, gauss_next = self._rng.getstate()
-        return {
-            "version": version,
-            "internal": list(internal),
-            "gauss_next": gauss_next,
-        }
-
-    def restore(self, state: dict[str, Any]) -> None:
-        """Restore a snapshot produced by :meth:`state`."""
-        self._rng.setstate(
-            (
-                state["version"],
-                tuple(state["internal"]),
-                state["gauss_next"],
-            )
-        )
+    def roll(self, kind: str, user_id: UserId, attempt: int) -> float:
+        """The uniform roll of one per-call fault: a pure function of
+        ``(seed, kind, user_id, attempt)``, whatever the call order."""
+        return random.Random(
+            f"{self._seed}:{kind}:{user_id}:{attempt}"
+        ).random()
 
     # ------------------------------------------------------------------
     # per-user faults (order-independent)
@@ -234,20 +215,23 @@ class FaultInjector:
 class FlakyOracle:
     """Oracle decorator injecting timeouts and abstentions.
 
-    Each query rolls once against the injector's stream: timeout first,
-    abstention next, honest answer otherwise.  Retried queries roll again
-    — a stranger who timed out may answer on the next attempt, and may
-    also abstain.
+    Each query rolls once, keyed on the stranger and the number of
+    earlier queries about them: timeout first, abstention next, honest
+    answer otherwise.  Retried queries roll again — a stranger who timed
+    out may answer on the next attempt, and may also abstain.
     """
 
     def __init__(self, inner: LabelOracle, injector: FaultInjector) -> None:
         self._inner = inner
         self._injector = injector
+        self._attempts: dict[UserId, int] = {}
 
     def label(self, query: LabelQuery) -> RiskLabel:
-        """Answer, or raise the injected fault for this draw."""
+        """Answer, or raise the injected fault for this attempt."""
         plan = self._injector.plan
-        roll = self._injector.draw()
+        attempt = self._attempts.get(query.stranger, 0)
+        self._attempts[query.stranger] = attempt + 1
+        roll = self._injector.roll("oracle", query.stranger, attempt)
         if roll < plan.oracle_timeout_rate:
             raise OracleTimeoutError(
                 f"oracle timed out for stranger {query.stranger}",
@@ -272,12 +256,14 @@ class FlakyProfileSource:
     """Profile source decorator: outages of the data layer.
 
     Unreachable users fail permanently; other fetches fail transiently at
-    the plan's rate and otherwise return the (possibly degraded) profile.
+    the plan's rate, each attempt rolling afresh, and otherwise return
+    the (possibly degraded) profile.
     """
 
     def __init__(self, injector: FaultInjector, inner=None) -> None:
         self._injector = injector
         self._inner = inner
+        self._attempts: dict[UserId, int] = {}
 
     def fetch_one(self, graph: SocialGraph, user_id: UserId) -> Profile:
         """Fetch one profile through the fault plan."""
@@ -286,8 +272,10 @@ class FlakyProfileSource:
                 f"user {user_id} is gone (deleted or blocked)",
                 user_id=user_id,
             )
-        plan = self._injector.plan
-        if plan.fetch_failure_rate and self._injector.draw() < plan.fetch_failure_rate:
+        rate = self._injector.plan.fetch_failure_rate
+        attempt = self._attempts.get(user_id, 0)
+        self._attempts[user_id] = attempt + 1
+        if rate and self._injector.roll("fetch", user_id, attempt) < rate:
             raise TransientFetchError(
                 f"transient failure fetching user {user_id}", user_id=user_id
             )

@@ -11,18 +11,18 @@ learning state as a study progresses:
 * :class:`CheckpointStore` — atomic JSON documents in a directory, one
   per key (``<key>.json``, compact and key-sorted, streamed to a temp
   file + rename);
-* :class:`SessionCheckpointer` — records each completed pool together
-  with the session RNG state (and any extra stateful collaborator, e.g. a
-  :class:`~repro.faults.FaultInjector`), so a killed session resumes from
-  the last completed pool and replays the remainder byte-for-byte.
+* :class:`SessionCheckpointer` — records each completed pool, so a
+  killed session resumes by skipping the completed pools and running
+  the rest.  Every pool samples from its own RNG and every injected
+  fault is keyed on ``(seed, user, attempt)``, so a checkpoint is just
+  the set of completed pools: no random state is saved.
 
-File format (version 1)::
+File format (version 2; version 1 also saved the shared session RNG
+and is refused)::
 
     {
-      "version": 1,
+      "version": 2,
       "key": "owner-7",
-      "rng_state": [version, [int, ...], gauss_next],
-      "extra_state": {...} | null,
       "pools": [<pool document>, ...]
     }
 """
@@ -40,7 +40,7 @@ from ..learning.results import PoolResult, RoundRecord
 from ..learning.stopping import StopReason
 from ..types import RiskLabel
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -136,21 +136,6 @@ def pool_result_from_dict(document: dict[str, Any]) -> PoolResult:
         )
     except (KeyError, TypeError, ValueError) as error:
         raise CheckpointError(f"malformed pool result: {error}") from error
-
-
-def rng_state_to_json(state: tuple) -> list[Any]:
-    """``random.Random.getstate()`` as a JSON-ready value."""
-    version, internal, gauss_next = state
-    return [version, list(internal), gauss_next]
-
-
-def rng_state_from_json(document: list[Any]) -> tuple:
-    """Inverse of :func:`rng_state_to_json`."""
-    try:
-        version, internal, gauss_next = document
-        return (version, tuple(internal), gauss_next)
-    except (TypeError, ValueError) as error:
-        raise CheckpointError(f"malformed RNG state: {error}") from error
 
 
 # ---------------------------------------------------------------------------
@@ -296,17 +281,11 @@ class SessionCheckpointer:
     key:
         Document key — one per session (``run_study`` uses
         ``owner-<id>``).
-    extra_state:
-        Optional collaborator with ``state() -> dict`` and
-        ``restore(dict)`` whose randomness also advances during learning
-        (a :class:`~repro.faults.FaultInjector`); its stream is captured
-        alongside the session RNG so resumed runs replay the same faults.
     """
 
-    def __init__(self, store: CheckpointStore, key: str, extra_state=None) -> None:
+    def __init__(self, store: CheckpointStore, key: str) -> None:
         self._store = store
         self._key = key
-        self._extra_state = extra_state
         self._pool_documents: list[dict[str, Any]] = []
 
     @property
@@ -319,13 +298,9 @@ class SessionCheckpointer:
         self._pool_documents = []
         self._store.discard(self._key)
 
-    def load(self, rng) -> dict[str, PoolResult]:
-        """Restore a checkpoint, if one exists.
-
-        Rewinds ``rng`` (and the extra collaborator) to the state saved
-        after the last completed pool, and returns the completed pools
-        keyed by ``pool_id`` so the session can skip them.
-        """
+    def load(self) -> dict[str, PoolResult]:
+        """The completed pools of a saved checkpoint, keyed by
+        ``pool_id``, so the session can skip them (empty when none)."""
         document = self._store.load(self._key)
         if document is None:
             return {}
@@ -333,9 +308,6 @@ class SessionCheckpointer:
             raise CheckpointError(
                 f"unsupported checkpoint version: {document.get('version')!r}"
             )
-        rng.setstate(rng_state_from_json(document["rng_state"]))
-        if self._extra_state is not None and document.get("extra_state"):
-            self._extra_state.restore(document["extra_state"])
         self._pool_documents = list(document["pools"])
         completed = {}
         for entry in self._pool_documents:
@@ -343,18 +315,12 @@ class SessionCheckpointer:
             completed[result.pool_id] = result
         return completed
 
-    def record(self, result: PoolResult, rng) -> None:
-        """Persist one newly completed pool and the current RNG state."""
+    def record(self, result: PoolResult) -> None:
+        """Persist one newly completed pool."""
         self._pool_documents.append(pool_result_to_dict(result))
         document = {
             "version": _FORMAT_VERSION,
             "key": self._key,
-            "rng_state": rng_state_to_json(rng.getstate()),
-            "extra_state": (
-                self._extra_state.state()
-                if self._extra_state is not None
-                else None
-            ),
             "pools": self._pool_documents,
         }
         self._store.save(self._key, document)
@@ -367,8 +333,6 @@ __all__ = [
     "iter_json_chunks",
     "pool_result_from_dict",
     "pool_result_to_dict",
-    "rng_state_from_json",
-    "rng_state_to_json",
     "round_record_from_dict",
     "round_record_to_dict",
 ]

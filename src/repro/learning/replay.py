@@ -24,15 +24,14 @@ current graph computes, while only paying for what the delta touched:
 * NS binning always re-runs (linear, cheap), but Squeezer re-clusters
   only the groups whose membership or member profiles moved
   (:func:`~repro.clustering.pools.build_pools_cached`).
-* Each pool's learning loop re-runs only when its *inputs* changed.  A
-  pool's outcome is a pure function of its fingerprint — members, their
-  similarities, benefits, and profiles — plus the session RNG state at
-  the moment the pool starts (the only RNG consumer is in-pool
-  sampling, and the oracle is a deterministic ground-truth lookup).  A
-  recorded pool whose fingerprint and entry RNG state match is replayed
-  verbatim and the RNG is fast-forwarded to its recorded exit state, so
-  every *subsequent* pool — rerun or not — sees exactly the stream a
-  full run would have produced.
+* Each pool's learning loop re-runs only when its *inputs* changed.
+  Every pool samples from its own RNG, derived from the session seed
+  and the pool id (:func:`~repro.learning.session.pool_rng`), and the
+  oracle is a deterministic ground-truth lookup, so a pool's outcome is
+  a pure function of its fingerprint — id, members, their
+  similarities, benefits, and profiles.  A recorded pool whose
+  fingerprint matches is taken verbatim; a changed pool re-runs without
+  touching any other.
 * Re-run pools with unchanged profiles reuse their similarity graph and
   classifier through the state's classifier memo.
 
@@ -47,14 +46,12 @@ recomputation but can never change the result — the substrate of the
 engine's digest-equivalence guarantee, property-tested by the stateful
 mutate/score suite.
 
-A checkpoint is one more source of completed pools: the checkpointer
-restores the RNG to its state after the last completed pool, and those
-pools' saved results are taken as they are.
+A checkpoint is one more source of completed pools: their saved
+results are taken as they are.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Mapping
 
@@ -72,12 +69,10 @@ from .session import RiskLearningSession
 
 @dataclass
 class PoolRecord:
-    """One completed pool: its inputs, outcome, and RNG bracket."""
+    """One completed pool: its inputs and outcome."""
 
     fingerprint: tuple
     result: PoolResult
-    rng_before: tuple
-    rng_after: tuple
 
 
 @dataclass
@@ -207,46 +202,28 @@ def replay_session(
         stats.groups_total = len(groups)
 
     # --- pool loops: take restored and matching pools, run the rest --
-    rng = random.Random(session.seed)
-    restored = checkpointer.load(rng) if checkpointer is not None else {}
+    restored = checkpointer.load() if checkpointer is not None else {}
     pool_results: list[PoolResult] = []
     records: dict[str, PoolRecord] = {}
     reused_labels = 0
     for pool in pools:
         if pool.pool_id in restored:
-            # no RNG bracket is known for a restored pool: no record
             pool_results.append(restored[pool.pool_id])
             stats.pools_reused += 1
             continue
         fingerprint = _pool_fingerprint(pool, similarities, benefits, profiles)
-        rng_before = rng.getstate()
         record = prior.pools.get(pool.pool_id)
-        if (
-            record is not None
-            and record.fingerprint == fingerprint
-            and record.rng_before == rng_before
-        ):
-            rng.setstate(record.rng_after)
+        if record is not None and record.fingerprint == fingerprint:
             reused_labels += record.result.labels_requested
             stats.pools_reused += 1
         else:
             result = session._run_pool(
-                pool,
-                similarities,
-                benefits,
-                rng,
-                initial_labels,
-                prior.classifiers,
+                pool, similarities, benefits, initial_labels, prior.classifiers
             )
-            record = PoolRecord(
-                fingerprint=fingerprint,
-                result=result,
-                rng_before=rng_before,
-                rng_after=rng.getstate(),
-            )
+            record = PoolRecord(fingerprint, result)
             stats.pools_rerun += 1
             if checkpointer is not None:
-                checkpointer.record(result, rng)
+                checkpointer.record(result)
         records[pool.pool_id] = record
         pool_results.append(record.result)
     stats.full_run = stats.pools_reused == 0
@@ -297,15 +274,16 @@ def _pool_fingerprint(
     benefits: Mapping[UserId, float],
     profiles: Mapping[UserId, Any],
 ) -> tuple:
-    """Everything (besides the RNG state) a pool's outcome depends on.
+    """Everything a pool's outcome depends on.
 
-    Members fix the candidate set, similarities/benefits feed every
-    oracle query's metadata and the sampling order, and profiles drive
-    the classifier's edge weights, Squeezer attributes, and display
-    names.  Ground truth is deliberately absent: an existing stranger's
-    judgment never changes (lazy judgments only *add* entries for newly
-    visible users), and the set of members actually queried is a pure
-    function of the fingerprint plus the RNG bracket.
+    The id seeds the pool's RNG, members fix the candidate set,
+    similarities/benefits feed every oracle query's metadata and the
+    sampling order, and profiles drive the classifier's edge weights,
+    Squeezer attributes, and display names.  Ground truth is
+    deliberately absent: an existing stranger's judgment never changes
+    (lazy judgments only *add* entries for newly visible users), and the
+    set of members actually queried is a pure function of the
+    fingerprint.
     """
     return (
         pool.pool_id,

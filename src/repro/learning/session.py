@@ -67,14 +67,28 @@ PoolingStrategy = Literal["npp", "nsp"]
 #: fetcher can drop members nondeterministically w.r.t. the replay
 #: fingerprints, a custom NS() or edge-similarity wrapper breaks the
 #: dirty-set derivation (which is exact only for the default structural
-#: measure), and a custom sampler may consume randomness the RNG bracket
-#: does not capture.
+#: measure), and a custom sampler may carry state from pool to pool that
+#: the fingerprints do not capture.
 REPLAY_UNSAFE_KWARGS = (
     "fetcher",
     "network_similarity",
     "edge_similarity_wrapper",
     "sampler",
 )
+
+
+def pool_rng(seed: int | None, pool_id: str) -> random.Random:
+    """The sampling RNG of one pool: a stream of its own.
+
+    Seeded from ``(seed, pool_id)`` as a string, which is stable across
+    processes, so a pool's outcome depends on nothing but its own
+    inputs — the paper runs one active-learning process per pool
+    (Section III-D).  An unseeded session (``seed=None``) stays
+    unseeded.
+    """
+    if seed is None:
+        return random.Random()
+    return random.Random(f"{seed}:{pool_id}")
 
 
 class RiskLearningSession:
@@ -102,7 +116,8 @@ class RiskLearningSession:
     sampler:
         In-pool sampling strategy override.
     seed:
-        Seed for the session RNG (falls back to ``config.learning.seed``).
+        Seed of the per-pool sampling RNGs (falls back to
+        ``config.learning.seed``; ``None`` leaves them unseeded).
     edge_similarity_wrapper:
         Optional hook wrapping the per-pool ``PS()`` measure before edge
         weights are computed — e.g.
@@ -168,8 +183,8 @@ class RiskLearningSession:
         return self._config
 
     @property
-    def seed(self) -> int:
-        """The session RNG seed."""
+    def seed(self) -> int | None:
+        """The seed every pool's RNG is derived from."""
         return self._seed
 
     @property
@@ -258,11 +273,10 @@ class RiskLearningSession:
             by :mod:`repro.learning.incremental`.
         checkpointer:
             Optional :class:`~repro.io.checkpoint.SessionCheckpointer`.
-            Each completed pool is persisted together with the session's
-            RNG state; a re-run with the same checkpointer skips the
-            completed pools and replays the remainder from the exact
-            random state a killed run left behind, reproducing the
-            uninterrupted run byte for byte.
+            Each completed pool is persisted; a re-run with the same
+            checkpointer skips the completed pools and runs the rest,
+            reproducing the uninterrupted run byte for byte (every pool
+            draws from its own RNG, see :func:`pool_rng`).
 
         Raises
         ------
@@ -287,11 +301,10 @@ class RiskLearningSession:
         pool: StrangerPool,
         similarities: Mapping[UserId, float],
         benefits: Mapping[UserId, float],
-        rng: random.Random,
         initial_labels: Mapping[UserId, RiskLabel] | None,
         classifiers: dict[str, tuple],
     ) -> PoolResult:
-        """Run one pool's learning loop, consuming the session RNG.
+        """Run one pool's learning loop on the pool's own RNG.
 
         ``classifiers`` is the cross-run memo ``pool_id -> (profiles,
         classifier)``: when the pool's profiles are unchanged the
@@ -364,7 +377,7 @@ class RiskLearningSession:
             benefits=benefits,
             names=self._display_names(profiles),
             sampler=self._sampler,
-            rng=rng,
+            rng=pool_rng(self._seed, pool.pool_id),
             initial_labels=initial_labels,
         )
         result = learner.run()

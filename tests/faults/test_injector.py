@@ -63,34 +63,71 @@ class TestDeterminism:
         plan = FaultPlan(oracle_abstain_rate=0.5)
         first = FaultInjector(plan, seed="abc")
         second = FaultInjector(plan, seed="abc")
-        assert [first.draw() for _ in range(20)] == [
-            second.draw() for _ in range(20)
+        keys = [
+            (kind, user, attempt)
+            for kind in ("oracle", "fetch")
+            for user in range(5)
+            for attempt in range(3)
+        ]
+        assert [first.roll(*key) for key in keys] == [
+            second.roll(*key) for key in keys
         ]
 
     def test_different_seeds_differ(self):
         plan = FaultPlan(oracle_abstain_rate=0.5)
         first = FaultInjector(plan, seed=1)
         second = FaultInjector(plan, seed=2)
-        assert [first.draw() for _ in range(10)] != [
-            second.draw() for _ in range(10)
+        assert [first.roll("oracle", 7, n) for n in range(10)] != [
+            second.roll("oracle", 7, n) for n in range(10)
         ]
 
-    def test_state_round_trip_resumes_the_stream(self):
-        injector = FaultInjector(FaultPlan(oracle_abstain_rate=0.5), seed=3)
-        for _ in range(7):
-            injector.draw()
-        snapshot = injector.state()
-        expected = [injector.draw() for _ in range(10)]
-        other = FaultInjector(FaultPlan(oracle_abstain_rate=0.5), seed=999)
-        other.restore(snapshot)
-        assert [other.draw() for _ in range(10)] == expected
+    def test_rolls_do_not_depend_on_call_order(self):
+        plan = FaultPlan(oracle_timeout_rate=0.3, oracle_abstain_rate=0.3)
+
+        def outcomes(order):
+            oracle = FaultInjector(plan, seed="s").wrap_oracle(
+                ScriptedOracle({}, default=RiskLabel.RISKY)
+            )
+            seen = {}
+            for stranger in order:
+                try:
+                    oracle.label(query(stranger))
+                    outcome = "answer"
+                except OracleTimeoutError:
+                    outcome = "timeout"
+                except OracleAbstainError:
+                    outcome = "abstain"
+                seen.setdefault(stranger, []).append(outcome)
+            return seen
+
+        strangers = [s for s in range(20) for _ in range(3)]
+        forward = outcomes(strangers)
+        assert outcomes(list(reversed(strangers))) == forward
+        assert outcomes(random.Random(3).sample(strangers, 60)) == forward
+
+    def test_a_retry_gets_a_fresh_roll(self):
+        plan = FaultPlan(fetch_failure_rate=0.5)
+        injector = FaultInjector(plan, seed="s")
+        graph, _ = make_ego_graph()
+        source = injector.wrap_source()
+        failures = []
+        for attempt in range(12):
+            try:
+                source.fetch_one(graph, 6)
+                failures.append(False)
+            except TransientFetchError:
+                failures.append(True)
+        # attempt n of user 6 fails exactly when its own roll says so
+        assert failures == [
+            injector.roll("fetch", 6, attempt) < 0.5 for attempt in range(12)
+        ]
+        assert any(failures) and not all(failures)
 
     def test_is_unreachable_is_a_pure_function_of_seed_and_user(self):
         plan = FaultPlan(unreachable_rate=0.3)
         injector = FaultInjector(plan, seed="s")
         verdicts = {uid: injector.is_unreachable(uid) for uid in range(200)}
-        # repeated queries and draws in between do not change verdicts
-        injector.draw()
+        # repeated queries do not change verdicts
         assert all(
             injector.is_unreachable(uid) == verdict
             for uid, verdict in verdicts.items()

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import random
 
 import pytest
 from hypothesis import given
@@ -16,8 +15,6 @@ from repro.io.checkpoint import (
     iter_json_chunks,
     pool_result_from_dict,
     pool_result_to_dict,
-    rng_state_from_json,
-    rng_state_to_json,
     round_record_from_dict,
     round_record_to_dict,
 )
@@ -73,26 +70,11 @@ class TestRoundTrips:
         document = json.loads(json.dumps(pool_result_to_dict(result)))
         assert pool_result_from_dict(document) == result
 
-    @given(seed=st.integers(0, 2**32), draws=st.integers(0, 50))
-    def test_rng_state_survives_json(self, seed, draws):
-        rng = random.Random(seed)
-        for _ in range(draws):
-            rng.random()
-        state = rng.getstate()
-        document = json.loads(json.dumps(rng_state_to_json(state)))
-        restored = random.Random()
-        restored.setstate(rng_state_from_json(document))
-        assert [restored.random() for _ in range(5)] == [
-            rng.random() for _ in range(5)
-        ]
-
     def test_malformed_documents_raise_checkpoint_error(self):
         with pytest.raises(CheckpointError):
             round_record_from_dict({"round_index": 1})
         with pytest.raises(CheckpointError):
             pool_result_from_dict({"pool_id": "p"})
-        with pytest.raises(CheckpointError):
-            rng_state_from_json(["not", "a", "state", "at", "all"])
 
 
 class TestCheckpointStore:
@@ -169,54 +151,50 @@ def _pool(pool_id="p-0", stranger=6):
 
 
 class TestSessionCheckpointer:
-    def test_record_then_load_restores_rng_and_pools(self, tmp_path):
+    def test_record_then_load_restores_the_completed_pools(self, tmp_path):
         store = CheckpointStore(tmp_path)
         checkpointer = SessionCheckpointer(store, "owner-1")
-        rng = random.Random(5)
-        checkpointer.record(_pool("p-0"), rng)
-        expected_next = random.Random(5).random()
+        checkpointer.record(_pool("p-0"))
+        checkpointer.record(_pool("p-1", stranger=9))
 
-        fresh = SessionCheckpointer(store, "owner-1")
-        other = random.Random(999)
-        completed = fresh.load(other)
-        assert set(completed) == {"p-0"}
-        assert completed["p-0"] == _pool("p-0")
-        assert other.random() == expected_next
+        completed = SessionCheckpointer(store, "owner-1").load()
+        assert completed == {"p-0": _pool("p-0"), "p-1": _pool("p-1", 9)}
+
+    def test_the_document_holds_only_completed_pools(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        SessionCheckpointer(store, "k").record(_pool())
+        assert store.load("k") == {
+            "version": 2,
+            "key": "k",
+            "pools": [pool_result_to_dict(_pool())],
+        }
 
     def test_load_without_checkpoint_is_empty(self, tmp_path):
         checkpointer = SessionCheckpointer(CheckpointStore(tmp_path), "k")
-        rng = random.Random(1)
-        before = rng.getstate()
-        assert checkpointer.load(rng) == {}
-        assert rng.getstate() == before
+        assert checkpointer.load() == {}
 
     def test_reset_discards(self, tmp_path):
         store = CheckpointStore(tmp_path)
         checkpointer = SessionCheckpointer(store, "k")
-        checkpointer.record(_pool(), random.Random(0))
+        checkpointer.record(_pool())
         checkpointer.reset()
         assert store.load("k") is None
-        assert SessionCheckpointer(store, "k").load(random.Random(0)) == {}
-
-    def test_extra_state_round_trips(self, tmp_path):
-        from repro.faults import FaultInjector, FaultPlan
-
-        plan = FaultPlan(oracle_abstain_rate=0.5)
-        injector = FaultInjector(plan, seed=1)
-        for _ in range(9):
-            injector.draw()
-        store = CheckpointStore(tmp_path)
-        checkpointer = SessionCheckpointer(store, "k", extra_state=injector)
-        checkpointer.record(_pool(), random.Random(0))
-        expected = [injector.draw() for _ in range(5)]
-
-        replacement = FaultInjector(plan, seed=777)
-        fresh = SessionCheckpointer(store, "k", extra_state=replacement)
-        fresh.load(random.Random(0))
-        assert [replacement.draw() for _ in range(5)] == expected
+        assert SessionCheckpointer(store, "k").load() == {}
 
     def test_version_mismatch_raises(self, tmp_path):
+        # version 1 also saved the shared session RNG: its pools were
+        # sampled from other streams and must never be resumed
         store = CheckpointStore(tmp_path)
-        store.save("k", {"version": 99, "pools": [], "rng_state": [3, [], None]})
-        with pytest.raises(CheckpointError):
-            SessionCheckpointer(store, "k").load(random.Random(0))
+        for version in (1, 99, None):
+            store.save(
+                "k",
+                {
+                    "version": version,
+                    "key": "k",
+                    "rng_state": [3, [], None],
+                    "extra_state": None,
+                    "pools": [pool_result_to_dict(_pool())],
+                },
+            )
+            with pytest.raises(CheckpointError, match="unsupported"):
+                SessionCheckpointer(store, "k").load()

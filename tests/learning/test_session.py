@@ -6,7 +6,7 @@ from repro.config import PipelineConfig, PoolingConfig
 from repro.errors import LearningError
 from repro.graph.social_graph import SocialGraph
 from repro.learning.oracle import CallbackOracle, RecordingOracle
-from repro.learning.session import RiskLearningSession
+from repro.learning.session import RiskLearningSession, pool_rng
 from repro.types import RiskLabel
 
 from ..conftest import make_ego_graph, make_profile
@@ -161,3 +161,22 @@ class TestSessionOptions:
         )
         for pool in session.build_pools():
             assert pool.nsg_index in (1, 2)
+
+
+class TestPoolRng:
+    def test_a_seeded_pool_stream_is_a_function_of_seed_and_pool_id(self):
+        assert pool_rng(7, "nsg1.c0").getstate() == pool_rng(
+            7, "nsg1.c0"
+        ).getstate()
+        assert pool_rng(7, "nsg1.c0").getstate() != pool_rng(
+            7, "nsg1.c1"
+        ).getstate()
+        assert pool_rng(7, "nsg1.c0").getstate() != pool_rng(
+            8, "nsg1.c0"
+        ).getstate()
+
+    def test_an_unseeded_session_stays_unseeded(self):
+        # not the fixed string "None:nsg1.c0": two runs draw differently
+        assert pool_rng(None, "nsg1.c0").getstate() != pool_rng(
+            None, "nsg1.c0"
+        ).getstate()

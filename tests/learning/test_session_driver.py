@@ -4,8 +4,8 @@ Cold runs, checkpoint resumes, study-input variants (stranger subsets,
 initial labels), session hooks and engine scores all run through
 :func:`repro.learning.replay.replay_session`.  Each scenario below pins
 the :func:`repro.io.result_digest` of both owners of a tiny cohort, so
-any drift in NS, benefits, pooling, the pool loop or the RNG threading
-between them shows up as a changed digest.
+any drift in NS, benefits, pooling, the pool loop or the per-pool RNG
+streams shows up as a changed digest.
 """
 
 from __future__ import annotations
@@ -29,60 +29,60 @@ from repro.synth import EgoNetConfig, generate_study_population
 
 SEED = 31
 
-#: ``scenario -> (owner 0 digest, owner 1 digest)``, recorded before the
-#: cold run, checkpoint resume and warm replay shared one driver.
+#: ``scenario -> (owner 0 digest, owner 1 digest)``, recorded from the
+#: cold path once every pool sampled from its own RNG stream.
 GOLDEN = {
     "augmented_edges": (
-        "fd4b3b495b86d20beae215f1bd51d98b0867cb111ebc145afc472d845f83ba43",
-        "66ab58da361e66c1fd6e1898258ce234f150bf0abd80f7e2d535578682bafbe0",
+        "65a947307ee9577a354685a648b6b7ecc3f42f9370c337d9fa649cc07c1279e5",
+        "5d27439e9cb61bf4fca9db6ba69721aa7f0b8fe187f1171c914997ac6a7cd47d",
     ),
     "checkpoint_resume": (
-        "fd4b3b495b86d20beae215f1bd51d98b0867cb111ebc145afc472d845f83ba43",
-        "7b6456ec5310882e132d8f56f78f665695941b4de3e62c15d5d712ca43b6c247",
+        "a1900c990d793cb81b7e9ddf7607a58545ef11eb770d0fb92f5a6306e92bb538",
+        "de43060eaa4c32176346ea4ba89a7536d2376ac7aeec4c8e59a2fff78b343cb2",
     ),
     "clustered_ns": (
-        "a9928f6e1bcea9f2cd13a330b14d08b7bdd05343141e1ff00b1504799f41be80",
-        "73a7a279bac74713f2923bb786eabe430a7c3cf5de2ac6e7048c529ff1b8bee8",
+        "4f4d39a7fc358a9b6d500c1344614d03b7fce7fdf1c99744e28407c95e829d9a",
+        "f1b5a2e0d8a20a9732fe72a58e6a571ab03cbcffc1ebf1bd9341b948d4f6a03e",
     ),
     "default": (
-        "fd4b3b495b86d20beae215f1bd51d98b0867cb111ebc145afc472d845f83ba43",
-        "7b6456ec5310882e132d8f56f78f665695941b4de3e62c15d5d712ca43b6c247",
+        "a1900c990d793cb81b7e9ddf7607a58545ef11eb770d0fb92f5a6306e92bb538",
+        "de43060eaa4c32176346ea4ba89a7536d2376ac7aeec4c8e59a2fff78b343cb2",
     ),
     "engine_cold": (
-        "fd4b3b495b86d20beae215f1bd51d98b0867cb111ebc145afc472d845f83ba43",
-        "7b6456ec5310882e132d8f56f78f665695941b4de3e62c15d5d712ca43b6c247",
+        "a1900c990d793cb81b7e9ddf7607a58545ef11eb770d0fb92f5a6306e92bb538",
+        "de43060eaa4c32176346ea4ba89a7536d2376ac7aeec4c8e59a2fff78b343cb2",
     ),
     "engine_warm": (
-        "4a7b87aa0fc327377df65d962e941fdda9527b9b7dff60e34d7ec505c9530621",
-        "b62fc4a4bf19c7062b9d08b7634cf411d54ca78dd87d3f9eb4f8c287832ee593",
+        "752ff9de8667e8d399f45bdb8a87d8c48ab37ea46c6e12429330c1f64a0aff23",
+        "e5cd7d523d2a42472f00e809e54eacdbe22466e78904f35a5e6fbc0efb0ddf5d",
     ),
     "fault_plan": (
-        "93a84fda9d716ba26138fc36fae69df46b31ce50109a4813fdcaeb12a6b0b6dc",
-        "63337f610a7ce1700bb4330305b793871e53b361b3b768550b56fa3783c3d607",
+        "07948b5b9bec21e490d3f19d13328d30938b409c234dcc708112eba36594acef",
+        "23703751b293f7b0a096c79f76930134939460f2ee80c5a3c380d4823110a81e",
     ),
     "initial_labels": (
         "b868fa7736df1a85485d505b651d4db615aad09dc8af457e0f8ab8e919dddb40",
         "72dbe88e5b7dbfa5504e07e3a13b97286d916331022474258087a4429c36f34c",
     ),
     "knn": (
-        "fd4b3b495b86d20beae215f1bd51d98b0867cb111ebc145afc472d845f83ba43",
-        "bb009a1531b5498208f34ea970b021d3f52c38ff8a8c0d2e8c42b5b43022b589",
+        "a1900c990d793cb81b7e9ddf7607a58545ef11eb770d0fb92f5a6306e92bb538",
+        "e6af4d15448af708f93e25c919867c103d7c477eb5210d726e57e0bf56ac0ccd",
     ),
     "majority": (
-        "420fd5f5c6bfc8d4527ba57c0dadce883c340626c4af4ca6ec5debc7c47b0e5d",
-        "cb1003ee6613de986d3f71cf1ce37e940f7cfe0133438aa69415691b1360a207",
+        "a19260dad21b48ef837575cae458ba682ee9149b01e8fcb0329ea0c1f1bd6f37",
+        "c9f312d2f31bfc58a0f97407f338ad21ccb0e550ade0daa56dda912403767b2b",
     ),
     "nsp": (
-        "c2d3e62a84037bc22675edbdcbe8f7d9d25656c9e2e0ba374d1ccfcefb2dd474",
-        "542c32a72c618992438e7260104b6ad8431c7cfa3cb3f49fd4b819a47b77f7a4",
+        "f9303cdd25d8701b2dc8f2b590a567da664c7e86a02ea9117b60bff06e3bee4b",
+        "cb5b9adcfac95cb9369a451a91c9d8c826870a2e7ef249af9e90196df801b467",
     ),
     "strangers_prefix": (
-        "469a361fe6517451fb5b239cd88d4f92f42d3c15c6005f1e96c9d3ebec053e4f",
-        "52e04c657fd0d64f30560009c61aad79ac62cdfac63738eceb09832f9eb5b505",
+        "6988fe5cb750baae5a37ed302142906af23cdda1c3f5a9d2bfe967639316ab01",
+        "07470429d402c73027ba9d8191093d2a8edfcaf19b2bdede9cba1f95d8067bdf",
     ),
     "uncertainty_sampler": (
-        "a1900c990d793cb81b7e9ddf7607a58545ef11eb770d0fb92f5a6306e92bb538",
-        "154c0d82e4c9383190d00230de1337a290ded64aab464a932f14783946e42f8e",
+        "65a947307ee9577a354685a648b6b7ecc3f42f9370c337d9fa649cc07c1279e5",
+        "dcd31e9c5884dfb29450facf3501a462b037655165123cb71e9b5fa50711e017",
     ),
 }
 
@@ -133,8 +133,8 @@ class _KillAfter(SessionCheckpointer):
         super().__init__(store, key)
         self._left = pools
 
-    def record(self, result, rng):
-        super().record(result, rng)
+    def record(self, result):
+        super().record(result)
         self._left -= 1
         if not self._left:
             raise _Killed
