@@ -68,6 +68,7 @@ shard-smoke:
 	$(PYTHON) -m pytest -q -o addopts= \
 		tests/service/test_sharding.py \
 		tests/service/test_http.py \
+		tests/service/test_score_encoding.py \
 		"tests/service/test_chaos.py::test_sharded_kill9_recovers_and_siblings_keep_serving" \
 		"tests/service/test_chaos.py::test_sharded_kill9_under_mixed_load_isolates_and_recovers"
 	REPRO_BENCH_SHARD_OWNERS=4 REPRO_BENCH_SHARD_STRANGERS=40 \
@@ -121,6 +122,7 @@ serve-smoke:
 	$(PYTHON) -m pytest -q -o addopts= \
 		tests/service/test_http.py \
 		tests/service/test_async_http.py \
+		tests/service/test_score_encoding.py \
 		"tests/service/test_scheduler.py::TestCoalescing" \
 		"tests/service/test_wal.py::TestGroupCommit" \
 		"tests/service/test_chaos.py::test_async_kill9_loses_no_group_committed_ack" \

@@ -213,7 +213,7 @@ class _RiskHandler(RequestHandler):
             self._respond(500, {"error": str(error)})
             return
         breaker.record_success()
-        self._respond(200, record.to_dict())
+        self._relay(200, record.to_json())
 
     @staticmethod
     async def _await_score(future, coalesced: bool, deadline: Deadline):
@@ -275,7 +275,7 @@ class _RiskHandler(RequestHandler):
         self._start_stream()
         failed = False
         for owner_id, outcome in submissions:
-            line: dict[str, Any]
+            line: dict[str, Any] | bytes
             if isinstance(outcome, BackpressureError):
                 line = {
                     "owner": owner_id,
@@ -311,7 +311,7 @@ class _RiskHandler(RequestHandler):
                     }
                     failed = True
                 else:
-                    line = record.to_dict()
+                    line = record.to_json() + b"\n"
             await self._stream_line(line)
         if failed:
             breaker.record_failure()

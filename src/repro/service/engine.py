@@ -26,6 +26,7 @@ holds or waits on it.
 from __future__ import annotations
 
 import dataclasses
+import json
 import threading
 import time
 from collections import OrderedDict, deque
@@ -52,6 +53,9 @@ class ScoreRecord:
     :class:`~repro.learning.results.SessionResult` for the default
     ``stranger`` measure, a JSON-ready report for the others; the
     measure also owns the result-specific blocks of :meth:`to_dict`.
+    A record is served as :meth:`to_json`: the per-response head
+    encoded fresh, spliced onto the measure blocks encoded once per
+    memo.  Scoring itself never encodes.
     """
 
     owner_id: UserId
@@ -69,15 +73,37 @@ class ScoreRecord:
     described: dict[str, Any] = dataclasses.field(
         default_factory=dict, compare=False, repr=False
     )
+    #: One slot: those blocks as JSON bytes (their members, without the
+    #: enclosing braces), filled by the first :meth:`to_json` and shared
+    #: like ``described``, so a memo is encoded once rather than once
+    #: per read.
+    encoded: list[bytes] = dataclasses.field(
+        default_factory=list, compare=False, repr=False
+    )
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready view for the ``/score`` endpoint (its measure
         blocks are shared with the record: read, don't mutate)."""
-        if not self.described:
-            self.described.update(
-                get_measure(self.measure).describe(self.result)
-            )
-        document: dict[str, Any] = {
+        document = self._head()
+        document.update(self._blocks())
+        return document
+
+    def to_json(self) -> bytes:
+        """The ``/score`` body: byte-identical to
+        ``json.dumps(self.to_dict()).encode()``."""
+        if not self.encoded:
+            # idempotent: racing first reads store equal bytes
+            blocks = json.dumps(self._blocks())[1:-1]
+            self.encoded[:] = [blocks.encode("utf-8")]
+        head = json.dumps(self._head()).encode("utf-8")
+        members = self.encoded[0]
+        if not members:
+            return head
+        return b"".join((head[:-1], b", ", members, b"}"))
+
+    def _head(self) -> dict[str, Any]:
+        """The per-response fields, in wire order."""
+        return {
             "owner": self.owner_id,
             "version": self.version,
             "source": self.source,
@@ -87,8 +113,20 @@ class ScoreRecord:
             "new_queries": self.new_queries,
             "elapsed_seconds": self.elapsed_seconds,
         }
-        document.update(self.described)
-        return document
+
+    def _blocks(self) -> dict[str, Any]:
+        if not self.described:
+            blocks = get_measure(self.measure).describe(self.result)
+            # a block repeating a head field would override it in place,
+            # which the spliced encoding of to_json cannot reproduce
+            clash = self._head().keys() & blocks.keys()
+            if clash:
+                raise ServiceError(
+                    f"measure {self.measure!r} describes head fields "
+                    f"{sorted(clash)}"
+                )
+            self.described.update(blocks)
+        return self.described
 
 
 class _LatencyAccumulator:

@@ -441,8 +441,12 @@ class RequestHandler:
         )
         self.close_connection = True
 
-    async def _stream_line(self, document: dict[str, Any]) -> None:
-        self.writer.write(json.dumps(document).encode("utf-8") + b"\n")
+    async def _stream_line(self, line: dict[str, Any] | bytes) -> None:
+        """Send one NDJSON line: a document, or one already encoded
+        (newline included)."""
+        if not isinstance(line, bytes):
+            line = json.dumps(line).encode("utf-8") + b"\n"
+        self.writer.write(line)
         await self.writer.drain()
 
     # ------------------------------------------------------------------

@@ -651,9 +651,11 @@ class ShardRouterHandler(RequestHandler):
         Each shard's stream is read by a pump on the pool, in the order
         its members were submitted; every line fills that owner's slot
         future, and the writer emits the merged stream in *request*
-        order as soon as each slot is filled.  A shard dying mid-stream
-        costs its remaining members 503 error lines; other shards' lines
-        are unaffected.
+        order as soon as each slot is filled.  A shard's lines are relayed
+        as the shard encoded them; only the router's own error lines are
+        documents it encodes.  A shard dying mid-stream costs its
+        remaining members 503 error lines; other shards' lines are
+        unaffected.
         """
         self.server.count("score_batch")
         loop = asyncio.get_running_loop()
@@ -684,7 +686,7 @@ class ShardRouterHandler(RequestHandler):
 
         count = self.server.count  # from the pumps, via the loop
 
-        def fill(position: int, line: dict[str, Any]) -> None:
+        def fill(position: int, line: dict[str, Any] | bytes) -> None:
             if not slots[position].done():
                 slots[position].set_result(line)
 
@@ -733,14 +735,13 @@ class ShardRouterHandler(RequestHandler):
                 with stream:
                     for position, owner_id in members:
                         raw = stream.readline()
-                        if not raw:
+                        if not raw.endswith(b"\n"):  # ended or cut off
                             raise ShardUnavailableError(
                                 f"shard {shard} stream ended early",
                                 shard=shard,
                             )
-                        loop.call_soon_threadsafe(
-                            fill, position, json.loads(raw.decode("utf-8"))
-                        )
+                        # relayed as the shard encoded it, like /score
+                        loop.call_soon_threadsafe(fill, position, raw)
             except Exception as error:
                 loop.call_soon_threadsafe(count, "shard_unavailable")
                 fail_members(

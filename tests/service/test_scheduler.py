@@ -6,6 +6,7 @@ backpressure are exercised deterministically, without real scoring cost.
 
 from __future__ import annotations
 
+import json
 import threading
 from typing import NamedTuple
 
@@ -19,13 +20,16 @@ from .conftest import wait_until
 
 class FakeRecord(NamedTuple):
     """Tuple-shaped stand-in for a ScoreRecord (the HTTP layer needs
-    ``to_dict``; the scheduler tests index it)."""
+    ``to_json``; the scheduler tests index it)."""
 
     owner_id: int
     sequence: int
 
     def to_dict(self) -> dict[str, int]:
         return {"owner": self.owner_id, "sequence": self.sequence}
+
+    def to_json(self) -> bytes:
+        return json.dumps(self.to_dict()).encode("utf-8")
 
 
 class GatedEngine:

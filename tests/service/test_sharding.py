@@ -10,6 +10,7 @@ workers the test can take "down" instantly.  Process-level failure
 from __future__ import annotations
 
 import http.client
+import json
 import os
 import signal
 import socket
@@ -51,6 +52,7 @@ from .test_http import (
     post,
     post_ndjson,
 )
+from .test_score_encoding import read_bytes
 
 SHARD_SEED = 11
 NUM_SHARDS = 2
@@ -287,6 +289,26 @@ class TestRouterScoring:
         assert status == 200
         assert [line["owner"] for line in lines] == owners
         assert all(line["measure"] == measure for line in lines)
+
+    @pytest.mark.parametrize("measure", available_measures())
+    def test_batch_lines_are_the_shards_own_bytes(self, shard_rig, measure):
+        """The router relays a shard's batch lines as the shard encoded
+        them, never decoding nor re-encoding a score."""
+        router, _, servers, shard_map = shard_rig
+        owner_shards = cohort_owner_shards(shard_map)
+        owners = sorted(owner_shards)
+        batch = {"owners": owners, "measure": measure}
+        post_ndjson(f"{router.url}/score-batch", batch)  # memoize them all
+        routed = read_bytes(f"{router.url}/score-batch", batch)
+        for owner_id, line in zip(
+            owners, routed.splitlines(keepends=True), strict=True
+        ):
+            shard = servers[owner_shards[owner_id]]
+            assert line == read_bytes(
+                f"{shard.url}/score-batch",
+                {"owners": [owner_id], "measure": measure},
+            )
+            assert json.loads(line)["source"] == "cache"
 
     def test_owners_are_spread_across_both_shards(self, shard_rig):
         router, *_ = shard_rig
@@ -703,6 +725,50 @@ class TestBatchTeardown:
             if status == 200:
                 break
             time.sleep(0.2)
+
+
+    def test_a_line_cut_off_mid_stream_is_never_relayed(
+        self, shard_rig, monkeypatch
+    ):
+        """Shard lines are relayed as bytes, so one that lost its end
+        (the stream broke inside it) must become a 503 error line, not
+        half a document on the client's stream."""
+        router, _, _, shard_map = shard_rig
+        owner_shards = cohort_owner_shards(shard_map)
+        owners = sorted(owner_shards)
+        open_stream = ShardClient.open_stream
+
+        class CutOff:
+            def __init__(self, stream):
+                self.stream = stream
+
+            def readline(self):
+                return self.stream.readline()[:-2]
+
+            def close(self):
+                self.stream.close()
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.close()
+
+        def cutting_open_stream(client, path, body):
+            stream = open_stream(client, path, body)
+            return CutOff(stream) if client.shard_index == 1 else stream
+
+        monkeypatch.setattr(ShardClient, "open_stream", cutting_open_stream)
+        status, lines, _ = post_ndjson(
+            f"{router.url}/score-batch", {"owners": owners}
+        )
+        assert status == 200
+        assert [line["owner"] for line in lines] == owners
+        for line in lines:
+            if owner_shards[line["owner"]] == 1:
+                assert (line["status"], line["shard"]) == (503, 1)
+            else:
+                assert "digest" in line
 
 
 # ---------------------------------------------------------------------------
