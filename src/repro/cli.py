@@ -275,7 +275,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help=(
             "bound on concurrently admitted work-bearing requests before "
             "shedding with 429 + Retry-After (per shard worker and at the "
-            "--shards router, where it also sizes the shard-call pool)"
+            "--shards router)"
         ),
     )
     parser.add_argument(

@@ -4,8 +4,9 @@ Long-running risk studies (the paper's deployment spanned two months)
 must survive a flaky OSN and a human oracle who times out or abstains.
 This package supplies the building blocks:
 
-* :class:`RetryPolicy` / :func:`retry_call` — exponential backoff with
-  deterministic seeded jitter and an injectable sleeper;
+* :class:`RetryPolicy` / :func:`retry_call` (and its awaitable twin
+  :func:`retry_call_async`) — exponential backoff with deterministic
+  seeded jitter and an injectable sleeper;
 * :class:`CircuitBreaker` — stop hammering a failing dependency;
 * :class:`Deadline` — wall-clock budgets with an injectable clock;
 * :class:`ResilientOracle` — the composition applied to owner queries;
@@ -25,6 +26,7 @@ from .retry import (
     Sleeper,
     no_sleep,
     retry_call,
+    retry_call_async,
 )
 
 __all__ = [
@@ -41,4 +43,5 @@ __all__ = [
     "Sleeper",
     "no_sleep",
     "retry_call",
+    "retry_call_async",
 ]

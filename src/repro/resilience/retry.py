@@ -15,10 +15,11 @@ Two properties matter for a reproducible research harness:
 
 from __future__ import annotations
 
+import asyncio
 import random
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, TypeVar
+from typing import TYPE_CHECKING, Awaitable, Callable, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover
     from .breaker import CircuitBreaker, Deadline
@@ -136,6 +137,43 @@ def retry_call(
         When every attempt failed with a retryable error; ``last_error``
         carries the final failure and ``attempts`` the number of tries.
     """
+
+    async def attempt() -> T:
+        return operation()
+
+    async def wait(delay: float) -> None:
+        sleeper(delay)
+
+    # neither coroutine suspends, so one send runs the twin's whole loop
+    try:
+        retry_call_async(
+            attempt,
+            policy,
+            retry_on=retry_on,
+            sleeper=wait,
+            breaker=breaker,
+            deadline=deadline,
+        ).send(None)
+    except StopIteration as finished:
+        return finished.value
+    raise AssertionError("a blocking retry suspended")  # pragma: no cover
+
+
+async def retry_call_async(
+    operation: Callable[[], Awaitable[T]],
+    policy: RetryPolicy | None = None,
+    *,
+    retry_on: tuple[type[Exception], ...] = DEFAULT_RETRYABLE,
+    sleeper: Callable[[float], Awaitable[None]] = asyncio.sleep,
+    breaker: "CircuitBreaker | None" = None,
+    deadline: "Deadline | None" = None,
+) -> T:
+    """:func:`retry_call` for event-loop callers, and the one retry loop
+    both run.
+
+    ``operation`` returns an awaitable and the waits are awaited, so the
+    loop keeps serving while a call backs off.
+    """
     policy = policy or RetryPolicy()
     delays = policy.schedule()
     last_error: Exception | None = None
@@ -145,13 +183,13 @@ def retry_call(
         if breaker is not None:
             breaker.before_call()
         try:
-            result = operation()
+            result = await operation()
         except retry_on as error:
             last_error = error
             if breaker is not None:
                 breaker.record_failure()
             if attempt < len(delays):
-                sleeper(delays[attempt])
+                await sleeper(delays[attempt])
             continue
         except Exception:
             if breaker is not None:
@@ -174,4 +212,5 @@ __all__ = [
     "Sleeper",
     "no_sleep",
     "retry_call",
+    "retry_call_async",
 ]

@@ -75,9 +75,9 @@ from .wal import MUTATION_OPS
 # from "no measure requested" (None → the engine default).
 _INVALID_MEASURE = object()
 
-#: Longest request or header line accepted, and most headers per
-#: request — the limits ``http.client`` and ``http.server`` apply.
-_MAX_LINE = 65536
+#: Longest request, status or header line accepted, and most headers
+#: per message — the limits ``http.client`` and ``http.server`` apply.
+MAX_LINE = 65536
 _MAX_HEADERS = 100
 
 #: Everything a store mutation may raise that maps to a status code
@@ -212,8 +212,9 @@ def _encode_response(
     return "\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + payload
 
 
-class _Rejected(Exception):
-    """The reader refused a request before any handler saw it."""
+class _Rejected(ValueError):
+    """The reader refused a message: a request before any handler saw
+    it, or a shard's response."""
 
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
@@ -241,6 +242,22 @@ class _Request(NamedTuple):
         return connection == "close"
 
 
+async def read_headers(reader: asyncio.StreamReader) -> dict[str, str]:
+    """The headers after a request or status line, by lower-cased name;
+    :class:`_Rejected` (431) past the line or header-count limit."""
+    headers: dict[str, str] = {}
+    try:  # a ValueError is a line longer than the stream's limit
+        for _ in range(_MAX_HEADERS + 1):
+            line = await reader.readline()
+            if line in (b"\r\n", b"\n", b""):
+                return headers
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+    except ValueError:
+        raise _Rejected(431, "header line too long") from None
+    raise _Rejected(431, f"more than {_MAX_HEADERS} headers")
+
+
 async def _read_request(reader: asyncio.StreamReader) -> _Request | None:
     """Parse one request off the stream; ``None`` is a clean end.
 
@@ -258,18 +275,7 @@ async def _read_request(reader: asyncio.StreamReader) -> _Request | None:
     if len(parts) != 3 or not parts[2].startswith("HTTP/"):
         raise _Rejected(400, "malformed request line")
     method, target, version = parts
-    headers: dict[str, str] = {}
-    try:
-        for _ in range(_MAX_HEADERS + 1):
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        else:
-            raise _Rejected(431, f"more than {_MAX_HEADERS} headers")
-    except ValueError:
-        raise _Rejected(431, "header line too long") from None
+    headers = await read_headers(reader)
     length = parse_content_length(headers.get("content-length"))
     if length is None:  # body extent unknown: answered 400 + close
         body = None
@@ -662,7 +668,7 @@ class HttpServerCore:
             self._handle_client,
             sock=self.socket,
             backlog=socket.SOMAXCONN,
-            limit=_MAX_LINE,
+            limit=MAX_LINE,
         )
         try:
             await self._stop_event.wait()
@@ -715,10 +721,12 @@ class HttpServerCore:
 __all__ = [
     "AdmissionQueue",
     "HttpServerCore",
+    "MAX_LINE",
     "MUTATION_ERRORS",
     "RequestHandler",
     "ServiceState",
     "SplitResult",
     "mutation_failure",
     "parse_content_length",
+    "read_headers",
 ]

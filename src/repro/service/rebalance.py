@@ -48,6 +48,7 @@ between export and cutover; ``GET /shards`` reports the live phase.
 
 from __future__ import annotations
 
+import asyncio
 import os
 import shutil
 import threading
@@ -713,7 +714,8 @@ class RebalanceCoordinator:
     ) -> dict[str, Any]:
         """One JSON call to a shard, patient across supervisor restarts.
 
-        Each attempt is one :meth:`~repro.service.router.ShardClient.attempt`.
+        Each attempt is one :meth:`~repro.service.router.ShardClient.attempt`,
+        driven by an event loop of its own on the calling thread.
         Connection failures and 5xx answers are retried until
         ``patience`` runs out — a shard killed mid-phase comes back on
         the same WAL dir, and the phase call simply lands on the
@@ -726,35 +728,41 @@ class RebalanceCoordinator:
         client = ShardClient(
             self._supervisor, shard, timeout=self._http_timeout
         )
-        try:
-            last_error = f"shard {shard} never became addressable"
-            while time.monotonic() < deadline:
-                try:
-                    status, document, _ = client.attempt(method, path, body)
-                except ShardUnavailableError as error:
-                    last_error = str(error)
-                    time.sleep(0.2)
-                    continue
-                if status < 300:
-                    return document
-                if status in (502, 503, 504):
-                    last_error = (
-                        f"shard {shard} answered {status}: "
-                        f"{document.get('error', '')}"
+
+        async def call() -> dict[str, Any]:
+            try:
+                last_error = f"shard {shard} never became addressable"
+                while time.monotonic() < deadline:
+                    try:
+                        status, document, _ = await client.attempt(
+                            method, path, body
+                        )
+                    except ShardUnavailableError as error:
+                        last_error = str(error)
+                        await asyncio.sleep(0.2)
+                        continue
+                    if status < 300:
+                        return document
+                    if status in (502, 503, 504):
+                        last_error = (
+                            f"shard {shard} answered {status}: "
+                            f"{document.get('error', '')}"
+                        )
+                        await asyncio.sleep(0.2)
+                        continue
+                    raise RebalanceError(
+                        f"shard {shard} {method} {path} answered {status}: "
+                        f"{document.get('error', '')}",
+                        phase=(self._manifest or {}).get("phase"),
                     )
-                    time.sleep(0.2)
-                    continue
                 raise RebalanceError(
-                    f"shard {shard} {method} {path} answered {status}: "
-                    f"{document.get('error', '')}",
+                    f"{method} {path} failed: {last_error}",
                     phase=(self._manifest or {}).get("phase"),
                 )
-            raise RebalanceError(
-                f"{method} {path} failed: {last_error}",
-                phase=(self._manifest or {}).get("phase"),
-            )
-        finally:
-            client.close()  # one call: keep no idle connection
+            finally:
+                client.close()  # one call: keep no idle connection
+
+        return asyncio.run(call())
 
 
 __all__ = [

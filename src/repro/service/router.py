@@ -38,17 +38,14 @@ applied/failed shard lists; the mutation was acknowledged only by the
 shards listed as applied.
 
 The router runs on the same asyncio core as the shard workers
-(:mod:`repro.service.http`), with the same bounded admission; its
-blocking shard calls run on a pool with one thread per admission slot.
+(:mod:`repro.service.http`), with the same bounded admission, and makes
+its shard calls on that event loop too (:class:`ShardClient`).
 """
 
 from __future__ import annotations
 
 import asyncio
-import http.client
 import json
-import select
-import threading
 from typing import Any
 
 from ..errors import (
@@ -58,13 +55,20 @@ from ..errors import (
     ShardUnavailableError,
 )
 from ..measures import measure_catalog
-from ..resilience import CircuitBreaker, Deadline, RetryPolicy, retry_call
+from ..resilience import (
+    CircuitBreaker,
+    Deadline,
+    RetryPolicy,
+    retry_call_async,
+)
 from .http import (
+    MAX_LINE,
     HttpServerCore,
     RequestHandler,
     ServiceState,
     SplitResult,
     mutation_failure,
+    read_headers,
 )
 from .sharding import ShardMap
 from .supervisor import ShardSupervisor
@@ -81,24 +85,23 @@ _SHARD_FAILURES = (
     ShardUnavailableError, RetryExhaustedError, CircuitOpenError
 )
 
+#: Threads for the rebalance coordinator's blocking ``begin``/``resume``/
+#: ``abort``; shard calls run on the event loop itself.
+_ADMIN_POOL_SIZE = 2
 
-class _ShardRefusal(Exception):
-    """A shard answered an HTTP error for a whole streamed batch."""
-
-    def __init__(self, status: int, document: dict[str, Any]) -> None:
-        super().__init__(document.get("error", f"shard answered {status}"))
-        self.status = status
-        self.document = document
+#: An open connection to a shard: the stream pair asyncio hands out.
+_Connection = tuple[asyncio.StreamReader, asyncio.StreamWriter]
 
 
 class ShardClient:
-    """Resilient HTTP client for one shard worker.
+    """Resilient asyncio HTTP client for one shard worker.
 
     Re-resolves the worker's URL through the supervisor on every attempt
     (restarted workers bind fresh ephemeral ports) and translates
     connection-level failures into :class:`ShardUnavailableError`, which
     the retry policy treats as transient and the breaker as a failure.
-    Blocking: the router calls it from its thread pool.
+    Its connections belong to the event loop that opened them: the
+    router's own, or the one a rebalance phase call runs on.
 
     Calls reuse HTTP/1.1 keep-alive connections, pooled under the URL
     they were opened to: a URL change (a restarted worker) drops the
@@ -125,12 +128,11 @@ class ShardClient:
         self.breaker = breaker or CircuitBreaker(
             failure_threshold=3, recovery_time=1.0
         )
-        self._pool_lock = threading.Lock()
         self._pool_url: str | None = None
-        self._idle: list[http.client.HTTPConnection] = []
+        self._idle: list[_Connection] = []
 
     # -- connections ---------------------------------------------------
-    def _unreachable(self, error: Exception) -> ShardUnavailableError:
+    def _unreachable(self, error: object) -> ShardUnavailableError:
         return ShardUnavailableError(
             f"shard {self.shard_index} unreachable: {error}",
             shard=self.shard_index,
@@ -145,89 +147,115 @@ class ShardClient:
             )
         return url
 
-    def _connect(self, url: str) -> http.client.HTTPConnection:
-        # http.client never consults proxy environment variables
-        return http.client.HTTPConnection(
-            url.removeprefix("http://"), timeout=self._timeout
-        )
+    async def _connect(self, url: str) -> _Connection:
+        # asyncio.open_connection never reads proxy environment variables
+        host, _, port = url.removeprefix("http://").rpartition(":")
+        try:
+            return await asyncio.open_connection(
+                host, int(port), limit=MAX_LINE
+            )
+        except OSError as error:
+            raise self._unreachable(error) from error
 
-    def _checkout(self, url: str) -> http.client.HTTPConnection | None:
+    def _checkout(self, url: str) -> _Connection | None:
         """A pooled connection to ``url`` whose peer has not closed it."""
-        dropped: list[http.client.HTTPConnection] = []
-        connection = None
-        with self._pool_lock:
-            if url != self._pool_url:
-                dropped, self._idle = self._idle, []
-                self._pool_url = url
-            while self._idle:
-                candidate = self._idle.pop()
-                if _peer_open(candidate):
-                    connection = candidate
-                    break
-                dropped.append(candidate)
-        for stale in dropped:
-            stale.close()
-        return connection
-
-    def _checkin(self, url: str, connection) -> None:
-        with self._pool_lock:
-            if url == self._pool_url:
-                self._idle.append(connection)
-                return
-        connection.close()
+        if url != self._pool_url:
+            self.close()
+            self._pool_url = url
+        while self._idle:
+            connection = self._idle.pop()
+            if _still_open(connection):
+                return connection
+            connection[1].close()
+        return None
 
     def close(self) -> None:
-        """Close the pooled connections; calls still running close theirs
-        when they finish."""
-        with self._pool_lock:
-            idle, self._idle = self._idle, []
-            self._pool_url = None
-        for connection in idle:
-            connection.close()
+        """Close the pooled connections, on the loop that opened them;
+        calls still running close theirs when they finish."""
+        idle, self._idle = self._idle, []
+        self._pool_url = None
+        for _, writer in idle:
+            writer.close()
 
     # -- one attempt ---------------------------------------------------
-    @staticmethod
-    def _send(connection, method: str, path: str, body: Any, **headers):
-        """Send one request; returns its response with the status line
-        and headers read."""
-        data = None
-        if body is not None:
-            data = json.dumps(body).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        connection.request(method, path, body=data, headers=headers)
-        return connection.getresponse()
+    async def _exchange(
+        self, url: str, connection: _Connection, request: bytes,
+        *, reused_get: bool = False, stream: bool = False,
+    ) -> tuple[int, Any, dict[str, str]] | None:
+        """One request/response on ``connection``: ``(status, body,
+        headers)``, the connection pooled afterwards if it may be reused.
 
-    def _exchange(
-        self, url: str, connection, method: str, path: str, body,
-        *, reused: bool = False, raw: bool = False,
-    ):
-        """One request/response on ``connection``, pooled afterwards if
-        it may be reused.  ``None`` means a reused connection failed a
-        GET before any answer arrived: the peer had closed it while idle.
+        With ``stream``, a 200's body is left unread and the connection
+        is returned in its place.  ``None`` means a reused connection
+        failed a GET before any answer byte arrived: the peer had closed
+        it while idle.
         """
+        reader, writer = connection
+        answered = False
         try:
-            response = self._send(connection, method, path, body)
-        except (OSError, http.client.HTTPException) as error:
-            connection.close()
-            if reused and method == "GET" and isinstance(
+            writer.write(request)
+            await writer.drain()
+            status_line = await reader.readline()
+            answered = bool(status_line)
+            if not status_line.endswith(b"\n"):  # closed before or mid-line
+                raise ConnectionResetError("the shard closed the connection")
+            status = int(status_line[9:12])  # HTTP/1.1 200 OK
+            headers = await read_headers(reader)
+            if stream and status == 200:
+                return status, connection, headers
+            length = headers.get("content-length")
+            if length is None:  # the body runs to end-of-file
+                payload = await reader.read()
+            else:
+                payload = await reader.readexactly(int(length))
+        except BaseException as error:
+            writer.close()
+            # a socket error, a body cut short, a malformed or over-long head
+            if not isinstance(error, (OSError, EOFError, ValueError)):
+                raise  # cancelled: the caller's deadline or teardown
+            if reused_get and not answered and isinstance(
                 error, ConnectionError
             ):
                 return None
             raise self._unreachable(error) from error
-        try:
-            payload = response.read()
-        except (OSError, http.client.HTTPException) as error:
-            connection.close()
-            raise self._unreachable(error) from error
-        if response.will_close:
-            connection.close()
+        if (
+            length is not None
+            and headers.get("connection", "").lower() != "close"
+            and url == self._pool_url
+        ):
+            self._idle.append(connection)
         else:
-            self._checkin(url, connection)
-        if raw:
-            return response.status, payload, _retry_after(response)
-        return _decode(response, payload)
+            writer.close()
+        return status, payload, headers
 
-    def attempt(
+    async def _answer(
+        self, method: str, path: str, body: Any, *, stream: bool = False
+    ) -> tuple[int, Any, dict[str, str]]:
+        """One request within the call timeout, on a pooled connection
+        when one is idle (never for a stream, which has its own)."""
+
+        async def exchange():
+            url = self._url()
+            request = _request(url, method, path, body, close=stream)
+            connection = None if stream else self._checkout(url)
+            if connection is not None:
+                answer = await self._exchange(
+                    url, connection, request, reused_get=method == "GET"
+                )
+                if answer is not None:
+                    return answer
+            return await self._exchange(
+                url, await self._connect(url), request, stream=stream
+            )
+
+        try:
+            return await asyncio.wait_for(exchange(), self._timeout)
+        except asyncio.TimeoutError as error:
+            raise self._unreachable(
+                f"no answer within {self._timeout:.1f}s"
+            ) from error
+
+    async def attempt(
         self, method: str, path: str, body: Any = None, *, raw: bool = False
     ) -> tuple[int, Any, int | None]:
         """One JSON call, no retry, no breaker: ``(status, body,
@@ -241,20 +269,12 @@ class ShardClient:
         before any answer byte arrives is sent once more, at once, on a
         fresh connection; any other method is never re-sent.
         """
-        url = self._url()
-        connection = self._checkout(url)
-        if connection is not None:
-            answer = self._exchange(
-                url, connection, method, path, body, reused=True, raw=raw
-            )
-            if answer is not None:
-                return answer
-        return self._exchange(
-            url, self._connect(url), method, path, body, raw=raw
-        )
+        status, payload, headers = await self._answer(method, path, body)
+        document = payload if raw else _document(payload)
+        return status, document, _retry_after(headers)
 
     # -- public surface ------------------------------------------------
-    def call(
+    async def call(
         self,
         method: str,
         path: str,
@@ -272,100 +292,96 @@ class ShardClient:
         if not retries:
             self.breaker.before_call()
             try:
-                result = self.attempt(method, path, body, raw=raw)
+                result = await self.attempt(method, path, body, raw=raw)
             except ShardUnavailableError:
                 self.breaker.record_failure()
                 raise
             self.breaker.record_success()
             return result
-        return retry_call(
+        return await retry_call_async(
             lambda: self.attempt(method, path, body, raw=raw),
             self._retry_policy,
             retry_on=(ShardUnavailableError,),
             breaker=self.breaker,
         )
 
-    def try_call(
-        self, method: str, path: str, body: Any = None
-    ) -> tuple[int, dict[str, Any], int | None] | None:
-        """Best-effort single attempt; ``None`` if the shard is away.
-
-        For aggregation endpoints (health, metrics, owners) where one
-        dead shard must not fail the whole answer.
-        """
-        try:
-            return self.call(method, path, body, retries=False)
-        except (ShardUnavailableError, CircuitOpenError):
-            return None
-
-    def open_stream(self, path: str, body: Any):
+    async def open_stream(self, path: str, body: Any) -> tuple[int, Any]:
         """Open an NDJSON response stream (retried like a read).
 
-        The stream runs on a connection of its own, closed with the
-        stream.  Raises :class:`_ShardRefusal` when the shard answers a
-        non-200 (circuit open, draining): the caller turns that into
+        Returns ``(200, connection)``: the stream runs on a connection
+        of its own, which the caller reads to end-of-file and closes.
+        A shard that answers a non-200 (draining, saturated) is alive:
+        that is ``(status, document)``, for the caller to turn into
         per-owner error lines.
         """
-
-        def attempt():
-            connection = self._connect(self._url())
-            try:
-                # Connection: close hands the socket to the response,
-                # which closes it when read to the end or closed
-                response = self._send(
-                    connection, "POST", path, body, Connection="close"
-                )
-                if response.status == 200:
-                    return response
-                payload = response.read()
-            except (OSError, http.client.HTTPException) as error:
-                connection.close()
-                raise self._unreachable(error) from error
-            raise _ShardRefusal(*_decode(response, payload)[:2])
-
-        return retry_call(
-            attempt,
+        status, answer, _ = await retry_call_async(
+            lambda: self._answer("POST", path, body, stream=True),
             self._retry_policy,
             retry_on=(ShardUnavailableError,),
             breaker=self.breaker,
         )
+        return status, answer if status == 200 else _document(answer)
 
 
-def _peer_open(connection: http.client.HTTPConnection) -> bool:
-    """Whether an idle keep-alive connection is still usable: a
-    zero-timeout poll finds nothing readable on it (a readable idle
-    socket is an end-of-file).  ``poll``, not ``select``: a busy router
-    holds socket descriptors above ``select``'s ``FD_SETSIZE``."""
-    sock = connection.sock
-    if sock is None:
-        return False
-    poller = select.poll()
-    poller.register(sock, select.POLLIN)
-    return not poller.poll(0)
+def _still_open(connection: _Connection) -> bool:
+    """Whether an idle keep-alive connection is still usable: the peer
+    has neither closed it (end-of-file) nor reset it."""
+    reader, writer = connection
+    return not (
+        reader.at_eof()
+        or reader.exception() is not None
+        or writer.is_closing()
+    )
 
 
-def _decode(
-    response, payload: bytes
-) -> tuple[int, dict[str, Any], int | None]:
-    """``(status, document, retry_after)`` of a fully read response."""
+def _request(
+    url: str, method: str, path: str, body: Any, *, close: bool
+) -> bytes:
+    """One request to the shard at ``url``, with ``body`` sent as JSON."""
+    head = [f"{method} {path} HTTP/1.1", f"Host: {url[len('http://'):]}"]
+    data = b""
+    if body is not None:
+        data = json.dumps(body).encode("utf-8")
+        head += ["Content-Type: application/json",
+                 f"Content-Length: {len(data)}"]
+    if close:
+        head.append("Connection: close")
+    return "\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + data
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One line with its newline, however long (``readline`` refuses a
+    line past the stream's limit); a line cut off by end-of-file comes
+    back without one."""
+    line = b""
+    while True:
+        try:
+            return line + await reader.readuntil(b"\n")
+        except asyncio.LimitOverrunError as error:
+            line += await reader.readexactly(error.consumed)
+        except asyncio.IncompleteReadError as error:
+            return line + error.partial
+
+
+def _document(payload: bytes) -> dict[str, Any]:
+    """A shard's JSON answer, or its text as an ``error``."""
     try:
-        document = json.loads(payload.decode("utf-8"))
+        return json.loads(payload.decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError):
-        document = {"error": payload.decode("utf-8", "replace")[:200]}
-    return response.status, document, _retry_after(response)
+        return {"error": payload.decode("utf-8", "replace")[:200]}
 
 
-def _retry_after(response) -> int | None:
-    value = response.headers.get("Retry-After")
+def _retry_after(headers: dict[str, str]) -> int | None:
+    value = headers.get("retry-after")
     return int(value) if value is not None else None
 
 
 class ShardRouterHandler(RequestHandler):
     """Routes requests to shard workers; never computes a score.
 
-    Shard calls block (:class:`ShardClient` over ``http.client``), so each
-    one runs on the server's pool; the event loop only parses, fans out,
-    and writes answers.
+    Shard calls (:class:`ShardClient`) run on the event loop, so a
+    fan-out never waits for a thread; only the rebalance coordinator's
+    blocking steps run on the server's small pool.
     """
 
     server: "ShardRouterServer"
@@ -464,16 +480,18 @@ class ShardRouterHandler(RequestHandler):
     # aggregation endpoints
     # ------------------------------------------------------------------
     async def _ask_every_shard(self, path: str):
-        """``(client, answer)`` for every shard, asked concurrently;
-        ``answer`` is ``None`` for a shard that is away."""
+        """``(client, answer)`` for every shard, asked concurrently and
+        once; ``answer`` is ``None`` for a shard that is away, so one dead
+        shard never fails the whole answer."""
+
+        async def ask(client: ShardClient):
+            try:
+                return await client.call("GET", path, retries=False)
+            except (ShardUnavailableError, CircuitOpenError):
+                return None
+
         clients = self.server.clients
-        answers = await asyncio.gather(
-            *(
-                self._run_blocking(client.try_call, "GET", path)
-                for client in clients
-            )
-        )
-        return zip(clients, answers)
+        return zip(clients, await asyncio.gather(*map(ask, clients)))
 
     async def _shard_documents(
         self, path: str, away: dict[str, Any]
@@ -635,8 +653,8 @@ class ShardRouterHandler(RequestHandler):
         try:
             # relayed as the shard encoded it: the router never reads a
             # score, so it neither decodes nor re-encodes one
-            status, payload, retry_after = await self._run_blocking(
-                clients[shard].call, "GET", path, raw=True
+            status, payload, retry_after = await clients[shard].call(
+                "GET", path, raw=True
             )
         except _SHARD_FAILURES as error:
             self._reject_shard_away(error, shard)
@@ -648,8 +666,8 @@ class ShardRouterHandler(RequestHandler):
     ) -> None:
         """Fan a batch out by owning shard, merge streams in order.
 
-        Each shard's stream is read by a pump on the pool, in the order
-        its members were submitted; every line fills that owner's slot
+        Each shard's stream is read by a pump task, in the order its
+        members were submitted; every line fills that owner's slot
         future, and the writer emits the merged stream in *request*
         order as soon as each slot is filled.  A shard's lines are relayed
         as the shard encoded them; only the router's own error lines are
@@ -684,76 +702,63 @@ class ShardRouterHandler(RequestHandler):
             shard = shard_map.shard_of(owner_id)
             groups.setdefault(shard, []).append((position, owner_id))
 
-        count = self.server.count  # from the pumps, via the loop
-
-        def fill(position: int, line: dict[str, Any] | bytes) -> None:
-            if not slots[position].done():
-                slots[position].set_result(line)
-
-        def fail_members(members, status, message, shard):
+        def fail(members, status, message, shard):
             for position, owner_id in members:
-                line = {
-                    "owner": owner_id,
-                    "error": message,
-                    "status": status,
-                    "shard": shard,
-                }
-                loop.call_soon_threadsafe(fill, position, line)
+                slots[position].set_result(
+                    {
+                        "owner": owner_id,
+                        "error": message,
+                        "status": status,
+                        "shard": shard,
+                    }
+                )
 
-        # live shard-reader streams, so teardown can force-close them and
-        # unblock any pump still parked in readline()
-        streams_lock = threading.Lock()
-        open_streams: list[Any] = []
-        closing = threading.Event()
-
-        def pump(shard: int, members: list[tuple[int, int]]) -> None:
+        async def pump(shard: int, members: list[tuple[int, int]]) -> None:
             shard_body: dict[str, Any] = {
                 "owners": [o for _, o in members]
             }
             if measure is not None:
                 shard_body["measure"] = measure
             try:
-                stream = clients[shard].open_stream("/score-batch", shard_body)
-            except _ShardRefusal as refusal:
-                fail_members(
+                status, stream = await clients[shard].open_stream(
+                    "/score-batch", shard_body
+                )
+            except Exception as error:  # away, or broke: fill the slots
+                self.server.count("shard_unavailable")
+                fail(members, 503, str(error), shard)
+                return
+            if status != 200:  # the shard answered: alive, but refused
+                fail(
                     members,
-                    refusal.status,
-                    refusal.document.get("error", "shard refused the batch"),
+                    status,
+                    stream.get("error", "shard refused the batch"),
                     shard,
                 )
                 return
-            except Exception as error:  # away, or broke: fill the slots
-                loop.call_soon_threadsafe(count, "shard_unavailable")
-                fail_members(members, 503, str(error), shard)
-                return
-            with streams_lock:
-                if closing.is_set():  # the response already ended
-                    stream.close()
-                    return
-                open_streams.append(stream)
+            reader, writer = stream
             try:
-                with stream:
-                    for position, owner_id in members:
-                        raw = stream.readline()
-                        if not raw.endswith(b"\n"):  # ended or cut off
-                            raise ShardUnavailableError(
-                                f"shard {shard} stream ended early",
-                                shard=shard,
-                            )
-                        # relayed as the shard encoded it, like /score
-                        loop.call_soon_threadsafe(fill, position, raw)
+                for read, (position, _) in enumerate(members):
+                    line = await _read_line(reader)
+                    if not line.endswith(b"\n"):  # ended or cut off
+                        raise ShardUnavailableError(
+                            f"shard {shard} stream ended early",
+                            shard=shard,
+                        )
+                    # relayed as the shard encoded it, like /score
+                    slots[position].set_result(line)
             except Exception as error:
-                loop.call_soon_threadsafe(count, "shard_unavailable")
-                fail_members(
-                    members, 503, f"stream from shard {shard} died: {error}",
+                self.server.count("shard_unavailable")
+                fail(
+                    members[read:],
+                    503,
+                    f"stream from shard {shard} died: {error}",
                     shard,
                 )
             finally:
-                with streams_lock:
-                    open_streams.remove(stream)
+                writer.close()
 
         pumps = [
-            self.server.pool.submit(pump, shard, members)
+            asyncio.create_task(pump(shard, members))
             for shard, members in groups.items()
         ]
         deadline = Deadline(self.server.request_timeout)
@@ -776,26 +781,12 @@ class ShardRouterHandler(RequestHandler):
                     }
                 )
         finally:
-            # Reliable teardown: a pump parked in readline() on a slow
-            # shard would outlive the response and leak across requests.
-            # Closing its stream makes readline() return or raise, a pump
-            # not yet started is cancelled, and every pump is awaited
-            # before the handler returns.
-            with streams_lock:
-                closing.set()
-                stranded = list(open_streams)
-            for stream in stranded:
-                try:
-                    stream.close()
-                except Exception:  # pragma: no cover - close is best-effort
-                    pass
-            for future in pumps:
-                future.cancel()
-            if pumps:
-                await asyncio.wait(
-                    [asyncio.wrap_future(future) for future in pumps],
-                    timeout=10.0,
-                )
+            # a pump still waiting on a slow shard would outlive the
+            # response: cancelling it closes its stream, and every pump
+            # has ended before the handler returns
+            for task in pumps:
+                task.cancel()
+            await asyncio.gather(*pumps, return_exceptions=True)
 
     async def _mutate(self, op: str, body: dict[str, Any]) -> None:
         self.server.count("mutate")
@@ -821,8 +812,8 @@ class ShardRouterHandler(RequestHandler):
         shard_map, clients = self.server.topology
         shard = shard_map.shard_of(owner_id)
         try:
-            status, document, retry_after = await self._run_blocking(
-                clients[shard].call, "POST", "/mutate", body, retries=False
+            status, document, retry_after = await clients[shard].call(
+                "POST", "/mutate", body, retries=False
             )
         except _SHARD_FAILURES as error:
             self._reject_shard_away(error, shard)
@@ -871,8 +862,8 @@ class ShardRouterHandler(RequestHandler):
 
         async def send(client: ShardClient):
             try:
-                status, document, _ = await self._run_blocking(
-                    client.call, "POST", "/mutate", body, retries=False
+                status, document, _ = await client.call(
+                    "POST", "/mutate", body, retries=False
                 )
             except (ShardUnavailableError, CircuitOpenError) as error:
                 return None, {"error": str(error)}
@@ -963,10 +954,9 @@ class ShardRouterHandler(RequestHandler):
 class ShardRouterServer(HttpServerCore):
     """The router bound to one supervisor + shard map.
 
-    Runs on the shared asyncio core; its pool holds one thread per
-    admission slot, so every admitted request can have a shard call in
-    flight and a full router sheds with 429 + ``Retry-After`` instead
-    of starting more threads.
+    Runs on the shared asyncio core, shard calls included: a full
+    router sheds with 429 + ``Retry-After``, and its pool only holds
+    the few threads the rebalance coordinator's blocking steps need.
 
     The shard map and client list live together in one *topology* tuple
     swapped atomically at rebalance cutover; request handlers snapshot
@@ -992,8 +982,8 @@ class ShardRouterServer(HttpServerCore):
             request_timeout=request_timeout,
             state=state,
             admission_capacity=admission_capacity,
-            pool_size=admission_capacity,
-            pool_name="shard-call",
+            pool_size=_ADMIN_POOL_SIZE,
+            pool_name="rebalance-admin",
         )
         self.supervisor = supervisor
         self.retry_policy = retry_policy
@@ -1010,7 +1000,7 @@ class ShardRouterServer(HttpServerCore):
         #: ``(frozenset(moving_owners), phase)`` while a migration is in
         #: flight, else ``None``.  Single-attribute read/write — atomic.
         self._fence: tuple[frozenset[int], str] | None = None
-        #: Bumped on the event loop only (pumps hand theirs over).
+        #: Bumped on the event loop only.
         self.counters = {
             "score": 0,
             "score_batch": 0,
@@ -1050,7 +1040,8 @@ class ShardRouterServer(HttpServerCore):
 
         Surviving shards keep their existing :class:`ShardClient` — and
         with it their circuit-breaker history; new tail shards get fresh
-        clients; clients past the new count are closed and dropped.
+        clients; clients past the new count are closed (on the event
+        loop, which owns their connections) and dropped.
         """
         old_clients = self._topology[1]
         clients = [
@@ -1060,15 +1051,23 @@ class ShardRouterServer(HttpServerCore):
             for shard in range(shard_map.num_shards)
         ]
         self._topology = (shard_map, clients)
+        loop = self._loop
         for client in old_clients[len(clients):]:
-            client.close()
+            if loop is None:  # never served: nothing is pooled
+                client.close()
+                continue
+            try:
+                loop.call_soon_threadsafe(client.close)
+            except RuntimeError:  # pragma: no cover - the router stopped
+                pass
 
-    def server_close(self) -> None:
-        """Release the listener, the pool and every pooled shard
-        connection."""
-        super().server_close()
-        for client in self.clients:
-            client.close()
+    async def _serve(self) -> None:
+        try:
+            await super()._serve()
+        finally:
+            # the pooled shard connections belong to this loop
+            for client in self.clients:
+                client.close()
 
     # -- migration fence -----------------------------------------------
     def set_fence(self, owners, phase: str) -> None:
@@ -1104,7 +1103,7 @@ def build_router(
 
     ``admission_capacity`` bounds concurrently admitted ``/score``,
     ``/score-batch`` and ``/mutate`` requests (beyond it, 429 +
-    ``Retry-After``) and sizes the shard-call pool.
+    ``Retry-After``).
     """
     return ShardRouterServer(
         (host, port),

@@ -19,6 +19,8 @@ from repro.resilience import (
     retry_call,
 )
 
+from .test_retry import retry_call_via_twin
+
 
 class FakeClock:
     """A monotonic clock advanced by hand."""
@@ -115,6 +117,8 @@ class TestDeadline:
 
 
 class TestRetryWithGuards:
+    retry = staticmethod(retry_call)
+
     def test_open_breaker_stops_retrying(self):
         clock = FakeClock()
         breaker = CircuitBreaker(
@@ -127,7 +131,7 @@ class TestRetryWithGuards:
         # first call trips the breaker after two failed attempts, then
         # the third attempt is rejected by the open circuit.
         with pytest.raises(CircuitOpenError):
-            retry_call(
+            self.retry(
                 always_times_out,
                 RetryPolicy(max_attempts=5),
                 sleeper=no_sleep,
@@ -142,7 +146,7 @@ class TestRetryWithGuards:
         calls = []
 
         with pytest.raises(DeadlineExceededError):
-            retry_call(
+            self.retry(
                 lambda: calls.append(1),
                 RetryPolicy(max_attempts=3),
                 sleeper=no_sleep,
@@ -157,7 +161,7 @@ class TestRetryWithGuards:
         )
         breaker.record_failure()
         clock.advance(10.0)
-        result = retry_call(
+        result = self.retry(
             lambda: "ok",
             RetryPolicy(max_attempts=1),
             sleeper=no_sleep,
@@ -176,10 +180,16 @@ class TestRetryWithGuards:
             raise OracleTimeoutError("down")
 
         with pytest.raises(RetryExhaustedError):
-            retry_call(
+            self.retry(
                 always_times_out,
                 RetryPolicy(max_attempts=3),
                 sleeper=no_sleep,
                 breaker=breaker,
             )
         assert breaker.consecutive_failures == 3
+
+
+class TestRetryWithGuardsAsync(TestRetryWithGuards):
+    """The same cases against the awaitable twin."""
+
+    retry = staticmethod(retry_call_via_twin)

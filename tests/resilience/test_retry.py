@@ -1,6 +1,10 @@
-"""RetryPolicy schedules and retry_call semantics."""
+"""RetryPolicy schedules and retry_call semantics, for retry_call and
+its awaitable twin alike."""
 
 from __future__ import annotations
+
+import asyncio
+import time
 
 import pytest
 from hypothesis import given
@@ -13,7 +17,12 @@ from repro.errors import (
     RetryExhaustedError,
     TransientFetchError,
 )
-from repro.resilience import RetryPolicy, no_sleep, retry_call
+from repro.resilience import (
+    RetryPolicy,
+    no_sleep,
+    retry_call,
+    retry_call_async,
+)
 
 policies = st.builds(
     RetryPolicy,
@@ -100,15 +109,34 @@ class _FailsThen:
         return self.value
 
 
+def retry_call_via_twin(
+    operation, policy=None, *, sleeper=time.sleep, **guards
+):
+    """:func:`retry_call`'s signature over :func:`retry_call_async`: the
+    operation and the sleeper become coroutines, run on a fresh loop."""
+
+    async def attempt():
+        return operation()
+
+    async def wait(delay):
+        sleeper(delay)
+
+    return asyncio.run(
+        retry_call_async(attempt, policy, sleeper=wait, **guards)
+    )
+
+
 class TestRetryCall:
+    retry = staticmethod(retry_call)
+
     def test_success_first_try(self):
         operation = _FailsThen(0)
-        assert retry_call(operation, RetryPolicy(), sleeper=no_sleep) == "ok"
+        assert self.retry(operation, RetryPolicy(), sleeper=no_sleep) == "ok"
         assert operation.calls == 1
 
     def test_retries_transient_then_succeeds(self):
         operation = _FailsThen(2)
-        result = retry_call(
+        result = self.retry(
             operation, RetryPolicy(max_attempts=4), sleeper=no_sleep
         )
         assert result == "ok"
@@ -118,7 +146,7 @@ class TestRetryCall:
         operation = _FailsThen(10)
         policy = RetryPolicy(max_attempts=3)
         with pytest.raises(RetryExhaustedError) as excinfo:
-            retry_call(operation, policy, sleeper=no_sleep)
+            self.retry(operation, policy, sleeper=no_sleep)
         assert excinfo.value.attempts == 3
         assert isinstance(excinfo.value.last_error, OracleTimeoutError)
         assert operation.calls == 3
@@ -126,13 +154,13 @@ class TestRetryCall:
     def test_non_retryable_propagates_immediately(self):
         operation = _FailsThen(10, error=OracleError)
         with pytest.raises(OracleError):
-            retry_call(operation, RetryPolicy(max_attempts=5), sleeper=no_sleep)
+            self.retry(operation, RetryPolicy(max_attempts=5), sleeper=no_sleep)
         assert operation.calls == 1
 
     def test_retry_on_selects_the_retryable_set(self):
         operation = _FailsThen(1, error=TransientFetchError)
         with pytest.raises(TransientFetchError):
-            retry_call(
+            self.retry(
                 operation,
                 RetryPolicy(max_attempts=3),
                 retry_on=(OracleTimeoutError,),
@@ -143,13 +171,19 @@ class TestRetryCall:
         policy = RetryPolicy(max_attempts=3, base_delay=1.0, jitter=0.3, seed=9)
         slept = []
         operation = _FailsThen(2)
-        retry_call(operation, policy, sleeper=slept.append)
+        self.retry(operation, policy, sleeper=slept.append)
         assert tuple(slept) == policy.schedule()
 
     def test_max_attempts_one_disables_retrying(self):
         operation = _FailsThen(1)
         with pytest.raises(RetryExhaustedError):
-            retry_call(
+            self.retry(
                 operation, RetryPolicy(max_attempts=1), sleeper=no_sleep
             )
         assert operation.calls == 1
+
+
+class TestRetryCallAsync(TestRetryCall):
+    """The same cases against the awaitable twin."""
+
+    retry = staticmethod(retry_call_via_twin)

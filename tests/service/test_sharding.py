@@ -9,6 +9,7 @@ workers the test can take "down" instantly.  Process-level failure
 
 from __future__ import annotations
 
+import asyncio
 import http.client
 import json
 import os
@@ -41,7 +42,7 @@ from repro.service import (
 )
 from repro.service import router as router_module
 from repro.service.async_http import _RiskHandler
-from repro.service.http import HttpServerCore
+from repro.service.http import MAX_LINE, HttpServerCore
 from repro.synth import EgoNetConfig, generate_study_population
 
 from .conftest import StaticSupervisor, wait_until
@@ -622,10 +623,10 @@ class TestRouterBackpressureRelay:
             engine.gate.set()
             blocked.join(timeout=10)
 
-    def test_full_router_sheds_with_429_and_retry_after(self, gated_rig):
-        """``--admission`` bounds the router too: with its one slot held
-        by a request parked on a busy shard, the next one is shed at
-        the router with 429 + Retry-After instead of a new thread."""
+    @pytest.fixture
+    def parked_router(self, gated_rig):
+        """A one-slot router over the gated shard, its slot held by a
+        ``/score`` parked on the shard's gate."""
         _, shard_server, engine = gated_rig
         router = ShardRouterServer(
             ("127.0.0.1", 0),
@@ -642,27 +643,61 @@ class TestRouterBackpressureRelay:
         )
         blocked.start()
         try:
-            deadline = time.monotonic() + 10
-            while not engine.running_now() and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert engine.running_now()
-            status, document, response = get(f"{router.url}/score?owner=2")
-            assert status == 429
-            assert response.headers["Retry-After"] == "1"
-            assert "admission queue full" in document["error"]
-            assert document["pending"] == 1
-            engine.gate.set()
-            blocked.join(timeout=10)
-            # the one pool thread is free again, so /metrics can fan out
-            _, metrics, _ = get(f"{router.url}/metrics")
-            assert metrics["admission"]["shed"] == 1
-            assert metrics["admission"]["depth"] == 0
+            assert wait_until(engine.running_now)
+            yield router, engine, blocked
         finally:
             engine.gate.set()
             blocked.join(timeout=10)
             router.shutdown()
             router.server_close()
             router_thread.join(timeout=10)
+
+    def test_full_router_sheds_with_429_and_retry_after(self, parked_router):
+        """``--admission`` bounds the router too: with its one slot held
+        by a request parked on a busy shard, the next one is shed at
+        the router with 429 + Retry-After instead of a new thread."""
+        router, engine, blocked = parked_router
+        status, document, response = get(f"{router.url}/score?owner=2")
+        assert status == 429
+        assert response.headers["Retry-After"] == "1"
+        assert "admission queue full" in document["error"]
+        assert document["pending"] == 1
+        engine.gate.set()
+        blocked.join(timeout=10)
+        _, metrics, _ = get(f"{router.url}/metrics")
+        assert metrics["admission"]["shed"] == 1
+        assert metrics["admission"]["depth"] == 0
+
+    def test_fan_outs_never_wait_behind_shard_calls(self, parked_router):
+        """Shard calls run on the router's event loop, so with every
+        admission slot waiting on the shard, the ``/healthz`` and
+        ``/metrics`` fan-outs still answer at once."""
+        router = parked_router[0]
+        for path in ("/healthz", "/metrics"):
+            with urllib.request.urlopen(
+                f"{router.url}{path}", timeout=1.0
+            ) as response:
+                assert response.status == 200
+
+    def test_a_refused_batch_open_keeps_the_breaker_closed(self, gated_rig):
+        """Any HTTP answer proves a shard alive, a refused batch open
+        too: batches a draining shard refuses leave its breaker closed,
+        and the next ``/score`` is served."""
+        router, shard_server, engine = gated_rig
+        engine.gate.set()
+        shard_server.state.draining = True
+        try:
+            for _ in range(3):
+                status, lines, _ = post_ndjson(
+                    f"{router.url}/score-batch", {"owners": [1]}
+                )
+                assert status == 200
+                assert lines[0]["status"] == 503
+        finally:
+            shard_server.state.draining = False
+        assert router.clients[0].breaker.state == "closed"
+        status, document, _ = get(f"{router.url}/score?owner=1")
+        assert status == 200, document
 
     def test_draining_shard_relays_as_503(self, gated_rig):
         router, shard_server, engine = gated_rig
@@ -683,26 +718,19 @@ class TestBatchTeardown:
     ):
         """Merge-pump teardown is reliable: by the time the response
         ends, every shard stream the batch opened is closed and every
-        pump it started on the router's pool has finished, even when
-        one shard's members all fail."""
+        pump task it started has finished, even when one shard's
+        members all fail."""
         router, supervisor, _, shard_map = shard_rig
         owners = sorted(cohort_owner_shards(shard_map))
-        pool_calls, streams = [], []
-        submit = router.pool.submit
-
-        def recording_submit(fn, *args, **kwargs):
-            future = submit(fn, *args, **kwargs)
-            pool_calls.append(future)
-            return future
-
+        pumps, streams = [], []
         open_stream = ShardClient.open_stream
 
-        def recording_open_stream(client, path, body):
-            stream = open_stream(client, path, body)
+        async def recording_open_stream(client, path, body):
+            pumps.append(asyncio.current_task())  # the pump calling it
+            status, stream = await open_stream(client, path, body)
             streams.append(stream)
-            return stream
+            return status, stream
 
-        monkeypatch.setattr(router.pool, "submit", recording_submit)
         monkeypatch.setattr(ShardClient, "open_stream", recording_open_stream)
         supervisor.down.add(1)  # one shard's lines become 503 errors
         try:
@@ -710,14 +738,14 @@ class TestBatchTeardown:
                 f"{router.url}/score-batch", {"owners": owners}
             )
             # the stream ended: nothing of this batch may still run
-            assert all(future.done() for future in pool_calls)
-            assert all(stream.closed for stream in streams)
+            assert all(task.done() for task in pumps)
+            assert all(writer.is_closing() for _, writer in streams)
         finally:
             supervisor.down.discard(1)
             monkeypatch.undo()
         assert status == 200
         assert len(lines) == len(owners)
-        assert pool_calls and streams  # one pump per shard, one stream up
+        assert pumps and streams  # one pump per shard, one stream up
         # breaker recovery for later tests
         end = time.monotonic() + 30
         while time.monotonic() < end:
@@ -739,24 +767,20 @@ class TestBatchTeardown:
         open_stream = ShardClient.open_stream
 
         class CutOff:
-            def __init__(self, stream):
-                self.stream = stream
+            """A stream reader whose lines lose their last two bytes."""
 
-            def readline(self):
-                return self.stream.readline()[:-2]
+            def __init__(self, reader):
+                self.reader = reader
 
-            def close(self):
-                self.stream.close()
+            async def readuntil(self, separator):
+                return (await self.reader.readuntil(separator))[:-2]
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                self.close()
-
-        def cutting_open_stream(client, path, body):
-            stream = open_stream(client, path, body)
-            return CutOff(stream) if client.shard_index == 1 else stream
+        async def cutting_open_stream(client, path, body):
+            status, stream = await open_stream(client, path, body)
+            if client.shard_index == 1:
+                reader, writer = stream
+                stream = (CutOff(reader), writer)
+            return status, stream
 
         monkeypatch.setattr(ShardClient, "open_stream", cutting_open_stream)
         status, lines, _ = post_ndjson(
@@ -769,6 +793,22 @@ class TestBatchTeardown:
                 assert (line["status"], line["shard"]) == (503, 1)
             else:
                 assert "digest" in line
+
+
+def test_batch_lines_past_the_head_line_limit_are_read_whole():
+    """A shard's batch line may outgrow the 64 KiB limit its response
+    head is read under; a line cut off by end-of-file comes back
+    without its newline (and is then never relayed)."""
+
+    async def read_lines():
+        reader = asyncio.StreamReader(limit=MAX_LINE)
+        reader.feed_data(b"x" * (3 * MAX_LINE) + b"\n" + b"cut")
+        reader.feed_eof()
+        return [await router_module._read_line(reader) for _ in range(3)]
+
+    whole, cut, end = asyncio.run(read_lines())
+    assert whole == b"x" * (3 * MAX_LINE) + b"\n"
+    assert (cut, end) == (b"cut", b"")
 
 
 # ---------------------------------------------------------------------------
@@ -834,7 +874,7 @@ def await_peer_close(client: ShardClient) -> None:
     """Wait until the client's pooled connections see the peer's close."""
     assert wait_until(
         lambda: not any(
-            router_module._peer_open(idle) for idle in client._idle
+            router_module._still_open(idle) for idle in client._idle
         )
     )
 
@@ -899,7 +939,7 @@ class TestPooledShardConnections:
         close_accepted(shard_servers[shard], accepted)
         await_peer_close(router.clients[shard])
         # the close lands after the idle check: the send meets a dead peer
-        monkeypatch.setattr(router_module, "_peer_open", lambda _: True)
+        monkeypatch.setattr(router_module, "_still_open", lambda _: True)
         breaker = router.clients[shard].breaker
         failures: list = []
         record_failure = breaker.record_failure
@@ -926,7 +966,7 @@ class TestPooledShardConnections:
         close_accepted(shard, accepted)
         await_peer_close(router.clients[0])
         with monkeypatch.context() as patch:
-            patch.setattr(router_module, "_peer_open", lambda _: True)
+            patch.setattr(router_module, "_still_open", lambda _: True)
             status, document = post(f"{router.url}/mutate", touch)
         assert status == 503, document
         assert store.last_seq - logged <= 1  # at most the one attempt
@@ -936,6 +976,20 @@ class TestPooledShardConnections:
         assert status == 200
         assert len(accepted[shard]) == 2
         assert store.last_seq == logged + 1
+
+    def test_an_idle_connection_the_shard_closed_is_never_reused(
+        self, durable_rig, accepted
+    ):
+        """The end-of-file check before reuse: a mutation, never
+        re-sent, still lands when the shard closed the idle one."""
+        router, shard, store = durable_rig
+        touch = {"op": "touch", "owner": store.owner_ids()[0]}
+        assert post(f"{router.url}/mutate", touch)[0] == 200
+        close_accepted(shard, accepted)
+        await_peer_close(router.clients[0])
+        status, document = post(f"{router.url}/mutate", touch)
+        assert status == 200, document
+        assert len(accepted[shard]) == 2
 
     def test_reads_follow_a_kill9_restarted_shard_to_its_new_url(self):
         cohort = ["--owners", "4", "--strangers", "20", "--friends", "6"]
