@@ -580,7 +580,7 @@ def serve_main(argv: Sequence[str] | None = None) -> int:
 
     def drain() -> dict:
         print(
-            f"draining: {server.scheduler.pending_count()} in flight, "
+            f"draining: {server.scheduler.pending} in flight, "
             f"budget {args.drain_timeout:.1f}s",
             file=sys.stderr,
         )
@@ -678,6 +678,7 @@ def serve_sharded(args: argparse.Namespace) -> int:
     then drains the router and SIGTERMs every shard (each runs its own
     graceful drain).
     """
+    import asyncio
     import os
 
     from .service import (
@@ -759,15 +760,15 @@ def serve_sharded(args: argparse.Namespace) -> int:
         log=lambda message: print(message, file=sys.stderr, flush=True),
     )
     router.rebalance = coordinator
-    if pending_manifest is not None:
-        outcome = coordinator.finish_boot_recovery()
-        print(
-            f"interrupted rebalance recovered: {outcome}",
-            file=sys.stderr,
-            flush=True,
-        )
-    elif args.wal_dir is not None:
-        coordinator.finish_boot_recovery()  # persists the current topology
+    if args.wal_dir is not None:
+        # finishes an interrupted migration, or persists the topology
+        outcome = asyncio.run(coordinator.finish_boot_recovery())
+        if pending_manifest is not None:
+            print(
+                f"interrupted rebalance recovered: {outcome}",
+                file=sys.stderr,
+                flush=True,
+            )
     state.ready = True
     state.detail = "routing"
 

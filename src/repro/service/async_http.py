@@ -36,6 +36,8 @@ drain progress.
 from __future__ import annotations
 
 import asyncio
+import functools
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
 from ..errors import (
@@ -121,7 +123,7 @@ class _RiskHandler(RequestHandler):
     def _draining_document(self) -> dict[str, Any]:
         return {
             "error": "service is draining",
-            "pending": self.server.scheduler.pending_count(),
+            "pending": self.server.scheduler.pending,
         }
 
     # ------------------------------------------------------------------
@@ -149,7 +151,7 @@ class _RiskHandler(RequestHandler):
             "detail": state.detail,
             "draining": state.draining,
             "scheduler_accepting": accepting,
-            "pending": self.server.scheduler.pending_count(),
+            "pending": self.server.scheduler.pending,
         }
         self._respond(200 if ready else 503, document)
 
@@ -324,6 +326,12 @@ class _RiskHandler(RequestHandler):
     # loop is what lets concurrent mutations overlap — the pile-up
     # inside ``wait_durable`` is the group being committed)
     # ------------------------------------------------------------------
+    async def _run_blocking(self, fn, *args, **kwargs):
+        """Run a blocking store call on the server's pool."""
+        return await asyncio.get_running_loop().run_in_executor(
+            self.server.pool, functools.partial(fn, *args, **kwargs)
+        )
+
     async def _mutate(self, op: str, body: dict[str, Any]) -> None:
         store = self.server.engine.store
         try:
@@ -419,8 +427,9 @@ class AsyncRiskServer(HttpServerCore):
 
     Lifecycle (bind in the constructor, :meth:`serve_forever` on a
     thread, :meth:`shutdown`, :meth:`server_close`) comes from
-    :class:`~repro.service.http.HttpServerCore`; the pool runs blocking
-    store work (mutations, slice ops).
+    :class:`~repro.service.http.HttpServerCore`; the server adds the
+    pool that runs blocking store work (mutations, slice ops), released
+    by :meth:`server_close`.
     """
 
     handler_class = _RiskHandler
@@ -440,14 +449,20 @@ class AsyncRiskServer(HttpServerCore):
             request_timeout=request_timeout,
             state=state,
             admission_capacity=admission_capacity,
-            pool_size=_MUTATE_POOL_SIZE,
-            pool_name="wal-commit",
+        )
+        self.pool = ThreadPoolExecutor(
+            max_workers=_MUTATE_POOL_SIZE, thread_name_prefix="wal-commit"
         )
         self.engine = engine
         self.scheduler = scheduler
         self.breaker = breaker or CircuitBreaker(
             failure_threshold=5, recovery_time=5.0
         )
+
+    def server_close(self) -> None:
+        """Release the listening socket and the pool."""
+        super().server_close()
+        self.pool.shutdown(wait=False)
 
 
 def build_server(

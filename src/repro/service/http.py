@@ -33,11 +33,11 @@ The router (:mod:`repro.service.router`) speaks the same conventions in
 front of the shard workers.  Both run on the one asyncio core in this
 module: :class:`HttpServerCore` owns the listener (bound in the
 constructor, backlog ``socket.SOMAXCONN``), the keep-alive connection
-loop, the request reader, an :class:`AdmissionQueue` and a thread pool
-for blocking calls; :class:`RequestHandler` is the base both handlers
-extend, holding the response writer, the drain and admission gates, and
-request parsing (``Content-Length``, ``?owner=``, the JSON body,
-``{"owner": …}``, ``{"owners": […]}``, ``measure``, ``op``).  The
+loop, the request reader and an :class:`AdmissionQueue`;
+:class:`RequestHandler` is the base both handlers extend, holding the
+response writer, the drain and admission gates, and request parsing
+(``Content-Length``, ``?owner=``, the JSON body, ``{"owner": …}``,
+``{"owners": […]}``, ``measure``, ``op``).  The
 ``/mutate`` exception-to-status table (:func:`mutation_failure`) lives
 here too.
 
@@ -51,11 +51,9 @@ than 64 KiB is a 414; a longer header line, or more than 100 headers, a
 from __future__ import annotations
 
 import asyncio
-import functools
 import json
 import socket
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from http.client import responses as _STATUS_REASONS
 from typing import Any, NamedTuple
@@ -363,12 +361,6 @@ class RequestHandler:
             return True
         return False
 
-    async def _run_blocking(self, fn, *args, **kwargs):
-        """Run a blocking call on the server's pool, off the event loop."""
-        return await asyncio.get_running_loop().run_in_executor(
-            self.server.pool, functools.partial(fn, *args, **kwargs)
-        )
-
     # ------------------------------------------------------------------
     # scoring requests
     # ------------------------------------------------------------------
@@ -595,9 +587,9 @@ class HttpServerCore:
     listens (so a busy port raises ``OSError`` right there),
     :meth:`serve_forever` blocks (run it on a thread), :meth:`shutdown`
     stops the loop from any thread, and :meth:`server_close` releases
-    the socket and the blocking-call pool.  Every connection is served
-    by one event loop with HTTP/1.1 keep-alive; each request gets a
-    fresh :attr:`handler_class`.
+    the socket.  Every connection is served by one event loop with
+    HTTP/1.1 keep-alive; each request gets a fresh
+    :attr:`handler_class`.
     """
 
     handler_class: type[RequestHandler] = RequestHandler
@@ -609,21 +601,18 @@ class HttpServerCore:
         request_timeout: float,
         state: ServiceState | None,
         admission_capacity: int,
-        pool_size: int,
-        pool_name: str,
     ) -> None:
         self.request_timeout = request_timeout
         self.state = state or ServiceState()
         self.admission = AdmissionQueue(admission_capacity)
         self.socket = _listen(address)
         self.server_address = self.socket.getsockname()
-        self.pool = ThreadPoolExecutor(
-            max_workers=pool_size, thread_name_prefix=pool_name
-        )
         self._stopped = threading.Event()
-        #: Open client connections, closed when the loop stops: an idle
-        #: keep-alive connection would otherwise outlive the server.
-        self._connections: set[asyncio.StreamWriter] = set()
+        #: Open client connections and the task serving each, closed and
+        #: awaited when the loop stops: an idle keep-alive connection
+        #: would otherwise outlive the server, and a handler task left to
+        #: ``asyncio.run``'s cancellation logs an error on Python 3.11.
+        self._connections: dict[asyncio.StreamWriter, asyncio.Task] = {}
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop_event: asyncio.Event | None = None
         self._shutdown_requested = False
@@ -654,10 +643,8 @@ class HttpServerCore:
             self._stopped.wait(timeout=5)
 
     def server_close(self) -> None:
-        """Release the listening socket and the pool (after
-        :meth:`shutdown`)."""
+        """Release the listening socket (after :meth:`shutdown`)."""
         self.socket.close()
-        self.pool.shutdown(wait=False)
 
     async def _serve(self) -> None:
         self._loop = asyncio.get_running_loop()
@@ -674,14 +661,20 @@ class HttpServerCore:
             await self._stop_event.wait()
         finally:
             server.close()
-            for writer in list(self._connections):
+            handlers = list(self._connections.items())
+            for writer, _ in handlers:
                 writer.close()
+            # an idle handler reads end-of-file and returns; a busy one
+            # finishes its request first
+            await asyncio.gather(
+                *(task for _, task in handlers), return_exceptions=True
+            )
             await server.wait_closed()
 
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._connections.add(writer)
+        self._connections[writer] = asyncio.current_task()
         try:
             while True:
                 try:
@@ -710,7 +703,7 @@ class HttpServerCore:
         ):
             pass  # client went away mid-request
         finally:
-            self._connections.discard(writer)
+            self._connections.pop(writer, None)
             writer.close()
             try:
                 await writer.wait_closed()

@@ -32,6 +32,13 @@ truncate-source → retire → done``
 * **retire** — (shrink) drain the removed tail workers and delete
   their WAL dirs.
 
+The coordinator is one :class:`asyncio.Task` on the router's event
+loop, next to the requests it fences: phase calls go out on
+:class:`~repro.service.router.ShardClient` connections kept per shard
+for the run, the steps that wait on worker processes (spawn, ready,
+retire) are awaited on worker threads, and a pause awaits an
+:class:`asyncio.Event` that ``resume``/``abort`` set.
+
 Every phase completion is journaled in a **rebalance manifest**
 (:class:`~repro.io.checkpoint.CheckpointStore`, atomic write) next to a
 persisted **topology** document, so a router killed at *any* phase
@@ -51,13 +58,17 @@ from __future__ import annotations
 import asyncio
 import os
 import shutil
-import threading
-import time
 from pathlib import Path
 from typing import Any, Callable
 
-from ..errors import RebalanceError, ShardUnavailableError
+from ..errors import (
+    DeadlineExceededError,
+    RebalanceError,
+    RetryExhaustedError,
+    ShardUnavailableError,
+)
 from ..io.checkpoint import CheckpointStore
+from ..resilience import Deadline, RetryPolicy, retry_call_async
 from .router import ShardClient
 from .sharding import ShardMap
 from .supervisor import ShardSpec
@@ -87,6 +98,9 @@ TOPOLOGY_KEY = "topology"
 #: phase — a deterministic router ``kill -9`` for the recovery matrix.
 EXIT_AFTER_ENV = "REPRO_REBALANCE_EXIT_AFTER_PHASE"
 REBALANCE_EXIT_CODE = 25
+
+#: Seconds between a phase call's attempts while its shard is away.
+_RETRY_DELAY = 0.2
 
 
 def phase_reached(phase: str | None, target: str) -> bool:
@@ -128,6 +142,10 @@ class _AbortRequested(Exception):
 
 class RebalanceCoordinator:
     """Drives one live resize of the shard fleet, journaled throughout.
+
+    Lives on the router's event loop: :meth:`begin`, :meth:`resume`,
+    :meth:`abort` and :meth:`status` are called from its handlers, and
+    the migration runs as a task there.
 
     Parameters
     ----------
@@ -181,10 +199,12 @@ class RebalanceCoordinator:
         self._shard_patience = shard_patience
         self._drift_retries = max(1, drift_retries)
         self._retire_drain_timeout = retire_drain_timeout
-        self._lock = threading.RLock()
-        self._thread: threading.Thread | None = None
-        self._resume = threading.Event()
-        self._abort = threading.Event()
+        self._task: asyncio.Task | None = None
+        self._resume = asyncio.Event()
+        self._abort = asyncio.Event()
+        #: One client per shard index for a run (or a boot recovery),
+        #: closed when it ends.
+        self._clients: dict[int, ShardClient] = {}
         self._pause_before: str | None = None
         self._paused_at: str | None = None
         self._slices: dict[tuple[int, int], dict[str, Any]] = {}
@@ -197,88 +217,77 @@ class RebalanceCoordinator:
     # ------------------------------------------------------------------
     def status(self) -> dict[str, Any]:
         """JSON-ready migration status for ``GET /shards``."""
-        with self._lock:
-            manifest = self._manifest
-            if manifest is None:
-                return {"status": "idle", "active": False}
-            active = manifest.get("status") == "active"
-            return {
-                "status": (
-                    "paused"
-                    if active and self._paused_at is not None
-                    else manifest.get("status")
-                ),
-                "active": active,
-                "phase": manifest.get("phase"),
-                "paused_at": self._paused_at,
-                "old_count": manifest.get("old_count"),
-                "new_count": manifest.get("new_count"),
-                "moves": [
-                    {
-                        "source": move["source"],
-                        "destination": move["destination"],
-                        "owners": len(move["owners"]),
-                    }
-                    for move in manifest.get("moves", [])
-                ],
-                "error": manifest.get("error"),
-            }
+        manifest = self._manifest
+        if manifest is None:
+            return {"status": "idle", "active": False}
+        active = manifest.get("status") == "active"
+        return {
+            "status": (
+                "paused"
+                if active and self._paused_at is not None
+                else manifest.get("status")
+            ),
+            "active": active,
+            "phase": manifest.get("phase"),
+            "paused_at": self._paused_at,
+            "old_count": manifest.get("old_count"),
+            "new_count": manifest.get("new_count"),
+            "moves": [
+                {
+                    "source": move["source"],
+                    "destination": move["destination"],
+                    "owners": len(move["owners"]),
+                }
+                for move in manifest.get("moves", [])
+            ],
+            "error": manifest.get("error"),
+        }
 
     def begin(
         self, new_count: int, pause_before: str | None = None
     ) -> None:
-        """Start a live resize to ``new_count`` shards (background).
+        """Start a live resize to ``new_count`` shards, as a task on the
+        running event loop.
 
         ``pause_before`` holds the state machine just before the named
         phase until :meth:`resume` — the inspection hook operators (and
         the chaos harness) use to act at an exact phase boundary.
         """
-        with self._lock:
-            if self._thread is not None and self._thread.is_alive():
-                raise RebalanceError(
-                    "a rebalance is already in progress",
-                    phase=(self._manifest or {}).get("phase"),
-                )
-            if (
-                self._manifest is not None
-                and self._manifest.get("status") == "active"
-            ):
-                raise RebalanceError(
-                    "an unfinished rebalance manifest exists; restart the "
-                    "router to recover it before resizing again",
-                    phase=self._manifest.get("phase"),
-                )
-            if not isinstance(new_count, int) or new_count < 1:
-                raise RebalanceError(
-                    f"shard count must be an integer >= 1, got {new_count!r}"
-                )
-            if pause_before is not None and pause_before not in PHASES:
-                raise RebalanceError(
-                    f"unknown phase {pause_before!r}; phases: {PHASES}"
-                )
-            current = self._router.shard_map.num_shards
-            if new_count == current:
-                raise RebalanceError(
-                    f"fleet is already at {new_count} shards"
-                )
-            self._manifest = {
-                "status": "active",
-                "phase": None,
-                "old_count": current,
-                "new_count": new_count,
-                "moves": [],
-                "error": None,
-            }
-            self._pause_before = pause_before
-            self._paused_at = None
-            self._resume = threading.Event()
-            self._abort = threading.Event()
-            self._slices = {}
-            self._journal()
-            self._thread = threading.Thread(
-                target=self._run, name="rebalance", daemon=True
+        if self.status()["active"]:
+            # a run's task ends in the same step that journals its end
+            raise RebalanceError(
+                "a rebalance is already in progress"
+                if self._task is not None
+                else "an unfinished rebalance manifest exists; restart the "
+                "router to recover it before resizing again",
+                phase=self._phase(),
             )
-            self._thread.start()
+        if not isinstance(new_count, int) or new_count < 1:
+            raise RebalanceError(
+                f"shard count must be an integer >= 1, got {new_count!r}"
+            )
+        if pause_before is not None and pause_before not in PHASES:
+            raise RebalanceError(
+                f"unknown phase {pause_before!r}; phases: {PHASES}"
+            )
+        current = self._router.shard_map.num_shards
+        if new_count == current:
+            raise RebalanceError(f"fleet is already at {new_count} shards")
+        self._manifest = {
+            "status": "active",
+            "phase": None,
+            "old_count": current,
+            "new_count": new_count,
+            "moves": [],
+            "error": None,
+        }
+        self._pause_before = pause_before
+        self._paused_at = None
+        self._resume = asyncio.Event()
+        self._abort = asyncio.Event()
+        self._slices = {}
+        self._journal()
+        self._task = asyncio.get_running_loop().create_task(self._run())
         self._log(
             f"rebalance started: {current} -> {new_count} shards"
             + (f" (pausing before {pause_before})" if pause_before else "")
@@ -286,41 +295,32 @@ class RebalanceCoordinator:
 
     def resume(self) -> None:
         """Release a migration paused by ``pause_before``."""
-        with self._lock:
-            if self._manifest is None or self._manifest.get("status") != "active":
-                raise RebalanceError("no active rebalance to resume")
-            self._resume.set()
+        if not self.status()["active"]:
+            raise RebalanceError("no active rebalance to resume")
+        self._resume.set()
 
     def abort(self) -> None:
         """Request a rollback; only honored before cutover."""
-        with self._lock:
-            if self._manifest is None or self._manifest.get("status") != "active":
-                raise RebalanceError("no active rebalance to abort")
-            if phase_reached(self._manifest.get("phase"), "cutover"):
-                raise RebalanceError(
-                    "cutover already journaled; the migration can only "
-                    "roll forward",
-                    phase=self._manifest.get("phase"),
-                )
-            self._abort.set()
-            self._resume.set()  # wake a paused state machine
-
-    def wait(self, timeout: float | None = None) -> bool:
-        """Block until the background run finishes (tests/ops tooling)."""
-        thread = self._thread
-        if thread is None:
-            return True
-        thread.join(timeout=timeout)
-        return not thread.is_alive()
+        if not self.status()["active"]:
+            raise RebalanceError("no active rebalance to abort")
+        if phase_reached(self._phase(), "cutover"):
+            raise RebalanceError(
+                "cutover already journaled; the migration can only "
+                "roll forward",
+                phase=self._phase(),
+            )
+        self._abort.set()
+        self._resume.set()  # wake a paused state machine
 
     # ------------------------------------------------------------------
     # boot-time recovery (router restarted mid-migration)
     # ------------------------------------------------------------------
-    def finish_boot_recovery(self) -> str | None:
+    async def finish_boot_recovery(self) -> str | None:
         """Complete or undo an interrupted migration found on disk.
 
-        Call after the supervisor and router are up, *before* marking
-        the deployment ready.  The caller must already have booted at
+        Run it once after the supervisor is up and *before* the router
+        serves (``serve --shards`` runs it under :func:`asyncio.run`).
+        The caller must already have booted at
         :func:`effective_topology`'s count.  Returns ``"rolled-forward"``,
         ``"rolled-back"``, or ``None`` when there was nothing to do.
         """
@@ -328,68 +328,39 @@ class RebalanceCoordinator:
         if manifest is None or manifest.get("status") != "active":
             self._persist_topology(self._router.shard_map.num_shards)
             return None
-        old_count = int(manifest["old_count"])
-        new_count = int(manifest["new_count"])
-        if phase_reached(manifest.get("phase"), "cutover"):
+        try:
+            if phase_reached(manifest.get("phase"), "cutover"):
+                self._log(
+                    "recovering interrupted rebalance past cutover: "
+                    f"rolling forward to {manifest['new_count']} shards"
+                )
+                self._persist_topology(manifest["new_count"])
+                await self._roll_forward()
+                return "rolled-forward"
             self._log(
-                "recovering interrupted rebalance past cutover: "
-                f"rolling forward to {new_count} shards"
+                "recovering interrupted rebalance before cutover: "
+                f"rolling back to {manifest['old_count']} shards"
             )
-            self._persist_topology(new_count)
-            if not phase_reached(manifest["phase"], "truncate-source"):
-                self._phase_truncate()
-                self._set_phase("truncate-source")
-            if not phase_reached(manifest["phase"], "retire"):
-                self._phase_retire()
-                self._set_phase("retire")
-            self._finish_done()
-            return "rolled-forward"
-        self._log(
-            "recovering interrupted rebalance before cutover: "
-            f"rolling back to {old_count} shards"
-        )
-        if new_count > old_count:
-            # joining workers were never part of the booted (old-count)
-            # fleet; their WAL dirs may hold partial imports — delete
-            # them so a future grow starts clean
-            for index in range(old_count, new_count):
-                self._remove_shard_dir(index)
-        else:
-            for move in manifest.get("moves", []):
-                destination = int(move["destination"])
-                if destination >= self._supervisor.num_shards:
-                    continue
-                try:
-                    self._shard_call(
-                        destination,
-                        "POST",
-                        "/slice/detach",
-                        {"owners": move["owners"]},
-                        patience=self._shard_patience,
-                    )
-                except RebalanceError as error:
-                    self._log(
-                        f"rollback detach on shard {destination} failed: "
-                        f"{error} (owners still safe on the source)"
-                    )
-        manifest["status"] = "aborted"
-        manifest["error"] = "interrupted before cutover; rolled back"
-        self._journal()
-        self._persist_topology(old_count)
-        return "rolled-back"
+            await self._rollback(
+                "interrupted before cutover; rolled back",
+                patience=self._shard_patience,
+            )
+            return "rolled-back"
+        finally:
+            self._close_clients()
 
     # ------------------------------------------------------------------
     # the state machine
     # ------------------------------------------------------------------
-    def _run(self) -> None:
+    async def _run(self) -> None:
         manifest = self._manifest
         assert manifest is not None
         try:
-            self._gate("plan")
-            self._phase_plan()
+            await self._gate("plan")
+            await self._phase_plan()
             self._set_phase("plan")
-            self._gate("spawn")
-            self._phase_spawn()
+            await self._gate("spawn")
+            await self._phase_spawn()
             self._set_phase("spawn")
             moving = sorted(
                 {
@@ -400,17 +371,17 @@ class RebalanceCoordinator:
             )
             self._router.set_fence(moving, "migrating")
             for attempt in range(self._drift_retries):
-                self._gate("snapshot-slice")
-                self._phase_snapshot()
+                await self._gate("snapshot-slice")
+                await self._phase_snapshot()
                 self._set_phase("snapshot-slice")
-                self._gate("transfer")
-                self._phase_transfer()
+                await self._gate("transfer")
+                await self._phase_transfer()
                 self._set_phase("transfer")
-                self._gate("verify-digest")
-                self._phase_verify()
+                await self._gate("verify-digest")
+                await self._phase_verify()
                 self._set_phase("verify-digest")
-                self._gate("cutover")
-                if self._sources_stable():
+                await self._gate("cutover")
+                if await self._sources_stable():
                     break
                 self._log(
                     "a source drifted between export and cutover "
@@ -432,30 +403,38 @@ class RebalanceCoordinator:
             self._log(
                 f"cutover complete: routing at {manifest['new_count']} shards"
             )
-            self._pause_gate("truncate-source")
-            self._phase_truncate()
-            self._set_phase("truncate-source")
-            self._pause_gate("retire")
-            self._phase_retire()
-            self._set_phase("retire")
-            self._finish_done()
+            await self._roll_forward()
             self._log("rebalance done")
         except _AbortRequested:
-            self._rollback("aborted by operator request")
+            await self._rollback("aborted by operator request")
         except RebalanceError as error:
-            self._rollback(str(error))
+            await self._rollback(str(error))
         except Exception as error:  # noqa: BLE001 - journal, never crash the router
-            self._rollback(f"unexpected failure: {error!r}")
+            await self._rollback(f"unexpected failure: {error!r}")
         finally:
             self._router.clear_fence()
             self._paused_at = None
+            self._close_clients()
 
-    def _phase_plan(self) -> None:
+    async def _roll_forward(self) -> None:
+        """The phases after cutover that the manifest has not passed
+        (pause-only: a journaled cutover can no longer abort)."""
+        for phase, step in (
+            ("truncate-source", self._phase_truncate),
+            ("retire", self._phase_retire),
+        ):
+            if not phase_reached(self._phase(), phase):
+                await self._pause_gate(phase)
+                await step()
+                self._set_phase(phase)
+        self._finish_done()
+
+    async def _phase_plan(self) -> None:
         manifest = self._manifest
         new_map = self._new_map()
         groups: dict[tuple[int, int], list[int]] = {}
         for shard in range(int(manifest["old_count"])):
-            document = self._shard_call(shard, "GET", "/owners")
+            document = await self._shard_call(shard, "GET", "/owners")
             for row in document.get("owners", []):
                 owner = int(row["owner"])
                 destination = new_map.shard_of(owner)
@@ -477,15 +456,17 @@ class RebalanceCoordinator:
             f"{len(manifest['moves'])} edge(s)"
         )
 
-    def _phase_spawn(self) -> None:
+    async def _phase_spawn(self) -> None:
         manifest = self._manifest
         old_count = int(manifest["old_count"])
         new_count = int(manifest["new_count"])
         for index in range(old_count, new_count):
             spec = self._make_spec(index, new_count)
-            self._supervisor.add_worker(spec)
-            if not self._supervisor.wait_for_ready(
-                index, timeout=self._shard_patience
+            await asyncio.to_thread(self._supervisor.add_worker, spec)
+            if not await asyncio.to_thread(
+                self._supervisor.wait_for_ready,
+                index,
+                timeout=self._shard_patience,
             ):
                 raise RebalanceError(
                     f"joining shard {index} never became ready",
@@ -493,9 +474,9 @@ class RebalanceCoordinator:
                 )
             self._log(f"shard {index} spawned empty and ready")
 
-    def _phase_snapshot(self) -> None:
+    async def _phase_snapshot(self) -> None:
         for move in self._manifest["moves"]:
-            document = self._shard_call(
+            document = await self._shard_call(
                 int(move["source"]),
                 "POST",
                 "/slice/export",
@@ -506,7 +487,7 @@ class RebalanceCoordinator:
             ] = document
             move["owners_digest"] = document["owners_digest"]
 
-    def _phase_transfer(self) -> None:
+    async def _phase_transfer(self) -> None:
         old_count = int(self._manifest["old_count"])
         for move in self._manifest["moves"]:
             key = (int(move["source"]), int(move["destination"]))
@@ -515,7 +496,7 @@ class RebalanceCoordinator:
                 raise RebalanceError(
                     f"no exported slice for edge {key}", phase="transfer"
                 )
-            result = self._shard_call(
+            result = await self._shard_call(
                 int(move["destination"]),
                 "POST",
                 "/slice/import",
@@ -530,9 +511,9 @@ class RebalanceCoordinator:
             )
             move["imported_digest"] = result.get("owners_digest")
 
-    def _phase_verify(self) -> None:
+    async def _phase_verify(self) -> None:
         for move in self._manifest["moves"]:
-            digest = self._shard_call(
+            digest = await self._shard_call(
                 int(move["destination"]),
                 "POST",
                 "/slice/digest",
@@ -548,9 +529,9 @@ class RebalanceCoordinator:
                     phase="verify-digest",
                 )
 
-    def _sources_stable(self) -> bool:
+    async def _sources_stable(self) -> bool:
         for move in self._manifest["moves"]:
-            digest = self._shard_call(
+            digest = await self._shard_call(
                 int(move["source"]),
                 "POST",
                 "/slice/digest",
@@ -560,7 +541,7 @@ class RebalanceCoordinator:
                 return False
         return True
 
-    def _phase_truncate(self) -> None:
+    async def _phase_truncate(self) -> None:
         by_source: dict[int, list[int]] = {}
         for move in self._manifest["moves"]:
             by_source.setdefault(int(move["source"]), []).extend(
@@ -572,19 +553,17 @@ class RebalanceCoordinator:
                 # source was never respawned; its WAL dir is deleted at
                 # retire, which truncates it rather more thoroughly
                 continue
-            self._shard_call(
+            await self._shard_call(
                 source, "POST", "/slice/detach", {"owners": sorted(owners)}
             )
 
-    def _phase_retire(self) -> None:
+    async def _phase_retire(self) -> None:
         manifest = self._manifest
         old_count = int(manifest["old_count"])
         new_count = int(manifest["new_count"])
         for index in range(old_count - 1, new_count - 1, -1):
             if index < self._supervisor.num_shards:
-                self._supervisor.retire_worker(
-                    index, drain_timeout=self._retire_drain_timeout
-                )
+                await self._retire(index)
             self._remove_shard_dir(index)
             self._log(f"shard {index} retired; WAL dir removed")
 
@@ -596,7 +575,7 @@ class RebalanceCoordinator:
         self._journal()
         self._slices = {}
 
-    def _rollback(self, error: str) -> None:
+    async def _rollback(self, error: str, patience: float = 10.0) -> None:
         self._router.clear_fence()
         manifest = self._manifest
         if manifest is None:
@@ -607,14 +586,13 @@ class RebalanceCoordinator:
         try:
             if new_count > old_count:
                 # grow: every destination is a joining shard — drop the
-                # workers (tail-first) and their WAL dirs; the sources
+                # workers (tail-first; none at boot recovery) and their
+                # WAL dirs, which may hold partial imports; the sources
                 # never detached anything, so they stay authoritative
                 top = min(new_count, self._supervisor.num_shards)
                 for index in range(top - 1, old_count - 1, -1):
                     try:
-                        self._supervisor.retire_worker(
-                            index, drain_timeout=self._retire_drain_timeout
-                        )
+                        await self._retire(index)
                     except Exception:  # noqa: BLE001 - best-effort teardown
                         pass
                 for index in range(old_count, new_count):
@@ -625,45 +603,48 @@ class RebalanceCoordinator:
                 # source still holds every moved owner
                 for move in manifest.get("moves", []):
                     try:
-                        self._shard_call(
+                        await self._shard_call(
                             int(move["destination"]),
                             "POST",
                             "/slice/detach",
                             {"owners": move["owners"]},
-                            patience=min(10.0, self._shard_patience),
+                            patience=min(patience, self._shard_patience),
                         )
                     except RebalanceError as detach_error:
                         self._log(
                             "rollback detach on shard "
                             f"{move['destination']} failed: {detach_error}"
                         )
-        finally:
-            manifest["status"] = "aborted"
-            manifest["error"] = error
-            self._journal()
-            self._persist_topology(old_count)
-            self._slices = {}
+        except Exception as teardown_error:  # noqa: BLE001 - journal anyway
+            self._log(f"rollback teardown failed: {teardown_error!r}")
+        # not reached when the router stops mid-rollback (the task is
+        # cancelled): the manifest stays active and boot recovery rolls
+        # the migration back
+        manifest["status"] = "aborted"
+        manifest["error"] = error
+        self._journal()
+        self._persist_topology(old_count)
+        self._slices = {}
 
     # ------------------------------------------------------------------
     # gates, journaling, plumbing
     # ------------------------------------------------------------------
-    def _gate(self, phase: str) -> None:
+    async def _gate(self, phase: str) -> None:
         """Pre-cutover boundary: honor pause_before and abort requests."""
         if self._abort.is_set():
             raise _AbortRequested()
-        self._pause_gate(phase)
+        await self._pause_gate(phase)
         if self._abort.is_set():
             raise _AbortRequested()
 
-    def _pause_gate(self, phase: str) -> None:
-        """Pause-only boundary (post-cutover phases cannot abort)."""
+    async def _pause_gate(self, phase: str) -> None:
+        """Pause-only boundary (post-cutover phases cannot abort); an
+        abort sets the resume event too."""
         if self._pause_before != phase or self._resume.is_set():
             return
         self._paused_at = phase
         self._log(f"rebalance paused before {phase}")
-        while not self._resume.wait(timeout=0.1):
-            if self._abort.is_set():
-                break
+        await self._resume.wait()
         self._paused_at = None
 
     def _set_phase(self, phase: str) -> None:
@@ -703,7 +684,19 @@ class RebalanceCoordinator:
         if self._wal_root is not None:
             shutil.rmtree(self._wal_root / f"shard-{index}", ignore_errors=True)
 
-    def _shard_call(
+    async def _retire(self, index: int) -> None:
+        await asyncio.to_thread(
+            self._supervisor.retire_worker,
+            index,
+            drain_timeout=self._retire_drain_timeout,
+        )
+
+    def _close_clients(self) -> None:
+        clients, self._clients = self._clients, {}
+        for client in clients.values():
+            client.close()
+
+    async def _shard_call(
         self,
         shard: int,
         method: str,
@@ -714,55 +707,59 @@ class RebalanceCoordinator:
     ) -> dict[str, Any]:
         """One JSON call to a shard, patient across supervisor restarts.
 
-        Each attempt is one :meth:`~repro.service.router.ShardClient.attempt`,
-        driven by an event loop of its own on the calling thread.
-        Connection failures and 5xx answers are retried until
-        ``patience`` runs out — a shard killed mid-phase comes back on
-        the same WAL dir, and the phase call simply lands on the
-        restarted worker.  Non-retryable HTTP errors (the 409 digest
-        conflict, 4xx) raise immediately.
+        Each attempt is one :meth:`~repro.service.router.ShardClient.attempt`
+        on the run's client for ``shard``.  Connection failures and
+        502/503/504 answers are retried until ``patience`` runs out — a
+        shard killed mid-phase comes back on the same WAL dir, and the
+        phase call simply lands on the restarted worker.  Any other
+        error status (the 409 digest conflict, a 4xx) raises at once.
         """
-        deadline = time.monotonic() + (
-            self._shard_patience if patience is None else patience
-        )
-        client = ShardClient(
-            self._supervisor, shard, timeout=self._http_timeout
-        )
+        patience = self._shard_patience if patience is None else patience
+        client = self._clients.get(shard)
+        if client is None:
+            client = self._clients[shard] = ShardClient(
+                self._supervisor, shard, timeout=self._http_timeout
+            )
 
-        async def call() -> dict[str, Any]:
-            try:
-                last_error = f"shard {shard} never became addressable"
-                while time.monotonic() < deadline:
-                    try:
-                        status, document, _ = await client.attempt(
-                            method, path, body
-                        )
-                    except ShardUnavailableError as error:
-                        last_error = str(error)
-                        await asyncio.sleep(0.2)
-                        continue
-                    if status < 300:
-                        return document
-                    if status in (502, 503, 504):
-                        last_error = (
-                            f"shard {shard} answered {status}: "
-                            f"{document.get('error', '')}"
-                        )
-                        await asyncio.sleep(0.2)
-                        continue
-                    raise RebalanceError(
-                        f"shard {shard} {method} {path} answered {status}: "
-                        f"{document.get('error', '')}",
-                        phase=(self._manifest or {}).get("phase"),
-                    )
-                raise RebalanceError(
-                    f"{method} {path} failed: {last_error}",
-                    phase=(self._manifest or {}).get("phase"),
-                )
-            finally:
-                client.close()  # one call: keep no idle connection
+        async def attempt() -> dict[str, Any]:
+            status, document, _ = await client.attempt(method, path, body)
+            if status < 300:
+                return document
+            message = (
+                f"shard {shard} {method} {path} answered {status}: "
+                f"{document.get('error', '')}"
+            )
+            if status in (502, 503, 504):  # restarting or draining
+                raise ShardUnavailableError(message, shard=shard)
+            raise RebalanceError(message, phase=self._phase())
 
-        return asyncio.run(call())
+        # a shard that fails fast runs out of attempts just inside the
+        # deadline, which keeps its last error; the deadline ends a call
+        # whose attempts hang
+        policy = RetryPolicy(
+            max_attempts=max(1, int(patience / _RETRY_DELAY)),
+            base_delay=_RETRY_DELAY,
+            multiplier=1.0,
+            max_delay=_RETRY_DELAY,
+            jitter=0.0,
+        )
+        try:
+            return await retry_call_async(
+                attempt,
+                policy,
+                retry_on=(ShardUnavailableError,),
+                deadline=Deadline(patience),
+            )
+        except RetryExhaustedError as error:
+            cause = error.last_error
+        except DeadlineExceededError as error:
+            cause = error
+        raise RebalanceError(
+            f"{method} {path} failed: {cause}", phase=self._phase()
+        ) from cause
+
+    def _phase(self) -> str | None:
+        return (self._manifest or {}).get("phase")
 
 
 __all__ = [

@@ -38,8 +38,10 @@ applied/failed shard lists; the mutation was acknowledged only by the
 shards listed as applied.
 
 The router runs on the same asyncio core as the shard workers
-(:mod:`repro.service.http`), with the same bounded admission, and makes
-its shard calls on that event loop too (:class:`ShardClient`).
+(:mod:`repro.service.http`), with the same bounded admission.  Its
+shard calls (:class:`ShardClient`) and the live-rebalance coordinator
+(:mod:`repro.service.rebalance`) run on that one event loop too; the
+router owns no thread pool.
 """
 
 from __future__ import annotations
@@ -85,10 +87,6 @@ _SHARD_FAILURES = (
     ShardUnavailableError, RetryExhaustedError, CircuitOpenError
 )
 
-#: Threads for the rebalance coordinator's blocking ``begin``/``resume``/
-#: ``abort``; shard calls run on the event loop itself.
-_ADMIN_POOL_SIZE = 2
-
 #: An open connection to a shard: the stream pair asyncio hands out.
 _Connection = tuple[asyncio.StreamReader, asyncio.StreamWriter]
 
@@ -101,7 +99,7 @@ class ShardClient:
     connection-level failures into :class:`ShardUnavailableError`, which
     the retry policy treats as transient and the breaker as a failure.
     Its connections belong to the event loop that opened them: the
-    router's own, or the one a rebalance phase call runs on.
+    router's own, or the one boot recovery runs on.
 
     Calls reuse HTTP/1.1 keep-alive connections, pooled under the URL
     they were opened to: a URL change (a restarted worker) drops the
@@ -379,9 +377,9 @@ def _retry_after(headers: dict[str, str]) -> int | None:
 class ShardRouterHandler(RequestHandler):
     """Routes requests to shard workers; never computes a score.
 
-    Shard calls (:class:`ShardClient`) run on the event loop, so a
-    fan-out never waits for a thread; only the rebalance coordinator's
-    blocking steps run on the server's small pool.
+    Shard calls (:class:`ShardClient`) and the rebalance coordinator's
+    ``begin``/``resume``/``abort`` run on the event loop, so a fan-out
+    never waits for a thread.
     """
 
     server: "ShardRouterServer"
@@ -445,9 +443,9 @@ class ShardRouterHandler(RequestHandler):
             return
         try:
             if body.get("resume"):
-                await self._run_blocking(coordinator.resume)
+                coordinator.resume()
             elif body.get("abort"):
-                await self._run_blocking(coordinator.abort)
+                coordinator.abort()
             elif "count" in body:
                 count = body["count"]
                 if not isinstance(count, int) or isinstance(count, bool):
@@ -455,11 +453,7 @@ class ShardRouterHandler(RequestHandler):
                         400, {"error": f"invalid shard count {count!r}"}
                     )
                     return
-                await self._run_blocking(
-                    coordinator.begin,
-                    count,
-                    pause_before=body.get("pause_before"),
-                )
+                coordinator.begin(count, pause_before=body.get("pause_before"))
             else:
                 self._respond(
                     400,
@@ -954,9 +948,9 @@ class ShardRouterHandler(RequestHandler):
 class ShardRouterServer(HttpServerCore):
     """The router bound to one supervisor + shard map.
 
-    Runs on the shared asyncio core, shard calls included: a full
-    router sheds with 429 + ``Retry-After``, and its pool only holds
-    the few threads the rebalance coordinator's blocking steps need.
+    Runs on the shared asyncio core, shard calls and the rebalance
+    coordinator included; a full router sheds with 429 +
+    ``Retry-After``.
 
     The shard map and client list live together in one *topology* tuple
     swapped atomically at rebalance cutover; request handlers snapshot
@@ -982,8 +976,6 @@ class ShardRouterServer(HttpServerCore):
             request_timeout=request_timeout,
             state=state,
             admission_capacity=admission_capacity,
-            pool_size=_ADMIN_POOL_SIZE,
-            pool_name="rebalance-admin",
         )
         self.supervisor = supervisor
         self.retry_policy = retry_policy
@@ -998,7 +990,7 @@ class ShardRouterServer(HttpServerCore):
         #: tests); ``POST /shards`` answers 503 while this is ``None``.
         self.rebalance = None
         #: ``(frozenset(moving_owners), phase)`` while a migration is in
-        #: flight, else ``None``.  Single-attribute read/write — atomic.
+        #: flight, else ``None``; set and read on the event loop.
         self._fence: tuple[frozenset[int], str] | None = None
         #: Bumped on the event loop only.
         self.counters = {
@@ -1040,8 +1032,8 @@ class ShardRouterServer(HttpServerCore):
 
         Surviving shards keep their existing :class:`ShardClient` — and
         with it their circuit-breaker history; new tail shards get fresh
-        clients; clients past the new count are closed (on the event
-        loop, which owns their connections) and dropped.
+        clients; clients past the new count are closed and dropped.
+        Called on the event loop, which owns their connections.
         """
         old_clients = self._topology[1]
         clients = [
@@ -1051,15 +1043,8 @@ class ShardRouterServer(HttpServerCore):
             for shard in range(shard_map.num_shards)
         ]
         self._topology = (shard_map, clients)
-        loop = self._loop
         for client in old_clients[len(clients):]:
-            if loop is None:  # never served: nothing is pooled
-                client.close()
-                continue
-            try:
-                loop.call_soon_threadsafe(client.close)
-            except RuntimeError:  # pragma: no cover - the router stopped
-                pass
+            client.close()
 
     async def _serve(self) -> None:
         try:
@@ -1086,7 +1071,6 @@ class ShardRouterServer(HttpServerCore):
     def count(self, key: str) -> None:
         """Bump one router counter (on the event loop)."""
         self.counters[key] += 1
-
 
 
 def build_router(

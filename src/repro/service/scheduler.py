@@ -238,12 +238,6 @@ class ScoreScheduler:
         """The backpressure bound."""
         return self._max_pending
 
-    def pending_count(self) -> int:
-        """In-flight plus queued requests — drain progress for the HTTP
-        layer (identical to :attr:`pending`, but callable-shaped for
-        duck-typed status reporters)."""
-        return self.pending
-
     @property
     def accepting(self) -> bool:
         """Whether :meth:`submit` would currently accept new work."""

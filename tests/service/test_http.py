@@ -248,6 +248,28 @@ def test_a_busy_port_raises_at_construction():
             )
 
 
+def test_stopping_with_an_idle_keep_alive_connection_logs_no_error(caplog):
+    """A connection's handler ends on its own when the server stops: left
+    to ``asyncio.run``'s cancellation, Python 3.11 logs a
+    ``CancelledError`` from the stream callback once per connection."""
+    server = build_server(gated_engine(), max_workers=1, max_pending=4)
+    thread = serve(server)
+    host, port = server.server_address[:2]
+    connection = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        connection.request("GET", "/healthz")
+        response = connection.getresponse()
+        assert response.status == 200
+        response.read()  # the connection stays open, idle
+        shut_down(server, thread)
+    finally:
+        connection.close()
+    assert not [
+        record for record in caplog.records
+        if record.name == "asyncio" and record.levelname == "ERROR"
+    ]
+
+
 class TestEndpoints:
     def test_healthz(self, live_server):
         status, document, _ = get(f"{live_server.url}/healthz")

@@ -333,14 +333,13 @@ def elastic_rig():
     router_thread = threading.Thread(target=router.serve_forever, daemon=True)
     router_thread.start()
     threads.append(router_thread)
-    coordinator = RebalanceCoordinator(
+    router.rebalance = RebalanceCoordinator(
         router,
         lambda index, count: (index, count),
         shard_patience=15.0,
     )
-    router.rebalance = coordinator
-    yield router, supervisor, coordinator
-    coordinator.wait(timeout=30)
+    yield router, supervisor
+    wait_for_rebalance(router, timeout=30)
     for server in (*servers, router):
         server.shutdown()
         server.server_close()
@@ -357,20 +356,47 @@ def reference_digests(owner_ids):
     return {owner: engine.score(owner).digest for owner in owner_ids}
 
 
-def wait_for_pause(coordinator, phase, timeout=30.0):
+def rebalance_status(router) -> dict:
+    """The ``rebalance`` block of the router's ``GET /shards``."""
+    http_status, document, _ = get(f"{router.url}/shards")
+    assert http_status == 200
+    return document["rebalance"]
+
+
+def wait_for_pause(router, phase, timeout=30.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        if coordinator.status().get("paused_at") == phase:
+        if rebalance_status(router).get("paused_at") == phase:
             return
         time.sleep(0.02)
     raise AssertionError(
-        f"never paused before {phase}: {coordinator.status()}"
+        f"never paused before {phase}: {rebalance_status(router)}"
     )
+
+
+def wait_for_rebalance(router, timeout=60.0):
+    """Poll ``GET /shards`` until no migration is active; returns the
+    final ``rebalance`` block, or ``None`` if one still runs."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        status = rebalance_status(router)
+        if not status["active"]:
+            return status
+        time.sleep(0.02)
+    return None
+
+
+def begin(router, count, **options):
+    """Start a resize through ``POST /shards``."""
+    http_status, document = post(
+        f"{router.url}/shards", {"count": count, **options}
+    )
+    assert http_status == 202, document
 
 
 class TestCoordinator:
     def test_grow_then_shrink_preserves_every_digest(self, elastic_rig):
-        router, supervisor, coordinator = elastic_rig
+        router, supervisor = elastic_rig
         owners = sorted(
             owner.user_id for owner in make_shard_population().owners
         )
@@ -378,9 +404,9 @@ class TestCoordinator:
         moves = moved_owners(ShardMap(2), ShardMap(3), owners)
         assert moves, "this cohort must exercise a real migration"
 
-        coordinator.begin(3)
-        assert coordinator.wait(timeout=60)
-        status = coordinator.status()
+        begin(router, 3)
+        status = wait_for_rebalance(router)
+        assert status
         assert status["status"] == "done" and status["phase"] == "done"
         assert router.shard_map.num_shards == 3
         assert supervisor.num_shards == 3
@@ -395,9 +421,10 @@ class TestCoordinator:
         new_map = ShardMap(3)
         assert rows == {o: new_map.shard_of(o) for o in owners}
 
-        coordinator.begin(2)
-        assert coordinator.wait(timeout=60)
-        assert coordinator.status()["status"] == "done"
+        begin(router, 2)
+        status = wait_for_rebalance(router)
+        assert status
+        assert status["status"] == "done"
         assert router.shard_map.num_shards == 2
         assert supervisor.num_shards == 2
         for owner in owners:
@@ -408,7 +435,7 @@ class TestCoordinator:
     def test_fence_bounds_moving_owners_and_spares_the_rest(
         self, elastic_rig
     ):
-        router, _, coordinator = elastic_rig
+        router, _ = elastic_rig
         owners = sorted(
             owner.user_id for owner in make_shard_population().owners
         )
@@ -417,8 +444,8 @@ class TestCoordinator:
         still = sorted(set(owners) - moving)
         assert moving and still
 
-        coordinator.begin(3, pause_before="cutover")
-        wait_for_pause(coordinator, "cutover")
+        begin(router, 3, pause_before="cutover")
+        wait_for_pause(router, "cutover")
         try:
             # the paused migration is visible on /shards
             http_status, document, _ = get(f"{router.url}/shards")
@@ -452,9 +479,10 @@ class TestCoordinator:
                 )
                 assert http_status == 200
         finally:
-            coordinator.resume()
-        assert coordinator.wait(timeout=60)
-        assert coordinator.status()["status"] == "done"
+            post(f"{router.url}/shards", {"resume": True})
+        status = wait_for_rebalance(router)
+        assert status
+        assert status["status"] == "done"
         assert router.fence is None
         # fence lifted: everyone serves again
         for owner in owners:
@@ -462,15 +490,15 @@ class TestCoordinator:
             assert http_status == 200
 
     def test_abort_before_cutover_rolls_back(self, elastic_rig):
-        router, supervisor, coordinator = elastic_rig
+        router, supervisor = elastic_rig
         owners = sorted(
             owner.user_id for owner in make_shard_population().owners
         )
-        coordinator.begin(3, pause_before="transfer")
-        wait_for_pause(coordinator, "transfer")
-        coordinator.abort()
-        assert coordinator.wait(timeout=60)
-        status = coordinator.status()
+        begin(router, 3, pause_before="transfer")
+        wait_for_pause(router, "transfer")
+        post(f"{router.url}/shards", {"abort": True})
+        status = wait_for_rebalance(router)
+        assert status
         assert status["status"] == "aborted"
         assert "abort" in status["error"]
         # the fleet is back to its pre-migration shape and serves
@@ -481,8 +509,37 @@ class TestCoordinator:
             http_status, _, _ = get(f"{router.url}/score?owner={owner}")
             assert http_status == 200
 
+    def test_a_paused_migration_holds_no_thread_and_spares_the_rest(
+        self, elastic_rig
+    ):
+        """The coordinator is a task on the router's event loop: paused
+        mid-handoff it parks no thread, and the loop keeps routing."""
+        router, _ = elastic_rig
+        owners = sorted(
+            owner.user_id for owner in make_shard_population().owners
+        )
+        moves = moved_owners(ShardMap(2), ShardMap(3), owners)
+        moving = {o for group in moves.values() for o in group}
+        still = sorted(set(owners) - moving)
+        begin(router, 3, pause_before="transfer")
+        wait_for_pause(router, "transfer")
+        try:
+            names = [thread.name for thread in threading.enumerate()]
+            assert not [
+                name for name in names
+                if name == "rebalance" or name.startswith("rebalance-admin")
+            ], names
+            http_status, document, _ = get(
+                f"{router.url}/score?owner={still[0]}"
+            )
+            assert http_status == 200, document
+        finally:
+            post(f"{router.url}/shards", {"resume": True})
+        status = wait_for_rebalance(router)
+        assert status and status["status"] == "done"
+
     def test_post_shards_drives_a_full_resize_over_http(self, elastic_rig):
-        router, supervisor, coordinator = elastic_rig
+        router, supervisor = elastic_rig
         owners = sorted(
             owner.user_id for owner in make_shard_population().owners
         )
@@ -491,13 +548,13 @@ class TestCoordinator:
         )
         assert http_status == 202
         assert document["ok"] is True
-        wait_for_pause(coordinator, "cutover")
+        wait_for_pause(router, "cutover")
         # a second resize while one is active is refused with the phase
         http_status, document = post(f"{router.url}/shards", {"count": 4})
         assert http_status == 409
         http_status, document = post(f"{router.url}/shards", {"resume": True})
         assert http_status == 202
-        assert coordinator.wait(timeout=60)
+        assert wait_for_rebalance(router)
         http_status, document, _ = get(f"{router.url}/shards")
         assert document["num_shards"] == 3
         assert supervisor.num_shards == 3
@@ -506,7 +563,7 @@ class TestCoordinator:
             assert http_status == 200
 
     def test_post_shards_validates_input(self, elastic_rig):
-        router, _, _ = elastic_rig
+        router, _ = elastic_rig
         http_status, document = post(f"{router.url}/shards", {"count": 0})
         assert http_status == 409
         http_status, document = post(f"{router.url}/shards", {"count": 2})
@@ -521,11 +578,12 @@ class TestCoordinator:
         assert http_status == 409  # nothing active
 
     def test_post_shards_abort_rolls_back_over_http(self, elastic_rig):
-        router, supervisor, coordinator = elastic_rig
+        router, supervisor = elastic_rig
         post(f"{router.url}/shards", {"count": 3, "pause_before": "spawn"})
-        wait_for_pause(coordinator, "spawn")
+        wait_for_pause(router, "spawn")
         http_status, document = post(f"{router.url}/shards", {"abort": True})
         assert http_status == 202
-        assert coordinator.wait(timeout=60)
-        assert coordinator.status()["status"] == "aborted"
+        status = wait_for_rebalance(router)
+        assert status
+        assert status["status"] == "aborted"
         assert supervisor.num_shards == 2

@@ -265,13 +265,13 @@ class TestDrain:
     def test_pending_count_tracks_the_queue(self):
         engine = GatedEngine()
         scheduler = ScoreScheduler(engine, max_workers=1, max_pending=8)
-        assert scheduler.pending_count() == 0
+        assert scheduler.pending == 0
         scheduler.submit(1)
         scheduler.submit(1)
-        assert scheduler.pending_count() == 2
+        assert scheduler.pending == 2
         engine.gate.set()
-        wait_until(lambda: not scheduler.pending_count())
-        assert scheduler.pending_count() == 0
+        wait_until(lambda: not scheduler.pending)
+        assert scheduler.pending == 0
         scheduler.shutdown()
 
     def test_shutdown_summary_includes_engine_metrics(self, service_engine):

@@ -1138,4 +1138,11 @@ class TestRouterSockets:
         coordinator = RebalanceCoordinator(
             router, lambda shard, count: None, shard_patience=2.0
         )
-        assert coordinator._shard_call(0, "GET", "/readyz")["ready"]
+
+        async def readyz():
+            try:
+                return await coordinator._shard_call(0, "GET", "/readyz")
+            finally:
+                coordinator._close_clients()
+
+        assert asyncio.run(readyz())["ready"]
