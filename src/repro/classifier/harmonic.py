@@ -106,7 +106,11 @@ class HarmonicClassifier:
         w_uu = weights[np.ix_(unlabeled_idx, unlabeled_idx)]
         w_ul = weights[np.ix_(unlabeled_idx, labeled_idx)]
         degrees = w_uu.sum(axis=1) + w_ul.sum(axis=1)
-        system = np.diag(degrees + self._config.epsilon) - w_uu
+        # D_uu - W_uu, built in the gathered copy: ``0 - w`` keeps the
+        # +0.0 a negation would flip to -0.0, and a pool graph's zero
+        # diagonal takes the degrees as they are
+        system = np.subtract(0.0, w_uu, out=w_uu)
+        np.fill_diagonal(system, degrees + self._config.epsilon)
         rhs = w_ul @ anchor
         try:
             solution = np.linalg.solve(system, rhs)

@@ -11,6 +11,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import asyncio
 import sys
 from typing import Sequence
 
@@ -592,12 +593,15 @@ def serve_main(argv: Sequence[str] | None = None) -> int:
             summary["wal"] = store.wal.stats()
         return summary
 
-    return _serve_until_signalled(server, drain)
+    # the drain blocks: it runs on a thread while the loop keeps serving
+    return asyncio.run(
+        _serve_until_signalled(server, lambda: asyncio.to_thread(drain))
+    )
 
 
-def _serve_until_signalled(server, drain) -> int:
-    """Serve ``server`` (the risk server or the router) until
-    SIGTERM/SIGINT, then run ``drain()`` and stop.
+async def _serve_until_signalled(server, drain) -> int:
+    """Serve ``server`` (the risk server or the router) on the running
+    event loop until SIGTERM/SIGINT, then await ``drain()`` and stop.
 
     The signal flips ``server.state`` to draining, so work-bearing
     requests answer 503 while health stays live; ``drain()`` returns the
@@ -605,29 +609,24 @@ def _serve_until_signalled(server, drain) -> int:
     """
     import json
     import signal
-    import threading
 
-    stop = threading.Event()
+    stop = asyncio.Event()
 
-    def _begin_drain(signum, frame) -> None:
+    def begin_drain(signum: int) -> None:
         server.state.draining = True
         server.state.detail = f"draining ({signal.Signals(signum).name})"
         stop.set()
 
-    signal.signal(signal.SIGTERM, _begin_drain)
-    signal.signal(signal.SIGINT, _begin_drain)
-
-    loop = threading.Thread(target=server.serve_forever, daemon=True)
-    loop.start()
+    loop = asyncio.get_running_loop()
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        loop.add_signal_handler(signum, begin_drain, signum)
+    serving = asyncio.create_task(server.serve())
     print(f"serving on {server.url}", file=sys.stderr, flush=True)
-    try:
-        stop.wait()
-    except KeyboardInterrupt:  # pragma: no cover - race with the handler
-        _begin_drain(signal.SIGINT, None)
-    summary = drain()
-    server.shutdown()
+    await stop.wait()
+    summary = await drain()
+    serving.cancel()
+    await asyncio.wait({serving})
     server.server_close()
-    loop.join(timeout=5)
     print(
         "final metrics: " + json.dumps(summary, sort_keys=True),
         file=sys.stderr,
@@ -674,11 +673,12 @@ def serve_sharded(args: argparse.Namespace) -> int:
     Each shard is a full ``repro-study serve`` subprocess restricted to
     its consistent-hash slice of the owner space (``--shard-index``),
     with its own WAL directory; the supervisor restarts crashed shards
-    and the router fails over around them.  Blocks until SIGTERM/SIGINT,
-    then drains the router and SIGTERMs every shard (each runs its own
-    graceful drain).
+    and the router fails over around them.  The router process is one
+    coroutine on one event loop: it binds the router's socket, starts
+    the supervisor, finishes an interrupted rebalance, and serves until
+    SIGTERM/SIGINT, then drains the router and SIGTERMs every shard
+    (each runs its own graceful drain).
     """
-    import asyncio
     import os
 
     from .service import (
@@ -694,6 +694,9 @@ def serve_sharded(args: argparse.Namespace) -> int:
 
     base_args = worker_base_args(args)
 
+    def say(message: str) -> None:
+        print(message, file=sys.stderr, flush=True)
+
     # a completed live resize (POST /shards) persists the topology; an
     # interrupted one leaves a manifest — the effective boot count rolls
     # the migration forward (at/past cutover) or back (before it)
@@ -701,11 +704,9 @@ def serve_sharded(args: argparse.Namespace) -> int:
         args.wal_dir, args.shards
     )
     if boot_count != args.shards:
-        print(
+        say(
             f"persisted topology overrides --shards {args.shards}: "
-            f"booting {boot_count} shard worker(s)",
-            file=sys.stderr,
-            flush=True,
+            f"booting {boot_count} shard worker(s)"
         )
 
     def _shard_wal_dir(shard: int) -> str | None:
@@ -729,11 +730,7 @@ def serve_sharded(args: argparse.Namespace) -> int:
 
     shard_map = ShardMap(boot_count)
     specs = [make_spec(shard, boot_count) for shard in range(boot_count)]
-    supervisor = ShardSupervisor(
-        specs,
-        backoff_seed=args.seed,
-        log=lambda message: print(message, file=sys.stderr, flush=True),
-    )
+    supervisor = ShardSupervisor(specs, backoff_seed=args.seed, log=say)
     state = ServiceState(ready=False, detail="recovering")
     # bind first: a busy port fails here, before any worker is spawned
     router = build_router(
@@ -745,47 +742,42 @@ def serve_sharded(args: argparse.Namespace) -> int:
         state=state,
         admission_capacity=args.admission,
     )
-    print(
-        f"starting {boot_count} shard worker(s) ...",
-        file=sys.stderr,
-        flush=True,
-    )
-    supervisor.start()
-    coordinator = RebalanceCoordinator(
-        router,
-        lambda shard, shard_count: make_spec(
-            shard, shard_count, join_empty=True
-        ),
-        wal_root=args.wal_dir,
-        log=lambda message: print(message, file=sys.stderr, flush=True),
-    )
-    router.rebalance = coordinator
-    if args.wal_dir is not None:
-        # finishes an interrupted migration, or persists the topology
-        outcome = asyncio.run(coordinator.finish_boot_recovery())
-        if pending_manifest is not None:
-            print(
-                f"interrupted rebalance recovered: {outcome}",
-                file=sys.stderr,
-                flush=True,
-            )
-    state.ready = True
-    state.detail = "routing"
 
-    def drain() -> dict:
-        print(
-            f"draining router, stopping {supervisor.num_shards} shard "
-            f"worker(s) (budget {args.drain_timeout:.1f}s each) ...",
-            file=sys.stderr,
-        )
-        return {
-            "router": dict(router.counters),
-            "supervisor": supervisor.stop(
-                drain_timeout=args.drain_timeout + 5.0
+    async def route() -> int:
+        say(f"starting {boot_count} shard worker(s) ...")
+        await supervisor.start()
+        coordinator = RebalanceCoordinator(
+            router,
+            lambda shard, shard_count: make_spec(
+                shard, shard_count, join_empty=True
             ),
-        }
+            wal_root=args.wal_dir,
+            log=say,
+        )
+        router.rebalance = coordinator
+        if args.wal_dir is not None:
+            # finishes an interrupted migration, or persists the topology
+            outcome = await coordinator.finish_boot_recovery()
+            if pending_manifest is not None:
+                say(f"interrupted rebalance recovered: {outcome}")
+        state.ready = True
+        state.detail = "routing"
 
-    return _serve_until_signalled(router, drain)
+        async def drain() -> dict:
+            say(
+                f"draining router, stopping {supervisor.num_shards} shard "
+                f"worker(s) (budget {args.drain_timeout:.1f}s each) ..."
+            )
+            return {
+                "router": dict(router.counters),
+                "supervisor": await supervisor.stop(
+                    drain_timeout=args.drain_timeout + 5.0
+                ),
+            }
+
+        return await _serve_until_signalled(router, drain)
+
+    return asyncio.run(route())
 
 
 def main(argv: Sequence[str] | None = None) -> int:

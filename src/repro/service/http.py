@@ -256,6 +256,20 @@ async def read_headers(reader: asyncio.StreamReader) -> dict[str, str]:
     raise _Rejected(431, f"more than {_MAX_HEADERS} headers")
 
 
+async def read_line(reader: asyncio.StreamReader) -> bytes:
+    """One line with its newline, however long (``readline`` refuses a
+    line past the stream's limit); a line cut off by end-of-file comes
+    back without one."""
+    line = b""
+    while True:
+        try:
+            return line + await reader.readuntil(b"\n")
+        except asyncio.LimitOverrunError as error:
+            line += await reader.readexactly(error.consumed)
+        except asyncio.IncompleteReadError as error:
+            return line + error.partial
+
+
 async def _read_request(reader: asyncio.StreamReader) -> _Request | None:
     """Parse one request off the stream; ``None`` is a clean end.
 
@@ -583,13 +597,13 @@ def _listen(address: tuple[str, int]) -> socket.socket:
 class HttpServerCore:
     """The asyncio listener both front doors run on.
 
-    Driven like a ``socketserver`` server: the constructor binds and
-    listens (so a busy port raises ``OSError`` right there),
-    :meth:`serve_forever` blocks (run it on a thread), :meth:`shutdown`
-    stops the loop from any thread, and :meth:`server_close` releases
-    the socket.  Every connection is served by one event loop with
-    HTTP/1.1 keep-alive; each request gets a fresh
-    :attr:`handler_class`.
+    The constructor binds and listens (so a busy port raises
+    ``OSError`` right there), and :meth:`server_close` releases the
+    socket.  In between, :meth:`serve` serves on the running event loop
+    until cancelled; or :meth:`serve_forever` blocks a thread on a loop
+    of its own until :meth:`shutdown` from another thread.  Every
+    connection is served by one event loop with HTTP/1.1 keep-alive;
+    each request gets a fresh :attr:`handler_class`.
     """
 
     handler_class: type[RequestHandler] = RequestHandler
@@ -626,7 +640,7 @@ class HttpServerCore:
     def serve_forever(self) -> None:
         """Run the event loop until :meth:`shutdown`; call on a thread."""
         try:
-            asyncio.run(self._serve())
+            asyncio.run(self.serve())
         finally:
             self._stopped.set()
 
@@ -646,7 +660,9 @@ class HttpServerCore:
         """Release the listening socket (after :meth:`shutdown`)."""
         self.socket.close()
 
-    async def _serve(self) -> None:
+    async def serve(self) -> None:
+        """Serve on the running event loop until cancelled (or until
+        :meth:`shutdown`, when :meth:`serve_forever` runs it)."""
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
         if self._shutdown_requested:  # shut down before the loop started
@@ -722,4 +738,5 @@ __all__ = [
     "mutation_failure",
     "parse_content_length",
     "read_headers",
+    "read_line",
 ]

@@ -33,11 +33,11 @@ truncate-source → retire → done``
   their WAL dirs.
 
 The coordinator is one :class:`asyncio.Task` on the router's event
-loop, next to the requests it fences: phase calls go out on
-:class:`~repro.service.router.ShardClient` connections kept per shard
-for the run, the steps that wait on worker processes (spawn, ready,
-retire) are awaited on worker threads, and a pause awaits an
-:class:`asyncio.Event` that ``resume``/``abort`` set.
+loop, next to the requests it fences and the shard supervisor: phase
+calls go out on :class:`~repro.service.router.ShardClient` connections
+kept per shard for the run, the supervisor's spawn, ready and retire
+are awaited directly, and a pause awaits an :class:`asyncio.Event` that
+``resume``/``abort`` set.
 
 Every phase completion is journaled in a **rebalance manifest**
 (:class:`~repro.io.checkpoint.CheckpointStore`, atomic write) next to a
@@ -319,7 +319,7 @@ class RebalanceCoordinator:
         """Complete or undo an interrupted migration found on disk.
 
         Run it once after the supervisor is up and *before* the router
-        serves (``serve --shards`` runs it under :func:`asyncio.run`).
+        serves (``serve --shards`` awaits it on the router's loop).
         The caller must already have booted at
         :func:`effective_topology`'s count.  Returns ``"rolled-forward"``,
         ``"rolled-back"``, or ``None`` when there was nothing to do.
@@ -462,11 +462,9 @@ class RebalanceCoordinator:
         new_count = int(manifest["new_count"])
         for index in range(old_count, new_count):
             spec = self._make_spec(index, new_count)
-            await asyncio.to_thread(self._supervisor.add_worker, spec)
-            if not await asyncio.to_thread(
-                self._supervisor.wait_for_ready,
-                index,
-                timeout=self._shard_patience,
+            await self._supervisor.add_worker(spec)
+            if not await self._supervisor.wait_for_ready(
+                index, timeout=self._shard_patience
             ):
                 raise RebalanceError(
                     f"joining shard {index} never became ready",
@@ -685,10 +683,8 @@ class RebalanceCoordinator:
             shutil.rmtree(self._wal_root / f"shard-{index}", ignore_errors=True)
 
     async def _retire(self, index: int) -> None:
-        await asyncio.to_thread(
-            self._supervisor.retire_worker,
-            index,
-            drain_timeout=self._retire_drain_timeout,
+        await self._supervisor.retire_worker(
+            index, drain_timeout=self._retire_drain_timeout
         )
 
     def _close_clients(self) -> None:

@@ -39,9 +39,10 @@ shards listed as applied.
 
 The router runs on the same asyncio core as the shard workers
 (:mod:`repro.service.http`), with the same bounded admission.  Its
-shard calls (:class:`ShardClient`) and the live-rebalance coordinator
-(:mod:`repro.service.rebalance`) run on that one event loop too; the
-router owns no thread pool.
+shard calls (:class:`ShardClient`), the live-rebalance coordinator
+(:mod:`repro.service.rebalance`) and the shard supervisor
+(:mod:`repro.service.supervisor`) run on that one event loop too; the
+router starts no thread of its own.
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ from .http import (
     SplitResult,
     mutation_failure,
     read_headers,
+    read_line,
 )
 from .sharding import ShardMap
 from .supervisor import ShardSupervisor
@@ -98,8 +100,8 @@ class ShardClient:
     (restarted workers bind fresh ephemeral ports) and translates
     connection-level failures into :class:`ShardUnavailableError`, which
     the retry policy treats as transient and the breaker as a failure.
-    Its connections belong to the event loop that opened them: the
-    router's own, or the one boot recovery runs on.
+    Its connections belong to the router's event loop, which opened
+    them.
 
     Calls reuse HTTP/1.1 keep-alive connections, pooled under the URL
     they were opened to: a URL change (a restarted worker) drops the
@@ -345,20 +347,6 @@ def _request(
     if close:
         head.append("Connection: close")
     return "\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + data
-
-
-async def _read_line(reader: asyncio.StreamReader) -> bytes:
-    """One line with its newline, however long (``readline`` refuses a
-    line past the stream's limit); a line cut off by end-of-file comes
-    back without one."""
-    line = b""
-    while True:
-        try:
-            return line + await reader.readuntil(b"\n")
-        except asyncio.LimitOverrunError as error:
-            line += await reader.readexactly(error.consumed)
-        except asyncio.IncompleteReadError as error:
-            return line + error.partial
 
 
 def _document(payload: bytes) -> dict[str, Any]:
@@ -732,7 +720,7 @@ class ShardRouterHandler(RequestHandler):
             reader, writer = stream
             try:
                 for read, (position, _) in enumerate(members):
-                    line = await _read_line(reader)
+                    line = await read_line(reader)
                     if not line.endswith(b"\n"):  # ended or cut off
                         raise ShardUnavailableError(
                             f"shard {shard} stream ended early",
@@ -948,9 +936,9 @@ class ShardRouterHandler(RequestHandler):
 class ShardRouterServer(HttpServerCore):
     """The router bound to one supervisor + shard map.
 
-    Runs on the shared asyncio core, shard calls and the rebalance
-    coordinator included; a full router sheds with 429 +
-    ``Retry-After``.
+    Runs on the shared asyncio core, shard calls, the rebalance
+    coordinator and the supervisor included; a full router sheds with
+    429 + ``Retry-After``.
 
     The shard map and client list live together in one *topology* tuple
     swapped atomically at rebalance cutover; request handlers snapshot
@@ -1046,11 +1034,12 @@ class ShardRouterServer(HttpServerCore):
         for client in old_clients[len(clients):]:
             client.close()
 
-    async def _serve(self) -> None:
+    async def serve(self) -> None:
+        """Serve until cancelled, then close the pooled shard
+        connections, which belong to this loop."""
         try:
-            await super()._serve()
+            await super().serve()
         finally:
-            # the pooled shard connections belong to this loop
             for client in self.clients:
                 client.close()
 

@@ -4,16 +4,17 @@ Each shard worker is a full ``repro-study serve`` subprocess — its own
 interpreter, :class:`~repro.service.DurableOwnerStore` WAL directory,
 :class:`~repro.service.RiskEngine`, and scheduler — so one shard dying
 (OOM kill, segfault, ``kill -9``) cannot take sibling shards' owners
-down with it.  :class:`ShardSupervisor` owns those subprocesses:
+down with it.  :class:`ShardSupervisor` owns those subprocesses, on the
+event loop the router serves from:
 
 * **boot** — spawn every worker with ``--port 0`` and learn each bound
   address from its ``serving on http://...`` announcement (no port
   races, ever);
-* **watch** — a monitor thread polls process liveness and probes
-  ``GET /readyz``; a dead process, or a live-but-unresponsive one
-  (``probe_failures_before_restart`` consecutive probe failures), is
-  restarted with the *same* argv — same WAL dir — so recovery replays
-  the shard's log and serves digest-identical scores;
+* **watch** — each worker's task reads its stderr and awaits its exit,
+  so a dead worker is restarted at once, with the *same* argv — same
+  WAL dir — and recovery replays the shard's log and serves
+  digest-identical scores; a probe task kills a live worker that fails
+  ``probe_failures_before_restart`` ``GET /readyz`` probes in a row;
 * **drain** — :meth:`stop` SIGTERMs every worker (each runs its own
   graceful drain) and escalates to ``kill -9`` only past the timeout.
 
@@ -25,17 +26,19 @@ the supervisor is already on it".
 
 from __future__ import annotations
 
-import http.client
+import asyncio
+import os
 import random
 import subprocess
 import sys
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Any, Callable, Sequence
 
-from ..errors import ServiceError
+from ..errors import ServiceError, ShardUnavailableError
+from .http import read_line
 
 #: Announcement line prefix every serve process prints once it is bound.
 ANNOUNCEMENT = "serving on "
@@ -56,9 +59,12 @@ class _WorkerHandle:
     """Live state of one supervised shard worker."""
 
     spec: ShardSpec
-    process: subprocess.Popen | None = None
+    process: asyncio.subprocess.Process | None = None
+    #: The worker's one task: reads stderr, awaits exit, restarts.
+    task: asyncio.Task | None = None
     url: str | None = None
-    announced: threading.Event = field(default_factory=threading.Event)
+    #: Set by the current process's announcement (a new event per spawn).
+    announced: asyncio.Event = field(default_factory=asyncio.Event)
     restarts: int = 0
     probe_failures: int = 0
     last_exit_code: int | None = None
@@ -71,12 +77,27 @@ class _WorkerHandle:
     #: reports the shard as failed until an operator intervenes.
     failed: bool = False
     #: Set when the worker was deliberately retired (shrink rebalance);
-    #: the monitor must neither probe nor resurrect it.
+    #: it is neither probed nor resurrected.
     retired: bool = False
+
+    @property
+    def running(self) -> bool:
+        """Whether the worker process is running."""
+        return self.process is not None and self.process.returncode is None
+
+    @property
+    def address(self) -> str | None:
+        """The announced URL, or ``None`` while the worker is down,
+        booting, failed or retired."""
+        up = self.running and self.announced.is_set()
+        return self.url if up and not (self.failed or self.retired) else None
 
 
 class ShardSupervisor:
     """Keeps N shard worker subprocesses alive and addressable.
+
+    Its lifecycle calls are coroutines on the router's event loop; the
+    read-only ones (``url_of``, ``pid_of``, ``alive``, ``snapshot``) not.
 
     Parameters
     ----------
@@ -85,7 +106,7 @@ class ShardSupervisor:
         worker must announce ``serving on http://host:port`` on stderr
         once bound (``repro-study serve`` does).
     health_interval:
-        Seconds between monitor sweeps (liveness poll + readiness probe).
+        Seconds between readiness probe sweeps.
     boot_timeout:
         Seconds to wait for a worker's announcement before declaring the
         boot failed.
@@ -145,9 +166,8 @@ class ShardSupervisor:
         self._crash_loop_threshold = crash_loop_threshold
         self._crash_loop_window = crash_loop_window
         self._log = log or (lambda message: None)
-        self._lock = threading.Lock()
-        self._stopping = threading.Event()
-        self._monitor: threading.Thread | None = None
+        self._stopping = False
+        self._prober: asyncio.Task | None = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -157,47 +177,32 @@ class ShardSupervisor:
         """How many shard workers are supervised."""
         return len(self._handles)
 
-    def start(self) -> None:
-        """Spawn every worker, wait for announcements, start the monitor."""
-        for handle in self._handles:
-            self._spawn(handle)
-        for handle in self._handles:
-            if not handle.announced.wait(timeout=self._boot_timeout):
+    async def start(self) -> None:
+        """Spawn every worker, wait for announcements, start probing."""
+        announcements = [await self._spawn(handle) for handle in self._handles]
+        for handle, announced in zip(self._handles, announcements):
+            if not await self._within_boot_timeout(announced):
                 tail = "\n".join(handle.stderr_tail)
-                self.stop(drain_timeout=5.0)
+                await self.stop(drain_timeout=5.0)
                 raise ServiceError(
                     f"shard {handle.spec.index} never announced within "
                     f"{self._boot_timeout:.0f}s; last stderr:\n{tail}"
                 )
-        self._monitor = threading.Thread(
-            target=self._monitor_loop, name="shard-supervisor", daemon=True
-        )
-        self._monitor.start()
+        self._prober = asyncio.create_task(self._probe_loop())
 
-    def stop(self, drain_timeout: float = 15.0) -> dict[str, Any]:
+    async def stop(self, drain_timeout: float = 15.0) -> dict[str, Any]:
         """SIGTERM every worker (graceful drain), kill stragglers.
 
         Returns a JSON-ready summary (per-shard exit codes and restart
         counts) for the router's final metrics line.
         """
-        self._stopping.set()
-        if self._monitor is not None:
-            self._monitor.join(timeout=self._health_interval + 5.0)
-        for handle in self._handles:
-            process = handle.process
-            if process is not None and process.poll() is None:
-                process.terminate()
-        deadline = time.monotonic() + drain_timeout
-        for handle in self._handles:
-            process = handle.process
-            if process is None:
-                continue
-            remaining = max(0.1, deadline - time.monotonic())
-            try:
-                handle.last_exit_code = process.wait(timeout=remaining)
-            except subprocess.TimeoutExpired:
-                process.kill()
-                handle.last_exit_code = process.wait(timeout=10)
+        self._stopping = True
+        if self._prober is not None:
+            self._prober.cancel()
+            await asyncio.wait({self._prober})
+        await asyncio.gather(
+            *(self._end(handle, drain_timeout) for handle in self._handles)
+        )
         return self.snapshot()
 
     # ------------------------------------------------------------------
@@ -211,254 +216,219 @@ class ShardSupervisor:
         (crash-loop breaker) and retired shards answer ``None`` too.
         """
         handle = self._handle_at(shard_index)
-        if handle is None:
-            return None
-        with self._lock:
-            if (
-                handle.failed
-                or handle.retired
-                or handle.process is None
-                or handle.process.poll() is not None
-                or not handle.announced.is_set()
-            ):
-                return None
-            return handle.url
+        return handle.address if handle is not None else None
 
     def pid_of(self, shard_index: int) -> int | None:
         """The worker's pid (chaos harnesses aim ``kill -9`` here)."""
         handle = self._handle_at(shard_index)
-        process = handle.process if handle is not None else None
-        return process.pid if process is not None else None
+        return None if handle is None else getattr(handle.process, "pid", None)
 
     def alive(self, shard_index: int) -> bool:
         """Whether the worker process is currently running."""
         handle = self._handle_at(shard_index)
-        process = handle.process if handle is not None else None
-        return process is not None and process.poll() is None
+        return handle is not None and handle.running
 
     def _handle_at(self, shard_index: int) -> _WorkerHandle | None:
-        with self._lock:
-            if 0 <= shard_index < len(self._handles):
-                return self._handles[shard_index]
-            return None
+        if 0 <= shard_index < len(self._handles):
+            return self._handles[shard_index]
+        return None
 
-    def wait_for_ready(
+    async def wait_for_ready(
         self, shard_index: int, timeout: float = 60.0
     ) -> bool:
-        """Block until the shard answers ``/readyz`` 200 (or timeout)."""
+        """Wait until the shard answers ``/readyz`` (or timeout)."""
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
             url = self.url_of(shard_index)
-            if url is not None and self._probe(url):
+            if url is not None and await self._probe(url):
                 return True
-            time.sleep(0.05)
+            await asyncio.sleep(0.05)
         return False
 
     def snapshot(self) -> dict[str, Any]:
         """JSON-ready supervisor state for ``/shards`` and metrics."""
-        with self._lock:
-            return {
-                "shards": [
-                    {
-                        "shard": handle.spec.index,
-                        "alive": (
-                            handle.process is not None
-                            and handle.process.poll() is None
-                        ),
-                        "url": handle.url if handle.announced.is_set() else None,
-                        "pid": (
-                            handle.process.pid
-                            if handle.process is not None
-                            else None
-                        ),
-                        "restarts": handle.restarts,
-                        "last_exit_code": handle.last_exit_code,
-                        "failed": handle.failed,
-                        "retired": handle.retired,
-                    }
-                    for handle in self._handles
-                ]
-            }
+        return {
+            "shards": [
+                {
+                    "shard": handle.spec.index,
+                    "alive": handle.running,
+                    "url": handle.url if handle.announced.is_set() else None,
+                    "pid": getattr(handle.process, "pid", None),
+                    "restarts": handle.restarts,
+                    "last_exit_code": handle.last_exit_code,
+                    "failed": handle.failed,
+                    "retired": handle.retired,
+                }
+                for handle in self._handles
+            ]
+        }
 
     # ------------------------------------------------------------------
     # runtime topology changes (live rebalancing)
     # ------------------------------------------------------------------
-    def add_worker(self, spec: ShardSpec) -> None:
+    async def add_worker(self, spec: ShardSpec) -> None:
         """Spawn one more shard worker while the fleet is serving.
 
         The new spec's index must be the next tail index — consistent
         hashing only ever grows/shrinks the ring at the tail, and tail-
         only mutation keeps ``url_of(i)`` positional lookups stable for
-        every existing shard.  Blocks until the worker announces; on a
+        every existing shard.  Returns once the worker announces; on a
         boot failure the worker is killed and the fleet is unchanged.
         """
-        with self._lock:
-            expected = len(self._handles)
-            if spec.index != expected:
-                raise ServiceError(
-                    f"add_worker expects tail index {expected}, "
-                    f"got {spec.index}"
-                )
-            handle = _WorkerHandle(spec=spec)
-            self._handles.append(handle)
-        self._spawn(handle)
-        if not handle.announced.wait(timeout=self._boot_timeout):
+        if self._stopping:
+            raise ServiceError("the supervisor is stopping")
+        expected = len(self._handles)
+        if spec.index != expected:
+            raise ServiceError(
+                f"add_worker expects tail index {expected}, "
+                f"got {spec.index}"
+            )
+        handle = _WorkerHandle(spec=spec)
+        self._handles.append(handle)
+        if not await self._within_boot_timeout(await self._spawn(handle)):
             tail = "\n".join(handle.stderr_tail)
-            process = handle.process
-            if process is not None and process.poll() is None:
-                process.kill()
-                process.wait(timeout=10)
-            with self._lock:
-                self._handles.remove(handle)
+            handle.retired = True
+            await self._end(handle, drain_timeout=0.0)
+            self._handles.remove(handle)
             raise ServiceError(
                 f"new shard {spec.index} never announced within "
                 f"{self._boot_timeout:.0f}s; last stderr:\n{tail}"
             )
         self._log(f"shard {spec.index} joined the fleet")
 
-    def retire_worker(
+    async def retire_worker(
         self, shard_index: int, drain_timeout: float = 15.0
     ) -> None:
         """Drain and remove the tail shard worker (shrink rebalance).
 
-        Marks the handle retired first so the monitor neither probes nor
-        resurrects it, SIGTERMs for a graceful drain, and escalates to
+        Marks the handle retired first so it is neither probed nor
+        resurrected, SIGTERMs for a graceful drain, and escalates to
         ``kill -9`` past the timeout.  Tail-only, like :meth:`add_worker`.
         """
-        with self._lock:
-            if shard_index != len(self._handles) - 1:
-                raise ServiceError(
-                    f"retire_worker expects tail index "
-                    f"{len(self._handles) - 1}, got {shard_index}"
-                )
-            if len(self._handles) == 1:
-                raise ServiceError("refusing to retire the last shard")
-            handle = self._handles[shard_index]
-            handle.retired = True
-        process = handle.process
-        if process is not None and process.poll() is None:
-            process.terminate()
-            try:
-                handle.last_exit_code = process.wait(timeout=drain_timeout)
-            except subprocess.TimeoutExpired:
-                process.kill()
-                handle.last_exit_code = process.wait(timeout=10)
-        with self._lock:
-            if self._handles and self._handles[-1] is handle:
-                self._handles.pop()
+        if shard_index != len(self._handles) - 1:
+            raise ServiceError(
+                f"retire_worker expects tail index "
+                f"{len(self._handles) - 1}, got {shard_index}"
+            )
+        if len(self._handles) == 1:
+            raise ServiceError("refusing to retire the last shard")
+        handle = self._handles[shard_index]
+        handle.retired = True
+        await self._end(handle, drain_timeout)
+        if self._handles and self._handles[-1] is handle:
+            self._handles.pop()
         self._log(f"shard {shard_index} retired")
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _spawn(self, handle: _WorkerHandle) -> None:
+    async def _within_boot_timeout(self, announced: asyncio.Event) -> bool:
+        try:
+            await asyncio.wait_for(announced.wait(), self._boot_timeout)
+        except asyncio.TimeoutError:
+            return False
+        return True
+
+    async def _spawn(self, handle: _WorkerHandle) -> asyncio.Event:
+        """Start the worker process (and, the first time, its task);
+        returns the event its announcement sets."""
         env = None
         if handle.spec.env is not None:
-            import os
-
             env = {**os.environ, **handle.spec.env}
-        with self._lock:
-            handle.announced = threading.Event()
-            handle.url = None
-            handle.probe_failures = 0
-            handle.process = subprocess.Popen(
-                handle.spec.argv,
-                env=env,
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.PIPE,
-                text=True,
-            )
-        threading.Thread(
-            target=self._drain_stderr,
-            args=(handle, handle.process),
-            name=f"shard-{handle.spec.index}-stderr",
-            daemon=True,
-        ).start()
+        handle.announced = asyncio.Event()
+        handle.url = None
+        handle.probe_failures = 0
+        handle.process = await asyncio.create_subprocess_exec(
+            *handle.spec.argv,
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+        )
+        if handle.task is None:
+            handle.task = asyncio.create_task(self._watch(handle))
+        return handle.announced
 
-    def _drain_stderr(
-        self, handle: _WorkerHandle, process: subprocess.Popen
-    ) -> None:
-        """Read the worker's stderr forever: announcements + diagnostics.
+    async def _watch(self, handle: _WorkerHandle) -> None:
+        """The worker's task: drain its stderr to end-of-file, await its
+        exit, and restart it, until it must stay down."""
+        while True:
+            await self._read_stderr(handle)
+            handle.last_exit_code = await handle.process.wait()
+            if handle.probe_failures >= self._probe_failures_before_restart:
+                reason = (
+                    f"unresponsive ({handle.probe_failures} failed "
+                    "readyz probes)"
+                )
+            else:
+                reason = f"exited rc={handle.last_exit_code}"
+            if not await self._restart(handle, reason):
+                return
 
-        Draining also keeps the pipe from filling and blocking the
-        worker.  The thread dies with the process (readline returns '').
-        """
-        stream = process.stderr
-        if stream is None:  # pragma: no cover - PIPE is always set
-            return
-        for line in stream:
-            handle.stderr_tail.append(line.rstrip("\n"))
-            if ANNOUNCEMENT in line and not handle.announced.is_set():
-                url = line.split(ANNOUNCEMENT, 1)[1].strip()
-                with self._lock:
-                    if handle.process is process:
-                        handle.url = url
-                handle.announced.set()
+    async def _read_stderr(self, handle: _WorkerHandle) -> None:
+        """Read the worker's stderr to end-of-file: its announcement and
+        diagnostics.  Draining also keeps the pipe from filling and
+        blocking the worker; a line of any length is read whole."""
+        process, announced = handle.process, handle.announced
+        while line := await read_line(process.stderr):
+            text = line.decode("utf-8", "replace").rstrip("\r\n")
+            handle.stderr_tail.append(text)
+            if ANNOUNCEMENT in text and not announced.is_set():
+                handle.url = text.split(ANNOUNCEMENT, 1)[1].strip()
+                announced.set()
                 # NOT "serving on": that prefix is the announcement
                 # grammar, and harnesses parsing our *own* stderr must
                 # only match the router's line
                 self._log(
-                    f"shard {handle.spec.index} ready at {url} "
+                    f"shard {handle.spec.index} ready at {handle.url} "
                     f"(pid {process.pid})"
                 )
-        stream.close()
 
-    def _probe(self, url: str) -> bool:
+    async def _probe(self, url: str) -> bool:
         """One ``GET /readyz``; any HTTP answer (even 503) counts as
-        reachable — the probe hunts hung/dead workers, not drains.
-        ``http.client`` never consults proxy environment variables."""
-        connection = http.client.HTTPConnection(
-            url.removeprefix("http://"), timeout=self._probe_timeout
+        reachable — the probe hunts hung/dead workers, not drains."""
+        from .router import ShardClient  # the router imports this module
+
+        # a client whose shard always resolves to ``url``
+        client = ShardClient(
+            SimpleNamespace(url_of=lambda _: url),
+            0,
+            timeout=self._probe_timeout,
         )
         try:
-            connection.request("GET", "/readyz")
-            connection.getresponse().read()
-            return True
-        except (OSError, http.client.HTTPException):
+            await client.attempt("GET", "/readyz")
+        except ShardUnavailableError:
             return False
         finally:
-            connection.close()
+            client.close()
+        return True
 
-    def _monitor_loop(self) -> None:
-        while not self._stopping.wait(timeout=self._health_interval):
-            # iterate a copy: add_worker/retire_worker mutate the list
-            with self._lock:
-                handles = list(self._handles)
-            for handle in handles:
-                if self._stopping.is_set():
-                    return
-                if handle.failed or handle.retired:
+    async def _probe_loop(self) -> None:
+        """Probe every announced worker each ``health_interval``; kill
+        one that keeps failing, for its task to restart."""
+        while True:
+            await asyncio.sleep(self._health_interval)
+            for handle in list(self._handles):
+                process, url = handle.process, handle.address
+                if url is None:
                     continue
-                process = handle.process
-                if process is None:
-                    continue
-                exit_code = process.poll()
-                if exit_code is not None:
-                    handle.last_exit_code = exit_code
-                    self._restart(handle, f"exited rc={exit_code}")
-                    continue
-                if not handle.announced.is_set():
-                    continue  # still booting; boot_timeout governed start
-                url = handle.url
-                if url is not None and not self._probe(url):
-                    handle.probe_failures += 1
-                    if (
-                        handle.probe_failures
-                        >= self._probe_failures_before_restart
-                    ):
-                        process.kill()
-                        process.wait(timeout=10)
-                        self._restart(
-                            handle,
-                            f"unresponsive ({handle.probe_failures} failed "
-                            "readyz probes)",
-                        )
-                else:
+                reachable = await self._probe(url)
+                if handle.process is not process or handle.address is None:
+                    continue  # exited, restarted or retired while probed
+                if reachable:
                     handle.probe_failures = 0
+                    continue
+                handle.probe_failures += 1
+                if (
+                    handle.probe_failures
+                    >= self._probe_failures_before_restart
+                ):
+                    process.kill()
 
-    def _restart(self, handle: _WorkerHandle, reason: str) -> None:
-        if self._stopping.is_set() or handle.retired:
-            return
+    async def _restart(self, handle: _WorkerHandle, reason: str) -> bool:
+        """Respawn an exited worker after its backoff; ``False`` when it
+        must stay down (stopping, retired, or crash-looping)."""
+        if self._stopping or handle.retired:
+            return False
         handle.restarts += 1
         now = time.monotonic()
         while (
@@ -475,16 +445,35 @@ class ShardSupervisor:
                 f"in {self._crash_loop_window:.0f}s); breaker tripped — "
                 "marking failed and giving up"
             )
-            return
+            return False
         delay = self._next_backoff(rapid)
         self._log(
             f"shard {handle.spec.index} {reason}; restarting "
             f"(restart #{handle.restarts}, backoff {delay:.2f}s)"
         )
         if delay:
-            if self._stopping.wait(timeout=delay):
-                return
-        self._spawn(handle)
+            await asyncio.sleep(delay)  # cut short by _end's cancel
+        await self._spawn(handle)
+        return True
+
+    async def _end(self, handle: _WorkerHandle, drain_timeout: float) -> None:
+        """SIGTERM the worker (a graceful drain), SIGKILL it past
+        ``drain_timeout``, and await its task, which restarts nothing:
+        the caller set ``retired`` or ``_stopping``.  A task with no
+        process running is in a backoff pause or a respawn: cancelled."""
+        task = handle.task
+        if task is None:
+            return
+        if handle.running:
+            handle.process.terminate()
+        else:
+            task.cancel()
+        done, _ = await asyncio.wait({task}, timeout=drain_timeout)
+        if not done:
+            if handle.running:
+                handle.process.kill()
+            await asyncio.wait({task})
+        handle.last_exit_code = handle.process.returncode
 
     def _next_backoff(self, rapid_restarts: int) -> float:
         """Exponential delay for the ``k``-th rapid restart, with jitter.

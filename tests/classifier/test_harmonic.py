@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.classifier.base import label_columns, split_nodes
 from repro.classifier.graphs import SimilarityGraph
 from repro.classifier.harmonic import HarmonicClassifier
+from repro.config import ClassifierConfig
 from repro.errors import ClassifierError
 from repro.types import RiskLabel
 
@@ -149,3 +151,66 @@ class TestHarmonicProperties:
             {0: RiskLabel.NOT_RISKY, 1: RiskLabel.VERY_RISKY}
         )
         assert predictions.label_map()[2] is RiskLabel.VERY_RISKY
+
+
+class TestSystemBuiltInPlace:
+    """The system is built in the gathered ``W_uu`` copy; it and the
+    solution must be bitwise those of ``np.diag(d + eps) - W_uu``."""
+
+    @staticmethod
+    def reference(graph, labeled, epsilon):
+        labeled_idx, unlabeled_idx, _ = split_nodes(graph, labeled)
+        anchor = np.zeros((len(labeled_idx), len(RiskLabel.values())))
+        anchor[np.arange(len(labeled_idx)), label_columns(labeled)] = 1.0
+        weights = np.asarray(graph.weights)
+        w_uu = weights[np.ix_(unlabeled_idx, unlabeled_idx)]
+        w_ul = weights[np.ix_(unlabeled_idx, labeled_idx)]
+        degrees = w_uu.sum(axis=1) + w_ul.sum(axis=1)
+        system = np.diag(degrees + epsilon) - w_uu
+        rhs = w_ul @ anchor
+        try:
+            solution = np.linalg.solve(system, rhs)
+        except np.linalg.LinAlgError:
+            solution = np.linalg.lstsq(system, rhs, rcond=None)[0]
+        return system, np.clip(solution, 0.0, None)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-9, 0.25])
+    def test_system_and_solution_match_the_reference_bitwise(
+        self, epsilon, monkeypatch
+    ):
+        rng = np.random.default_rng(5)
+        size = 24
+        sparse = rng.random((size, size)) * (rng.random((size, size)) < 0.4)
+        weights = np.triu(sparse, 1)
+        weights = weights + weights.T
+        weights[[3, 11, 17], :] = 0.0  # isolated rows (and columns)
+        weights[:, [3, 11, 17]] = 0.0
+        graph = graph_from(weights)
+        labeled = {
+            0: RiskLabel.NOT_RISKY,
+            5: RiskLabel.RISKY,
+            9: RiskLabel.VERY_RISKY,
+        }
+        systems = []
+        solve, lstsq = np.linalg.solve, np.linalg.lstsq
+
+        def recording(function):
+            def record(system, *args, **kwargs):
+                systems.append(system.copy())
+                return function(system, *args, **kwargs)
+
+            return record
+
+        classifier = HarmonicClassifier(
+            graph, ClassifierConfig(epsilon=epsilon)
+        )
+        labeled_idx, unlabeled_idx, _ = split_nodes(graph, labeled)
+        monkeypatch.setattr(np.linalg, "solve", recording(solve))
+        monkeypatch.setattr(np.linalg, "lstsq", recording(lstsq))
+        solution = classifier._solve(labeled, labeled_idx, unlabeled_idx)
+        monkeypatch.undo()
+        system, expected = self.reference(graph, labeled, epsilon)
+        assert systems
+        for built in systems:
+            assert built.tobytes() == system.tobytes()
+        assert solution.tobytes() == expected.tobytes()

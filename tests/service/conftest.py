@@ -7,6 +7,8 @@ read-only; delta tests mutate the graph, so this module provides a small
 
 from __future__ import annotations
 
+import asyncio
+import threading
 import time
 
 import pytest
@@ -34,6 +36,54 @@ def wait_until(predicate, timeout: float = 10.0) -> bool:
             return True
         time.sleep(0.005)
     return bool(predicate())
+
+
+class LoopThread:
+    """An event loop on a daemon thread, for synchronous tests that
+    drive coroutine APIs (a real ``ShardSupervisor``, a server's
+    ``serve()``) on the one loop a router process would run them on."""
+
+    def __init__(self) -> None:
+        self.loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(
+            target=self.loop.run_forever, daemon=True
+        )
+        self._thread.start()
+
+    def run(self, coroutine, timeout: float | None = 300.0):
+        """Run ``coroutine`` on the loop and return its result."""
+        future = asyncio.run_coroutine_threadsafe(coroutine, self.loop)
+        return future.result(timeout)
+
+    def start_task(self, coroutine) -> asyncio.Task:
+        """Run ``coroutine`` as a task on the loop, in the background."""
+
+        async def create() -> asyncio.Task:
+            return asyncio.create_task(coroutine)
+
+        return self.run(create())
+
+    def cancel(self, task: asyncio.Task) -> None:
+        """Cancel a :meth:`start_task` task and wait until it unwound."""
+
+        async def cancel() -> None:
+            task.cancel()
+            await asyncio.wait({task})
+
+        self.run(cancel())
+
+    def close(self) -> None:
+        self.loop.call_soon_threadsafe(self.loop.stop)
+        self._thread.join(timeout=10)
+        self.loop.close()
+
+
+@pytest.fixture
+def loop_thread():
+    """A :class:`LoopThread`, closed after the test."""
+    runner = LoopThread()
+    yield runner
+    runner.close()
 
 
 class StaticSupervisor:

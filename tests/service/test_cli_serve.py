@@ -73,6 +73,7 @@ def serve_process():
             except subprocess.TimeoutExpired:
                 process.kill()
                 process.wait(timeout=10)
+        process.stderr.close()
 
 
 def test_serve_announces_and_scores(serve_process):
@@ -225,3 +226,43 @@ def test_serve_refuses_a_busy_port(topology):
     assert "serving on" not in stderr
     assert "Address already in use" in stderr
     assert "shard worker" not in stderr
+
+
+def test_sharded_serve_reaps_every_worker_on_sigterm():
+    """``serve --shards 2`` answers SIGTERM with exit 0 and a ``final
+    metrics:`` line, and leaves none of its shard workers running."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--owners", "4", "--strangers", "20", "--friends", "6",
+         "--shards", "2"],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,  # lets a failure reap any shard workers
+    )
+    try:
+        announcement = ""
+        for _ in range(50):
+            line = read_line_with_timeout(process.stderr, timeout=120)
+            if not line or line.startswith("serving on "):
+                announcement = line
+                break
+        assert announcement.startswith("serving on http://"), announcement
+        url = announcement.split()[-1].strip()
+        rows = get_json(f"{url}/shards")["supervisor"]["shards"]
+        pids = [row["pid"] for row in rows]
+        assert len(pids) == 2 and all(row["alive"] for row in rows)
+        process.send_signal(signal.SIGTERM)
+        _, stderr = process.communicate(timeout=60)
+    except BaseException:
+        os.killpg(process.pid, signal.SIGKILL)
+        process.communicate()
+        raise
+    assert process.returncode == 0, stderr
+    assert "final metrics:" in stderr
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)

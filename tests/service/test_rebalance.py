@@ -21,6 +21,7 @@ Process-level chaos (``kill -9`` at each phase, boot recovery) lives in
 
 from __future__ import annotations
 
+import asyncio
 import threading
 import time
 
@@ -266,13 +267,18 @@ class ElasticSupervisor:
             return None
         return self.servers[shard_index].url
 
-    def wait_for_ready(self, shard_index: int, timeout: float = 60.0) -> bool:
+    async def wait_for_ready(
+        self, shard_index: int, timeout: float = 60.0
+    ) -> bool:
         return shard_index < len(self.servers)
 
-    def add_worker(self, spec) -> None:
+    async def add_worker(self, spec) -> None:
         index, _count = spec
         assert index == len(self.servers), "joins must be tail-only"
-        store = OwnerStore(make_shard_population().graph)  # join-empty
+        # the cohort build blocks: off the router's loop, like a spawn
+        store = await asyncio.to_thread(
+            lambda: OwnerStore(make_shard_population().graph)  # join-empty
+        )
         server = build_server(
             RiskEngine(store, seed=SHARD_SEED), max_workers=2, max_pending=16
         )
@@ -281,10 +287,12 @@ class ElasticSupervisor:
         self.servers.append(server)
         self.threads.append(thread)
 
-    def retire_worker(self, shard_index: int, drain_timeout: float = 15.0):
+    async def retire_worker(
+        self, shard_index: int, drain_timeout: float = 15.0
+    ):
         assert shard_index == len(self.servers) - 1, "retires are tail-only"
         server = self.servers.pop(shard_index)
-        server.shutdown()
+        await asyncio.to_thread(server.shutdown)
         server.server_close()
         server.scheduler.shutdown(wait=False)
 

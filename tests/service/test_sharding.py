@@ -42,7 +42,7 @@ from repro.service import (
 )
 from repro.service import router as router_module
 from repro.service.async_http import _RiskHandler
-from repro.service.http import MAX_LINE, HttpServerCore
+from repro.service.http import MAX_LINE, HttpServerCore, read_line
 from repro.synth import EgoNetConfig, generate_study_population
 
 from .conftest import StaticSupervisor, wait_until
@@ -804,7 +804,7 @@ def test_batch_lines_past_the_head_line_limit_are_read_whole():
         reader = asyncio.StreamReader(limit=MAX_LINE)
         reader.feed_data(b"x" * (3 * MAX_LINE) + b"\n" + b"cut")
         reader.feed_eof()
-        return [await router_module._read_line(reader) for _ in range(3)]
+        return [await read_line(reader) for _ in range(3)]
 
     whole, cut, end = asyncio.run(read_lines())
     assert whole == b"x" * (3 * MAX_LINE) + b"\n"
@@ -991,7 +991,9 @@ class TestPooledShardConnections:
         assert status == 200, document
         assert len(accepted[shard]) == 2
 
-    def test_reads_follow_a_kill9_restarted_shard_to_its_new_url(self):
+    def test_reads_follow_a_kill9_restarted_shard_to_its_new_url(
+        self, loop_thread
+    ):
         cohort = ["--owners", "4", "--strangers", "20", "--friends", "6"]
         supervisor = ShardSupervisor(
             [
@@ -1003,13 +1005,12 @@ class TestPooledShardConnections:
             health_interval=0.1,
             restart_backoff=0.05,
         )
-        supervisor.start()
+        loop_thread.run(supervisor.start())
         router = ShardRouterServer(
             ("127.0.0.1", 0), ShardMap(2), supervisor,
             retry_policy=FAST_RETRIES,
         )
-        thread = threading.Thread(target=router.serve_forever, daemon=True)
-        thread.start()
+        serving = loop_thread.start_task(router.serve())
         try:
             owners = get(f"{router.url}/owners")[1]["owners"]
             victim = next(row["owner"] for row in owners if row["shard"] == 1)
@@ -1021,17 +1022,16 @@ class TestPooledShardConnections:
                 lambda: supervisor.url_of(1) not in (None, old_url),
                 timeout=60,
             )
-            assert supervisor.wait_for_ready(1, timeout=60)
+            assert loop_thread.run(supervisor.wait_for_ready(1, timeout=60))
             # the old URL's pooled connection is dropped, not tried
             status, after, _ = get(f"{router.url}/score?owner={victim}")
             assert status == 200, after
             assert after["digest"] == before["digest"]
             assert router.clients[1].breaker.state == "closed"
         finally:
-            router.shutdown()
+            loop_thread.cancel(serving)
             router.server_close()
-            thread.join(timeout=10)
-            supervisor.stop(drain_timeout=10)
+            loop_thread.run(supervisor.stop(drain_timeout=10))
 
 
 # ---------------------------------------------------------------------------
@@ -1129,7 +1129,7 @@ class TestRouterSockets:
     ):
         servers = shard_rig[2]
         supervisor = ShardSupervisor([ShardSpec(index=0, argv=["unused"])])
-        assert supervisor._probe(servers[0].url)
+        assert asyncio.run(supervisor._probe(servers[0].url))
 
     def test_rebalance_calls_ignore_proxy_variables(
         self, shard_rig, dead_proxy
