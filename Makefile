@@ -19,18 +19,21 @@ bench-paper-scale:
 		$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # vectorized scoring core at reduced scale: the E18 sections that pin
-# the batch-NS and array-prediction equality contracts (speedup floors
-# only assert at full scale), plus the fast-vs-reference unit suites
+# the batch-NS, pool-graph and array-prediction equality contracts
+# (speedup floors only assert at full scale), plus the fast-vs-reference
+# unit suites (CI's perf-smoke job runs this target)
 perf-smoke:
 	$(PYTHON) -m pytest -q -o addopts= \
 		tests/similarity/test_network_batch.py \
 		tests/clustering/test_squeezer_fast.py \
 		tests/classifier/test_prediction_oracle.py \
+		tests/classifier/test_harmonic.py \
 		tests/similarity/test_pool_oracle.py \
 		tests/graph/test_adjacency_index.py
 	REPRO_BENCH_OWNERS=3 REPRO_BENCH_STRANGERS=80 \
 		$(PYTHON) -m pytest -q -o addopts= -s \
 		"benchmarks/bench_perf_scaling.py::test_perf_pairwise_matrix" \
+		"benchmarks/bench_perf_scaling.py::test_perf_pool_graph_build" \
 		"benchmarks/bench_perf_scaling.py::test_perf_batch_network_similarity" \
 		"benchmarks/bench_perf_scaling.py::test_perf_harmonic_array_vs_oracle" \
 		"benchmarks/bench_perf_scaling.py::test_perf_benefits_array_vs_oracle"

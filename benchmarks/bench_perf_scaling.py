@@ -8,9 +8,14 @@ assertions pin the contracts (vectorized paths match the scalar
 references — exactly where the design guarantees it) so a performance
 regression cannot silently change results.
 
-The scoring-core and ``PS()`` sections time with ``time.perf_counter``
-instead of the ``benchmark`` fixture so they run in plain CI smoke jobs,
-and they emit machine-readable records to
+The pool-graph section times what the repository benchmark folds into
+the session's self time: ``ProfileSimilarity`` on each pool's profiles,
+its ``pairwise_matrix`` and ``SimilarityGraph.from_profiles``, over
+every pool of one owner.
+
+The scoring-core, pool-graph and ``PS()`` sections time with
+``time.perf_counter`` instead of the ``benchmark`` fixture so they run
+in plain CI smoke jobs, and they emit machine-readable records to
 ``benchmarks/out/BENCH_perf.json`` (op, n, seconds, speedup vs the
 reference arm), stamped with ``cpu_cores``.  A committed snapshot lives in
 ``benchmarks/baselines/BENCH_perf_baseline.json``.  Speedup
@@ -29,10 +34,10 @@ from repro.benefits.model import BenefitModel
 from repro.classifier.graphs import SimilarityGraph
 from repro.classifier.harmonic import HarmonicClassifier
 from repro.learning.replay import replay_session
-from repro.learning.session import RiskLearningSession
+from repro.learning.session import DEFAULT_EDGE_WEIGHTS, RiskLearningSession
 from repro.similarity.network import NetworkSimilarity
 from repro.similarity.profile import ProfileSimilarity
-from repro.types import RiskLabel
+from repro.types import ProfileAttribute, RiskLabel
 
 from tests.classifier.prediction_oracle import (
     assert_matches_oracle,
@@ -42,6 +47,7 @@ from tests.similarity.pool_oracle import (
     assert_bitwise_equal,
     benefits_oracle,
     ps_matrix_oracle,
+    similarity_graph_oracle,
 )
 
 from .conftest import OUT_DIR, SEED, STRANGERS
@@ -230,6 +236,64 @@ def test_perf_harmonic_array_vs_oracle(ns_population):
     )
     if size >= 200:
         assert speedup >= 1.5
+
+
+def test_perf_pool_graph_build(ns_population):
+    """One owner's pool graphs built as the session builds them — ``PS()``
+    on the pool's own profiles, its ``pairwise_matrix``, then
+    ``SimilarityGraph.from_profiles`` — timed over every pool.  Each
+    graph equals the per-pair oracle's and the session's, bit for bit."""
+    owner = ns_population.owners[0]
+    session = RiskLearningSession(
+        ns_population.graph, owner.user_id, owner.as_oracle(), seed=SEED
+    )
+    outcome = replay_session(session)
+    config = session.config
+
+    def measure_of(profiles):
+        return ProfileSimilarity(
+            profiles,
+            attributes=tuple(ProfileAttribute),
+            weights=DEFAULT_EDGE_WEIGHTS,
+            config=config.profile_similarity,
+        )
+
+    def build(profiles):
+        return SimilarityGraph.from_profiles(
+            profiles,
+            measure_of(profiles),
+            min_edge_weight=config.classifier.min_edge_weight,
+            sharpening=config.classifier.edge_sharpening,
+        )
+
+    pools = [profiles for profiles, _ in outcome.state.classifiers.values()]
+    # contract: every pool graph equals the oracle's and the session's
+    for profiles, classifier in outcome.state.classifiers.values():
+        graph = build(profiles)
+        expected = similarity_graph_oracle(
+            profiles,
+            measure_of(profiles),
+            config.classifier.min_edge_weight,
+            config.classifier.edge_sharpening,
+        )
+        assert graph.nodes == expected.nodes == classifier.graph.nodes
+        assert_bitwise_equal(graph.weights, expected.weights)
+        assert_bitwise_equal(graph.weights, classifier.graph.weights)
+
+    t_build = _best_of(lambda: [build(profiles) for profiles in pools], 10)
+    size = sum(len(profiles) for profiles in pools)
+    _PERF_RECORDS.append(
+        {
+            "op": "pools.graph_build",
+            "n": size,
+            "pools": len(pools),
+            "seconds": t_build,
+        }
+    )
+    print(
+        f"\npool graphs: {len(pools)} pools, {size} strangers, "
+        f"{t_build * 1e3:.2f}ms"
+    )
 
 
 def test_perf_benefits_array_vs_oracle(ns_population):

@@ -70,10 +70,11 @@ class PoolPredictions:
         m1, m2, m3 = masses.T
         total = m1 + m2 + m3
         with np.errstate(divide="ignore", invalid="ignore"):
-            scores = (1 * m1 + 2 * m2 + 3 * m3) / total
+            # ``1 * m1`` is ``m1``, bit for bit
+            scores = (m1 + 2 * m2 + 3 * m3) / total
             normalized = masses / total[:, None]
         sums = normalized[:, 0] + normalized[:, 1] + normalized[:, 2]
-        if not np.all(np.abs(sums - 1.0) <= 1e-6):
+        if not (np.abs(sums - 1.0) <= 1e-6).all():
             raise ValueError(f"class masses must sum to 1, got {sums}")
         # argmax over the reversed columns takes the last of tied maxima
         labels = LABEL_VALUES[-1] - np.argmax(masses[:, ::-1], axis=1)
@@ -138,7 +139,7 @@ def split_nodes(
     ClassifierError
         If a labeled id is not a graph node.
     """
-    labeled_idx = [graph.index_of(node) for node in labeled]
+    labeled_idx = graph.indices_of(labeled)
     unlabeled = np.ones(len(graph), dtype=bool)
     unlabeled[labeled_idx] = False
     nodes = tuple(compress(graph.nodes, unlabeled.tolist()))

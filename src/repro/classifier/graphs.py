@@ -10,7 +10,7 @@ profile-similarity function ``PS()`` — which is what
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -103,10 +103,16 @@ class SimilarityGraph:
 
     def index_of(self, node: UserId) -> int:
         """Canonical index of ``node``."""
+        return self.indices_of((node,))[0]
+
+    def indices_of(self, nodes: Iterable[UserId]) -> list[int]:
+        """Canonical indices of ``nodes``, in their order."""
         try:
-            return self._index[node]
-        except KeyError:
-            raise ClassifierError(f"node {node} not in similarity graph") from None
+            return list(map(self._index.__getitem__, nodes))
+        except KeyError as error:
+            raise ClassifierError(
+                f"node {error.args[0]} not in similarity graph"
+            ) from None
 
     def weight(self, a: UserId, b: UserId) -> float:
         """Edge weight between two nodes."""

@@ -86,7 +86,8 @@ class HarmonicClassifier:
         np.divide(
             solution, row_sums[:, None], out=solution, where=~isolated[:, None]
         )
-        solution[isolated] = label_prior(labeled)
+        if isolated.any():
+            solution[isolated] = label_prior(labeled)
         return solution
 
     def _solve(
@@ -100,11 +101,11 @@ class HarmonicClassifier:
         Solves ``(D_uu - W_uu) f = W_ul y`` densely, by least squares if
         the system is singular.
         """
-        anchor = np.zeros((len(labeled_idx), len(RiskLabel.values())))
-        anchor[np.arange(len(labeled_idx)), label_columns(labeled)] = 1.0
-        weights = np.asarray(self._graph.weights)
-        w_uu = weights[np.ix_(unlabeled_idx, unlabeled_idx)]
-        w_ul = weights[np.ix_(unlabeled_idx, labeled_idx)]
+        anchor = np.eye(len(RiskLabel.values()))[label_columns(labeled)]
+        # the unlabeled rows, gathered once; W_ul keeps the labels' order
+        rows = np.asarray(self._graph.weights).take(unlabeled_idx, axis=0)
+        w_uu = rows.take(unlabeled_idx, axis=1)
+        w_ul = rows.take(labeled_idx, axis=1)
         degrees = w_uu.sum(axis=1) + w_ul.sum(axis=1)
         # D_uu - W_uu, built in the gathered copy: ``0 - w`` keeps the
         # +0.0 a negation would flip to -0.0, and a pool graph's zero

@@ -599,33 +599,46 @@ def serve_main(argv: Sequence[str] | None = None) -> int:
     )
 
 
-async def _serve_until_signalled(server, drain) -> int:
+async def _serve_until_signalled(server, drain, boot=None) -> int:
     """Serve ``server`` (the risk server or the router) on the running
     event loop until SIGTERM/SIGINT, then await ``drain()`` and stop.
 
     The signal flips ``server.state`` to draining, so work-bearing
     requests answer 503 while health stays live; ``drain()`` returns the
     summary printed as the final ``final metrics:`` line on stderr.
+    ``boot``, a coroutine, runs first under the same handlers: a signal
+    while it runs cancels it and goes straight to the drain, serving
+    nothing.
     """
     import json
     import signal
 
     stop = asyncio.Event()
+    booting = serving = None
 
     def begin_drain(signum: int) -> None:
         server.state.draining = True
         server.state.detail = f"draining ({signal.Signals(signum).name})"
         stop.set()
+        if booting is not None:
+            booting.cancel()  # no-op once the boot is over
 
     loop = asyncio.get_running_loop()
     for signum in (signal.SIGTERM, signal.SIGINT):
         loop.add_signal_handler(signum, begin_drain, signum)
-    serving = asyncio.create_task(server.serve())
-    print(f"serving on {server.url}", file=sys.stderr, flush=True)
-    await stop.wait()
+    if boot is not None:
+        booting = asyncio.create_task(boot)
+        await asyncio.wait({booting})
+        if not booting.cancelled():
+            booting.result()  # a failed boot raises here
+    if not stop.is_set():
+        serving = asyncio.create_task(server.serve())
+        print(f"serving on {server.url}", file=sys.stderr, flush=True)
+        await stop.wait()
     summary = await drain()
-    serving.cancel()
-    await asyncio.wait({serving})
+    if serving is not None:
+        serving.cancel()
+        await asyncio.wait({serving})
     server.server_close()
     print(
         "final metrics: " + json.dumps(summary, sort_keys=True),
@@ -743,7 +756,7 @@ def serve_sharded(args: argparse.Namespace) -> int:
         admission_capacity=args.admission,
     )
 
-    async def route() -> int:
+    async def boot() -> None:
         say(f"starting {boot_count} shard worker(s) ...")
         await supervisor.start()
         coordinator = RebalanceCoordinator(
@@ -763,21 +776,20 @@ def serve_sharded(args: argparse.Namespace) -> int:
         state.ready = True
         state.detail = "routing"
 
-        async def drain() -> dict:
-            say(
-                f"draining router, stopping {supervisor.num_shards} shard "
-                f"worker(s) (budget {args.drain_timeout:.1f}s each) ..."
-            )
-            return {
-                "router": dict(router.counters),
-                "supervisor": await supervisor.stop(
-                    drain_timeout=args.drain_timeout + 5.0
-                ),
-            }
+    async def drain() -> dict:
+        say(
+            f"draining router, stopping {supervisor.num_shards} shard "
+            f"worker(s) (budget {args.drain_timeout:.1f}s each) ..."
+        )
+        return {
+            "router": dict(router.counters),
+            "supervisor": await supervisor.stop(
+                drain_timeout=args.drain_timeout + 5.0
+            ),
+        }
 
-        return await _serve_until_signalled(router, drain)
-
-    return asyncio.run(route())
+    # a signal during boot stops every worker spawned so far
+    return asyncio.run(_serve_until_signalled(router, drain, boot()))
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -11,9 +11,7 @@ A profile carries two kinds of information the pipeline consumes:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from ..errors import ProfileError
 from ..types import BenefitItem, ProfileAttribute, UserId, VisibilityLevel
@@ -112,23 +110,3 @@ class Profile:
             attributes=dict(self.attributes),
             privacy=dict(self.privacy),
         )
-
-
-def value_frequencies(
-    profiles: Mapping[UserId, Profile] | list[Profile],
-    attribute: ProfileAttribute,
-) -> dict[str, float]:
-    """Relative frequency of each value of ``attribute`` in a population.
-
-    The frequencies drive the mismatch term of the reconstructed ``PS()``
-    measure and the support computations of Squeezer.  Users who left the
-    attribute blank do not contribute.
-    """
-    population = profiles.values() if isinstance(profiles, Mapping) else profiles
-    counts = Counter(
-        value
-        for value in (profile.attributes.get(attribute) for profile in population)
-        if value is not None
-    )
-    filled = sum(counts.values())
-    return {value: count / filled for value, count in counts.items()}

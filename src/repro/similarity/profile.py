@@ -22,12 +22,13 @@ the attributes both profiles filled in.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from ..config import ProfileSimilarityConfig
-from ..graph.profile import Profile, value_frequencies
+from ..graph.profile import Profile
 from ..types import ProfileAttribute
 
 #: Mismatch similarity is clipped here so that identical values (1.0) are
@@ -86,10 +87,16 @@ class ProfileSimilarity:
         self._attributes = attributes
         self._config = config or ProfileSimilarityConfig()
         population_list = list(population)
-        self._frequencies: dict[ProfileAttribute, dict[str, float]] = {
-            attribute: value_frequencies(population_list, attribute)
-            for attribute in attributes
-        }
+        self._frequencies: dict[ProfileAttribute, dict[str, float]] = {}
+        for attribute in attributes:
+            # relative frequency among the profiles that filled it in
+            counts = Counter(
+                [profile.attributes.get(attribute) for profile in population_list]
+            )
+            filled = len(population_list) - counts.pop(None, 0)
+            self._frequencies[attribute] = {
+                value: count / filled for value, count in counts.items()
+            }
         self._weights = self._normalize_weights(weights)
 
     @property
@@ -144,26 +151,43 @@ class ProfileSimilarity:
     def pairwise_matrix(self, profiles: Sequence[Profile]) -> np.ndarray:
         """All-pairs ``PS`` values, bit for bit the measure on every pair.
 
-        Per attribute, the pool's ``k`` values are coded once (``k`` marks
-        a missing one) and a ``(k+1) x (k+1)`` table of ``weight *
-        similarity`` (0 in the missing row and column) is gathered to n x
-        n with ``table[codes][:, codes]``, and the weight total likewise;
-        both add their terms in attribute order, the same floats in the
-        same order as :meth:`__call__`.
+        Per attribute, the pool's ``k`` values are coded in one pass
+        (``-1``, the table's last row, marks a missing one) and a ``(k+1)
+        x (k+1)`` table of ``weight * similarity`` (0 in the missing row
+        and column) is gathered to n x n.  A pair's weight total depends
+        only on the attributes both filled in: bit ``b`` of a node's mask
+        is set when it filled attribute ``b``, and ``totals[mask_i &
+        mask_j]`` is gathered from the sum of every filled pattern.  Both
+        sums add the same floats in attribute order as :meth:`__call__`;
+        where it skips an attribute not both filled, the table gather
+        adds 0.0, which moves no partial sum (none is ever -0.0).
         """
         size = len(profiles)
         weighted_sum = np.zeros((size, size))
-        weight_total = np.zeros((size, size))
-        for attribute in self._attributes:
-            values = [profile.attributes.get(attribute) for profile in profiles]
-            vocabulary = sorted({value for value in values if value is not None})
-            if not vocabulary:
+        masks = np.zeros(
+            size, dtype=np.min_scalar_type((1 << len(self._attributes)) - 1)
+        )
+        totals = [0.0]
+        for bit, attribute in enumerate(self._attributes):
+            weight = self._weights[attribute]
+            # patterns with bit ``bit`` set extend those without it
+            totals += [total + weight for total in totals]
+            code_of: dict[str | None, int] = {None: -1}
+            codes = np.array(
+                [
+                    code_of.setdefault(
+                        profile.attributes.get(attribute), len(code_of) - 1
+                    )
+                    for profile in profiles
+                ],
+                dtype=np.intp,
+            )
+            missing = len(code_of) - 1
+            if not missing:
                 continue
-            missing = len(vocabulary)
-            code_of = {value: code for code, value in enumerate(vocabulary)}
-            codes = np.array([code_of.get(value, missing) for value in values])
+            masks[codes >= 0] |= 1 << bit
             frequencies = np.array(
-                [self.frequency(attribute, value) for value in vocabulary]
+                [self.frequency(attribute, value) for value in list(code_of)[1:]]
             )
             similarity = np.minimum(
                 np.sqrt(np.outer(frequencies, frequencies))
@@ -171,12 +195,12 @@ class ProfileSimilarity:
                 _MISMATCH_CEILING,
             )
             np.fill_diagonal(similarity, 1.0)
-            weight = self._weights[attribute]
             table = np.zeros((missing + 1, missing + 1))
             table[:missing, :missing] = weight * similarity
-            weighted_sum += table[codes][:, codes]
-            table[:missing, :missing] = weight
-            weight_total += table[codes][:, codes]
+            weighted_sum += table.take(codes, axis=0).take(codes, axis=1)
+        # an intp index takes numpy's fast gather, a uint8 one does not;
+        # dropping the n x n index before the divide keeps the peak down
+        weight_total = np.array(totals)[(masks[:, None] & masks).astype(np.intp)]
         return np.divide(
             weighted_sum,
             weight_total,

@@ -154,12 +154,18 @@ class TestHarmonicProperties:
 
 
 class TestSystemBuiltInPlace:
-    """The system is built in the gathered ``W_uu`` copy; it and the
-    solution must be bitwise those of ``np.diag(d + eps) - W_uu``."""
+    """The system is built in the gathered ``W_uu`` copy, and ``W_uu``
+    and ``W_ul`` are cut from one gather of the unlabeled rows; the
+    system and the solution must be bitwise those of the ``np.ix_``
+    gathers and ``np.diag(d + eps) - W_uu``."""
 
     @staticmethod
     def reference(graph, labeled, epsilon):
-        labeled_idx, unlabeled_idx, _ = split_nodes(graph, labeled)
+        labeled_idx = [graph.nodes.index(node) for node in labeled]
+        unlabeled_idx = np.array(
+            [i for i in range(len(graph)) if i not in labeled_idx], dtype=int
+        )
+        assert split_nodes(graph, labeled)[0] == labeled_idx
         anchor = np.zeros((len(labeled_idx), len(RiskLabel.values())))
         anchor[np.arange(len(labeled_idx)), label_columns(labeled)] = 1.0
         weights = np.asarray(graph.weights)
@@ -174,10 +180,8 @@ class TestSystemBuiltInPlace:
             solution = np.linalg.lstsq(system, rhs, rcond=None)[0]
         return system, np.clip(solution, 0.0, None)
 
-    @pytest.mark.parametrize("epsilon", [0.0, 1e-9, 0.25])
-    def test_system_and_solution_match_the_reference_bitwise(
-        self, epsilon, monkeypatch
-    ):
+    @staticmethod
+    def sparse_graph():
         rng = np.random.default_rng(5)
         size = 24
         sparse = rng.random((size, size)) * (rng.random((size, size)) < 0.4)
@@ -185,12 +189,42 @@ class TestSystemBuiltInPlace:
         weights = weights + weights.T
         weights[[3, 11, 17], :] = 0.0  # isolated rows (and columns)
         weights[:, [3, 11, 17]] = 0.0
-        graph = graph_from(weights)
+        return graph_from(weights)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-9, 0.25])
+    def test_system_and_solution_match_the_reference_bitwise(
+        self, epsilon, monkeypatch
+    ):
         labeled = {
             0: RiskLabel.NOT_RISKY,
             5: RiskLabel.RISKY,
             9: RiskLabel.VERY_RISKY,
         }
+        self.assert_matches_reference(
+            self.sparse_graph(), labeled, epsilon, monkeypatch
+        )
+
+    @pytest.mark.parametrize(
+        "order", [(9, 0, 5, 22), (22, 5, 0, 9), (5, 22, 9, 0)]
+    )
+    def test_labels_out_of_graph_order_match_the_reference_bitwise(
+        self, order, monkeypatch
+    ):
+        """``W_ul`` is cut from the gathered rows in the labels' mapping
+        order, not graph order: a permuted mapping must still give the
+        ``np.ix_`` reference's system and solution, bit for bit."""
+        labels = [
+            RiskLabel.VERY_RISKY,
+            RiskLabel.NOT_RISKY,
+            RiskLabel.RISKY,
+            RiskLabel.NOT_RISKY,
+        ]
+        labeled = dict(zip(order, labels))
+        self.assert_matches_reference(
+            self.sparse_graph(), labeled, 1e-9, monkeypatch
+        )
+
+    def assert_matches_reference(self, graph, labeled, epsilon, monkeypatch):
         systems = []
         solve, lstsq = np.linalg.solve, np.linalg.lstsq
 

@@ -1,12 +1,13 @@
-"""Tests for profiles and value frequencies."""
+"""Tests for profiles and the value-frequency oracle."""
 
 import pytest
 
 from repro.errors import ProfileError
-from repro.graph.profile import DEFAULT_VISIBILITY, Profile, value_frequencies
+from repro.graph.profile import DEFAULT_VISIBILITY, Profile
 from repro.types import BenefitItem, ProfileAttribute, VisibilityLevel
 
 from ..conftest import make_profile
+from ..similarity.pool_oracle import value_frequencies
 
 
 class TestProfileConstruction:

@@ -11,6 +11,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 import urllib.request
 from pathlib import Path
 
@@ -263,6 +264,60 @@ def test_sharded_serve_reaps_every_worker_on_sigterm():
         raise
     assert process.returncode == 0, stderr
     assert "final metrics:" in stderr
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def child_pids(pid: int) -> list[int]:
+    """The live processes whose parent is ``pid``, from ``/proc``."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path("/proc", entry, "stat").read_text()
+        except OSError:
+            continue  # exited while listed
+        # the fields after the parenthesized command: state, then ppid
+        if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+            children.append(int(entry))
+    return children
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_sharded_serve_reaps_every_worker_on_sigterm_during_boot():
+    """SIGTERM while the shard workers are still generating their cohort
+    (no ``serving on`` yet) stops every worker spawned so far: exit 0, a
+    ``final metrics:`` line, nothing served and no worker left running."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--owners", "20", "--strangers", "3000", "--friends", "6",
+         "--shards", "2"],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,  # lets a failure reap any shard workers
+    )
+    try:
+        line = read_line_with_timeout(process.stderr, timeout=60)
+        assert line.startswith("starting 2 shard worker(s)"), line
+        deadline = time.monotonic() + 30
+        while len(pids := child_pids(process.pid)) < 2:
+            assert time.monotonic() < deadline, pids
+            time.sleep(0.01)
+        process.send_signal(signal.SIGTERM)
+        _, stderr = process.communicate(timeout=60)
+    except BaseException:
+        os.killpg(process.pid, signal.SIGKILL)
+        process.communicate()
+        raise
+    assert process.returncode == 0, stderr
+    assert "final metrics:" in stderr
+    assert "serving on" not in stderr
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)

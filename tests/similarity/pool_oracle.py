@@ -1,5 +1,8 @@
 """Scalar paths kept as oracles for the array-form pool graph and benefits.
 
+* :func:`value_frequencies` counts one attribute's values with a
+  generator ``Counter`` — the relative frequencies
+  ``ProfileSimilarity`` looks its mismatch terms up in.
 * :func:`ps_matrix_oracle` calls ``ProfileSimilarity.__call__`` on every
   ordered pair — the definition ``pairwise_matrix`` must reproduce.
 * :func:`similarity_graph_oracle` is the per-pair graph build that
@@ -17,7 +20,8 @@ The production paths must agree with these bit for bit
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from collections import Counter
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -28,7 +32,25 @@ from repro.graph.social_graph import SocialGraph
 from repro.graph.visibility import STRANGER_DISTANCE
 from repro.similarity.augmented import VisibilityAugmentedSimilarity
 from repro.similarity.profile import ProfileSimilarity
-from repro.types import BenefitItem, UserId
+from repro.types import BenefitItem, ProfileAttribute, UserId
+
+
+def value_frequencies(
+    profiles: Mapping[UserId, Profile] | Sequence[Profile],
+    attribute: ProfileAttribute,
+) -> dict[str, float]:
+    """Relative frequency of each value of ``attribute`` in a population.
+
+    Users who left the attribute blank do not contribute.
+    """
+    population = profiles.values() if isinstance(profiles, Mapping) else profiles
+    counts = Counter(
+        value
+        for value in (profile.attributes.get(attribute) for profile in population)
+        if value is not None
+    )
+    filled = sum(counts.values())
+    return {value: count / filled for value, count in counts.items()}
 
 
 def ps_matrix_oracle(

@@ -8,8 +8,10 @@
 replaced; every float must match, including missing and all-missing
 profiles, a population that differs from the profiles compared (unseen
 values have frequency 0), ``mismatch_scale`` 0 and 1, a binding mismatch
-ceiling, non-uniform and non-normalized attribute weights, benefit item
-subsets, all-zero thetas and profiles with no privacy entry.
+ceiling, non-uniform, zero and non-normalized attribute weights, every
+filled-attribute pattern (the weight total is gathered per pattern), an
+attribute no profile filled, benefit item subsets, all-zero thetas and
+profiles with no privacy entry.
 """
 
 import struct
@@ -36,6 +38,7 @@ from .pool_oracle import (
     benefits_oracle,
     ps_matrix_oracle,
     similarity_graph_oracle,
+    value_frequencies,
 )
 
 _ATTRIBUTES = list(ProfileAttribute)
@@ -127,6 +130,58 @@ def pools(draw):
     return profiles, draw(measures(profiles)), draw(_CEILINGS)
 
 
+@st.composite
+def patterned_profiles(draw, first_id=0):
+    """Profiles where each attribute is filled on its own random subset
+    (possibly none or all of them), so the pairs of one list share many
+    different filled patterns."""
+    size = draw(st.integers(min_value=0, max_value=10))
+    filled = {
+        attribute: draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        for attribute in _ATTRIBUTES
+    }
+    return [
+        Profile(
+            first_id + offset,
+            {
+                attribute: draw(_VALUES)
+                for attribute in _ATTRIBUTES
+                if filled[attribute][offset]
+            },
+        )
+        for offset in range(size)
+    ]
+
+
+@st.composite
+def patterned_pools(draw):
+    """``(profiles, population, measure, ceiling)`` over one attribute,
+    all seven or any count between, with weights that are often 0."""
+    profiles = draw(patterned_profiles())
+    if draw(st.booleans()):
+        population = profiles
+    else:
+        population = draw(patterned_profiles(first_id=100))
+    count = draw(
+        st.sampled_from([1, len(_ATTRIBUTES)])
+        | st.integers(1, len(_ATTRIBUTES))
+    )
+    attributes = tuple(draw(st.permutations(_ATTRIBUTES))[:count])
+    weights = draw(
+        st.fixed_dictionaries(
+            {attribute: _WEIGHTS for attribute in attributes}
+        ).filter(lambda weights: sum(weights.values()) > 0)
+        | st.none()
+    )
+    measure = ProfileSimilarity(
+        population,
+        attributes=attributes,
+        weights=weights,
+        config=ProfileSimilarityConfig(mismatch_scale=draw(_UNIT)),
+    )
+    return profiles, population, measure, draw(_CEILINGS)
+
+
 def _ceiling(value):
     return mock.patch.object(profile_module, "_MISMATCH_CEILING", value)
 
@@ -159,6 +214,28 @@ class TestProfileSimilarityMatrix:
             )
         assert graph.nodes == expected.nodes
         assert_bitwise_equal(graph.weights, expected.weights)
+
+    @given(patterned_pools())
+    @THOROUGH_SETTINGS
+    def test_pairwise_matrix_matches_oracle_over_filled_patterns(self, pool):
+        profiles, _, measure, ceiling = pool
+        with _ceiling(ceiling):
+            assert_bitwise_equal(
+                measure.pairwise_matrix(profiles),
+                ps_matrix_oracle(measure, profiles),
+            )
+
+    @given(patterned_pools())
+    @STANDARD_SETTINGS
+    def test_frequencies_match_counting_oracle(self, pool):
+        _, population, measure, _ = pool
+        for attribute in measure.attributes:
+            expected = value_frequencies(population, attribute)
+            for value, frequency in expected.items():
+                assert _bits(measure.frequency(attribute, value)) == _bits(
+                    frequency
+                ), (attribute, value)
+            assert measure.frequency(attribute, "unseen") == 0.0
 
     @given(pools(), _UNIT)
     @STANDARD_SETTINGS
@@ -264,6 +341,77 @@ class TestFloatOrderCases:
         batch = model.for_strangers(graph, 0, frozenset({1}))
         expected = benefits_oracle(model, graph, 0, frozenset({1}))
         assert _bits(batch[1]) == _bits(expected[1])
+
+
+class TestFilledPatterns:
+    """Fixed pools for the per-pattern weight total: every one of the
+    128 filled patterns of seven attributes, an attribute no profile
+    filled, zero weights and a single attribute."""
+
+    #: Coarse, unequal weights: a total summed out of attribute order
+    #: shows in the last bit.
+    WEIGHTS = dict(zip(_ATTRIBUTES, [0.3, 0.1, 0.2, 1.0, 0.7, 0.1, 0.35]))
+
+    @staticmethod
+    def every_pattern():
+        """Profile ``i`` fills attribute ``b`` when bit ``b`` of ``i`` is
+        set; the values cycle so matches and mismatches both occur."""
+        return [
+            Profile(
+                index,
+                {
+                    attribute: "abc"[(index >> bit) % 3]
+                    for bit, attribute in enumerate(_ATTRIBUTES)
+                    if index >> bit & 1
+                },
+            )
+            for index in range(1 << len(_ATTRIBUTES))
+        ]
+
+    def assert_matches(self, profiles, measure):
+        assert_bitwise_equal(
+            measure.pairwise_matrix(profiles), ps_matrix_oracle(measure, profiles)
+        )
+
+    def test_all_seven_attributes_every_pattern(self):
+        profiles = self.every_pattern()
+        self.assert_matches(
+            profiles, ProfileSimilarity(profiles, weights=self.WEIGHTS)
+        )
+
+    def test_attribute_empty_in_the_whole_pool(self):
+        empty = _ATTRIBUTES[2]
+        profiles = [
+            Profile(
+                profile.user_id,
+                {
+                    attribute: value
+                    for attribute, value in profile.attributes.items()
+                    if attribute is not empty
+                },
+            )
+            for profile in self.every_pattern()
+        ]
+        self.assert_matches(
+            profiles, ProfileSimilarity(profiles, weights=self.WEIGHTS)
+        )
+
+    def test_zero_weights(self):
+        """Pairs that share only zero-weight attributes have a zero
+        weight total and score 0, as the scalar measure does."""
+        weights = dict(self.WEIGHTS)
+        weights[_ATTRIBUTES[0]] = weights[_ATTRIBUTES[4]] = 0.0
+        profiles = self.every_pattern()
+        self.assert_matches(profiles, ProfileSimilarity(profiles, weights=weights))
+
+    def test_single_attribute(self):
+        profiles = self.every_pattern()[:12]
+        measure = ProfileSimilarity(
+            profiles,
+            attributes=(_ATTRIBUTES[1],),
+            config=ProfileSimilarityConfig(mismatch_scale=0.7),
+        )
+        self.assert_matches(profiles, measure)
 
 
 def test_negative_weight_rejected():
