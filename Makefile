@@ -36,6 +36,7 @@ perf-smoke:
 		"benchmarks/bench_perf_scaling.py::test_perf_pool_graph_build" \
 		"benchmarks/bench_perf_scaling.py::test_perf_batch_network_similarity" \
 		"benchmarks/bench_perf_scaling.py::test_perf_harmonic_array_vs_oracle" \
+		"benchmarks/bench_perf_scaling.py::test_perf_harmonic_solve_cholesky_vs_lu" \
 		"benchmarks/bench_perf_scaling.py::test_perf_benefits_array_vs_oracle"
 
 # multi-process study: parallel-vs-serial digest and payload equality

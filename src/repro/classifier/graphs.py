@@ -23,7 +23,8 @@ class PairwiseSimilarity(Protocol):
     """An edge-weight measure yielding its symmetric all-pairs matrix."""
 
     def pairwise_matrix(self, profiles: Sequence[Profile]) -> np.ndarray:
-        """Similarity of every pair of ``profiles``, as a square matrix."""
+        """Similarity of every pair of ``profiles``, as a new square
+        matrix: exactly symmetric and non-negative."""
 
 
 class SimilarityGraph:
@@ -34,6 +35,15 @@ class SimilarityGraph:
     """
 
     def __init__(self, nodes: Sequence[UserId], weights: np.ndarray) -> None:
+        self._adopt(nodes, weights.copy())
+        if not (np.array_equal(weights, weights.T) or np.allclose(weights, weights.T)):
+            raise ClassifierError("weight matrix must be symmetric")
+        if np.any(weights < 0):
+            raise ClassifierError("weights must be non-negative")
+
+    def _adopt(self, nodes: Sequence[UserId], weights: np.ndarray) -> None:
+        """Index ``nodes`` and take ``weights`` as the graph's own matrix,
+        diagonal zeroed; checks the ids and the shape, not the values."""
         node_tuple = tuple(nodes)
         if len(set(node_tuple)) != len(node_tuple):
             raise ClassifierError("duplicate nodes in similarity graph")
@@ -43,13 +53,9 @@ class SimilarityGraph:
                 f"weight matrix shape {weights.shape} does not match "
                 f"{size} nodes"
             )
-        if not (np.array_equal(weights, weights.T) or np.allclose(weights, weights.T)):
-            raise ClassifierError("weight matrix must be symmetric")
-        if np.any(weights < 0):
-            raise ClassifierError("weights must be non-negative")
         self._nodes = node_tuple
         self._index = {node: position for position, node in enumerate(node_tuple)}
-        self._weights = weights.copy()
+        self._weights = weights
         np.fill_diagonal(self._weights, 0.0)
 
     @classmethod
@@ -70,7 +76,10 @@ class SimilarityGraph:
             The pairwise profile similarity (typically a
             :class:`~repro.similarity.profile.ProfileSimilarity` built on
             the pool's own profiles, per Section III-C); its
-            ``pairwise_matrix`` supplies every edge weight.
+            ``pairwise_matrix`` supplies every edge weight.  That matrix
+            is fresh, exactly symmetric and non-negative (the measures'
+            contract), so the graph takes it as it is: no copy, no
+            symmetry or sign scan.
         min_edge_weight:
             Weights at or below this value are zeroed, sparsifying the
             graph.
@@ -84,7 +93,9 @@ class SimilarityGraph:
         weights[weights <= min_edge_weight] = 0.0
         if sharpening != 1.0:
             weights = np.power(weights, sharpening)
-        return cls(nodes, weights)
+        graph = cls.__new__(cls)
+        graph._adopt(nodes, weights)
+        return graph
 
     @property
     def nodes(self) -> tuple[UserId, ...]:

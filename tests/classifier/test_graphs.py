@@ -28,6 +28,13 @@ class TestConstruction:
         graph = SimilarityGraph([1, 2], weights)
         assert graph.weight(1, 1) == 0.0
 
+    def test_caller_matrix_copied_not_adopted(self):
+        weights = np.ones((2, 2))
+        graph = SimilarityGraph([1, 2], weights)
+        weights[0, 1] = 5.0
+        assert weights[0, 0] == 1.0
+        assert graph.weight(1, 2) == 1.0
+
     def test_asymmetric_rejected(self):
         weights = np.array([[0.0, 0.4], [0.6, 0.0]])
         with pytest.raises(ClassifierError):

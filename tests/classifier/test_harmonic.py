@@ -1,9 +1,12 @@
 """Tests for the Gaussian fields / harmonic function classifier."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from repro.classifier.base import label_columns, split_nodes
+from repro.classifier import harmonic
+from repro.classifier.base import LABEL_VALUES, label_columns, split_nodes
 from repro.classifier.graphs import SimilarityGraph
 from repro.classifier.harmonic import HarmonicClassifier
 from repro.config import ClassifierConfig
@@ -156,8 +159,11 @@ class TestHarmonicProperties:
 class TestSystemBuiltInPlace:
     """The system is built in the gathered ``W_uu`` copy, and ``W_uu``
     and ``W_ul`` are cut from one gather of the unlabeled rows; the
-    system and the solution must be bitwise those of the ``np.ix_``
-    gathers and ``np.diag(d + eps) - W_uu``."""
+    system must be bitwise that of the ``np.ix_`` gathers and
+    ``np.diag(d + eps) - W_uu``.  The Cholesky solution matches the LU
+    reference's labels exactly and its masses within 1e-12; a system
+    that falls back to LU (``epsilon=0`` with isolated rows) matches the
+    reference bit for bit."""
 
     @staticmethod
     def reference(graph, labeled, epsilon):
@@ -191,17 +197,19 @@ class TestSystemBuiltInPlace:
         weights[:, [3, 11, 17]] = 0.0
         return graph_from(weights)
 
+    LABELED = {0: RiskLabel.NOT_RISKY, 5: RiskLabel.RISKY, 9: RiskLabel.VERY_RISKY}
+
     @pytest.mark.parametrize("epsilon", [0.0, 1e-9, 0.25])
     def test_system_and_solution_match_the_reference_bitwise(
         self, epsilon, monkeypatch
     ):
-        labeled = {
-            0: RiskLabel.NOT_RISKY,
-            5: RiskLabel.RISKY,
-            9: RiskLabel.VERY_RISKY,
-        }
+        # only the singular epsilon=0 system leaves Cholesky for LU
         self.assert_matches_reference(
-            self.sparse_graph(), labeled, epsilon, monkeypatch
+            self.sparse_graph(),
+            self.LABELED,
+            epsilon,
+            monkeypatch,
+            fallback=epsilon == 0.0,
         )
 
     @pytest.mark.parametrize(
@@ -212,7 +220,7 @@ class TestSystemBuiltInPlace:
     ):
         """``W_ul`` is cut from the gathered rows in the labels' mapping
         order, not graph order: a permuted mapping must still give the
-        ``np.ix_`` reference's system and solution, bit for bit."""
+        ``np.ix_`` reference's system, bit for bit, and its solution."""
         labels = [
             RiskLabel.VERY_RISKY,
             RiskLabel.NOT_RISKY,
@@ -221,30 +229,132 @@ class TestSystemBuiltInPlace:
         ]
         labeled = dict(zip(order, labels))
         self.assert_matches_reference(
-            self.sparse_graph(), labeled, 1e-9, monkeypatch
+            self.sparse_graph(), labeled, 1e-9, monkeypatch, fallback=False
         )
 
-    def assert_matches_reference(self, graph, labeled, epsilon, monkeypatch):
-        systems = []
-        solve, lstsq = np.linalg.solve, np.linalg.lstsq
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-9, 0.25])
+    def test_without_lapack_binding_solve_is_the_lu_path_bitwise(
+        self, epsilon, monkeypatch
+    ):
+        """With no ``dposv`` to call, every system goes to LU (or least
+        squares), built once, and the solution is the reference's, bit
+        for bit."""
+        monkeypatch.setattr(harmonic, "_dposv", lambda: None)
+        self.assert_matches_reference(
+            self.sparse_graph(),
+            self.LABELED,
+            epsilon,
+            monkeypatch,
+            fallback=True,
+            binding=False,
+        )
 
-        def recording(function):
+    def test_not_positive_definite_system_takes_the_fallback(self, monkeypatch):
+        """An isolated unlabeled row under ``epsilon=0`` zeroes a pivot:
+        ``dposv`` refuses the system, which is rebuilt for LU."""
+        graph = self.sparse_graph()
+        labeled_idx, unlabeled_idx, _ = split_nodes(graph, self.LABELED)
+        system, rhs = HarmonicClassifier(
+            graph, ClassifierConfig(epsilon=0.0)
+        )._system(self.LABELED, labeled_idx, unlabeled_idx)
+        dposv = harmonic._dposv()
+        assert harmonic._cholesky_solve(dposv, system, rhs) is None
+        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+        assert harmonic._cholesky_solve(dposv, indefinite, np.ones((2, 3))) is None
+
+    @pytest.mark.parametrize(
+        "system, rhs",
+        [
+            (np.eye(4)[:, :3], np.ones((4, 3))),
+            (np.eye(4)[:, ::-1], np.ones((4, 3))),
+            (np.eye(4, dtype=np.float32), np.ones((4, 3))),
+            (np.eye(4), np.ones((3, 3))),
+        ],
+    )
+    def test_cholesky_solve_refuses_a_buffer_lapack_cannot_take(
+        self, system, rhs
+    ):
+        with pytest.raises(ValueError):
+            harmonic._cholesky_solve(harmonic._dposv(), system, rhs)
+
+    def test_concurrent_solves_give_the_serial_results(self):
+        """Four threads solving at once through the one ``dposv`` give
+        each system's serial solution, bit for bit."""
+        rng = np.random.default_rng(11)
+        cases = []
+        for size in (20, 40, 60, 90):
+            weights = np.triu(rng.random((size, size)), 1)
+            labeled = {
+                node: RiskLabel(int(value))
+                for node, value in zip(
+                    rng.choice(size, size // 5, replace=False).tolist(),
+                    rng.integers(1, 4, size // 5),
+                )
+            }
+            classifier = HarmonicClassifier(graph_from(weights + weights.T))
+            labeled_idx, unlabeled_idx, _ = split_nodes(
+                classifier.graph, labeled
+            )
+            cases.append((classifier, labeled, labeled_idx, unlabeled_idx))
+
+        def solve(case):
+            classifier, *arguments = case
+            return classifier._solve(*arguments).tobytes()
+
+        serial = [solve(case) for case in cases]
+        harmonic._dposv.cache_clear()  # the threads race to resolve it
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for _ in range(25):
+                assert list(pool.map(solve, cases, timeout=60)) == serial
+
+    def assert_matches_reference(
+        self, graph, labeled, epsilon, monkeypatch, fallback, binding=True
+    ):
+        built, lu_systems = [], []
+        solve, lstsq = np.linalg.solve, np.linalg.lstsq
+        cholesky_solve = harmonic._cholesky_solve
+
+        def recording(function, systems):
             def record(system, *args, **kwargs):
                 systems.append(system.copy())
                 return function(system, *args, **kwargs)
 
             return record
 
+        def recording_cholesky(dposv, system, rhs):
+            built.append(system.copy())
+            return cholesky_solve(dposv, system, rhs)
+
         classifier = HarmonicClassifier(
             graph, ClassifierConfig(epsilon=epsilon)
         )
         labeled_idx, unlabeled_idx, _ = split_nodes(graph, labeled)
-        monkeypatch.setattr(np.linalg, "solve", recording(solve))
-        monkeypatch.setattr(np.linalg, "lstsq", recording(lstsq))
+        monkeypatch.setattr(harmonic, "_cholesky_solve", recording_cholesky)
+        monkeypatch.setattr(np.linalg, "solve", recording(solve, lu_systems))
+        monkeypatch.setattr(np.linalg, "lstsq", recording(lstsq, lu_systems))
         solution = classifier._solve(labeled, labeled_idx, unlabeled_idx)
         monkeypatch.undo()
         system, expected = self.reference(graph, labeled, epsilon)
-        assert systems
-        for built in systems:
-            assert built.tobytes() == system.tobytes()
-        assert solution.tobytes() == expected.tobytes()
+        assert len(built) == binding
+        assert bool(lu_systems) == fallback
+        for recorded in built + lu_systems:
+            assert recorded.tobytes() == system.tobytes()
+        if fallback:
+            assert solution.tobytes() == expected.tobytes()
+        else:
+            masses, expected_masses = normalized(solution), normalized(expected)
+            assert np.abs(masses - expected_masses).max() <= 1e-12
+            assert (labels_of(masses) == labels_of(expected_masses)).all()
+
+
+def normalized(solution):
+    """Rows scaled to sum 1; an all-zero row stays zero."""
+    totals = solution.sum(axis=1, keepdims=True)
+    return np.divide(
+        solution, totals, out=np.zeros_like(solution), where=totals > 1e-12
+    )
+
+
+def labels_of(masses):
+    """Argmax label values, ties toward the higher label."""
+    return LABEL_VALUES[-1] - np.argmax(masses[:, ::-1], axis=1)

@@ -17,6 +17,7 @@ profiles with no privacy entry.
 import struct
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -247,6 +248,26 @@ class TestProfileSimilarityMatrix:
                 augmented.pairwise_matrix(profiles),
                 augmented_bits_oracle(augmented, profiles),
             )
+
+
+    @given(pools(), _UNIT)
+    @STANDARD_SETTINGS
+    def test_pairwise_matrices_are_exactly_symmetric_and_non_negative(
+        self, pool, mix
+    ):
+        """``SimilarityGraph.from_profiles`` adopts these matrices
+        without a symmetry or sign scan: both measures must return them
+        exactly symmetric and non-negative."""
+        profiles, measure, ceiling = pool
+        augmented = VisibilityAugmentedSimilarity(measure, mix=mix)
+        with _ceiling(ceiling):
+            for matrix in (
+                measure.pairwise_matrix(profiles),
+                augmented.pairwise_matrix(profiles),
+            ):
+                assert_bitwise_equal(matrix, matrix.T)
+                assert not (matrix < 0).any()
+                assert not np.signbit(matrix).any()
 
 
 def _bits(value: float) -> bytes:
