@@ -114,15 +114,19 @@ def batched_mutual_stats(
     * ``edges[i]`` — the number of edges of the subgraph induced by those
       mutual friends (the cohesion numerator of ``NS()``).
 
-    Both come from the graph's cached CSR adjacency index: with ``F`` the
-    owner's friends, ``X = A[F, others]`` holds every mutual-friend
-    indicator at once, so ``counts`` is a column sum and ``edges`` is the
-    batched common-neighbor triangle count
-    ``diag(Xᵀ A_F X) / 2`` evaluated as an elementwise product — one
-    sparse matmul for the whole stranger set instead of per-stranger set
-    arithmetic.  All data stays integer, so the results are exactly the
-    scalar quantities :meth:`SocialGraph.mutual_friends` and
-    :meth:`SocialGraph.edges_within` would produce.
+    Both come from the graph's cached CSR adjacency index through a
+    bitset kernel over the owner's friend set.  One pass over the
+    friends' CSR rows scatters ``N(f) ∩ ·`` bits into a per-node mask
+    table, after which every quantity is bit arithmetic: the
+    mutual-friend count of stranger ``s`` is a ``bincount`` of the
+    scattered entries, a friend row of the table *is* the friend-subgraph
+    adjacency row, and the induced edge count is the popcount of
+    ``mask[f] & mask[s]`` summed over the stranger's mutual friends — no
+    per-stranger set objects anywhere.  The table is built
+    ``_BLOCK_WORDS`` friend words at a time; popcounts add up across
+    blocks, so the results are exactly the integers
+    :meth:`SocialGraph.mutual_friends` and :meth:`SocialGraph.edges_within`
+    would produce.
 
     Raises :class:`~repro.errors.UnknownUserError` for ids not in the
     graph.
@@ -135,75 +139,22 @@ def batched_mutual_stats(
     if len(friend_positions) == 0 or len(other_positions) == 0:
         zeros = np.zeros(len(other_positions), dtype=np.int64)
         return zeros, zeros.copy()
-    words = (len(friend_positions) + 63) // 64
-    cells = len(friend_positions) * len(other_positions)
-    if (
-        cells <= _BITSET_KERNEL_CELLS
-        and index.matrix.shape[0] * words <= _BITSET_KERNEL_WORDS
-    ):
-        return _mutual_stats_bitset(index, friend_positions, other_positions)
-    return _mutual_stats_sparse(index, friend_positions, other_positions)
-
-
-#: Ceilings for the bitset kernel: the ``|friends| x |strangers|``
-#: pair matrix (int64 cells) and the per-node bitmask table
-#: (``num_nodes x words`` uint64).  Ego networks sit orders of magnitude
-#: below both; pathological owners fall back to the sparse-matmul kernel.
-_BITSET_KERNEL_CELLS = 16_000_000
-_BITSET_KERNEL_WORDS = 8_000_000
-
-
-def _popcount(array: "np.ndarray") -> "np.ndarray":
-    """Per-element population count of a uint64 array."""
-    import numpy as np
-
-    if hasattr(np, "bitwise_count"):  # numpy >= 2.0
-        return np.bitwise_count(array).astype(np.int64)
-    table = np.array([bin(v).count("1") for v in range(256)], dtype=np.int64)
-    as_bytes = array.view(np.uint8).reshape(array.shape + (8,))
-    return table[as_bytes].sum(axis=-1)
-
-
-def _mutual_stats_bitset(
-    index, friend_positions: "np.ndarray", other_positions: "np.ndarray"
-) -> tuple["np.ndarray", "np.ndarray"]:
-    """Bitset kernel: one uint64 mask word-group per node over the
-    owner's friend set.
-
-    One pass over the friends' CSR rows scatters ``N(f) ∩ ·`` bits into a
-    per-node mask table, after which every quantity is bit arithmetic:
-    the mutual-friend count of stranger ``s`` is a ``bincount`` of the
-    scattered entries, a friend row of the table *is* the friend-subgraph
-    adjacency row, and the induced edge count is the popcount of
-    ``mask[f] & mask[s]`` summed over the stranger's mutual friends —
-    no per-stranger set objects anywhere.
-    """
-    import numpy as np
-
-    matrix = index.matrix
-    indptr, indices = matrix.indptr, matrix.indices
-    num_nodes = matrix.shape[0]
+    indptr, indices = index.indptr, index.indices
+    num_nodes = len(indptr) - 1
     num_friends = len(friend_positions)
-    words = (num_friends + 63) // 64
 
     starts = indptr[friend_positions]
     lengths = indptr[friend_positions + 1] - starts
-    total = int(lengths.sum())
-    offsets = np.zeros(num_friends, dtype=np.int64)
-    np.cumsum(lengths[:-1], out=offsets[1:])
+    # bounds[k] is where friend slot k's entries begin in the flat lists
+    bounds = np.zeros(num_friends + 1, dtype=np.int64)
+    np.cumsum(lengths, out=bounds[1:])
     flat = (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(offsets, lengths)
+        np.arange(bounds[-1], dtype=np.int64)
+        - np.repeat(bounds[:-1], lengths)
         + np.repeat(starts, lengths)
     )
     neighbors = indices[flat]
     friend_slot = np.repeat(np.arange(num_friends, dtype=np.uint64), lengths)
-
-    # masks[v, w] holds bits of N(v) ∩ friends for every node v
-    masks = np.zeros((num_nodes, words), dtype=np.uint64)
-    bits = np.uint64(1) << (friend_slot & np.uint64(63))
-    word_of = (friend_slot >> np.uint64(6)).astype(np.int64)
-    np.bitwise_or.at(masks, (neighbors, word_of), bits)
 
     counts = np.bincount(neighbors, minlength=num_nodes)[other_positions]
 
@@ -215,37 +166,48 @@ def _mutual_stats_bitset(
     is_target = np.zeros(num_nodes, dtype=bool)
     is_target[other_positions] = True
     is_pair = is_target[neighbors]
-    pair_masks = (
-        masks[friend_positions[friend_slot[is_pair].astype(np.int64)]]
-        & masks[neighbors[is_pair]]
-    )
-    pair_counts = _popcount(pair_masks).sum(axis=1)
+    pair_friends = friend_positions[friend_slot[is_pair].astype(np.int64)]
+    pair_others = neighbors[is_pair]
+    pair_counts = np.zeros(len(pair_others), dtype=np.int64)
+    block_bits = 64 * _BLOCK_WORDS
+    for first in range(0, num_friends, block_bits):
+        last = min(first + block_bits, num_friends)
+        # masks[v, w] holds bits of N(v) ∩ friends[first:last] for every
+        # node v; friend slots are sorted, so the block's entries are one
+        # contiguous slice
+        lo, hi = bounds[first], bounds[last]
+        slot = friend_slot[lo:hi] - np.uint64(first)
+        words = (last - first + 63) // 64
+        masks = np.zeros((num_nodes, words), dtype=np.uint64)
+        np.bitwise_or.at(
+            masks,
+            (neighbors[lo:hi], (slot >> np.uint64(6)).astype(np.int64)),
+            np.uint64(1) << (slot & np.uint64(63)),
+        )
+        pair_masks = masks[pair_friends] & masks[pair_others]
+        pair_counts += _popcount(pair_masks).sum(axis=1)
     doubled = np.bincount(
-        neighbors[is_pair], weights=pair_counts, minlength=num_nodes
+        pair_others, weights=pair_counts, minlength=num_nodes
     )[other_positions]
     return counts.astype(np.int64), doubled.astype(np.int64) // 2
 
 
-def _mutual_stats_sparse(
-    index, friend_positions: "np.ndarray", other_positions: "np.ndarray"
-) -> tuple["np.ndarray", "np.ndarray"]:
-    """Sparse-matmul kernel for owners whose ``|friends| x |strangers|``
-    product would make the dense indicator matrix too large."""
+#: Friend words (64 friends each) per block of the mask table.  A block
+#: holds one row per node and one per (mutual friend, stranger) pair,
+#: each this many uint64 words wide, so the tables do not widen with the
+#: friend count; an owner with up to 1,024 friends takes one block.
+_BLOCK_WORDS = 16
+
+
+def _popcount(array: "np.ndarray") -> "np.ndarray":
+    """Per-element population count of a uint64 array."""
     import numpy as np
 
-    adjacency = index.matrix
-    friend_rows = adjacency[friend_positions]
-    # X[f, i] = 1 iff friend f of the owner is also a friend of others[i].
-    mutual_indicators = friend_rows[:, other_positions]
-    counts = np.asarray(mutual_indicators.sum(axis=0)).ravel()
-    friend_block = friend_rows[:, friend_positions]
-    # diag(X^T A_F X) counts every ordered mutual-friend pair that is
-    # connected, i.e. twice the induced edge count.
-    paths = friend_block @ mutual_indicators
-    doubled = np.asarray(
-        paths.multiply(mutual_indicators).sum(axis=0)
-    ).ravel()
-    return counts.astype(np.int64), (doubled // 2).astype(np.int64)
+    if hasattr(np, "bitwise_count"):  # numpy >= 2.0
+        return np.bitwise_count(array).astype(np.int64)
+    table = np.array([bin(v).count("1") for v in range(256)], dtype=np.int64)
+    as_bytes = array.view(np.uint8).reshape(array.shape + (8,))
+    return table[as_bytes].sum(axis=-1)
 
 
 @dataclass(frozen=True)

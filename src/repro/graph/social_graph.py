@@ -1,18 +1,17 @@
 """The undirected friendship graph with attached profiles.
 
 :class:`SocialGraph` is the substrate every other package builds on.  It is
-a thin, fast adjacency-set structure rather than a networkx wrapper: the
+a thin, fast adjacency-set structure with no graph-library dependency: the
 pipeline's hot loops (mutual-friend queries during pool construction, 2-hop
 expansion per owner) only need set intersections, and keeping storage
 explicit makes serialization and property-based testing straightforward.
-A :meth:`to_networkx` escape hatch exists for analysis and visualization.
+Batched kernels read a cached :class:`AdjacencyIndex`, plain int64 CSR
+arrays over the same adjacency.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Iterator
-
-import networkx as nx
 
 from ..errors import GraphError, UnknownUserError
 from ..types import UserId
@@ -20,25 +19,24 @@ from .profile import Profile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
-    import scipy.sparse
 
 
 class AdjacencyIndex:
     """An immutable CSR snapshot of a graph's adjacency.
 
     The index fixes a canonical node order (graph insertion order) and
-    exposes the 0/1 adjacency matrix in scipy CSR form with integer data,
-    so batched mutual-friend counting stays exact.  Snapshots never track
-    the live graph: :meth:`SocialGraph.adjacency_index` hands out a cached
-    instance and drops it on any mutation, so a stale snapshot can only be
-    reached through a reference taken before the mutation.
+    holds the adjacency as two int64 arrays: the neighbors of the node at
+    position ``p`` are ``indices[indptr[p]:indptr[p + 1]]``, sorted.
+    Snapshots never track the live graph: :meth:`SocialGraph.adjacency_index`
+    hands out a cached instance and drops it on any mutation, so a stale
+    snapshot can only be reached through a reference taken before the
+    mutation.
     """
 
-    __slots__ = ("_nodes", "_positions", "_matrix")
+    __slots__ = ("_nodes", "_positions", "_indptr", "_indices")
 
     def __init__(self, adjacency: dict[UserId, set[UserId]]) -> None:
         import numpy as np
-        import scipy.sparse as sparse
 
         nodes = tuple(adjacency)
         positions = {user_id: pos for pos, user_id in enumerate(nodes)}
@@ -54,14 +52,11 @@ class AdjacencyIndex:
             )
             rows.append(neighbor_positions)
             indptr[position + 1] = indptr[position] + len(neighbor_positions)
-        indices = (
-            np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
-        )
-        data = np.ones(len(indices), dtype=np.int64)
         self._nodes = nodes
         self._positions = positions
-        self._matrix = sparse.csr_matrix(
-            (data, indices, indptr), shape=(len(nodes), len(nodes))
+        self._indptr = indptr
+        self._indices = (
+            np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
         )
 
     @property
@@ -70,9 +65,14 @@ class AdjacencyIndex:
         return self._nodes
 
     @property
-    def matrix(self) -> "scipy.sparse.csr_matrix":
-        """The 0/1 adjacency matrix (int64 CSR, rows in node order)."""
-        return self._matrix
+    def indptr(self) -> "np.ndarray":
+        """Row offsets into :attr:`indices` (int64, ``len(nodes) + 1``)."""
+        return self._indptr
+
+    @property
+    def indices(self) -> "np.ndarray":
+        """Neighbor positions of every row, concatenated (int64)."""
+        return self._indices
 
     def position_of(self, user_id: UserId) -> int:
         """Canonical row/column of ``user_id``; raises on unknown ids."""
@@ -95,8 +95,7 @@ class AdjacencyIndex:
     def neighbor_positions(self, user_id: UserId) -> "np.ndarray":
         """Positions of ``user_id``'s neighbors (sorted int64 array)."""
         position = self.position_of(user_id)
-        matrix = self._matrix
-        return matrix.indices[matrix.indptr[position] : matrix.indptr[position + 1]]
+        return self._indices[self._indptr[position] : self._indptr[position + 1]]
 
 
 class SocialGraph:
@@ -298,14 +297,6 @@ class SocialGraph:
             self._require_user(node)
             count += len(self._adjacency[node] & node_set)
         return count // 2
-
-    def to_networkx(self) -> nx.Graph:
-        """Export to a :class:`networkx.Graph` (profiles as node data)."""
-        exported = nx.Graph()
-        for user_id in self._adjacency:
-            exported.add_node(user_id, profile=self._profiles[user_id])
-        exported.add_edges_from(self.edges())
-        return exported
 
     # ------------------------------------------------------------------
     # internals

@@ -9,6 +9,15 @@ from repro.graph.social_graph import SocialGraph
 from ..conftest import make_profile
 
 
+def dense(index):
+    """The 0/1 adjacency matrix spelled out by the index's CSR arrays."""
+    size = len(index.nodes)
+    matrix = np.zeros((size, size), dtype=np.int64)
+    rows = np.repeat(np.arange(size), np.diff(index.indptr))
+    matrix[rows, index.indices] = 1
+    return matrix
+
+
 def build(edges, count=6):
     graph = SocialGraph()
     for uid in range(count):
@@ -22,18 +31,21 @@ class TestBuild:
     def test_matrix_matches_adjacency(self):
         graph = build([(0, 1), (1, 2), (0, 3)])
         index = graph.adjacency_index()
-        dense = index.matrix.toarray()
-        assert dense.shape == (6, 6)
+        matrix = dense(index)
+        assert matrix.shape == (6, 6)
+        assert index.indices.size == 2 * graph.num_friendships
         for a in range(6):
             for b in range(6):
                 expected = 1 if graph.are_friends(a, b) and a != b else 0
-                assert dense[index.position_of(a), index.position_of(b)] == expected
+                assert matrix[index.position_of(a), index.position_of(b)] == expected
 
     def test_matrix_is_symmetric_integer(self):
         graph = build([(0, 1), (2, 3), (1, 4)])
-        matrix = graph.adjacency_index().matrix
-        assert matrix.dtype == np.int64
-        assert (matrix != matrix.T).nnz == 0
+        index = graph.adjacency_index()
+        assert index.indptr.dtype == np.int64
+        assert index.indices.dtype == np.int64
+        matrix = dense(index)
+        assert (matrix == matrix.T).all()
 
     def test_nodes_follow_insertion_order(self):
         graph = SocialGraph()
@@ -45,7 +57,9 @@ class TestBuild:
         graph = SocialGraph()
         index = graph.adjacency_index()
         assert index.nodes == ()
-        assert index.matrix.shape == (0, 0)
+        assert index.indptr.tolist() == [0]
+        assert index.indices.size == 0
+        assert dense(index).shape == (0, 0)
 
     def test_neighbor_positions_sorted(self):
         graph = build([(3, 0), (3, 5), (3, 1)])
@@ -86,7 +100,7 @@ class TestCaching:
         graph.add_friendship(2, 3)
         after = graph.adjacency_index()
         assert after is not before
-        assert after.matrix[after.position_of(2), after.position_of(3)] == 1
+        assert dense(after)[after.position_of(2), after.position_of(3)] == 1
 
     def test_remove_friendship_invalidates(self):
         graph = build([(0, 1), (2, 3)])
@@ -94,7 +108,7 @@ class TestCaching:
         graph.remove_friendship(2, 3)
         after = graph.adjacency_index()
         assert after is not before
-        assert after.matrix[after.position_of(2), after.position_of(3)] == 0
+        assert dense(after)[after.position_of(2), after.position_of(3)] == 0
 
     def test_add_user_invalidates(self):
         graph = build([(0, 1)])

@@ -163,11 +163,3 @@ class TestQueries:
         graph = graph_with_users(3)
         profiles = graph.profiles([2, 0])
         assert [p.user_id for p in profiles] == [2, 0]
-
-    def test_to_networkx(self):
-        graph = graph_with_users(3)
-        graph.add_friendship(0, 1)
-        exported = graph.to_networkx()
-        assert exported.number_of_nodes() == 3
-        assert exported.number_of_edges() == 1
-        assert exported.nodes[0]["profile"].user_id == 0

@@ -3,16 +3,16 @@
 The oracle is ``NetworkSimilarity.__call__``, scored per stranger.
 """
 
+import random
+
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given
 
 from repro.errors import SimilarityError
-from repro.graph.metrics import (
-    _mutual_stats_bitset,
-    _mutual_stats_sparse,
-    batched_mutual_stats,
-)
+from repro.graph import metrics
+from repro.graph.metrics import batched_mutual_stats
 from repro.graph.social_graph import SocialGraph
 from repro.similarity import network
 from repro.similarity.network import NetworkSimilarity
@@ -78,16 +78,68 @@ class TestBatchEqualsScalar:
     @SLOW_SETTINGS
     def test_kernels_agree(self, graph_owner):
         graph, owner = graph_owner
-        others = tuple(uid for uid in range(len(graph)) if uid != owner)
-        index = graph.adjacency_index()
-        friend_positions = index.neighbor_positions(owner)
-        other_positions = index.positions_of(others)
-        if len(friend_positions) == 0:
-            return
-        bitset = _mutual_stats_bitset(index, friend_positions, other_positions)
-        sparse = _mutual_stats_sparse(index, friend_positions, other_positions)
-        assert bitset[0].tolist() == sparse[0].tolist()
-        assert bitset[1].tolist() == sparse[1].tolist()
+        assert_kernel_matches_oracle(graph, owner)
+
+
+def assert_kernel_matches_oracle(graph, owner):
+    """The kernel's integers are the scalar set queries', and the NS
+    values built from them are the scalar ``__call__``'s, bit for bit."""
+    others = tuple(uid for uid in graph.users() if uid != owner)
+    counts, edges = batched_mutual_stats(graph, owner, others)
+    for position, other in enumerate(others):
+        mutual = graph.mutual_friends(owner, other)
+        assert counts[position] == len(mutual)
+        assert edges[position] == graph.edges_within(mutual)
+    measure = NetworkSimilarity()
+    batch = measure.for_strangers(graph, owner, frozenset(others))
+    for other in others:
+        assert batch[other] == measure(graph, owner, other)
+
+
+@pytest.mark.usefixtures("batch_any_size")
+class TestMaskBlocks:
+    """Owners with more than ``64 * _BLOCK_WORDS`` friends build the mask
+    table in several blocks; the block budget is shrunk so a 150-friend
+    owner takes two or three of them."""
+
+    def many_friend_graph(self, seed, friends=150, strangers=60):
+        rng = random.Random(seed)
+        graph = SocialGraph()
+        size = 1 + friends + strangers
+        for uid in range(size):
+            graph.add_user(make_profile(uid))
+        for friend in range(1, friends + 1):
+            graph.add_friendship(0, friend)
+        for a in range(1, size):
+            for b in range(a + 1, size):
+                if rng.random() < 0.08:
+                    graph.add_friendship(a, b)
+        return graph
+
+    @pytest.mark.parametrize("block_words", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_multi_block_owner_matches_oracle(self, monkeypatch, seed, block_words):
+        monkeypatch.setattr(metrics, "_BLOCK_WORDS", block_words)
+        graph = self.many_friend_graph(seed)
+        assert graph.degree(0) > 64 * block_words
+        assert_kernel_matches_oracle(graph, 0)
+
+
+class TestPopcount:
+    def test_lookup_table_fallback_matches_fast_path(self, monkeypatch):
+        """numpy < 2 has no ``bitwise_count``; the byte-table fallback
+        must give the same counts, high bit included."""
+        if not hasattr(np, "bitwise_count"):
+            pytest.skip("numpy without bitwise_count runs the fallback anyway")
+        rng = np.random.default_rng(7)
+        words = rng.integers(0, 2**64, size=(257, 3), dtype=np.uint64)
+        words[0] = [0, np.uint64(2**63), np.uint64(2**64 - 1)]
+        fast = metrics._popcount(words)
+        monkeypatch.delattr(np, "bitwise_count")
+        fallback = metrics._popcount(words)
+        assert fallback.dtype == fast.dtype == np.int64
+        assert fallback.tolist() == fast.tolist()
+        assert fast[0].tolist() == [0, 1, 64]
 
 
 @pytest.mark.usefixtures("batch_any_size")
