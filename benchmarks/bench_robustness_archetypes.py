@@ -12,7 +12,7 @@ import pytest
 from repro.experiments.headline import headline_metrics
 from repro.experiments.report import render_table
 from repro.experiments.study import run_study
-from repro.faults import FaultPlan, OutageWindow
+from repro.faults import FaultPlan
 from repro.synth import EgoNetConfig, generate_study_population
 from repro.synth.owners import ARCHETYPES
 from repro.types import RiskLabel
@@ -21,13 +21,12 @@ from .conftest import SEED, write_artifact
 
 #: The deployment-shaped fault mix from the resilience acceptance
 #: scenario: one in five oracle queries abstains, one in ten fetches
-#: fails transiently, and the crawler loses a week mid-study.
+#: fails transiently, and one in ten profile attributes is lost.
 FAULT_PLAN = FaultPlan(
     oracle_abstain_rate=0.2,
     fetch_failure_rate=0.1,
     unreachable_rate=0.02,
     attribute_drop_rate=0.1,
-    outages=(OutageWindow(start_day=20, end_day=27),),
 )
 
 _RESULTS: dict[str, tuple] = {}

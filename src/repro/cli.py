@@ -388,20 +388,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "deterministic service-level fault injection (testing only)",
     )
     chaos.add_argument(
-        "--fault-fsync-fail",
-        type=float,
-        default=0.0,
-        metavar="RATE",
-        help="probability each WAL fsync fails (mutation rejected)",
-    )
-    chaos.add_argument(
-        "--fault-slow-disk",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="sleep this long before every WAL fsync",
-    )
-    chaos.add_argument(
         "--crash-at-mutation",
         type=int,
         default=None,
@@ -415,12 +401,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="tear the Nth WAL record mid-write and crash (power cut)",
     )
-    chaos.add_argument(
-        "--fault-seed",
-        type=int,
-        default=0,
-        help="seed for the service fault injector's random stream",
-    )
     return parser
 
 
@@ -429,14 +409,12 @@ def _service_fault_injector(args: argparse.Namespace):
     from .faults import ServiceFaultInjector, ServiceFaultPlan
 
     plan = ServiceFaultPlan(
-        fsync_failure_rate=args.fault_fsync_fail,
-        slow_disk_seconds=args.fault_slow_disk,
         torn_write_at_mutation=args.torn_write_at_mutation,
         crash_at_mutation=args.crash_at_mutation,
     )
     if not plan.injects_anything:
         return None
-    return ServiceFaultInjector(plan, seed=args.fault_seed)
+    return ServiceFaultInjector(plan)
 
 
 def _build_serve_store(args: argparse.Namespace):

@@ -44,10 +44,6 @@ class ClassifierError(ReproError):
     """The label classifier could not produce predictions."""
 
 
-class NotFittedError(ClassifierError):
-    """Predictions were requested before the classifier saw labeled data."""
-
-
 class LearningError(ReproError):
     """The active-learning loop entered an invalid state."""
 

@@ -43,11 +43,6 @@ class Checkpoint:
     agreement: float | None
     result: SessionResult
 
-    @property
-    def cumulative_queries(self) -> int:
-        """Owner questions answered up to and including this checkpoint."""
-        return self.reused_labels + self.new_queries
-
 
 def run_longitudinal(
     graph,

@@ -1,8 +1,8 @@
 """Deterministic fault injection for robustness studies.
 
 One shared vocabulary of fault archetypes — oracle timeout, oracle
-abstention, transient fetch failure, dropped profile attributes, crawl
-outage windows — produced by a seedable :class:`FaultInjector` and
+abstention, transient fetch failure, unreachable users, dropped profile
+attributes — produced by a seedable :class:`FaultInjector` and
 absorbed by the :mod:`repro.resilience` layer.  The serving durability
 layer has its own archetypes (fsync failure, slow disk, torn write,
 crash-at-mutation) in :class:`ServiceFaultPlan` /
@@ -14,7 +14,6 @@ from .injector import (
     FaultPlan,
     FlakyOracle,
     FlakyProfileSource,
-    OutageWindow,
     ServiceFaultInjector,
     ServiceFaultPlan,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "FaultPlan",
     "FlakyOracle",
     "FlakyProfileSource",
-    "OutageWindow",
     "ServiceFaultInjector",
     "ServiceFaultPlan",
 ]

@@ -1,10 +1,9 @@
-"""Seedable fault injection for oracles, profile sources, and crawls.
+"""Seedable fault injection for oracles and profile sources.
 
-Real OSN data arrives incrementally and partially: crawls stall during
-outages, profile fetches fail or return half-empty profiles, and the
-human oracle times out or abstains.  :class:`FaultInjector` reproduces
-those archetypes deterministically so robustness experiments are exactly
-replayable:
+Real OSN data arrives partially: profile fetches fail or return
+half-empty profiles, and the human oracle times out or abstains.
+:class:`FaultInjector` reproduces those archetypes deterministically so
+robustness experiments are exactly replayable:
 
 * **per-call faults** (oracle timeout/abstention, transient fetch
   failure) are pure functions of ``(seed, user, attempt)``, where the
@@ -13,9 +12,7 @@ replayable:
   is what lets a killed run resume byte-for-byte;
 * **per-user faults** (unreachable users, dropped profile attributes)
   are pure functions of ``(seed, user)``, so they agree across retries
-  and across resumed runs regardless of call order;
-* **crawl outages** shift discovery events past configured outage
-  windows, modeling the "crawler was down for a week" archetype.
+  and across resumed runs regardless of call order.
 """
 
 from __future__ import annotations
@@ -36,31 +33,12 @@ from ..errors import (
 from ..graph.profile import Profile
 from ..graph.social_graph import SocialGraph
 from ..learning.oracle import LabelOracle, LabelQuery, _validate_label
-from ..synth.crawler import CrawlSimulation, DiscoveryEvent
 from ..types import RiskLabel, UserId
 
 
 @dataclass(frozen=True)
-class OutageWindow:
-    """An inclusive day range during which the crawler saw nothing."""
-
-    start_day: int
-    end_day: int
-
-    def __post_init__(self) -> None:
-        if self.start_day < 1 or self.end_day < self.start_day:
-            raise ConfigError(
-                f"invalid outage window [{self.start_day}, {self.end_day}]"
-            )
-
-    def covers(self, day: int) -> bool:
-        """Whether ``day`` falls inside the outage."""
-        return self.start_day <= day <= self.end_day
-
-
-@dataclass(frozen=True)
 class FaultPlan:
-    """Rates and windows for every fault archetype.
+    """Rates for every fault archetype.
 
     All rates are probabilities in ``[0, 1]``; the default plan injects
     nothing, so wrapping with an empty plan is a no-op.
@@ -71,7 +49,6 @@ class FaultPlan:
     fetch_failure_rate: float = 0.0
     unreachable_rate: float = 0.0
     attribute_drop_rate: float = 0.0
-    outages: tuple[OutageWindow, ...] = ()
 
     def __post_init__(self) -> None:
         for name in (
@@ -98,7 +75,6 @@ class FaultPlan:
             or self.fetch_failure_rate
             or self.unreachable_rate
             or self.attribute_drop_rate
-            or self.outages
         )
 
 
@@ -172,44 +148,6 @@ class FaultInjector:
     def wrap_source(self, source=None) -> "FlakyProfileSource":
         """A profile source with transient failures and degraded data."""
         return FlakyProfileSource(self, source)
-
-    def apply_outages(self, crawl: CrawlSimulation) -> CrawlSimulation:
-        """Delay discovery events that fall inside outage windows.
-
-        Each affected event moves to the first non-outage day after its
-        window; events pushed past the crawl horizon are lost entirely
-        (the deployment simply never saw them).
-        """
-        if not self._plan.outages:
-            return crawl
-        moved: list[DiscoveryEvent] = []
-        for event in crawl.events:
-            day = event.day
-            while any(window.covers(day) for window in self._plan.outages):
-                day = max(
-                    window.end_day
-                    for window in self._plan.outages
-                    if window.covers(day)
-                ) + 1
-            if day > crawl.days:
-                continue
-            if day == event.day:
-                moved.append(event)
-            else:
-                moved.append(
-                    DiscoveryEvent(
-                        day=day,
-                        stranger=event.stranger,
-                        via_friend=event.via_friend,
-                    )
-                )
-        moved.sort(key=lambda event: event.day)  # stable: preserves order
-        return CrawlSimulation(
-            owner=crawl.owner,
-            events=tuple(moved),
-            days=crawl.days,
-            total_strangers=crawl.total_strangers,
-        )
 
 
 class FlakyOracle:
@@ -403,7 +341,6 @@ __all__ = [
     "FaultPlan",
     "FlakyOracle",
     "FlakyProfileSource",
-    "OutageWindow",
     "ServiceFaultInjector",
     "ServiceFaultPlan",
 ]

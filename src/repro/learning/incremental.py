@@ -51,18 +51,6 @@ class IncrementalResult:
         """Labels available after the update (reused + new)."""
         return self.reused_labels + self.new_queries
 
-    @property
-    def savings_fraction(self) -> float:
-        """Fraction of the update's labels that came for free.
-
-        The owner-effort saving a warm re-score achieves over a cold run;
-        the serving layer reports it per request and in ``/metrics``.
-        """
-        total = self.total_known_labels
-        if total == 0:
-            return 0.0
-        return self.reused_labels / total
-
 
 def continue_session(
     graph: SocialGraph,

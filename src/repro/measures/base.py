@@ -64,8 +64,7 @@ class MeasureRequest:
     must derive their streams from ``seed + index`` (the per-owner
     session seed), exactly as :func:`repro.experiments.plan_owner_session`
     does, so cohort position — not registration order — fixes the
-    stream.  ``fault_plan``/``retry_policy`` only matter to measures
-    that drive the resilient oracle loop.
+    stream.
     """
 
     graph: SocialGraph
@@ -76,8 +75,6 @@ class MeasureRequest:
     config: PipelineConfig | None = None
     seed: int = 0
     use_owner_confidence: bool = True
-    fault_plan: Any = None
-    retry_policy: Any = None
 
 
 @dataclass(frozen=True)

@@ -47,8 +47,7 @@ class StrangerRiskMeasure(RiskMeasure):
         With ``state=None`` this is a full run that *builds* the replay
         state; otherwise only what ``dirty`` touched is recomputed.
         Either way the result — and therefore the digest — is the one a
-        cold :meth:`compute` would produce on the current graph.  Plans
-        carrying replay-unsafe hooks (fault injection) get no state back.
+        cold :meth:`compute` would produce on the current graph.
         """
         session = plan_owner_session(
             request.owner,
@@ -58,8 +57,6 @@ class StrangerRiskMeasure(RiskMeasure):
             config=request.config,
             seed=request.seed,
             use_owner_confidence=request.use_owner_confidence,
-            fault_plan=request.fault_plan,
-            retry_policy=request.retry_policy,
         ).build_session(request.graph)
         outcome = replay_session(session, state, dirty)
         result = outcome.result
@@ -71,7 +68,7 @@ class StrangerRiskMeasure(RiskMeasure):
         )
         return IncrementalScore(
             score=score,
-            state=None if session.hooked else outcome.state,
+            state=outcome.state,
             stats=outcome.stats.to_dict(),
         )
 

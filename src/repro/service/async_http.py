@@ -75,6 +75,11 @@ from .wal import (
 #: that pile-up is what a group commit amortizes into one fsync.
 _MUTATE_POOL_SIZE = 32
 
+#: The scoring breaker opens after this many consecutive failures ...
+BREAKER_FAILURE_THRESHOLD = 5
+#: ... and lets a trial call through after this many seconds.
+BREAKER_RECOVERY_TIME = 5.0
+
 
 class _RiskHandler(RequestHandler):
     """Serves one request on behalf of an :class:`AsyncRiskServer`."""
@@ -440,7 +445,6 @@ class AsyncRiskServer(HttpServerCore):
         engine: RiskEngine,
         scheduler: ScoreScheduler,
         request_timeout: float = 60.0,
-        breaker: CircuitBreaker | None = None,
         state: ServiceState | None = None,
         admission_capacity: int = 256,
     ) -> None:
@@ -455,8 +459,9 @@ class AsyncRiskServer(HttpServerCore):
         )
         self.engine = engine
         self.scheduler = scheduler
-        self.breaker = breaker or CircuitBreaker(
-            failure_threshold=5, recovery_time=5.0
+        self.breaker = CircuitBreaker(
+            failure_threshold=BREAKER_FAILURE_THRESHOLD,
+            recovery_time=BREAKER_RECOVERY_TIME,
         )
 
     def server_close(self) -> None:
@@ -472,7 +477,6 @@ def build_server(
     max_workers: int = 4,
     max_pending: int = 64,
     request_timeout: float = 60.0,
-    breaker: CircuitBreaker | None = None,
     state: ServiceState | None = None,
     admission_capacity: int = 256,
 ) -> AsyncRiskServer:
@@ -489,7 +493,6 @@ def build_server(
         engine,
         scheduler,
         request_timeout=request_timeout,
-        breaker=breaker,
         state=state,
         admission_capacity=admission_capacity,
     )

@@ -18,7 +18,7 @@ owner is byte-identical to the batch study (checked via
 
 The engine is thread-safe: per-owner locks serialize concurrent scores of
 the same owner while different owners score in parallel.  The memo and
-the lock table are LRU-bounded (``max_cached_owners``) so a long-running
+the lock table are LRU-bounded (``MAX_CACHED_OWNERS``) so a long-running
 server's memory stays flat; a lock is never dropped while any thread
 holds or waits on it.
 """
@@ -38,11 +38,16 @@ from ..config import PipelineConfig
 from ..errors import ServiceError, UnknownMeasureError, UnknownOwnerError
 from ..measures import DEFAULT_MEASURE, MeasureRequest, get_measure
 from ..types import UserId
-from .dirty import DirtyDelta, EMPTY_DELTA
+from .dirty import DirtyDelta
 from .store import OwnerStore
 
 #: How a score was produced: full pipeline, warm re-score, or memo.
 ScoreSource = Literal["cold", "warm", "cache"]
+
+#: LRU bound on memo entries (``(owner, measure)`` pairs) and on the
+#: per-owner lock table.  Generous; evictions are surfaced in
+#: :class:`EngineMetrics` as ``cache_evictions``.
+MAX_CACHED_OWNERS = 4096
 
 
 @dataclass(frozen=True)
@@ -339,11 +344,14 @@ class EngineMetrics:
 
 
 @dataclass
-class _PipelineState:
-    """One measure's carry-over state, tagged with its graph version."""
+class _Memo:
+    """One ``(owner, measure)`` memo entry: the last record and the
+    measure's pipeline state at the record's version (``None`` when the
+    measure keeps none).  One entry, so one LRU position: a record and
+    its state are served, touched and evicted together."""
 
-    version: int
-    payload: Any
+    record: ScoreRecord
+    state: Any = None
 
 
 class _CountedLock:
@@ -373,10 +381,6 @@ class RiskEngine:
         Study parameters, with the same meaning (and defaults) as in
         :func:`repro.experiments.run_study`.  A cold engine score with a
         given ``seed`` equals the batch study's result for that owner.
-    max_cached_owners:
-        LRU bound on memoized records and the per-owner lock table.
-        Generous by default; evictions are surfaced in
-        :class:`EngineMetrics` as ``cache_evictions``.
     clock:
         Monotonic time source for latency accounting (injectable).
     """
@@ -389,34 +393,20 @@ class RiskEngine:
         config: PipelineConfig | None = None,
         seed: int = 0,
         use_owner_confidence: bool = True,
-        max_cached_owners: int = 4096,
         clock=time.perf_counter,
     ) -> None:
-        if max_cached_owners < 1:
-            raise ServiceError(
-                f"max_cached_owners must be >= 1, got {max_cached_owners}"
-            )
         self._store = store
         self._pooling = pooling
         self._classifier = classifier
         self._config = config
         self._seed = seed
         self._use_owner_confidence = use_owner_confidence
-        self._max_cached_owners = max_cached_owners
         self._clock = clock
         self._metrics = EngineMetrics()
         # Memo keyed by (owner, measure): each measure caches, warms,
         # and invalidates independently, but all of an owner's entries
         # share the owner's version (one mutation stales them all).
-        self._cache: OrderedDict[tuple[UserId, str], ScoreRecord] = (
-            OrderedDict()
-        )
-        # Incremental pipeline states, keyed like the memo and bounded
-        # by the same LRU limit.  A state is advisory: losing one only
-        # costs the next warm score a full (state-rebuilding) run.
-        self._states: OrderedDict[tuple[UserId, str], _PipelineState] = (
-            OrderedDict()
-        )
+        self._cache: OrderedDict[tuple[UserId, str], _Memo] = OrderedDict()
         self._cache_guard = threading.Lock()
         self._owner_locks: dict[UserId, _CountedLock] = {}
         self._locks_guard = threading.Lock()
@@ -434,17 +424,13 @@ class RiskEngine:
         """Serving counters."""
         return self._metrics
 
-    @property
-    def max_cached_owners(self) -> int:
-        """The LRU bound on memoized records."""
-        return self._max_cached_owners
-
     def cached(
         self, owner_id: UserId, measure: str = DEFAULT_MEASURE
     ) -> ScoreRecord | None:
         """The memoized record for ``(owner_id, measure)``, fresh or stale."""
         with self._cache_guard:
-            return self._cache.get((owner_id, measure))
+            memo = self._cache.get((owner_id, measure))
+        return None if memo is None else memo.record
 
     def owners_overview(self) -> list[dict[str, Any]]:
         """Store snapshot annotated with cache state (``/owners``).
@@ -457,8 +443,8 @@ class RiskEngine:
         """
         by_owner: dict[UserId, dict[str, ScoreRecord]] = {}
         with self._cache_guard:
-            for (owner_id, measure), record in self._cache.items():
-                by_owner.setdefault(owner_id, {})[measure] = record
+            for (owner_id, measure), memo in self._cache.items():
+                by_owner.setdefault(owner_id, {})[measure] = memo.record
         overview = []
         for row in self._store.snapshot():
             records = by_owner.get(row["owner"], {})
@@ -531,9 +517,10 @@ class RiskEngine:
             hit = self._serve_hit(owner_id, name, version)
             if hit is not None:
                 return hit
-            stale = self.cached(owner_id, name)
+            with self._cache_guard:
+                stale = self._cache.get((owner_id, name))
             try:
-                record = self._compute(entry, version, stale, risk_measure)
+                memo = self._compute(entry, version, stale, risk_measure)
             except Exception:
                 self._metrics.record_error(name)
                 raise
@@ -542,10 +529,11 @@ class RiskEngine:
             # labels are the loop's scarcest resource (3 per round).  The
             # grant goes first: once memoized, :meth:`peek` may serve the
             # record without the owner lock.
+            record = memo.record
             granted = risk_measure.granted_labels(record.result)
             if granted:
                 self._store.grant_labels(owner_id, granted)
-            self._memoize(owner_id, name, record)
+            self._memoize(owner_id, name, memo)
             self._metrics.record_score(
                 record.source,
                 record.elapsed_seconds,
@@ -577,7 +565,7 @@ class RiskEngine:
         return self._serve_hit(owner_id, measure, version)
 
     def invalidate(self, owner_id: UserId) -> None:
-        """Drop the owner's memoized records (the next scores run cold).
+        """Drop the owner's memo entries (the next scores run cold).
 
         Pipeline states go with them: ``invalidate`` promises a *cold*
         re-score, and a surviving state would silently serve a delta
@@ -589,10 +577,6 @@ class RiskEngine:
                     key for key in self._cache if key[0] == owner_id
                 ]:
                     del self._cache[key]
-                for key in [
-                    key for key in self._states if key[0] == owner_id
-                ]:
-                    del self._states[key]
 
     def invalidate_many(self, owner_ids: Iterable[UserId]) -> None:
         """Drop memoized records for several owners at once.
@@ -608,8 +592,8 @@ class RiskEngine:
     # internals
     # ------------------------------------------------------------------
     def _compute(
-        self, entry, version: int, cached: ScoreRecord | None, risk_measure
-    ) -> ScoreRecord:
+        self, entry, version: int, stale: _Memo | None, risk_measure
+    ) -> _Memo:
         owner_id = entry.owner.user_id
         request = MeasureRequest(
             graph=self._store.graph,
@@ -622,12 +606,13 @@ class RiskEngine:
             use_owner_confidence=self._use_owner_confidence,
         )
         start = self._clock()
-        score = self._compute_incremental(
-            owner_id, request, version, cached, risk_measure
+        incremental = self._compute_incremental(
+            owner_id, request, stale, risk_measure
         )
         elapsed = self._clock() - start
-        source: ScoreSource = "warm" if cached is not None else "cold"
-        return ScoreRecord(
+        score = incremental.score
+        source: ScoreSource = "warm" if stale is not None else "cold"
+        record = ScoreRecord(
             owner_id=entry.owner.user_id,
             version=version,
             source=source,
@@ -638,55 +623,37 @@ class RiskEngine:
             elapsed_seconds=elapsed,
             measure=risk_measure.name,
         )
+        return _Memo(record=record, state=incremental.state)
 
     def _compute_incremental(
         self,
         owner_id: UserId,
         request: MeasureRequest,
-        version: int,
-        cached: ScoreRecord | None,
+        stale: _Memo | None,
         risk_measure,
     ):
-        """Delta-replay one score through the measure's pipeline state.
+        """Delta-replay one score through the stale memo's pipeline state.
 
         The dirty delta handed to the measure merges every store
-        mutation between the state's version and ``version`` (the
-        version read under the owner lock at the top of :meth:`score`).
-        A ``None`` delta — no state, or the dirty log no longer covers
-        the gap — makes the measure run fully and rebuild state, so a
-        lost state or evicted log costs time, never correctness.
+        mutation since the stale record's version, the version its state
+        was built at.  A ``None`` delta — no state, or the dirty log no
+        longer covers the gap — makes the measure run fully and rebuild
+        state, so an evicted log costs time, never correctness.
         """
-        with self._cache_guard:
-            state = self._states.get((owner_id, risk_measure.name))
-            if state is not None:
-                self._states.move_to_end((owner_id, risk_measure.name))
         dirty: DirtyDelta | None = None
         payload = None
-        if state is not None and cached is not None:
-            payload = state.payload
-            if state.version == version:
-                dirty = EMPTY_DELTA
-            else:
-                dirty = self._store.dirty_between(owner_id, state.version)
-            if dirty is None:
-                # Gap not covered by the dirty log (evicted entries or a
-                # replaced graph): full rebuild, not a wrong reuse.
-                payload = None
+        if stale is not None and stale.state is not None:
+            dirty = self._store.dirty_between(owner_id, stale.record.version)
+            if dirty is not None:
+                payload = stale.state
+            # else: gap not covered by the dirty log (evicted entries or
+            # a replaced graph): full rebuild, not a wrong reuse
         incremental = risk_measure.compute_incremental(
             request, payload, dirty
         )
-        if incremental.state is not None:
-            with self._cache_guard:
-                key = (owner_id, risk_measure.name)
-                self._states[key] = _PipelineState(
-                    version=version, payload=incremental.state
-                )
-                self._states.move_to_end(key)
-                while len(self._states) > self._max_cached_owners:
-                    self._states.popitem(last=False)
         if incremental.stats is not None:
             self._metrics.record_incremental(dict(incremental.stats))
-        return incremental.score
+        return incremental
 
     def _serve_hit(
         self, owner_id: UserId, measure: str, version: int
@@ -706,21 +673,19 @@ class RiskEngine:
     ) -> ScoreRecord | None:
         """The fresh memoized record, LRU-touched — or ``None``."""
         with self._cache_guard:
-            cached = self._cache.get((owner_id, measure))
-            if cached is None or cached.version != version:
+            memo = self._cache.get((owner_id, measure))
+            if memo is None or memo.record.version != version:
                 return None
             self._cache.move_to_end((owner_id, measure))
-            return cached
+            return memo.record
 
-    def _memoize(
-        self, owner_id: UserId, measure: str, record: ScoreRecord
-    ) -> None:
-        """Store a record, evicting least-recently-served overflow."""
+    def _memoize(self, owner_id: UserId, measure: str, memo: _Memo) -> None:
+        """Store an entry, evicting least-recently-served overflow."""
         evicted = 0
         with self._cache_guard:
-            self._cache[(owner_id, measure)] = record
+            self._cache[(owner_id, measure)] = memo
             self._cache.move_to_end((owner_id, measure))
-            while len(self._cache) > self._max_cached_owners:
+            while len(self._cache) > MAX_CACHED_OWNERS:
                 self._cache.popitem(last=False)
                 evicted += 1
         for _ in range(evicted):
@@ -747,10 +712,10 @@ class RiskEngine:
                 entry.refs -= 1
                 if (
                     entry.refs == 0
-                    and len(self._owner_locks) > self._max_cached_owners
+                    and len(self._owner_locks) > MAX_CACHED_OWNERS
                 ):
                     for candidate in list(self._owner_locks):
-                        if len(self._owner_locks) <= self._max_cached_owners:
+                        if len(self._owner_locks) <= MAX_CACHED_OWNERS:
                             break
                         if self._owner_locks[candidate].refs == 0:
                             del self._owner_locks[candidate]

@@ -102,6 +102,20 @@ REBALANCE_EXIT_CODE = 25
 #: Seconds between a phase call's attempts while its shard is away.
 _RETRY_DELAY = 0.2
 
+#: Per-attempt HTTP timeout of a phase call to a shard.
+HTTP_TIMEOUT = 15.0
+#: Seconds a phase keeps retrying an unreachable shard before the
+#: migration fails — rides out the supervisor's restart window, so a
+#: ``kill -9`` of either endpoint mid-phase self-heals.
+SHARD_PATIENCE = 60.0
+#: How many times the export→verify loop runs when the source drifted
+#: between export and cutover (an in-flight request that raced the
+#: fence).  The fence blocks new work, so this converges after at most
+#: one extra pass in practice.
+DRIFT_RETRIES = 3
+#: Seconds a retiring shard gets to drain before it is killed.
+RETIRE_DRAIN_TIMEOUT = 15.0
+
 
 def phase_reached(phase: str | None, target: str) -> bool:
     """Whether the journaled ``phase`` is at or past ``target``."""
@@ -162,15 +176,9 @@ class RebalanceCoordinator:
         live here, and per-shard ``shard-<i>`` WAL dirs are deleted on
         retire/rollback.  ``None`` = in-memory manifest only (no crash
         recovery — fine for tests, documented for ops).
-    shard_patience:
-        Seconds a phase keeps retrying an unreachable shard before the
-        migration fails — rides out the supervisor's restart window, so
-        a ``kill -9`` of either endpoint mid-phase self-heals.
-    drift_retries:
-        How many times the export→verify loop re-runs when the source
-        drifted between export and cutover (an in-flight request that
-        raced the fence).  The fence blocks new work, so this converges
-        after at most one extra pass in practice.
+
+    Timeouts, patience and the drift retries are the module constants
+    above.
     """
 
     def __init__(
@@ -180,10 +188,6 @@ class RebalanceCoordinator:
         *,
         wal_root: str | Path | None = None,
         log: Callable[[str], None] | None = None,
-        http_timeout: float = 15.0,
-        shard_patience: float = 60.0,
-        drift_retries: int = 3,
-        retire_drain_timeout: float = 15.0,
     ) -> None:
         self._router = router
         self._supervisor = router.supervisor
@@ -195,10 +199,6 @@ class RebalanceCoordinator:
             else None
         )
         self._log = log or (lambda message: None)
-        self._http_timeout = http_timeout
-        self._shard_patience = shard_patience
-        self._drift_retries = max(1, drift_retries)
-        self._retire_drain_timeout = retire_drain_timeout
         self._task: asyncio.Task | None = None
         self._resume = asyncio.Event()
         self._abort = asyncio.Event()
@@ -343,7 +343,7 @@ class RebalanceCoordinator:
             )
             await self._rollback(
                 "interrupted before cutover; rolled back",
-                patience=self._shard_patience,
+                patience=SHARD_PATIENCE,
             )
             return "rolled-back"
         finally:
@@ -370,7 +370,7 @@ class RebalanceCoordinator:
                 }
             )
             self._router.set_fence(moving, "migrating")
-            for attempt in range(self._drift_retries):
+            for attempt in range(DRIFT_RETRIES):
                 await self._gate("snapshot-slice")
                 await self._phase_snapshot()
                 self._set_phase("snapshot-slice")
@@ -386,12 +386,12 @@ class RebalanceCoordinator:
                 self._log(
                     "a source drifted between export and cutover "
                     f"(in-flight request raced the fence); re-exporting "
-                    f"(attempt {attempt + 2}/{self._drift_retries})"
+                    f"(attempt {attempt + 2}/{DRIFT_RETRIES})"
                 )
             else:
                 raise RebalanceError(
                     "sources kept drifting after "
-                    f"{self._drift_retries} export passes",
+                    f"{DRIFT_RETRIES} export passes",
                     phase="cutover",
                 )
             # -- point of no return: journal the intent, then apply it.
@@ -464,7 +464,7 @@ class RebalanceCoordinator:
             spec = self._make_spec(index, new_count)
             await self._supervisor.add_worker(spec)
             if not await self._supervisor.wait_for_ready(
-                index, timeout=self._shard_patience
+                index, timeout=SHARD_PATIENCE
             ):
                 raise RebalanceError(
                     f"joining shard {index} never became ready",
@@ -606,7 +606,7 @@ class RebalanceCoordinator:
                             "POST",
                             "/slice/detach",
                             {"owners": move["owners"]},
-                            patience=min(patience, self._shard_patience),
+                            patience=min(patience, SHARD_PATIENCE),
                         )
                     except RebalanceError as detach_error:
                         self._log(
@@ -684,7 +684,7 @@ class RebalanceCoordinator:
 
     async def _retire(self, index: int) -> None:
         await self._supervisor.retire_worker(
-            index, drain_timeout=self._retire_drain_timeout
+            index, drain_timeout=RETIRE_DRAIN_TIMEOUT
         )
 
     def _close_clients(self) -> None:
@@ -710,11 +710,11 @@ class RebalanceCoordinator:
         phase call simply lands on the restarted worker.  Any other
         error status (the 409 digest conflict, a 4xx) raises at once.
         """
-        patience = self._shard_patience if patience is None else patience
+        patience = SHARD_PATIENCE if patience is None else patience
         client = self._clients.get(shard)
         if client is None:
             client = self._clients[shard] = ShardClient(
-                self._supervisor, shard, timeout=self._http_timeout
+                self._supervisor, shard, timeout=HTTP_TIMEOUT
             )
 
         async def attempt() -> dict[str, Any]:

@@ -118,16 +118,11 @@ class ShardClient:
         shard_index: int,
         *,
         timeout: float = 60.0,
-        retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY,
-        breaker: CircuitBreaker | None = None,
     ) -> None:
         self._supervisor = supervisor
         self.shard_index = shard_index
         self._timeout = timeout
-        self._retry_policy = retry_policy
-        self.breaker = breaker or CircuitBreaker(
-            failure_threshold=3, recovery_time=1.0
-        )
+        self.breaker = CircuitBreaker(failure_threshold=3, recovery_time=1.0)
         self._pool_url: str | None = None
         self._idle: list[_Connection] = []
 
@@ -300,7 +295,7 @@ class ShardClient:
             return result
         return await retry_call_async(
             lambda: self.attempt(method, path, body, raw=raw),
-            self._retry_policy,
+            DEFAULT_RETRY_POLICY,
             retry_on=(ShardUnavailableError,),
             breaker=self.breaker,
         )
@@ -316,7 +311,7 @@ class ShardClient:
         """
         status, answer, _ = await retry_call_async(
             lambda: self._answer("POST", path, body, stream=True),
-            self._retry_policy,
+            DEFAULT_RETRY_POLICY,
             retry_on=(ShardUnavailableError,),
             breaker=self.breaker,
         )
@@ -955,7 +950,6 @@ class ShardRouterServer(HttpServerCore):
         supervisor: ShardSupervisor,
         *,
         request_timeout: float = 60.0,
-        retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY,
         state: ServiceState | None = None,
         admission_capacity: int = 256,
     ) -> None:
@@ -966,7 +960,6 @@ class ShardRouterServer(HttpServerCore):
             admission_capacity=admission_capacity,
         )
         self.supervisor = supervisor
-        self.retry_policy = retry_policy
         self._topology = (
             shard_map,
             [
@@ -995,7 +988,6 @@ class ShardRouterServer(HttpServerCore):
             self.supervisor,
             shard,
             timeout=self.request_timeout + 5.0,
-            retry_policy=self.retry_policy,
         )
 
     # -- topology ------------------------------------------------------
@@ -1068,7 +1060,6 @@ def build_router(
     host: str = "127.0.0.1",
     port: int = 0,
     request_timeout: float = 60.0,
-    retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY,
     state: ServiceState | None = None,
     admission_capacity: int = 256,
 ) -> ShardRouterServer:
@@ -1083,7 +1074,6 @@ def build_router(
         shard_map,
         supervisor,
         request_timeout=request_timeout,
-        retry_policy=retry_policy,
         state=state,
         admission_capacity=admission_capacity,
     )

@@ -14,7 +14,7 @@ event loop the router serves from:
   so a dead worker is restarted at once, with the *same* argv — same
   WAL dir — and recovery replays the shard's log and serves
   digest-identical scores; a probe task kills a live worker that fails
-  ``probe_failures_before_restart`` ``GET /readyz`` probes in a row;
+  ``PROBE_FAILURES_BEFORE_RESTART`` ``GET /readyz`` probes in a row;
 * **drain** — :meth:`stop` SIGTERMs every worker (each runs its own
   graceful drain) and escalates to ``kill -9`` only past the timeout.
 
@@ -42,6 +42,28 @@ from .http import read_line
 
 #: Announcement line prefix every serve process prints once it is bound.
 ANNOUNCEMENT = "serving on "
+
+#: Seconds between readiness probe sweeps.
+HEALTH_INTERVAL = 0.5
+#: Seconds to wait for a worker's announcement before the boot fails.
+BOOT_TIMEOUT = 120.0
+#: Per-probe HTTP timeout for ``GET /readyz``.
+PROBE_TIMEOUT = 5.0
+#: Consecutive failed probes (connection-level, not 503s) after which a
+#: *live* process is presumed hung and force-restarted.
+PROBE_FAILURES_BEFORE_RESTART = 3
+#: Base of the exponential respawn delay: restart ``k`` within the
+#: crash-loop window waits ``RESTART_BACKOFF * 2**(k-1)`` seconds,
+#: capped at ``RESTART_BACKOFF_CAP``, plus seeded jitter so a fleet of
+#: crashed shards doesn't respawn in lockstep.
+RESTART_BACKOFF = 0.25
+RESTART_BACKOFF_CAP = 15.0
+#: Restarts within ``CRASH_LOOP_WINDOW`` seconds after which the breaker
+#: trips: the shard is marked failed in ``/shards`` and no longer
+#: respawned — a persistently-crashing worker (bad disk, poisoned WAL)
+#: must page an operator, not spin the host.
+CRASH_LOOP_THRESHOLD = 5
+CRASH_LOOP_WINDOW = 30.0
 
 
 @dataclass
@@ -105,66 +127,24 @@ class ShardSupervisor:
         One :class:`ShardSpec` per shard, ``argv`` ready to exec.  The
         worker must announce ``serving on http://host:port`` on stderr
         once bound (``repro-study serve`` does).
-    health_interval:
-        Seconds between readiness probe sweeps.
-    boot_timeout:
-        Seconds to wait for a worker's announcement before declaring the
-        boot failed.
-    probe_timeout:
-        Per-probe HTTP timeout for ``GET /readyz``.
-    probe_failures_before_restart:
-        Consecutive failed probes (connection-level, not 503s) after
-        which a *live* process is presumed hung and force-restarted.
-    restart_backoff:
-        *Base* of the exponential respawn delay: restart ``k`` within
-        the crash-loop window waits ``restart_backoff * 2**(k-1)``
-        seconds (capped at ``restart_backoff_cap``), plus seeded jitter
-        so a fleet of crashed shards doesn't respawn in lockstep.
-    restart_backoff_cap:
-        Ceiling on the exponential delay.
     backoff_seed:
         Seed for the jitter PRNG — deterministic backoff schedules in
         tests, decorrelated ones in production (vary the seed).
-    crash_loop_threshold:
-        Restarts within ``crash_loop_window`` seconds after which the
-        breaker trips: the shard is marked failed in ``/shards`` and no
-        longer respawned — a persistently-crashing worker (bad disk,
-        poisoned WAL) must page an operator, not spin the host.
-    crash_loop_window:
-        Width of the sliding window the threshold counts within.
+
+    The probe, boot and restart policy is the module constants above.
     """
 
     def __init__(
         self,
         specs: Sequence[ShardSpec],
         *,
-        health_interval: float = 0.5,
-        boot_timeout: float = 120.0,
-        probe_timeout: float = 5.0,
-        probe_failures_before_restart: int = 3,
-        restart_backoff: float = 0.25,
-        restart_backoff_cap: float = 15.0,
         backoff_seed: int = 0,
-        crash_loop_threshold: int = 5,
-        crash_loop_window: float = 30.0,
         log: Callable[[str], None] | None = None,
     ) -> None:
         if not specs:
             raise ServiceError("a shard supervisor needs at least one spec")
-        if crash_loop_threshold < 1:
-            raise ServiceError(
-                f"crash_loop_threshold must be >= 1, got {crash_loop_threshold}"
-            )
         self._handles = [_WorkerHandle(spec=spec) for spec in specs]
-        self._health_interval = health_interval
-        self._boot_timeout = boot_timeout
-        self._probe_timeout = probe_timeout
-        self._probe_failures_before_restart = probe_failures_before_restart
-        self._restart_backoff = restart_backoff
-        self._restart_backoff_cap = restart_backoff_cap
         self._jitter = random.Random(backoff_seed)
-        self._crash_loop_threshold = crash_loop_threshold
-        self._crash_loop_window = crash_loop_window
         self._log = log or (lambda message: None)
         self._stopping = False
         self._prober: asyncio.Task | None = None
@@ -186,7 +166,7 @@ class ShardSupervisor:
                 await self.stop(drain_timeout=5.0)
                 raise ServiceError(
                     f"shard {handle.spec.index} never announced within "
-                    f"{self._boot_timeout:.0f}s; last stderr:\n{tail}"
+                    f"{BOOT_TIMEOUT:.0f}s; last stderr:\n{tail}"
                 )
         self._prober = asyncio.create_task(self._probe_loop())
 
@@ -292,7 +272,7 @@ class ShardSupervisor:
             self._handles.remove(handle)
             raise ServiceError(
                 f"new shard {spec.index} never announced within "
-                f"{self._boot_timeout:.0f}s; last stderr:\n{tail}"
+                f"{BOOT_TIMEOUT:.0f}s; last stderr:\n{tail}"
             )
         self._log(f"shard {spec.index} joined the fleet")
 
@@ -324,7 +304,7 @@ class ShardSupervisor:
     # ------------------------------------------------------------------
     async def _within_boot_timeout(self, announced: asyncio.Event) -> bool:
         try:
-            await asyncio.wait_for(announced.wait(), self._boot_timeout)
+            await asyncio.wait_for(announced.wait(), BOOT_TIMEOUT)
         except asyncio.TimeoutError:
             return False
         return True
@@ -354,7 +334,7 @@ class ShardSupervisor:
         while True:
             await self._read_stderr(handle)
             handle.last_exit_code = await handle.process.wait()
-            if handle.probe_failures >= self._probe_failures_before_restart:
+            if handle.probe_failures >= PROBE_FAILURES_BEFORE_RESTART:
                 reason = (
                     f"unresponsive ({handle.probe_failures} failed "
                     "readyz probes)"
@@ -392,7 +372,7 @@ class ShardSupervisor:
         client = ShardClient(
             SimpleNamespace(url_of=lambda _: url),
             0,
-            timeout=self._probe_timeout,
+            timeout=PROBE_TIMEOUT,
         )
         try:
             await client.attempt("GET", "/readyz")
@@ -403,10 +383,10 @@ class ShardSupervisor:
         return True
 
     async def _probe_loop(self) -> None:
-        """Probe every announced worker each ``health_interval``; kill
+        """Probe every announced worker each ``HEALTH_INTERVAL``; kill
         one that keeps failing, for its task to restart."""
         while True:
-            await asyncio.sleep(self._health_interval)
+            await asyncio.sleep(HEALTH_INTERVAL)
             for handle in list(self._handles):
                 process, url = handle.process, handle.address
                 if url is None:
@@ -420,7 +400,7 @@ class ShardSupervisor:
                 handle.probe_failures += 1
                 if (
                     handle.probe_failures
-                    >= self._probe_failures_before_restart
+                    >= PROBE_FAILURES_BEFORE_RESTART
                 ):
                     process.kill()
 
@@ -433,16 +413,16 @@ class ShardSupervisor:
         now = time.monotonic()
         while (
             handle.recent_restarts
-            and now - handle.recent_restarts[0] > self._crash_loop_window
+            and now - handle.recent_restarts[0] > CRASH_LOOP_WINDOW
         ):
             handle.recent_restarts.popleft()
         handle.recent_restarts.append(now)
         rapid = len(handle.recent_restarts)
-        if rapid >= self._crash_loop_threshold:
+        if rapid >= CRASH_LOOP_THRESHOLD:
             handle.failed = True
             self._log(
                 f"shard {handle.spec.index} crash-looping ({rapid} restarts "
-                f"in {self._crash_loop_window:.0f}s); breaker tripped — "
+                f"in {CRASH_LOOP_WINDOW:.0f}s); breaker tripped — "
                 "marking failed and giving up"
             )
             return False
@@ -482,11 +462,9 @@ class ShardSupervisor:
         to +50% from the seeded jitter PRNG so sibling shards that died
         together don't respawn in lockstep.
         """
-        if not self._restart_backoff:
-            return 0.0
         exponential = min(
-            self._restart_backoff_cap,
-            self._restart_backoff * (2 ** max(0, rapid_restarts - 1)),
+            RESTART_BACKOFF_CAP,
+            RESTART_BACKOFF * (2 ** max(0, rapid_restarts - 1)),
         )
         return exponential * (1.0 + self._jitter.uniform(0.0, 0.5))
 

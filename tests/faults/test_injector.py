@@ -18,11 +18,8 @@ from repro.faults import (
     FaultPlan,
     FlakyOracle,
     FlakyProfileSource,
-    OutageWindow,
 )
-from repro.graph.ego import EgoNetwork
 from repro.learning.oracle import LabelQuery, ScriptedOracle
-from repro.synth.crawler import simulate_sight_crawl
 from repro.types import RiskLabel
 
 from ..conftest import make_ego_graph
@@ -44,18 +41,6 @@ class TestFaultPlan:
     def test_injects_anything(self):
         assert not FaultPlan().injects_anything
         assert FaultPlan(oracle_abstain_rate=0.1).injects_anything
-        assert FaultPlan(
-            outages=(OutageWindow(start_day=1, end_day=2),)
-        ).injects_anything
-
-    def test_outage_window_validation(self):
-        with pytest.raises(ConfigError):
-            OutageWindow(start_day=0, end_day=3)
-        with pytest.raises(ConfigError):
-            OutageWindow(start_day=5, end_day=4)
-        window = OutageWindow(start_day=3, end_day=5)
-        assert window.covers(3) and window.covers(5)
-        assert not window.covers(2) and not window.covers(6)
 
 
 class TestDeterminism:
@@ -223,45 +208,6 @@ class TestFlakyProfileSource:
         with pytest.raises(UnreachableUserError) as excinfo:
             source.fetch_one(graph, 6)
         assert excinfo.value.user_id == 6
-
-
-class TestOutages:
-    def _crawl(self):
-        graph, owner = make_ego_graph(num_friends=6, num_strangers=20, seed=4)
-        ego = EgoNetwork(graph, owner)
-        return simulate_sight_crawl(ego, days=30, rng=random.Random(11))
-
-    def test_no_events_inside_outage_windows(self):
-        crawl = self._crawl()
-        plan = FaultPlan(outages=(OutageWindow(start_day=5, end_day=10),))
-        shifted = FaultInjector(plan, seed=0).apply_outages(crawl)
-        assert all(
-            not (5 <= event.day <= 10) for event in shifted.events
-        )
-        assert shifted.days == crawl.days
-        assert shifted.total_strangers == crawl.total_strangers
-
-    def test_events_shift_to_first_day_after_the_window(self):
-        crawl = self._crawl()
-        in_window = [e for e in crawl.events if 5 <= e.day <= 10]
-        assert in_window  # precondition: the outage really covers events
-        plan = FaultPlan(outages=(OutageWindow(start_day=5, end_day=10),))
-        shifted = FaultInjector(plan, seed=0).apply_outages(crawl)
-        by_stranger = {e.stranger: e for e in shifted.events}
-        for event in in_window:
-            assert by_stranger[event.stranger].day == 11
-
-    def test_events_past_the_horizon_are_lost(self):
-        crawl = self._crawl()
-        plan = FaultPlan(outages=(OutageWindow(start_day=2, end_day=30),))
-        shifted = FaultInjector(plan, seed=0).apply_outages(crawl)
-        survivors = {e.stranger for e in crawl.events if e.day == 1}
-        assert {e.stranger for e in shifted.events} == survivors
-        assert shifted.coverage <= crawl.coverage
-
-    def test_empty_plan_returns_the_same_crawl(self):
-        crawl = self._crawl()
-        assert FaultInjector(FaultPlan(), seed=0).apply_outages(crawl) is crawl
 
 
 class TestServiceFaultPlan:

@@ -13,10 +13,17 @@ import time
 
 import pytest
 
+from repro.resilience import RetryPolicy
 from repro.service import OwnerStore, RiskEngine
+from repro.service import router as router_module
 from repro.synth import EgoNetConfig, generate_study_population
 
 SERVICE_SEED = 17
+
+#: Fail over fast in tests: two attempts, ~10ms apart.
+FAST_RETRIES = RetryPolicy(
+    max_attempts=2, base_delay=0.01, max_delay=0.02, seed=1
+)
 
 
 def make_service_population():
@@ -112,6 +119,12 @@ class StaticSupervisor:
                 for index in range(len(self.servers))
             ]
         }
+
+
+@pytest.fixture
+def fast_retries(monkeypatch):
+    """Shard reads retry under :data:`FAST_RETRIES` for the test."""
+    monkeypatch.setattr(router_module, "DEFAULT_RETRY_POLICY", FAST_RETRIES)
 
 
 @pytest.fixture

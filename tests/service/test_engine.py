@@ -13,6 +13,8 @@ from repro.errors import UnknownOwnerError
 from repro.io import result_digest
 from repro.measures import get_measure
 from repro.service import OwnerStore, RiskEngine
+from repro.service import engine as engine_module
+from repro.synth import EgoNetConfig, generate_study_population
 
 from .conftest import SERVICE_SEED
 
@@ -201,11 +203,10 @@ class TestCacheBounds:
     without bound for the lifetime of the server)."""
 
     def test_lru_eviction_under_a_tight_bound(
-        self, service_population, service_store
+        self, service_population, service_store, monkeypatch
     ):
-        engine = RiskEngine(
-            service_store, seed=SERVICE_SEED, max_cached_owners=1
-        )
+        monkeypatch.setattr(engine_module, "MAX_CACHED_OWNERS", 1)
+        engine = RiskEngine(service_store, seed=SERVICE_SEED)
         first, second = [o.user_id for o in service_population.owners]
         a = engine.score(first)
         engine.score(second)  # evicts first (LRU, bound 1)
@@ -219,22 +220,21 @@ class TestCacheBounds:
         assert again.digest == a.digest
 
     def test_lock_table_is_pruned_with_the_cache(
-        self, service_population, service_store
+        self, service_population, service_store, monkeypatch
     ):
-        engine = RiskEngine(
-            service_store, seed=SERVICE_SEED, max_cached_owners=1
-        )
+        monkeypatch.setattr(engine_module, "MAX_CACHED_OWNERS", 1)
+        engine = RiskEngine(service_store, seed=SERVICE_SEED)
         for owner in service_population.owners:
             engine.score(owner.user_id)
-        assert len(engine._owner_locks) <= engine.max_cached_owners
+        assert len(engine._owner_locks) <= engine_module.MAX_CACHED_OWNERS
 
-    def test_held_locks_survive_pruning(self):
+    def test_held_locks_survive_pruning(self, monkeypatch):
         import threading
 
+        monkeypatch.setattr(engine_module, "MAX_CACHED_OWNERS", 1)
         engine = RiskEngine.__new__(RiskEngine)
         engine._owner_locks = {}
         engine._locks_guard = threading.Lock()
-        engine._max_cached_owners = 1
         entered = threading.Event()
         release = threading.Event()
 
@@ -256,11 +256,34 @@ class TestCacheBounds:
         holder.join(timeout=10)
         assert len(engine._owner_locks) <= 1
 
-    def test_invalid_bound_is_rejected(self, service_store):
-        from repro.errors import ServiceError
-
-        with pytest.raises(ServiceError):
-            RiskEngine(service_store, max_cached_owners=0)
+    def test_a_cache_hit_keeps_the_pipeline_state_with_its_record(
+        self, monkeypatch
+    ):
+        """A record and its pipeline state share one LRU entry: the hit
+        that saves A's record from eviction saves A's state too, so A's
+        next warm score replays its pools instead of rebuilding."""
+        monkeypatch.setattr(engine_module, "MAX_CACHED_OWNERS", 2)
+        store = OwnerStore.from_population(
+            generate_study_population(
+                num_owners=3,
+                ego_config=EgoNetConfig(num_friends=15, num_strangers=50),
+                seed=SERVICE_SEED,
+            )
+        )
+        engine = RiskEngine(store, seed=SERVICE_SEED)
+        a, b, c = store.owner_ids()
+        cold = engine.score(a)
+        engine.score(b)
+        assert engine.score(a).source == "cache"
+        engine.score(c)  # evicts B, the least recently served
+        assert engine.cached(b) is None
+        store.touch(a)
+        warm = engine.score(a)
+        assert warm.source == "warm"
+        assert warm.digest == cold.digest  # a touch leaves the graph as is
+        # every pool replayed: no label asked again, no full rebuild
+        assert warm.reused_labels == cold.result.labels_requested
+        assert engine.metrics.snapshot()["incremental"]["full_runs"] == 3
 
 
 class TestLatencyWindow:

@@ -13,7 +13,6 @@ import urllib.request
 import pytest
 
 from repro.measures import available_measures
-from repro.resilience import CircuitBreaker
 from repro.service import (
     AsyncRiskServer,
     OwnerStore,
@@ -21,6 +20,7 @@ from repro.service import (
     ScoreScheduler,
     ShardMap,
     ShardRouterServer,
+    async_http,
     build_server,
 )
 
@@ -406,16 +406,13 @@ class TestResilienceMapping:
             blocked.join(timeout=10)
             shut_down(server, thread)
 
-    def test_deadline_maps_to_504_and_breaker_opens(self):
+    def test_deadline_maps_to_504_and_breaker_opens(self, monkeypatch):
+        monkeypatch.setattr(async_http, "BREAKER_FAILURE_THRESHOLD", 1)
+        monkeypatch.setattr(async_http, "BREAKER_RECOVERY_TIME", 300.0)
         engine = gated_engine()
         scheduler = ScoreScheduler(engine, max_workers=1, max_pending=4)
-        breaker = CircuitBreaker(failure_threshold=1, recovery_time=300.0)
         server = AsyncRiskServer(
-            ("127.0.0.1", 0),
-            engine,
-            scheduler,
-            request_timeout=0.2,
-            breaker=breaker,
+            ("127.0.0.1", 0), engine, scheduler, request_timeout=0.2
         )
         thread = serve(server)
         try:
@@ -425,7 +422,7 @@ class TestResilienceMapping:
             # one failure trips the threshold-1 breaker: fast 503s now
             status, document, _ = get(f"{server.url}/score?owner=1")
             assert status == 503
-            assert breaker.state == "open"
+            assert server.breaker.state == "open"
         finally:
             engine.gate.set()
             shut_down(server, thread)

@@ -30,7 +30,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import RebalanceError, ServiceError
-from repro.resilience import RetryPolicy
 from repro.service import (
     DurableOwnerStore,
     OwnerStore,
@@ -45,6 +44,7 @@ from repro.service import (
     moved_owners,
     state_digest,
 )
+from repro.service import rebalance as rebalance_module
 from repro.synth import EgoNetConfig, generate_study_population
 
 from .test_http import get, post
@@ -313,8 +313,9 @@ class ElasticSupervisor:
 
 
 @pytest.fixture
-def elastic_rig():
+def elastic_rig(fast_retries, monkeypatch):
     """Two in-process shards + router + coordinator, resizable."""
+    monkeypatch.setattr(rebalance_module, "SHARD_PATIENCE", 15.0)
     shard_map = ShardMap(2)
     servers, threads = [], []
     for shard in range(2):
@@ -330,21 +331,13 @@ def elastic_rig():
         threads.append(thread)
     supervisor = ElasticSupervisor(servers, threads)
     router = ShardRouterServer(
-        ("127.0.0.1", 0),
-        shard_map,
-        supervisor,
-        request_timeout=60.0,
-        retry_policy=RetryPolicy(
-            max_attempts=2, base_delay=0.01, max_delay=0.02, seed=1
-        ),
+        ("127.0.0.1", 0), shard_map, supervisor, request_timeout=60.0
     )
     router_thread = threading.Thread(target=router.serve_forever, daemon=True)
     router_thread.start()
     threads.append(router_thread)
     router.rebalance = RebalanceCoordinator(
-        router,
-        lambda index, count: (index, count),
-        shard_patience=15.0,
+        router, lambda index, count: (index, count)
     )
     yield router, supervisor
     wait_for_rebalance(router, timeout=30)

@@ -23,7 +23,6 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.measures import available_measures
-from repro.resilience import RetryPolicy
 from repro.service import (
     AsyncRiskServer,
     DurableOwnerStore,
@@ -40,12 +39,14 @@ from repro.service import (
     build_server,
     build_worker_argv,
 )
+from repro.service import rebalance as rebalance_module
 from repro.service import router as router_module
+from repro.service import supervisor as supervisor_module
 from repro.service.async_http import _RiskHandler
 from repro.service.http import MAX_LINE, HttpServerCore, read_line
 from repro.synth import EgoNetConfig, generate_study_population
 
-from .conftest import StaticSupervisor, wait_until
+from .conftest import FAST_RETRIES, StaticSupervisor, wait_until
 from .test_http import (
     assert_malformed_length_is_rejected,
     gated_engine,
@@ -204,18 +205,13 @@ def shard_rig():
         threads.append(thread)
     supervisor = StaticSupervisor(servers)
     router = ShardRouterServer(
-        ("127.0.0.1", 0),
-        shard_map,
-        supervisor,
-        request_timeout=60.0,
-        # fail over fast in tests: two attempts, ~10ms apart
-        retry_policy=RetryPolicy(
-            max_attempts=2, base_delay=0.01, max_delay=0.02, seed=1
-        ),
+        ("127.0.0.1", 0), shard_map, supervisor, request_timeout=60.0
     )
     router_thread = threading.Thread(target=router.serve_forever, daemon=True)
     router_thread.start()
-    yield router, supervisor, servers, shard_map
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(router_module, "DEFAULT_RETRY_POLICY", FAST_RETRIES)
+        yield router, supervisor, servers, shard_map
     for server in (*servers, router):
         server.shutdown()
         server.server_close()
@@ -574,7 +570,7 @@ class TestRouterBackpressureRelay:
     draining or dead shard (stop asking this replica) stays 503."""
 
     @pytest.fixture
-    def gated_rig(self):
+    def gated_rig(self, fast_retries):
         engine = gated_engine()
         scheduler = ScoreScheduler(engine, max_workers=1, max_pending=1)
         shard_server = AsyncRiskServer(("127.0.0.1", 0), engine, scheduler)
@@ -583,14 +579,7 @@ class TestRouterBackpressureRelay:
         )
         shard_thread.start()
         supervisor = StaticSupervisor([shard_server])
-        router = ShardRouterServer(
-            ("127.0.0.1", 0),
-            ShardMap(1),
-            supervisor,
-            retry_policy=RetryPolicy(
-                max_attempts=2, base_delay=0.01, max_delay=0.02, seed=1
-            ),
-        )
+        router = ShardRouterServer(("127.0.0.1", 0), ShardMap(1), supervisor)
         router_thread = threading.Thread(
             target=router.serve_forever, daemon=True
         )
@@ -814,11 +803,6 @@ def test_batch_lines_past_the_head_line_limit_are_read_whole():
 # ---------------------------------------------------------------------------
 # pooled keep-alive connections from the router to its shards
 # ---------------------------------------------------------------------------
-FAST_RETRIES = RetryPolicy(
-    max_attempts=2, base_delay=0.01, max_delay=0.02, seed=1
-)
-
-
 @pytest.fixture
 def accepted(monkeypatch):
     """Every connection a server accepts, per server, as its writer.
@@ -841,9 +825,7 @@ def start_router(shard_servers, shard_map):
     """Serve ``shard_servers`` and a router over them; returns the router
     and a function that stops everything."""
     supervisor = StaticSupervisor(shard_servers)
-    router = ShardRouterServer(
-        ("127.0.0.1", 0), shard_map, supervisor, retry_policy=FAST_RETRIES
-    )
+    router = ShardRouterServer(("127.0.0.1", 0), shard_map, supervisor)
     servers = [*shard_servers, router]
     threads = [
         threading.Thread(target=server.serve_forever, daemon=True)
@@ -880,7 +862,7 @@ def await_peer_close(client: ShardClient) -> None:
 
 
 @pytest.fixture
-def pooled_rig(accepted):
+def pooled_rig(accepted, fast_retries):
     """Two fresh in-process shards behind a router, started after the
     ``accepted`` recorder is in place."""
     shard_map = ShardMap(NUM_SHARDS)
@@ -905,7 +887,7 @@ def pooled_rig(accepted):
 
 
 @pytest.fixture
-def durable_rig(accepted, tmp_path):
+def durable_rig(accepted, fast_retries, tmp_path):
     """One WAL-backed shard behind a router."""
     store = DurableOwnerStore.open(
         tmp_path / "shard-0", make_shard_population()
@@ -992,8 +974,10 @@ class TestPooledShardConnections:
         assert len(accepted[shard]) == 2
 
     def test_reads_follow_a_kill9_restarted_shard_to_its_new_url(
-        self, loop_thread
+        self, loop_thread, fast_retries, monkeypatch
     ):
+        monkeypatch.setattr(supervisor_module, "HEALTH_INTERVAL", 0.1)
+        monkeypatch.setattr(supervisor_module, "RESTART_BACKOFF", 0.05)
         cohort = ["--owners", "4", "--strangers", "20", "--friends", "6"]
         supervisor = ShardSupervisor(
             [
@@ -1001,15 +985,10 @@ class TestPooledShardConnections:
                     index=shard, argv=build_worker_argv(shard, 2, cohort)
                 )
                 for shard in range(2)
-            ],
-            health_interval=0.1,
-            restart_backoff=0.05,
+            ]
         )
         loop_thread.run(supervisor.start())
-        router = ShardRouterServer(
-            ("127.0.0.1", 0), ShardMap(2), supervisor,
-            retry_policy=FAST_RETRIES,
-        )
+        router = ShardRouterServer(("127.0.0.1", 0), ShardMap(2), supervisor)
         serving = loop_thread.start_task(router.serve())
         try:
             owners = get(f"{router.url}/owners")[1]["owners"]
@@ -1132,12 +1111,11 @@ class TestRouterSockets:
         assert asyncio.run(supervisor._probe(servers[0].url))
 
     def test_rebalance_calls_ignore_proxy_variables(
-        self, shard_rig, dead_proxy
+        self, shard_rig, dead_proxy, monkeypatch
     ):
         router = shard_rig[0]
-        coordinator = RebalanceCoordinator(
-            router, lambda shard, count: None, shard_patience=2.0
-        )
+        monkeypatch.setattr(rebalance_module, "SHARD_PATIENCE", 2.0)
+        coordinator = RebalanceCoordinator(router, lambda shard, count: None)
 
         async def readyz():
             try:

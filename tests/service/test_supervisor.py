@@ -2,7 +2,7 @@
 
 The fixed ``0.25s`` respawn pause became an exponential schedule with
 seeded jitter and a crash-loop breaker: a worker that keeps dying gets
-progressively slower respawns, and past ``crash_loop_threshold``
+progressively slower respawns, and past ``CRASH_LOOP_THRESHOLD``
 restarts inside the window the supervisor marks it *failed* and stops
 respawning — a poisoned WAL must page an operator, not spin the host.
 Elastic-fleet plumbing (``add_worker`` / ``retire_worker``) is covered
@@ -23,6 +23,7 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.service import ShardSpec, ShardSupervisor
+from repro.service import supervisor as supervisor_module
 
 from .conftest import wait_until
 
@@ -63,45 +64,52 @@ LONG_STDERR_LINES = [
 ]
 
 
-def make_supervisor(specs=None, **overrides):
-    defaults = dict(
-        health_interval=0.05,
-        boot_timeout=20.0,
-        restart_backoff=0.0,  # no pauses: crash-loop tests stay fast
-        crash_loop_threshold=3,
-        crash_loop_window=60.0,
-    )
-    defaults.update(overrides)
+@pytest.fixture(autouse=True)
+def fast_policy(monkeypatch):
+    """Tight sweeps, a short boot wait, no respawn pauses and a breaker
+    at three restarts: the crash-loop tests stay fast."""
+    for name, value in (
+        ("HEALTH_INTERVAL", 0.05),
+        ("BOOT_TIMEOUT", 20.0),
+        ("RESTART_BACKOFF", 0.0),
+        ("CRASH_LOOP_THRESHOLD", 3),
+        ("CRASH_LOOP_WINDOW", 60.0),
+    ):
+        monkeypatch.setattr(supervisor_module, name, value)
+
+
+def make_supervisor(specs=None, **kwargs):
     if specs is None:
         specs = [ShardSpec(index=0, argv=list(ANNOUNCE_AND_DIE))]
-    return ShardSupervisor(specs, **defaults)
+    return ShardSupervisor(specs, **kwargs)
 
 
 class TestBackoffSchedule:
-    def test_exponential_growth_with_bounded_jitter(self):
-        supervisor = make_supervisor(
-            restart_backoff=0.25, restart_backoff_cap=15.0, backoff_seed=7
-        )
+    def test_exponential_growth_with_bounded_jitter(self, monkeypatch):
+        monkeypatch.setattr(supervisor_module, "RESTART_BACKOFF", 0.25)
+        monkeypatch.setattr(supervisor_module, "RESTART_BACKOFF_CAP", 15.0)
+        supervisor = make_supervisor(backoff_seed=7)
         for k in range(1, 12):
             exponential = min(15.0, 0.25 * 2 ** (k - 1))
             delay = supervisor._next_backoff(k)
             # jitter stretches the base by up to +50%, never shrinks it
             assert exponential <= delay <= exponential * 1.5
 
-    def test_cap_bounds_the_schedule(self):
-        supervisor = make_supervisor(
-            restart_backoff=0.25, restart_backoff_cap=2.0, backoff_seed=7
-        )
+    def test_cap_bounds_the_schedule(self, monkeypatch):
+        monkeypatch.setattr(supervisor_module, "RESTART_BACKOFF", 0.25)
+        monkeypatch.setattr(supervisor_module, "RESTART_BACKOFF_CAP", 2.0)
+        supervisor = make_supervisor(backoff_seed=7)
         assert supervisor._next_backoff(30) <= 2.0 * 1.5
 
     def test_zero_base_disables_backoff(self):
-        supervisor = make_supervisor(restart_backoff=0.0)
+        supervisor = make_supervisor()  # RESTART_BACKOFF is 0.0 here
         assert supervisor._next_backoff(5) == 0.0
 
-    def test_jitter_is_seeded_and_decorrelated(self):
-        same_a = make_supervisor(restart_backoff=0.25, backoff_seed=3)
-        same_b = make_supervisor(restart_backoff=0.25, backoff_seed=3)
-        other = make_supervisor(restart_backoff=0.25, backoff_seed=4)
+    def test_jitter_is_seeded_and_decorrelated(self, monkeypatch):
+        monkeypatch.setattr(supervisor_module, "RESTART_BACKOFF", 0.25)
+        same_a = make_supervisor(backoff_seed=3)
+        same_b = make_supervisor(backoff_seed=3)
+        other = make_supervisor(backoff_seed=4)
         schedule_a = [same_a._next_backoff(k) for k in range(1, 6)]
         schedule_b = [same_b._next_backoff(k) for k in range(1, 6)]
         schedule_other = [other._next_backoff(k) for k in range(1, 6)]
@@ -109,10 +117,6 @@ class TestBackoffSchedule:
         # seeds (sibling fleets don't respawn in lockstep)
         assert schedule_a == schedule_b
         assert schedule_a != schedule_other
-
-    def test_threshold_below_one_is_refused(self):
-        with pytest.raises(ServiceError):
-            make_supervisor(crash_loop_threshold=0)
 
 
 class TestCrashLoopBreaker:
@@ -146,14 +150,14 @@ class TestCrashLoopBreaker:
 
 class TestWatch:
     def test_a_killed_worker_is_restarted_as_soon_as_it_exits(
-        self, loop_thread
+        self, loop_thread, monkeypatch
     ):
         """Exit is noticed by the worker's own task, not by the next
         health sweep: with sweeps 30 s apart, a ``kill -9``ed worker is
         respawned and announced again within seconds."""
+        monkeypatch.setattr(supervisor_module, "HEALTH_INTERVAL", 30.0)
         supervisor = make_supervisor(
             specs=[ShardSpec(index=0, argv=list(ANNOUNCE_AND_LIVE))],
-            health_interval=30.0,
         )
         loop_thread.run(supervisor.start())
         try:
@@ -206,10 +210,12 @@ class TestElasticFleet:
             )
         assert supervisor.num_shards == 1
 
-    def test_failed_join_leaves_the_fleet_unchanged(self, loop_thread):
+    def test_failed_join_leaves_the_fleet_unchanged(
+        self, loop_thread, monkeypatch
+    ):
+        monkeypatch.setattr(supervisor_module, "BOOT_TIMEOUT", 2.0)
         supervisor = make_supervisor(
             specs=[ShardSpec(index=0, argv=list(ANNOUNCE_AND_DIE))],
-            boot_timeout=2.0,
         )
         with pytest.raises(ServiceError):
             loop_thread.run(
