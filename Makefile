@@ -118,8 +118,8 @@ incremental-smoke:
 		$(PYTHON) -m pytest -q -o addopts= -s \
 		benchmarks/bench_incremental.py
 
-# the HTTP server: the wire contract, admission/coalescing/group-commit
-# suites, the kill -9 chaos gate under concurrent mutations (including
+# the HTTP server: the wire contract, scheduler, admission/coalescing/
+# group-commit suites, the kill -9 chaos gate under concurrent mutations (including
 # the @slow mid-flight kill that tier-1 skips), and the E22
 # latency-under-concurrency bench at reduced scale
 serve-smoke:
@@ -127,7 +127,7 @@ serve-smoke:
 		tests/service/test_http.py \
 		tests/service/test_async_http.py \
 		tests/service/test_score_encoding.py \
-		"tests/service/test_scheduler.py::TestCoalescing" \
+		tests/service/test_scheduler.py \
 		"tests/service/test_wal.py::TestGroupCommit" \
 		"tests/service/test_chaos.py::test_async_kill9_loses_no_group_committed_ack" \
 		"tests/service/test_chaos.py::test_async_kill9_mid_flight_keeps_the_acked_prefix"

@@ -30,6 +30,7 @@ is exactly why the cache keys on ``(owner, measure, version)``.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import signal
@@ -58,20 +59,19 @@ SHARD_STRANGERS = int(os.environ.get("REPRO_BENCH_SHARD_STRANGERS", "60"))
 def test_service_throughput(benchmark, population):
     engine = RiskEngine(OwnerStore.from_population(population), seed=SEED)
     owner_ids = engine.store.owner_ids()
-
-    with ScoreScheduler(engine, max_workers=4, max_pending=256) as scheduler:
+    loop = asyncio.new_event_loop()
+    scheduler = ScoreScheduler(engine, max_workers=4, max_pending=256)
+    try:
         # --- cold: every owner pays the full pipeline, concurrently ---
         start = time.perf_counter()
-        cold_records = [
-            future.result()
-            for future in [scheduler.submit(o) for o in owner_ids]
-        ]
+        cold_records = loop.run_until_complete(
+            _score_all(scheduler, owner_ids)
+        )
         cold_elapsed = time.perf_counter() - start
 
         # --- cached: the steady serving state, measured by the harness ---
         def cached_sweep():
-            for owner_id in owner_ids:
-                scheduler.score(owner_id)
+            loop.run_until_complete(_score_all(scheduler, owner_ids))
 
         benchmark.pedantic(cached_sweep, rounds=CACHED_ROUNDS, iterations=1)
 
@@ -79,8 +79,13 @@ def test_service_throughput(benchmark, population):
         touched = owner_ids[0]
         engine.store.touch(touched)
         start = time.perf_counter()
-        warm_record = scheduler.score(touched)
+        (warm_record,) = loop.run_until_complete(
+            _score_all(scheduler, [touched])
+        )
         warm_elapsed = time.perf_counter() - start
+    finally:
+        scheduler.close()
+        loop.close()
 
     assert all(record.source == "cold" for record in cold_records)
     assert warm_record.source == "warm"
@@ -122,16 +127,39 @@ def test_service_throughput(benchmark, population):
     )
 
 
+async def _score_all(scheduler, owner_ids, measure=None) -> list:
+    """Decide every owner's score the way a served read does: a fresh
+    memo is answered on the loop, a miss is submitted (all at once, so
+    distinct owners score concurrently)."""
+    outcomes = [
+        scheduler.serve_or_submit(owner_id, measure) for owner_id in owner_ids
+    ]
+    return [
+        record if job is None else await job for record, job, _ in outcomes
+    ]
+
+
+async def _served_bodies(scheduler, owner_ids, measure) -> list[bytes]:
+    """Served reads: each score decided as ``/score`` decides it, then
+    encoded as its response body."""
+    records = await _score_all(scheduler, owner_ids, measure)
+    return [record.to_json() for record in records]
+
+
 # ---------------------------------------------------------------------------
 # E19 per-measure throughput: every registered risk measure, cold + cached
 # ---------------------------------------------------------------------------
 def test_measure_throughput(population):
     """Cold and cached requests/sec for each registered measure.
 
-    Two unconditional contracts ride along with the timing: a fresh
-    engine reproduces every digest (measure determinism through the
-    serving stack), and cached requests never recompute (hit counters
-    rise by exactly one sweep).
+    A request is timed as a served read decides and encodes it:
+    :meth:`~repro.service.ScoreScheduler.serve_or_submit` on the event
+    loop, then ``ScoreRecord.to_json()`` (no HTTP).  The cold response
+    encodes a memo's measure blocks, so a cached read pays only the
+    head spliced onto them.  Two unconditional contracts ride along
+    with the timing: a fresh engine reproduces every digest (measure
+    determinism through the serving stack), and cached requests never
+    recompute (hit counters rise by exactly one sweep).
     """
     from repro.measures import available_measures
 
@@ -140,26 +168,29 @@ def test_measure_throughput(population):
     for measure in available_measures():
         engine = RiskEngine(OwnerStore.from_population(population), seed=SEED)
         owner_ids = engine.store.owner_ids()
-        with ScoreScheduler(
-            engine, max_workers=4, max_pending=256
-        ) as scheduler:
+        loop = asyncio.new_event_loop()
+        scheduler = ScoreScheduler(engine, max_workers=4, max_pending=256)
+        try:
             start = time.perf_counter()
-            cold_records = [
-                future.result()
-                for future in [
-                    scheduler.submit(o, measure=measure) for o in owner_ids
-                ]
-            ]
+            cold_bodies = loop.run_until_complete(
+                _served_bodies(scheduler, owner_ids, measure)
+            )
             cold_elapsed = time.perf_counter() - start
             start = time.perf_counter()
-            cached_records = [
-                scheduler.score(o, measure=measure) for o in owner_ids
-            ]
+            cached_bodies = loop.run_until_complete(
+                _served_bodies(scheduler, owner_ids, measure)
+            )
             cached_elapsed = time.perf_counter() - start
-        assert all(r.source == "cold" for r in cold_records)
-        assert all(r.source == "cache" for r in cached_records)
+        finally:
+            scheduler.close()
+            loop.close()
+        cold_records = [json.loads(body) for body in cold_bodies]
+        assert all(r["source"] == "cold" for r in cold_records)
+        assert all(
+            json.loads(body)["source"] == "cache" for body in cached_bodies
+        )
         reference_digests[measure] = {
-            r.owner_id: r.digest for r in cold_records
+            r["owner"]: r["digest"] for r in cold_records
         }
         block = engine.metrics.snapshot()["measures"][measure]
         assert block["cache_hits"] == len(owner_ids)
@@ -193,7 +224,7 @@ def test_measure_throughput(population):
         json.dumps(document, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
-    lines = ["E19 per-measure throughput (engine + scheduler)"]
+    lines = ["E19 per-measure throughput (engine + scheduler + encoding)"]
     for measure, row in results.items():
         lines.append(
             f"  {measure:>12}: cold {row['cold_requests_per_second']:>9} "

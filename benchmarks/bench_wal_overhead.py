@@ -101,7 +101,6 @@ def measure_mode(name: str, store, population, mutators: int = 1) -> dict:
     finally:
         server.shutdown()
         server.server_close()
-        server.scheduler.shutdown(wait=False)
         thread.join(timeout=10)
 
     stats = {

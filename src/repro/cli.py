@@ -557,24 +557,20 @@ def serve_main(argv: Sequence[str] | None = None) -> int:
     server.state.ready = True
     server.state.detail = "serving"
 
-    def drain() -> dict:
+    async def drain() -> dict:
         print(
             f"draining: {server.scheduler.pending} in flight, "
             f"budget {args.drain_timeout:.1f}s",
             file=sys.stderr,
         )
-        summary = server.scheduler.shutdown(
-            wait=True, drain=True, timeout=args.drain_timeout
-        )
+        summary = await server.scheduler.drain(args.drain_timeout)
         if isinstance(store, DurableOwnerStore):
-            store.close()  # sync any appends not yet group-committed
+            # sync any appends not yet group-committed, off the loop
+            await asyncio.to_thread(store.close)
             summary["wal"] = store.wal.stats()
         return summary
 
-    # the drain blocks: it runs on a thread while the loop keeps serving
-    return asyncio.run(
-        _serve_until_signalled(server, lambda: asyncio.to_thread(drain))
-    )
+    return asyncio.run(_serve_until_signalled(server, drain))
 
 
 async def _serve_until_signalled(server, drain, boot=None) -> int:

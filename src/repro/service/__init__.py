@@ -12,8 +12,9 @@ instead of re-running the batch study per request:
   (the default measure delta-replays only what a mutation touched,
   cold-identically), and reproduces
   :func:`repro.experiments.run_study` byte for byte on cold scores;
-* :class:`ScoreScheduler` — bounded worker pool with per-owner
-  serialization and backpressure;
+* :class:`ScoreScheduler` — per-owner serialization, backpressure and
+  request coalescing on the server's event loop, each engine call on a
+  bounded pool;
 * :class:`AsyncRiskServer` — the asyncio JSON API (``/score``,
   ``/score-batch``, ``/mutate``, ``/owners``, ``/healthz``, ``/readyz``,
   ``/metrics``) wired through the resilience layer and started from the

@@ -12,12 +12,13 @@ admission gate it shares with the shard router).  On top of that core:
   unbounded accept backlog; ``/metrics`` reports depth, peak, and shed
   counts.
 * **request coalescing** — ``/score`` and ``/score-batch`` go through
-  :meth:`~repro.service.scheduler.ScoreScheduler.serve_or_submit`:
-  concurrent hits for the same ``(owner, measure, version)`` share one
-  engine call and the result fans out to every waiter, and with no
-  flight to join a fresh memo is answered right on the event loop.
-  Coalesced futures are awaited behind :func:`asyncio.shield` so one
-  waiter's deadline cannot cancel work its neighbors still need.
+  :meth:`~repro.service.scheduler.ScoreScheduler.serve_or_submit` on
+  the server's own event loop: concurrent hits for the same
+  ``(owner, measure, version)`` share one engine call and the result
+  fans out to every waiter, and with no flight to join a fresh memo is
+  answered right on the loop.  Scheduler tasks are awaited behind
+  :func:`asyncio.shield` so one waiter's deadline cannot cancel work
+  its neighbors still need.
 * **group-committed WAL** — mutations run on a small thread pool (the
   event loop must never block on an fsync) and, under the default
   ``--wal-fsync group``, concurrent mutations pile into one
@@ -79,6 +80,10 @@ _MUTATE_POOL_SIZE = 32
 BREAKER_FAILURE_THRESHOLD = 5
 #: ... and lets a trial call through after this many seconds.
 BREAKER_RECOVERY_TIME = 5.0
+
+#: Score failures that are the client's, not the service's: they count
+#: as a healthy call for the breaker.
+_CLIENT_ERRORS = (400, 404)
 
 
 class _RiskHandler(RequestHandler):
@@ -184,71 +189,83 @@ class _RiskHandler(RequestHandler):
             return
         deadline = Deadline(self.server.request_timeout)
         try:
-            record, future, coalesced = self.server.scheduler.serve_or_submit(
-                owner_id, measure=measure
+            record = await self._await_score(
+                self._begin_score(owner_id, measure), deadline
             )
-        except BackpressureError as error:
-            breaker.record_failure()
-            # saturation asks the client to slow down (429); a draining
-            # or shut-down scheduler is an outage to fail over from (503)
-            self._respond(
-                429 if error.saturated else 503,
-                {"error": str(error), "pending": error.pending},
-                retry_after=1,
-            )
-            return
-        try:
-            if record is None:
-                record = await self._await_score(future, coalesced, deadline)
-        except (asyncio.TimeoutError, TimeoutError):
-            breaker.record_failure()
-            self._respond(504, {"error": self._budget_error(owner_id)})
-            return
-        except UnknownOwnerError as error:
-            breaker.record_success()  # the service itself is healthy
-            self._respond(404, {"error": str(error)})
-            return
-        except UnknownMeasureError as error:
-            breaker.record_success()  # client error, not a service fault
-            self._respond(
-                400,
-                {"error": str(error), "measures": list(error.available)},
-            )
-            return
         except Exception as error:
-            breaker.record_failure()
-            self._respond(500, {"error": str(error)})
+            status, document = self._score_failure(owner_id, error)
+            if status in _CLIENT_ERRORS:
+                breaker.record_success()  # the service itself is healthy
+            else:
+                breaker.record_failure()
+            refused = isinstance(error, BackpressureError)
+            self._respond(status, document, retry_after=1 if refused else None)
             return
         breaker.record_success()
         self._relay(200, record.to_json())
 
-    @staticmethod
-    async def _await_score(future, coalesced: bool, deadline: Deadline):
-        """Await a scheduler future within ``deadline``.
+    def _begin_score(self, owner_id: int, measure: str | None):
+        """The scheduler's ``serve_or_submit`` outcome, or its refusal."""
+        try:
+            return self.server.scheduler.serve_or_submit(owner_id, measure)
+        except BackpressureError as error:
+            return error
 
-        A coalesced future is shared with other waiters, so it is awaited
-        behind :func:`asyncio.shield` and never cancelled on timeout; its
-        exception is retrieved on completion so an abandoned wait never
-        logs "exception was never retrieved".
+    @staticmethod
+    async def _await_score(outcome, deadline: Deadline):
+        """The record a :meth:`_begin_score` outcome decides, within
+        ``deadline``; raises the refusal or the scoring error.
+
+        The scheduler's task is awaited behind :func:`asyncio.shield`: a
+        coalesced task is shared with other waiters and is never
+        cancelled here, and a task this request submitted alone is
+        cancelled on timeout, which drops it only if it has not started.
+        A shared task its submitter cancelled reads as a timeout.
         """
-        wrapped = asyncio.wrap_future(future)
-        wrapped.add_done_callback(
-            lambda done: done.cancelled() or done.exception()
-        )
+        if isinstance(outcome, BackpressureError):
+            raise outcome
+        record, job, coalesced = outcome
+        if record is not None:
+            return record
         try:
             return await asyncio.wait_for(
-                asyncio.shield(wrapped), deadline.remaining()
+                asyncio.shield(job), deadline.remaining()
             )
-        except (asyncio.TimeoutError, TimeoutError):
+        except asyncio.TimeoutError:
             if not coalesced:
-                future.cancel()
+                job.cancel()
             raise
+        except asyncio.CancelledError:
+            if not job.cancelled():
+                raise
+            raise asyncio.TimeoutError from None
 
-    def _budget_error(self, owner_id: int) -> str:
-        return (
-            f"scoring owner {owner_id} exceeded the "
-            f"{self.server.request_timeout:.1f}s budget"
-        )
+    def _score_failure(
+        self, owner_id: int, error: Exception
+    ) -> tuple[int, dict[str, Any]]:
+        """The status and ``/score`` document a failed score answers."""
+        if isinstance(error, BackpressureError):
+            # saturation asks the client to slow down (429); a draining
+            # or shut-down scheduler is an outage to fail over from (503)
+            return (429 if error.saturated else 503), {
+                "error": str(error),
+                "pending": error.pending,
+            }
+        if isinstance(error, (asyncio.TimeoutError, TimeoutError)):
+            return 504, {
+                "error": (
+                    f"scoring owner {owner_id} exceeded the "
+                    f"{self.server.request_timeout:.1f}s budget"
+                )
+            }
+        if isinstance(error, UnknownOwnerError):
+            return 404, {"error": str(error)}
+        if isinstance(error, UnknownMeasureError):
+            return 400, {
+                "error": str(error),
+                "measures": list(error.available),
+            }
+        return 500, {"error": str(error)}
 
     async def _score_batch(
         self, owners: list[int], measure: str | None
@@ -258,10 +275,11 @@ class _RiskHandler(RequestHandler):
         Every owner goes through the scheduler's ``serve_or_submit`` up
         front, as on ``/score``: a fresh memo is streamed as is, and the
         misses are submitted together (so distinct owners score
-        concurrently) and streamed back in request order as each future
-        resolves.  A per-owner failure (unknown owner, backpressure,
-        scoring error) becomes an ``error`` line; the stream itself only
-        fails on circuit-open or a bad body.
+        concurrently) and streamed back in request order as each task
+        finishes.  A per-owner failure (unknown owner, backpressure,
+        scoring error) becomes an ``error`` line with the status
+        ``/score`` would answer; the stream itself only fails on
+        circuit-open or a bad body.
         """
         breaker = self.server.breaker
         try:
@@ -270,55 +288,26 @@ class _RiskHandler(RequestHandler):
             self._respond(503, {"error": str(error)}, retry_after=1)
             return
         deadline = Deadline(self.server.request_timeout)
-        submissions: list[tuple[int, Any]] = []
-        for owner_id in owners:
-            try:
-                outcome = self.server.scheduler.serve_or_submit(
-                    owner_id, measure=measure
-                )
-            except BackpressureError as error:
-                outcome = error
-            submissions.append((owner_id, outcome))
+        outcomes = [
+            (owner_id, self._begin_score(owner_id, measure))
+            for owner_id in owners
+        ]
         self._start_stream()
         failed = False
-        for owner_id, outcome in submissions:
+        for owner_id, outcome in outcomes:
             line: dict[str, Any] | bytes
-            if isinstance(outcome, BackpressureError):
+            try:
+                record = await self._await_score(outcome, deadline)
+            except Exception as error:
+                status, document = self._score_failure(owner_id, error)
+                failed = failed or status not in _CLIENT_ERRORS
                 line = {
                     "owner": owner_id,
-                    "error": str(outcome),
-                    "status": 429 if outcome.saturated else 503,
+                    "error": document["error"],
+                    "status": status,
                 }
-                failed = True
             else:
-                record, future, coalesced = outcome
-                try:
-                    if record is None:
-                        record = await self._await_score(
-                            future, coalesced, deadline
-                        )
-                except (asyncio.TimeoutError, TimeoutError):
-                    line = {
-                        "owner": owner_id,
-                        "error": self._budget_error(owner_id),
-                        "status": 504,
-                    }
-                    failed = True
-                except UnknownOwnerError as error:
-                    line = {
-                        "owner": owner_id,
-                        "error": str(error),
-                        "status": 404,
-                    }
-                except Exception as error:
-                    line = {
-                        "owner": owner_id,
-                        "error": str(error),
-                        "status": 500,
-                    }
-                    failed = True
-                else:
-                    line = record.to_json() + b"\n"
+                line = record.to_json() + b"\n"
             await self._stream_line(line)
         if failed:
             breaker.record_failure()
@@ -433,8 +422,10 @@ class AsyncRiskServer(HttpServerCore):
     Lifecycle (bind in the constructor, :meth:`serve_forever` on a
     thread, :meth:`shutdown`, :meth:`server_close`) comes from
     :class:`~repro.service.http.HttpServerCore`; the server adds the
-    pool that runs blocking store work (mutations, slice ops), released
-    by :meth:`server_close`.
+    pool that runs blocking store work (mutations, slice ops), and
+    :meth:`server_close` releases it with the scheduler's scoring pool.
+    The scheduler runs on the loop that serves: :meth:`serve` or
+    :meth:`serve_forever`.
     """
 
     handler_class = _RiskHandler
@@ -465,9 +456,11 @@ class AsyncRiskServer(HttpServerCore):
         )
 
     def server_close(self) -> None:
-        """Release the listening socket and the pool."""
+        """Release the listening socket and both pools: scoring stops
+        taking work, and running calls finish on their threads."""
         super().server_close()
         self.pool.shutdown(wait=False)
+        self.scheduler.close()
 
 
 def build_server(

@@ -17,10 +17,11 @@ owner is byte-identical to the batch study (checked via
 :func:`repro.io.result_digest`).
 
 The engine is thread-safe: per-owner locks serialize concurrent scores of
-the same owner while different owners score in parallel.  The memo and
-the lock table are LRU-bounded (``MAX_CACHED_OWNERS``) so a long-running
-server's memory stays flat; a lock is never dropped while any thread
-holds or waits on it.
+the same owner while different owners score in parallel.  One LRU table
+keyed by owner holds each owner's lock and memos, bounded by
+``MAX_CACHED_OWNERS`` owners so a long-running server's memory stays
+flat; an entry is never evicted while any thread holds or waits on its
+lock.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from .store import OwnerStore
 #: How a score was produced: full pipeline, warm re-score, or memo.
 ScoreSource = Literal["cold", "warm", "cache"]
 
-#: LRU bound on memo entries (``(owner, measure)`` pairs) and on the
-#: per-owner lock table.  Generous; evictions are surfaced in
+#: LRU bound on owners in the engine's table (each with its lock and a
+#: memo per measure).  Generous; evicted memos are surfaced in
 #: :class:`EngineMetrics` as ``cache_evictions``.
 MAX_CACHED_OWNERS = 4096
 
@@ -354,20 +355,21 @@ class _Memo:
     state: Any = None
 
 
-class _CountedLock:
-    """A lock plus the number of threads holding or waiting on it.
+class _Owner:
+    """One owner's LRU entry: its lock, the number of threads holding or
+    waiting on it, and its memo per measure.
 
-    The engine's lock table is LRU-pruned; the reference count is what
-    makes pruning safe — an entry is only dropped when no thread can
-    still serialize on it, so two threads can never score the same owner
-    through different lock objects.
+    The reference count is what makes eviction safe — an entry is only
+    dropped when no thread can still serialize on it, so two threads
+    can never score the same owner through different lock objects.
     """
 
-    __slots__ = ("lock", "refs")
+    __slots__ = ("lock", "refs", "memos")
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
         self.refs = 0
+        self.memos: dict[str, _Memo] = {}
 
 
 class RiskEngine:
@@ -403,13 +405,12 @@ class RiskEngine:
         self._use_owner_confidence = use_owner_confidence
         self._clock = clock
         self._metrics = EngineMetrics()
-        # Memo keyed by (owner, measure): each measure caches, warms,
-        # and invalidates independently, but all of an owner's entries
-        # share the owner's version (one mutation stales them all).
-        self._cache: OrderedDict[tuple[UserId, str], _Memo] = OrderedDict()
-        self._cache_guard = threading.Lock()
-        self._owner_locks: dict[UserId, _CountedLock] = {}
-        self._locks_guard = threading.Lock()
+        # One LRU entry per owner, with a memo per measure: each measure
+        # caches, warms, and invalidates independently, but all of an
+        # owner's memos share the owner's version (one mutation stales
+        # them all) and its LRU position.
+        self._owners: OrderedDict[UserId, _Owner] = OrderedDict()
+        self._guard = threading.Lock()
 
     # ------------------------------------------------------------------
     # accessors
@@ -428,8 +429,9 @@ class RiskEngine:
         self, owner_id: UserId, measure: str = DEFAULT_MEASURE
     ) -> ScoreRecord | None:
         """The memoized record for ``(owner_id, measure)``, fresh or stale."""
-        with self._cache_guard:
-            memo = self._cache.get((owner_id, measure))
+        with self._guard:
+            owner = self._owners.get(owner_id)
+            memo = None if owner is None else owner.memos.get(measure)
         return None if memo is None else memo.record
 
     def owners_overview(self) -> list[dict[str, Any]]:
@@ -441,10 +443,14 @@ class RiskEngine:
         into an owner→records map in one pass — re-scanning the whole
         cache per owner row made ``/owners`` quadratic on large fleets.
         """
-        by_owner: dict[UserId, dict[str, ScoreRecord]] = {}
-        with self._cache_guard:
-            for (owner_id, measure), memo in self._cache.items():
-                by_owner.setdefault(owner_id, {})[measure] = memo.record
+        with self._guard:
+            by_owner = {
+                owner_id: {
+                    measure: memo.record
+                    for measure, memo in owner.memos.items()
+                }
+                for owner_id, owner in self._owners.items()
+            }
         overview = []
         for row in self._store.snapshot():
             records = by_owner.get(row["owner"], {})
@@ -502,7 +508,7 @@ class RiskEngine:
             # arbitrary unknown name would be unbounded.
             self._metrics.record_error(None)
             raise
-        with self._owner_lock(owner_id):
+        with self._owner_lock(owner_id) as owner:
             # The entry must be fetched *inside* the owner lock: a
             # concurrent attach_entry (migration) or universe-widening
             # add_friendship swaps/extends the entry, and a pre-lock
@@ -517,8 +523,7 @@ class RiskEngine:
             hit = self._serve_hit(owner_id, name, version)
             if hit is not None:
                 return hit
-            with self._cache_guard:
-                stale = self._cache.get((owner_id, name))
+            stale = owner.memos.get(name)
             try:
                 memo = self._compute(entry, version, stale, risk_measure)
             except Exception:
@@ -533,7 +538,7 @@ class RiskEngine:
             granted = risk_measure.granted_labels(record.result)
             if granted:
                 self._store.grant_labels(owner_id, granted)
-            self._memoize(owner_id, name, memo)
+            self._memoize(owner_id, owner, name, memo)
             self._metrics.record_score(
                 record.source,
                 record.elapsed_seconds,
@@ -571,12 +576,9 @@ class RiskEngine:
         re-score, and a surviving state would silently serve a delta
         replay instead.
         """
-        with self._owner_lock(owner_id):
-            with self._cache_guard:
-                for key in [
-                    key for key in self._cache if key[0] == owner_id
-                ]:
-                    del self._cache[key]
+        with self._owner_lock(owner_id) as owner:
+            with self._guard:
+                owner.memos.clear()
 
     def invalidate_many(self, owner_ids: Iterable[UserId]) -> None:
         """Drop memoized records for several owners at once.
@@ -672,53 +674,63 @@ class RiskEngine:
         self, owner_id: UserId, measure: str, version: int
     ) -> ScoreRecord | None:
         """The fresh memoized record, LRU-touched — or ``None``."""
-        with self._cache_guard:
-            memo = self._cache.get((owner_id, measure))
+        with self._guard:
+            owner = self._owners.get(owner_id)
+            memo = None if owner is None else owner.memos.get(measure)
             if memo is None or memo.record.version != version:
                 return None
-            self._cache.move_to_end((owner_id, measure))
+            self._owners.move_to_end(owner_id)
             return memo.record
 
-    def _memoize(self, owner_id: UserId, measure: str, memo: _Memo) -> None:
-        """Store an entry, evicting least-recently-served overflow."""
-        evicted = 0
-        with self._cache_guard:
-            self._cache[(owner_id, measure)] = memo
-            self._cache.move_to_end((owner_id, measure))
-            while len(self._cache) > MAX_CACHED_OWNERS:
-                self._cache.popitem(last=False)
-                evicted += 1
+    def _memoize(
+        self, owner_id: UserId, owner: _Owner, measure: str, memo: _Memo
+    ) -> None:
+        """Store a memo on the held entry, evicting overflow owners."""
+        with self._guard:
+            owner.memos[measure] = memo
+            self._owners.move_to_end(owner_id)
+            evicted = self._evict()
         for _ in range(evicted):
             self._metrics.record_eviction()
 
-    @contextmanager
-    def _owner_lock(self, owner_id: UserId) -> Iterator[None]:
-        """Serialize work per owner via a reference-counted lock table.
+    def _evict(self) -> int:
+        """Drop least-recently-served owners no thread holds or awaits
+        until the table fits its bound; returns the memos dropped.
+        Call under the guard."""
+        excess = len(self._owners) - MAX_CACHED_OWNERS
+        victims = []
+        for owner_id, owner in self._owners.items():
+            if len(victims) >= excess:
+                break
+            if not owner.refs:
+                victims.append(owner_id)
+        return sum(len(self._owners.pop(o).memos) for o in victims)
 
-        Entries whose reference count hits zero are pruned once the table
-        exceeds the LRU bound — a held (or waited-on) lock is never
-        dropped, so same-owner serialization survives eviction pressure.
+    @contextmanager
+    def _owner_lock(self, owner_id: UserId) -> Iterator[_Owner]:
+        """Hold the owner's lock; yields its LRU entry.
+
+        An entry left without memos is dropped when its last holder or
+        waiter leaves, and the table is trimmed to its bound then too.
         """
-        with self._locks_guard:
-            entry = self._owner_locks.get(owner_id)
-            if entry is None:
-                entry = self._owner_locks[owner_id] = _CountedLock()
-            entry.refs += 1
+        with self._guard:
+            owner = self._owners.get(owner_id)
+            if owner is None:
+                owner = self._owners[owner_id] = _Owner()
+            owner.refs += 1
         try:
-            with entry.lock:
-                yield
+            with owner.lock:
+                yield owner
         finally:
-            with self._locks_guard:
-                entry.refs -= 1
-                if (
-                    entry.refs == 0
-                    and len(self._owner_locks) > MAX_CACHED_OWNERS
-                ):
-                    for candidate in list(self._owner_locks):
-                        if len(self._owner_locks) <= MAX_CACHED_OWNERS:
-                            break
-                        if self._owner_locks[candidate].refs == 0:
-                            del self._owner_locks[candidate]
+            evicted = 0
+            with self._guard:
+                owner.refs -= 1
+                if not owner.refs:
+                    if not owner.memos:
+                        del self._owners[owner_id]
+                    evicted = self._evict()
+            for _ in range(evicted):
+                self._metrics.record_eviction()
 
 
 __all__ = ["EngineMetrics", "RiskEngine", "ScoreRecord", "ScoreSource"]

@@ -25,7 +25,6 @@ def live_server():
     yield server
     server.shutdown()
     server.server_close()
-    server.scheduler.shutdown(wait=False)
     thread.join(timeout=10)
 
 

@@ -33,7 +33,6 @@ from repro.service.wal import MUTATION_OPS
 
 from .conftest import wait_until
 from .test_http import (
-    gated_engine,
     get,
     make_engine,
     post,
@@ -41,6 +40,7 @@ from .test_http import (
     serve,
     shut_down,
 )
+from .test_scheduler import GatedEngine
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +182,7 @@ class TestParity:
 # ---------------------------------------------------------------------------
 class TestAdmission:
     def test_full_queue_sheds_with_429_and_retry_after(self):
-        engine = gated_engine()
+        engine = GatedEngine()
         scheduler = ScoreScheduler(engine, max_workers=1, max_pending=8)
         server = AsyncRiskServer(
             ("127.0.0.1", 0), engine, scheduler, admission_capacity=1
@@ -212,7 +212,7 @@ class TestAdmission:
         assert blocked_result and blocked_result[0][0] == 200
 
     def test_slot_is_released_when_the_request_finishes(self):
-        engine = gated_engine()
+        engine = GatedEngine()
         engine.gate.set()  # instant scores
         scheduler = ScoreScheduler(engine, max_workers=1, max_pending=8)
         server = AsyncRiskServer(
@@ -231,7 +231,7 @@ class TestAdmission:
             shut_down(server, thread)
 
     def test_bad_requests_release_their_slot_too(self):
-        engine = gated_engine()
+        engine = GatedEngine()
         engine.gate.set()
         scheduler = ScoreScheduler(engine, max_workers=1, max_pending=8)
         server = AsyncRiskServer(
@@ -251,7 +251,7 @@ class TestAdmission:
     def test_scheduler_saturation_still_maps_to_429(self):
         # admission has room, but the scheduler queue is full: the
         # scheduler's 429-vs-503 split must reach the client unchanged
-        engine = gated_engine()
+        engine = GatedEngine()
         scheduler = ScoreScheduler(engine, max_workers=1, max_pending=1)
         server = AsyncRiskServer(("127.0.0.1", 0), engine, scheduler)
         thread = serve(server)
@@ -271,7 +271,7 @@ class TestAdmission:
             shut_down(server, thread)
 
     def test_draining_rejects_work_with_503(self):
-        engine = gated_engine()
+        engine = GatedEngine()
         engine.gate.set()
         scheduler = ScoreScheduler(engine, max_workers=1, max_pending=8)
         server = AsyncRiskServer(("127.0.0.1", 0), engine, scheduler)
@@ -428,19 +428,8 @@ class TestCoalescing:
 # ---------------------------------------------------------------------------
 # cached reads: a fresh memo is answered on the event loop
 # ---------------------------------------------------------------------------
-class PeeklessEngine:
-    """A real engine behind a duck-typed front without ``peek``: what
-    the scheduler sees from an engine that predates the memo lookup."""
-
-    def __init__(self, engine):
-        self.store = engine.store
-        self.metrics = engine.metrics
-        self.resolve_measure = engine.resolve_measure
-        self.score = engine.score
-
-
 def count_submissions(monkeypatch, scheduler) -> list:
-    """Record every ``scheduler.submit`` (each one is a worker-thread
+    """Record every ``scheduler.submit`` (each one is a pool-thread
     score)."""
     calls: list = []
     submit = scheduler.submit
@@ -468,7 +457,7 @@ class TestCachedReads:
         assert hit["source"] == "cache"
         assert hit["digest"] == cold["digest"]
         assert hit["elapsed_seconds"] == 0.0
-        assert submissions == []  # no worker thread, no future
+        assert submissions == []  # no pool thread, no task
         assert after["requests"] == before["requests"] + 1
         assert after["cache_hits"] == before["cache_hits"] + 1
 
@@ -509,32 +498,13 @@ class TestCachedReads:
             assert record["version"] == version > hit["version"]
             assert record["source"] == "warm"
 
-    def test_an_engine_without_the_lookup_still_serves(self, monkeypatch):
-        engine = PeeklessEngine(make_engine())
-        scheduler = ScoreScheduler(engine, max_workers=1, max_pending=8)
-        server = AsyncRiskServer(("127.0.0.1", 0), engine, scheduler)
-        thread = serve(server)
-        try:
-            submissions = count_submissions(monkeypatch, scheduler)
-            owner = engine.store.owner_ids()[0]
-            sources = []
-            for _ in range(2):
-                status, record, _ = get(f"{server.url}/score?owner={owner}")
-                assert status == 200
-                sources.append(record["source"])
-            assert sources == ["cold", "cache"]
-            # both went through the scheduler: no lookup to answer with
-            assert len(submissions) == 2
-        finally:
-            shut_down(server, thread)
-
 
 # ---------------------------------------------------------------------------
 # lifecycle
 # ---------------------------------------------------------------------------
 class TestLifecycle:
     def test_shutdown_before_url_unblocks_waiters(self):
-        engine = gated_engine()
+        engine = GatedEngine()
         scheduler = ScoreScheduler(engine, max_workers=1)
         server = AsyncRiskServer(("127.0.0.1", 0), engine, scheduler)
         thread = serve(server)

@@ -7,6 +7,8 @@ exactly the affected owners (served warm, with prior labels reused).
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import pytest
 
 from repro.errors import UnknownOwnerError
@@ -226,15 +228,15 @@ class TestCacheBounds:
         engine = RiskEngine(service_store, seed=SERVICE_SEED)
         for owner in service_population.owners:
             engine.score(owner.user_id)
-        assert len(engine._owner_locks) <= engine_module.MAX_CACHED_OWNERS
+        assert len(engine._owners) <= engine_module.MAX_CACHED_OWNERS
 
     def test_held_locks_survive_pruning(self, monkeypatch):
         import threading
 
         monkeypatch.setattr(engine_module, "MAX_CACHED_OWNERS", 1)
         engine = RiskEngine.__new__(RiskEngine)
-        engine._owner_locks = {}
-        engine._locks_guard = threading.Lock()
+        engine._owners = OrderedDict()
+        engine._guard = threading.Lock()
         entered = threading.Event()
         release = threading.Event()
 
@@ -246,15 +248,33 @@ class TestCacheBounds:
         holder = threading.Thread(target=hold)
         holder.start()
         assert entered.wait(timeout=10)
-        held_entry = engine._owner_locks[7]
+        held_entry = engine._owners[7]
         # churn other owners past the bound while owner 7's lock is held
         for other in range(100, 110):
             with engine._owner_lock(other):
                 pass
-        assert engine._owner_locks.get(7) is held_entry  # never dropped
+        assert engine._owners.get(7) is held_entry  # never dropped
         release.set()
         holder.join(timeout=10)
-        assert len(engine._owner_locks) <= 1
+        assert len(engine._owners) <= 1
+
+    def test_the_bound_counts_owners_not_measures(
+        self, service_population, service_store, monkeypatch
+    ):
+        """Every measure of an owner shares its one LRU entry: N owners
+        warm in all three measures fit a bound of N."""
+        monkeypatch.setattr(engine_module, "MAX_CACHED_OWNERS", 2)
+        engine = RiskEngine(service_store, seed=SERVICE_SEED)
+        owners = [o.user_id for o in service_population.owners]
+        assert len(owners) == 2
+        measures = ("stranger", "friendship", "neighborhood")
+        for measure in measures:
+            for owner in owners:
+                assert engine.score(owner, measure).source == "cold"
+        assert engine.metrics.cache_evictions == 0
+        for measure in measures:
+            for owner in owners:
+                assert engine.score(owner, measure).source == "cache"
 
     def test_a_cache_hit_keeps_the_pipeline_state_with_its_record(
         self, monkeypatch

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
+import asyncio
 import http.client
 import json
 import socket
 import threading
-import types
 import urllib.error
 import urllib.request
 
@@ -98,7 +98,6 @@ def serve(server: AsyncRiskServer):
 def shut_down(server: AsyncRiskServer, thread: threading.Thread) -> None:
     server.shutdown()
     server.server_close()
-    server.scheduler.shutdown(wait=False)
     thread.join(timeout=10)
 
 
@@ -106,26 +105,6 @@ def make_engine() -> RiskEngine:
     """A real engine over a fresh copy of the service cohort."""
     store = OwnerStore.from_population(make_service_population())
     return RiskEngine(store, seed=SERVICE_SEED)
-
-
-class EmptyStore:
-    """Minimal store for fake engines: ``/healthz`` and ``/metrics``
-    dereference ``engine.store``, and ``version`` raising keeps
-    coalescing out of the gated tests."""
-
-    def owner_ids(self):
-        return ()
-
-    def version(self, owner_id):
-        raise KeyError(owner_id)
-
-
-def gated_engine() -> GatedEngine:
-    """A :class:`GatedEngine` the server's read endpoints can describe."""
-    engine = GatedEngine()
-    engine.store = EmptyStore()
-    engine.metrics = types.SimpleNamespace(snapshot=dict)
-    return engine
 
 
 @pytest.fixture(scope="module")
@@ -252,7 +231,7 @@ def test_stopping_with_an_idle_keep_alive_connection_logs_no_error(caplog):
     """A connection's handler ends on its own when the server stops: left
     to ``asyncio.run``'s cancellation, Python 3.11 logs a
     ``CancelledError`` from the stream callback once per connection."""
-    server = build_server(gated_engine(), max_workers=1, max_pending=4)
+    server = build_server(GatedEngine(), max_workers=1, max_pending=4)
     thread = serve(server)
     host, port = server.server_address[:2]
     connection = http.client.HTTPConnection(host, port, timeout=30)
@@ -386,7 +365,7 @@ class TestResilienceMapping:
     def test_saturation_maps_to_429_with_retry_after(self):
         # saturation is the client's cue to slow down (429), distinct
         # from the service being unable to serve at all (503)
-        engine = gated_engine()
+        engine = GatedEngine()
         scheduler = ScoreScheduler(engine, max_workers=1, max_pending=1)
         server = AsyncRiskServer(("127.0.0.1", 0), engine, scheduler)
         thread = serve(server)
@@ -409,7 +388,7 @@ class TestResilienceMapping:
     def test_deadline_maps_to_504_and_breaker_opens(self, monkeypatch):
         monkeypatch.setattr(async_http, "BREAKER_FAILURE_THRESHOLD", 1)
         monkeypatch.setattr(async_http, "BREAKER_RECOVERY_TIME", 300.0)
-        engine = gated_engine()
+        engine = GatedEngine()
         scheduler = ScoreScheduler(engine, max_workers=1, max_pending=4)
         server = AsyncRiskServer(
             ("127.0.0.1", 0), engine, scheduler, request_timeout=0.2
@@ -614,7 +593,7 @@ class TestScoreBatch:
         """SIGTERM while an NDJSON stream is in flight (the drain
         contract of docs/service.md): the accepted batch runs to
         completion — every line arrives — while new requests get 503."""
-        engine = gated_engine()
+        engine = GatedEngine()
         scheduler = ScoreScheduler(engine, max_workers=2, max_pending=8)
         server = AsyncRiskServer(("127.0.0.1", 0), engine, scheduler)
         thread = serve(server)
@@ -643,7 +622,9 @@ class TestScoreBatch:
 
             # ...then drain the scheduler; the in-flight stream finishes
             engine.gate.set()
-            summary = scheduler.shutdown(drain=True, timeout=30)
+            summary = asyncio.run_coroutine_threadsafe(
+                scheduler.drain(timeout=30), server._loop
+            ).result(timeout=60)
             assert summary["drained"] is True
             batch_thread.join(timeout=30)
             status, lines, _ = results["batch"]

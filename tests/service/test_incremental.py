@@ -187,7 +187,7 @@ class TestStaleEntryRace:
             assert started.wait(timeout=10)
             # wait until the worker is parked on the owner lock
             deadline = threading.Event()
-            while engine._owner_locks[owner].refs < 2:
+            while engine._owners[owner].refs < 2:
                 deadline.wait(0.005)
             # swap the entry under the waiter (a live migration)
             store.attach_entry(

@@ -294,7 +294,6 @@ class ElasticSupervisor:
         server = self.servers.pop(shard_index)
         await asyncio.to_thread(server.shutdown)
         server.server_close()
-        server.scheduler.shutdown(wait=False)
 
     def snapshot(self):
         return {
@@ -344,8 +343,6 @@ def elastic_rig(fast_retries, monkeypatch):
     for server in (*servers, router):
         server.shutdown()
         server.server_close()
-    for server in servers:
-        server.scheduler.shutdown(wait=False)
     for thread in threads:
         thread.join(timeout=10)
 

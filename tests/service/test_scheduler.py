@@ -1,21 +1,27 @@
 """Tests for the bounded, per-owner-serialized score scheduler.
 
-Uses gated fake engines (threading.Event) so concurrency and
-backpressure are exercised deterministically, without real scoring cost.
+The scheduler lives on an event loop, so each test runs one on
+``asyncio.run``.  Gated fake engines (a ``threading.Event`` their
+``score`` waits on) exercise concurrency and backpressure
+deterministically, without real scoring cost; they implement the
+engine interface the scheduler calls (``store.version``,
+``resolve_measure``, ``peek``, ``score(owner, measure)``, ``metrics``).
 """
 
 from __future__ import annotations
 
+import asyncio
+import functools
 import json
 import threading
+import time
+import types
 from typing import NamedTuple
 
 import pytest
 
 from repro.errors import BackpressureError, ServiceError, UnknownOwnerError
 from repro.service import ScoreScheduler
-
-from .conftest import wait_until
 
 
 class FakeRecord(NamedTuple):
@@ -32,10 +38,43 @@ class FakeRecord(NamedTuple):
         return json.dumps(self.to_dict()).encode("utf-8")
 
 
-class GatedEngine:
+class FakeStore:
+    """The store surface the scheduler and the read endpoints use.
+    Owners without a version are unknown: their requests are never
+    coalesced."""
+
+    def __init__(self, versions: dict[int, int] | None = None):
+        self.versions = dict(versions or {})
+
+    def version(self, owner_id: int) -> int:
+        try:
+            return self.versions[owner_id]
+        except KeyError:
+            raise UnknownOwnerError(owner_id) from None
+
+    def owner_ids(self) -> tuple[int, ...]:
+        return tuple(self.versions)
+
+
+class FakeEngine:
+    """The engine interface without a memo: ``peek`` never hits."""
+
+    def __init__(self, versions: dict[int, int] | None = None):
+        self.store = FakeStore(versions)
+        self.metrics = types.SimpleNamespace(snapshot=dict)
+
+    def resolve_measure(self, measure: str | None = None) -> str:
+        return "default" if measure is None else measure
+
+    def peek(self, owner_id: int, measure: str, version: int) -> None:
+        return None
+
+
+class GatedEngine(FakeEngine):
     """Fake engine: every ``score`` blocks until ``gate`` is set."""
 
-    def __init__(self):
+    def __init__(self, versions: dict[int, int] | None = None):
+        super().__init__(versions)
         self.gate = threading.Event()
         self._lock = threading.Lock()
         self._counter = 0
@@ -43,7 +82,7 @@ class GatedEngine:
         self.overlapped: list[int] = []
         self.calls: list[FakeRecord] = []
 
-    def score(self, owner_id: int) -> FakeRecord:
+    def score(self, owner_id: int, measure: str | None = None) -> FakeRecord:
         with self._lock:
             if owner_id in self._in_call:  # per-owner serialization broken
                 self.overlapped.append(owner_id)
@@ -61,30 +100,50 @@ class GatedEngine:
             return set(self._in_call)
 
 
-class InstantEngine:
+class InstantEngine(FakeEngine):
     def __init__(self):
-        self._lock = threading.Lock()
+        super().__init__()
         self._counter = 0
 
-    def score(self, owner_id: int) -> FakeRecord:
-        with self._lock:
-            self._counter += 1
-            return FakeRecord(owner_id, self._counter)
+    def score(self, owner_id: int, measure: str | None = None) -> FakeRecord:
+        self._counter += 1
+        return FakeRecord(owner_id, self._counter)
 
 
-class FailingEngine:
-    def score(self, owner_id: int):
+class FailingEngine(FakeEngine):
+    def score(self, owner_id: int, measure: str | None = None):
         if owner_id == 404:
             raise UnknownOwnerError(owner_id)
         raise ValueError(f"boom for {owner_id}")
 
 
-def drain(*futures, timeout=10):
-    return [future.result(timeout=timeout) for future in futures]
+def on_loop(test):
+    """Run an async test on a fresh event loop."""
+
+    @functools.wraps(test)
+    def run(*args, **kwargs):
+        asyncio.run(test(*args, **kwargs))
+
+    return run
+
+
+async def until(predicate, timeout: float = 10.0) -> bool:
+    """Yield to the loop until ``predicate`` holds or ``timeout`` passes."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        await asyncio.sleep(0.005)
+    return bool(predicate())
+
+
+async def drain(*jobs):
+    return await asyncio.gather(*jobs)
 
 
 class TestBackpressure:
-    def test_submit_past_the_bound_fails_fast(self):
+    @on_loop
+    async def test_submit_past_the_bound_fails_fast(self):
         engine = GatedEngine()
         scheduler = ScoreScheduler(engine, max_workers=1, max_pending=2)
         try:
@@ -94,12 +153,14 @@ class TestBackpressure:
             with pytest.raises(BackpressureError) as excinfo:
                 scheduler.submit(3)
             assert excinfo.value.pending == 2
+            assert excinfo.value.saturated
         finally:
             engine.gate.set()
-            drain(first, second)
-            scheduler.shutdown()
+            await drain(first, second)
+            scheduler.close()
 
-    def test_capacity_recovers_after_the_queue_drains(self):
+    @on_loop
+    async def test_capacity_recovers_after_the_queue_drains(self):
         engine = GatedEngine()
         scheduler = ScoreScheduler(engine, max_workers=1, max_pending=1)
         try:
@@ -107,101 +168,156 @@ class TestBackpressure:
             with pytest.raises(BackpressureError):
                 scheduler.submit(1)
             engine.gate.set()
-            first.result(timeout=10)
-            # the slot frees up once the in-flight request finishes
-            wait_until(lambda: not scheduler.pending)
-            assert scheduler.score(1, timeout=10)[0] == 1
+            await first
+            # the slot frees up once the running request finishes
+            assert await until(lambda: not scheduler.pending)
+            assert (await scheduler.submit(1))[0] == 1
         finally:
             engine.gate.set()
-            scheduler.shutdown()
+            scheduler.close()
 
-    def test_snapshot_reports_pending_and_bound(self):
+    @on_loop
+    async def test_snapshot_reports_pending_and_bound(self):
         engine = GatedEngine()
         scheduler = ScoreScheduler(engine, max_workers=2, max_pending=8)
         try:
-            futures = [scheduler.submit(1), scheduler.submit(2)]
+            jobs = [scheduler.submit(1), scheduler.submit(2)]
             snapshot = scheduler.snapshot()
             assert snapshot["pending"] == 2
             assert snapshot["max_pending"] == 8
             assert snapshot["owners_in_flight"] == 2
         finally:
             engine.gate.set()
-            drain(*futures)
-            scheduler.shutdown()
+            await drain(*jobs)
+            scheduler.close()
 
 
 class TestOrdering:
-    def test_same_owner_requests_run_serially_in_fifo_order(self):
+    @on_loop
+    async def test_same_owner_requests_run_serially_in_fifo_order(self):
         engine = GatedEngine()
         scheduler = ScoreScheduler(engine, max_workers=4, max_pending=16)
         try:
-            futures = [scheduler.submit(7) for _ in range(5)]
+            jobs = [scheduler.submit(7) for _ in range(5)]
             engine.gate.set()
-            sequences = [future.result(timeout=10)[1] for future in futures]
+            sequences = [record[1] for record in await drain(*jobs)]
             assert sequences == sorted(sequences)  # FIFO per owner
             assert engine.overlapped == []  # never two at once
+            assert scheduler.snapshot()["owners_in_flight"] == 0
         finally:
-            scheduler.shutdown()
+            scheduler.close()
 
-    def test_different_owners_score_concurrently(self):
+    @on_loop
+    async def test_different_owners_score_concurrently(self):
         engine = GatedEngine()
         scheduler = ScoreScheduler(engine, max_workers=2, max_pending=8)
         try:
-            futures = [scheduler.submit(1), scheduler.submit(2)]
+            jobs = [scheduler.submit(1), scheduler.submit(2)]
             # both must be *inside* score() before the gate opens
-            wait_until(lambda: len(engine.running_now()) >= 2)
+            assert await until(lambda: len(engine.running_now()) >= 2)
             assert engine.running_now() == {1, 2}
             assert scheduler.snapshot()["owners_in_flight"] == 2
             engine.gate.set()
-            assert {result[0] for result in drain(*futures)} == {1, 2}
+            assert {result[0] for result in await drain(*jobs)} == {1, 2}
         finally:
             engine.gate.set()
-            scheduler.shutdown()
+            scheduler.close()
+
+    @on_loop
+    async def test_an_expired_wait_keeps_the_turn_until_the_call_returns(
+        self,
+    ):
+        """A waiter's deadline expiring mid-call cancels its job, but the
+        owner's next request starts only once that call has returned,
+        and the started job still delivers its record."""
+        engine = GatedEngine()
+        scheduler = ScoreScheduler(engine, max_workers=2, max_pending=8)
+        try:
+            first = scheduler.submit(1)
+            assert await until(lambda: engine.running_now() == {1})
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(asyncio.shield(first), 0.01)
+            first.cancel()  # what the HTTP layer does on a 504
+            second = scheduler.submit(1)
+            await asyncio.sleep(0.05)
+            # the first call still runs: the second waits for its turn
+            assert engine.calls == [] and engine.overlapped == []
+            assert scheduler.pending == 2
+            engine.gate.set()
+            assert await second == FakeRecord(1, 2)
+            assert await first == FakeRecord(1, 1)  # started: not dropped
+            assert engine.calls == [FakeRecord(1, 1), FakeRecord(1, 2)]
+            assert engine.overlapped == []
+            assert await until(lambda: not scheduler.pending)
+        finally:
+            engine.gate.set()
+            scheduler.close()
+
+    @on_loop
+    async def test_cancelling_a_queued_request_drops_it(self):
+        engine = GatedEngine()
+        scheduler = ScoreScheduler(engine, max_workers=2, max_pending=8)
+        try:
+            first = scheduler.submit(1)
+            queued = scheduler.submit(1)
+            assert await until(lambda: engine.running_now() == {1})
+            queued.cancel()
+            await asyncio.wait({queued})
+            assert scheduler.pending == 1  # its slot is free at once
+            engine.gate.set()
+            await first
+            assert engine.calls == [FakeRecord(1, 1)]  # never scored
+            assert await until(lambda: not scheduler.pending)
+            assert scheduler.snapshot()["owners_in_flight"] == 0
+        finally:
+            engine.gate.set()
+            scheduler.close()
 
 
 class TestErrorsAndLifecycle:
-    def test_engine_exceptions_propagate_through_the_future(self):
+    @on_loop
+    async def test_engine_exceptions_propagate_through_the_future(self):
         scheduler = ScoreScheduler(FailingEngine(), max_workers=1)
         try:
             with pytest.raises(ValueError, match="boom for 1"):
-                scheduler.score(1, timeout=10)
+                await scheduler.submit(1)
             with pytest.raises(UnknownOwnerError):
-                scheduler.score(404, timeout=10)
+                await scheduler.submit(404)
+            assert scheduler.pending == 0
         finally:
-            scheduler.shutdown()
+            scheduler.close()
 
-    def test_blocking_score_returns_the_record(self):
+    @on_loop
+    async def test_awaited_submission_returns_the_record(self):
         scheduler = ScoreScheduler(InstantEngine(), max_workers=2)
         try:
-            assert scheduler.score(5, timeout=10)[0] == 5
+            assert (await scheduler.submit(5))[0] == 5
         finally:
-            scheduler.shutdown()
+            scheduler.close()
 
-    def test_submit_after_shutdown_is_backpressure(self):
+    @on_loop
+    async def test_submit_after_shutdown_is_backpressure(self):
         scheduler = ScoreScheduler(InstantEngine(), max_workers=1)
-        scheduler.shutdown()
-        with pytest.raises(BackpressureError):
+        scheduler.close()
+        with pytest.raises(BackpressureError) as excinfo:
             scheduler.submit(1)
+        assert not excinfo.value.saturated  # an outage: 503, not 429
 
-    def test_shutdown_fails_the_queued_backlog(self):
+    @on_loop
+    async def test_shutdown_fails_the_queued_backlog(self):
         engine = GatedEngine()
         scheduler = ScoreScheduler(engine, max_workers=1, max_pending=8)
-        in_flight = scheduler.submit(1)
+        running = scheduler.submit(1)
         queued = [scheduler.submit(1), scheduler.submit(1)]
-        scheduler.shutdown(wait=False)
+        assert await until(lambda: engine.running_now() == {1})
+        scheduler.close()
         engine.gate.set()
-        assert in_flight.result(timeout=10)[0] == 1
+        assert (await running)[0] == 1
         for orphan in queued:
             with pytest.raises(BackpressureError):
-                orphan.result(timeout=10)
-        wait_until(lambda: not scheduler.pending)
+                await orphan
+        assert await until(lambda: not scheduler.pending)
         assert scheduler.pending == 0
-
-    def test_context_manager_shuts_down(self):
-        with ScoreScheduler(InstantEngine(), max_workers=1) as scheduler:
-            assert scheduler.score(3, timeout=10)[0] == 3
-        with pytest.raises(BackpressureError):
-            scheduler.submit(3)
 
     def test_invalid_bounds_are_rejected(self):
         with pytest.raises(ServiceError):
@@ -211,58 +327,56 @@ class TestErrorsAndLifecycle:
 
 
 class TestDrain:
-    def test_drain_completes_the_queued_backlog(self):
+    @on_loop
+    async def test_drain_completes_the_queued_backlog(self):
         engine = GatedEngine()
         scheduler = ScoreScheduler(engine, max_workers=1, max_pending=8)
-        futures = [scheduler.submit(1) for _ in range(3)]
-
-        release = threading.Timer(0.05, engine.gate.set)
-        release.start()
+        jobs = [scheduler.submit(1) for _ in range(3)]
+        asyncio.get_running_loop().call_later(0.05, engine.gate.set)
         try:
-            summary = scheduler.shutdown(drain=True, timeout=10)
+            summary = await scheduler.drain(timeout=10)
         finally:
-            release.cancel()
+            engine.gate.set()
+            scheduler.close()
         # with drain, the queued requests complete instead of failing
         assert summary["drained"] is True
         assert summary["pending_at_signal"] == 3
         assert summary["pending_at_exit"] == 0
-        assert [future.result(timeout=10).owner_id for future in futures] == [
-            1,
-            1,
-            1,
-        ]
+        assert [record.owner_id for record in await drain(*jobs)] == [1, 1, 1]
 
-    def test_drain_timeout_gives_up_with_work_pending(self):
-        engine = GatedEngine()  # never released: work can't finish
+    @on_loop
+    async def test_drain_timeout_gives_up_with_work_pending(self):
+        engine = GatedEngine()  # not released in time: work can't finish
         scheduler = ScoreScheduler(engine, max_workers=1, max_pending=8)
-        scheduler.submit(1)
-        scheduler.submit(1)
-        summary = scheduler.shutdown(wait=False, drain=True, timeout=0.1)
+        running = scheduler.submit(1)
+        queued = scheduler.submit(1)
+        summary = await scheduler.drain(timeout=0.1)
         assert summary["drained"] is False
         assert summary["pending_at_exit"] > 0
         engine.gate.set()  # unblock the worker so the pool can die
+        await running
+        with pytest.raises(BackpressureError):
+            await queued  # its turn came after the drain gave up
+        scheduler.close()
 
-    def test_drain_rejects_new_work_immediately(self):
+    @on_loop
+    async def test_drain_rejects_new_work_immediately(self):
         engine = GatedEngine()
         scheduler = ScoreScheduler(engine, max_workers=1)
         scheduler.submit(1)
-        done = threading.Event()
-
-        def drain_then_flag():
-            scheduler.shutdown(drain=True, timeout=10)
-            done.set()
-
-        draining = threading.Thread(target=drain_then_flag)
-        draining.start()
-        wait_until(lambda: not scheduler.accepting)
-        assert not scheduler.accepting
+        draining = asyncio.create_task(scheduler.drain(timeout=10))
+        assert await until(lambda: not scheduler.accepting)
+        assert scheduler.snapshot()["draining"] is True
         with pytest.raises(BackpressureError):
             scheduler.submit(2)
         engine.gate.set()
-        draining.join(timeout=10)
-        assert done.is_set()
+        summary = await asyncio.wait_for(draining, 10)
+        assert summary["drained"] is True
+        assert scheduler.snapshot()["draining"] is False
+        scheduler.close()
 
-    def test_pending_count_tracks_the_queue(self):
+    @on_loop
+    async def test_pending_count_tracks_the_queue(self):
         engine = GatedEngine()
         scheduler = ScoreScheduler(engine, max_workers=1, max_pending=8)
         assert scheduler.pending == 0
@@ -270,119 +384,84 @@ class TestDrain:
         scheduler.submit(1)
         assert scheduler.pending == 2
         engine.gate.set()
-        wait_until(lambda: not scheduler.pending)
+        assert await until(lambda: not scheduler.pending)
         assert scheduler.pending == 0
-        scheduler.shutdown()
+        scheduler.close()
 
-    def test_shutdown_summary_includes_engine_metrics(self, service_engine):
+    @on_loop
+    async def test_shutdown_summary_includes_engine_metrics(
+        self, service_engine
+    ):
         scheduler = ScoreScheduler(service_engine, max_workers=1)
         owner_id = service_engine.store.owner_ids()[0]
-        scheduler.score(owner_id, timeout=60)
-        summary = scheduler.shutdown(drain=True, timeout=10)
+        await scheduler.submit(owner_id)
+        summary = await scheduler.drain(timeout=10)
+        scheduler.close()
         metrics = summary["engine_metrics"]
         assert metrics["requests"] == 1
         assert metrics["cold_scores"] == 1
 
-    def test_fake_engines_emit_no_metrics_block(self):
-        scheduler = ScoreScheduler(InstantEngine(), max_workers=1)
-        summary = scheduler.shutdown(drain=True, timeout=1)
-        assert "engine_metrics" not in summary
-
 
 class TestExecutorDeath:
-    """The executor dying under the scheduler must not strand the queue.
+    """The scoring pool dying under the scheduler must not strand the
+    queue: every queued request fails when its turn comes, and
+    ``pending`` returns to 0 (so a drain still completes)."""
 
-    Regression tests for a leak in ``_finish``: when ``executor.submit``
-    raised ``RuntimeError``, only the popped future was failed — the rest
-    of that owner's queue stayed counted in ``_pending`` forever, so
-    ``shutdown(drain=True)`` hung and ``pending`` never recovered.
-    """
-
-    def test_killed_executor_fails_the_whole_owner_queue(self):
-        from concurrent.futures import ThreadPoolExecutor
-
+    @on_loop
+    async def test_killed_executor_fails_the_whole_owner_queue(self):
         engine = GatedEngine()
-        executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="kill-test"
-        )
-        scheduler = ScoreScheduler(engine, max_pending=8, executor=executor)
-        in_flight = scheduler.submit(1)
+        scheduler = ScoreScheduler(engine, max_workers=1, max_pending=8)
+        running = scheduler.submit(1)
         queued = [scheduler.submit(1), scheduler.submit(1), scheduler.submit(1)]
+        assert await until(lambda: engine.running_now() == {1})
         # kill the pool out from under the scheduler, then let the
-        # in-flight job finish: _finish's re-submit will raise
-        executor.shutdown(wait=False)
+        # running call finish: each queued request then meets a dead pool
+        scheduler._pool.shutdown(wait=False)
         engine.gate.set()
-        assert in_flight.result(timeout=10).owner_id == 1
+        assert (await running).owner_id == 1
         for orphan in queued:
             with pytest.raises(BackpressureError):
-                orphan.result(timeout=10)
-        wait_until(lambda: not scheduler.pending)
+                await orphan
+        assert await until(lambda: not scheduler.pending)
         assert scheduler.pending == 0
 
-    def test_drain_completes_after_executor_death(self):
-        from concurrent.futures import ThreadPoolExecutor
-
+    @on_loop
+    async def test_drain_completes_after_executor_death(self):
         engine = GatedEngine()
-        executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="kill-drain"
-        )
-        scheduler = ScoreScheduler(engine, max_pending=8, executor=executor)
+        scheduler = ScoreScheduler(engine, max_workers=1, max_pending=8)
         scheduler.submit(1)
         queued = [scheduler.submit(1), scheduler.submit(1)]
-        executor.shutdown(wait=False)
-        release = threading.Timer(0.05, engine.gate.set)
-        release.start()
+        assert await until(lambda: engine.running_now() == {1})
+        scheduler._pool.shutdown(wait=False)
+        asyncio.get_running_loop().call_later(0.05, engine.gate.set)
         try:
             # must terminate: the orphaned queue is failed, not leaked
-            summary = scheduler.shutdown(drain=True, timeout=10)
+            summary = await scheduler.drain(timeout=10)
         finally:
-            release.cancel()
+            engine.gate.set()
         assert summary["drained"] is True
         assert summary["pending_at_exit"] == 0
         for orphan in queued:
             with pytest.raises(BackpressureError):
-                orphan.result(timeout=10)
+                await orphan
 
 
 # ---------------------------------------------------------------------------
 # request coalescing (single-flight per owner/measure/version)
 # ---------------------------------------------------------------------------
-class VersionedStore:
-    """Store stub exposing just the version map the coalesce key needs."""
-
-    def __init__(self, versions: dict[int, int]):
-        self.versions = dict(versions)
-
-    def version(self, owner_id: int) -> int:
-        return self.versions[owner_id]
-
-
-class VersionedGatedEngine(GatedEngine):
-    """A gated engine with the store/resolve surface coalescing keys on."""
-
-    def __init__(self, versions: dict[int, int] | None = None):
-        super().__init__()
-        self.store = VersionedStore(versions or {1: 0})
-
-    def score(self, owner_id: int, measure: str | None = None) -> FakeRecord:
-        return super().score(owner_id)
-
-    def resolve_measure(self, measure: str | None = None) -> str:
-        return "default" if measure is None else measure
-
-
 def serve_or_submit(scheduler, owner_id, measure=None):
-    """``serve_or_submit`` on a ``peek``-less engine: never a record."""
-    record, future, coalesced = scheduler.serve_or_submit(
+    """``serve_or_submit`` on a memo-less engine: never a record."""
+    record, job, coalesced = scheduler.serve_or_submit(
         owner_id, measure=measure
     )
     assert record is None
-    return future, coalesced
+    return job, coalesced
 
 
 class TestCoalescing:
-    def test_identical_concurrent_requests_share_one_future(self):
-        engine = VersionedGatedEngine()
+    @on_loop
+    async def test_identical_concurrent_requests_share_one_future(self):
+        engine = GatedEngine({1: 0})
         scheduler = ScoreScheduler(engine, max_workers=2, max_pending=8)
         try:
             first, coalesced_first = serve_or_submit(scheduler, 1)
@@ -394,29 +473,31 @@ class TestCoalescing:
             assert snapshot["coalesce_inflight"] == 1
             assert snapshot["pending"] == 1  # joining costs no queue slot
             engine.gate.set()
-            assert first.result(timeout=10) is second.result(timeout=10)
+            assert await first is await second
             assert len(engine.calls) == 1
         finally:
             engine.gate.set()
-            scheduler.shutdown()
+            scheduler.close()
 
-    def test_completed_flight_is_not_reused(self):
-        engine = VersionedGatedEngine()
+    @on_loop
+    async def test_completed_flight_is_not_reused(self):
+        engine = GatedEngine({1: 0})
         engine.gate.set()
         scheduler = ScoreScheduler(engine, max_workers=1, max_pending=8)
         try:
             first, _ = serve_or_submit(scheduler, 1)
-            first.result(timeout=10)
+            await first
             second, coalesced = serve_or_submit(scheduler, 1)
             assert not coalesced
-            assert second is not first  # a finished future never fans out
-            second.result(timeout=10)
+            assert second is not first  # a finished task never fans out
+            await second
             assert len(engine.calls) == 2
         finally:
-            scheduler.shutdown()
+            scheduler.close()
 
-    def test_version_bump_misses_the_stale_flight(self):
-        engine = VersionedGatedEngine({1: 0})
+    @on_loop
+    async def test_version_bump_misses_the_stale_flight(self):
+        engine = GatedEngine({1: 0})
         scheduler = ScoreScheduler(engine, max_workers=2, max_pending=8)
         try:
             stale, _ = serve_or_submit(scheduler, 1)
@@ -426,59 +507,52 @@ class TestCoalescing:
             assert fresh is not stale  # new version: new engine call
             assert scheduler.snapshot()["coalesced_hits"] == 0
             engine.gate.set()
-            assert stale.result(timeout=10) != fresh.result(timeout=10)
+            assert await stale != await fresh
             assert len(engine.calls) == 2
         finally:
             engine.gate.set()
-            scheduler.shutdown()
+            scheduler.close()
 
-    def test_distinct_measures_do_not_coalesce(self):
-        engine = VersionedGatedEngine()
+    @on_loop
+    async def test_distinct_measures_do_not_coalesce(self):
+        engine = GatedEngine({1: 0})
         scheduler = ScoreScheduler(engine, max_workers=2, max_pending=8)
         try:
             default, _ = serve_or_submit(scheduler, 1)
             other, coalesced = serve_or_submit(scheduler, 1, measure="other")
             assert not coalesced and other is not default
             engine.gate.set()
-            drain(default, other)
+            await drain(default, other)
         finally:
             engine.gate.set()
-            scheduler.shutdown()
+            scheduler.close()
 
-    def test_storeless_engines_fall_back_to_plain_submit(self):
-        engine = GatedEngine()  # no .store: coalescing cannot key safely
-        scheduler = ScoreScheduler(engine, max_workers=2, max_pending=8)
-        try:
-            first, coalesced_first = serve_or_submit(scheduler, 1)
-            second, coalesced_second = serve_or_submit(scheduler, 1)
-            assert not coalesced_first and not coalesced_second
-            assert second is not first
-            assert scheduler.snapshot()["coalesced_hits"] == 0
-            engine.gate.set()
-            drain(first, second)
-        finally:
-            engine.gate.set()
-            scheduler.shutdown()
-
-    def test_unknown_owner_falls_back_and_errors_per_request(self):
-        engine = VersionedGatedEngine({1: 0})  # owner 2 unknown
+    @on_loop
+    async def test_unknown_owner_falls_back_and_errors_per_request(self):
+        engine = GatedEngine({1: 0})  # owner 2 unknown
         engine.gate.set()
         scheduler = ScoreScheduler(engine, max_workers=1, max_pending=8)
         try:
             first, coalesced = serve_or_submit(scheduler, 2)
             assert not coalesced  # version lookup failed: plain submit
-            first.result(timeout=10)  # the engine itself accepts it
+            second, coalesced = serve_or_submit(scheduler, 2)
+            assert not coalesced and second is not first
+            await drain(first, second)  # the engine itself accepts them
+            assert scheduler.snapshot()["coalesce_inflight"] == 0
         finally:
-            scheduler.shutdown()
+            scheduler.close()
 
-    def test_finished_flights_leave_the_inflight_map(self):
-        engine = VersionedGatedEngine()
+    @on_loop
+    async def test_finished_flights_leave_the_inflight_map(self):
+        engine = GatedEngine({1: 0})
         engine.gate.set()
         scheduler = ScoreScheduler(engine, max_workers=1, max_pending=8)
         try:
-            future, _ = serve_or_submit(scheduler, 1)
-            future.result(timeout=10)
-            wait_until(lambda: not scheduler.snapshot()["coalesce_inflight"])
+            job, _ = serve_or_submit(scheduler, 1)
+            await job
+            assert await until(
+                lambda: not scheduler.snapshot()["coalesce_inflight"]
+            )
             assert scheduler.snapshot()["coalesce_inflight"] == 0
         finally:
-            scheduler.shutdown()
+            scheduler.close()

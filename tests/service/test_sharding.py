@@ -49,11 +49,11 @@ from repro.synth import EgoNetConfig, generate_study_population
 from .conftest import FAST_RETRIES, StaticSupervisor, wait_until
 from .test_http import (
     assert_malformed_length_is_rejected,
-    gated_engine,
     get,
     post,
     post_ndjson,
 )
+from .test_scheduler import GatedEngine
 from .test_score_encoding import read_bytes
 
 SHARD_SEED = 11
@@ -215,8 +215,6 @@ def shard_rig():
     for server in (*servers, router):
         server.shutdown()
         server.server_close()
-    for server in servers:
-        server.scheduler.shutdown(wait=False)
     for thread in (*threads, router_thread):
         thread.join(timeout=10)
 
@@ -571,7 +569,7 @@ class TestRouterBackpressureRelay:
 
     @pytest.fixture
     def gated_rig(self, fast_retries):
-        engine = gated_engine()
+        engine = GatedEngine()
         scheduler = ScoreScheduler(engine, max_workers=1, max_pending=1)
         shard_server = AsyncRiskServer(("127.0.0.1", 0), engine, scheduler)
         shard_thread = threading.Thread(
@@ -589,7 +587,6 @@ class TestRouterBackpressureRelay:
         for server in (shard_server, router):
             server.shutdown()
             server.server_close()
-        shard_server.scheduler.shutdown(wait=False)
         for thread in (shard_thread, router_thread):
             thread.join(timeout=10)
 
@@ -838,8 +835,6 @@ def start_router(shard_servers, shard_map):
         for server in reversed(servers):
             server.shutdown()
             server.server_close()
-        for server in shard_servers:
-            server.scheduler.shutdown(wait=False)
         for thread in threads:
             thread.join(timeout=10)
 
@@ -1060,7 +1055,7 @@ class TestRouterSockets:
         """Both front doors bind and listen in their constructor with a
         ``socket.SOMAXCONN`` backlog: a burst of connects to a server
         that accepts nothing yet all wait in the backlog."""
-        engine = gated_engine()
+        engine = GatedEngine()
         servers = [
             ShardRouterServer(
                 ("127.0.0.1", 0), ShardMap(1), StaticSupervisor([])
